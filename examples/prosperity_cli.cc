@@ -597,7 +597,7 @@ cmdCampaign(int argc, char** argv)
     if (!quiet && !spec.description.empty())
         std::cout << spec.name << ": " << spec.description << '\n';
 
-    SimulationEngine engine(EngineOptions{threads, true});
+    SimulationEngine engine(EngineOptions{threads});
     std::shared_ptr<serve::ResultStore> store;
     if (!store_dir.empty()) {
         try {

@@ -890,10 +890,8 @@ CampaignRunner::run(const CampaignSpec& spec,
         return report;
     }
 
-    std::vector<std::future<RunResult>> futures;
-    futures.reserve(expansion.jobs.size());
-    for (const SimulationJob& job : expansion.jobs)
-        futures.push_back(engine_.submit(job));
+    std::vector<std::future<RunResult>> futures =
+        engine_.submit(expansion.jobs);
 
     std::vector<RunResult> results(expansion.jobs.size());
     for (std::size_t i = 0; i < futures.size(); ++i) {

@@ -287,11 +287,11 @@ struct CampaignProgress
 
 /**
  * Executes CampaignSpecs through a shared SimulationEngine. Jobs are
- * dispatched via SimulationEngine::submit, so they spread across the
- * engine's worker pool, reuse its memoization cache, and complete
- * with a progress callback per job — long campaigns stream status
- * instead of going dark. Results are bitwise identical to a runBatch
- * of the same jobs.
+ * submitted as one batch, so they spread across the engine's worker
+ * pool in same-workload lineups, reuse its memoization cache, and
+ * complete with a progress callback per job — long campaigns stream
+ * status instead of going dark. Results are bitwise identical to a
+ * runBatch of the same jobs.
  */
 class CampaignRunner
 {

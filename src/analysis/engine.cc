@@ -1,10 +1,9 @@
 #include "engine.h"
 
-#include <atomic>
+#include <algorithm>
 #include <exception>
-#include <set>
+#include <iterator>
 #include <sstream>
-#include <stdexcept>
 #include <thread>
 
 #include "obs/clock.h"
@@ -56,14 +55,14 @@ engineMetrics()
             obs::latencyBuckets()),
         obs::MetricsRegistry::global().histogram(
             "prosperity_engine_simulate_seconds",
-            "Wall time of one simulation group (sum == busy seconds)",
+            "Wall time of one simulated lineup (sum == busy seconds)",
             obs::latencyBuckets()),
         obs::MetricsRegistry::global().gauge(
             "prosperity_engine_queue_depth",
             "Async tasks enqueued but not yet claimed by a worker"),
         obs::MetricsRegistry::global().gauge(
             "prosperity_engine_in_flight",
-            "Simulations currently executing"),
+            "Lineups currently simulating"),
         obs::MetricsRegistry::global().gauge(
             "prosperity_engine_threads",
             "Configured worker-pool size"),
@@ -109,8 +108,8 @@ namespace {
 
 /**
  * Canonical identity of the (workload, options) half of a job. Jobs
- * sharing it can be simulated as one runWorkloadOnAll group, so each
- * layer's spike matrix is generated once for the whole lineup.
+ * sharing it can be simulated as one runWorkloadOnAll lineup, so each
+ * layer's spike matrix is generated once for all of them.
  */
 std::string
 workloadKey(const SimulationJob& job)
@@ -144,7 +143,7 @@ SimulationEngine::jobKey(const SimulationJob& job)
 RunResult
 SimulationEngine::run(const SimulationJob& job)
 {
-    return runBatch({job}).front();
+    return submit(job).get();
 }
 
 void
@@ -161,7 +160,7 @@ void
 SimulationEngine::workerLoop()
 {
     for (;;) {
-        AsyncTask task;
+        std::vector<AsyncTask> claimed;
         {
             util::UniqueLock lock(mutex_);
             while (!stopping_ && queue_.empty())
@@ -170,137 +169,201 @@ SimulationEngine::workerLoop()
             // submit() still gets its result.
             if (queue_.empty())
                 return;
-            task = std::move(queue_.front());
-            queue_.pop_front();
+            // Claim the front task and every queued task sharing its
+            // lineup key; the rest keep their order.
+            const std::string lead = queue_.front().lineup_key;
+            const auto rest = std::stable_partition(
+                queue_.begin(), queue_.end(), [&](const AsyncTask& task) {
+                    return task.lineup_key == lead;
+                });
+            claimed.assign(std::make_move_iterator(queue_.begin()),
+                           std::make_move_iterator(rest));
+            queue_.erase(queue_.begin(), rest);
         }
-        EngineMetrics& metrics = engineMetrics();
-        metrics.queue_depth.sub(1.0);
-        const std::uint64_t dequeued_ns = obs::monotonicNanos();
-        metrics.queue_wait.observe(
-            obs::elapsedSeconds(task.enqueued_ns, dequeued_ns));
+        runLineup(claimed);
+    }
+}
 
-        try {
-            RunResult result;
-            std::vector<std::promise<RunResult>> waiters;
+void
+SimulationEngine::runLineup(std::vector<AsyncTask>& tasks)
+{
+    EngineMetrics& metrics = engineMetrics();
+    metrics.queue_depth.sub(static_cast<double>(tasks.size()));
+    const std::uint64_t dequeued_ns = obs::monotonicNanos();
+    std::shared_ptr<ResultCache> second_level;
+    {
+        util::MutexLock lock(mutex_);
+        second_level = second_level_;
+    }
+
+    // Each task ends with a result (from the store, or simulated) or
+    // an error; `simulated` lists the tasks that both cache levels
+    // missed, in lineup order.
+    std::vector<RunResult> results(tasks.size());
+    std::vector<std::exception_ptr> errors(tasks.size());
+    std::vector<bool> stored(tasks.size(), false);
+    std::vector<std::size_t> simulated;
+    std::vector<std::vector<std::promise<RunResult>>> waiters(tasks.size());
+    {
+        // A lineup shares one trace id; the lead's context hosts the
+        // shared spans. The scope ends (and the span buffer drains)
+        // before any promise resolves, so a client that just observed
+        // "done" can already collect the full trace.
+        obs::ScopedTraceContext trace_scope(tasks.front().trace_context);
+
+        std::vector<std::unique_ptr<Accelerator>> owned;
+        std::vector<Accelerator*> lineup;
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            const AsyncTask& task = tasks[i];
+            metrics.queue_wait.observe(
+                obs::elapsedSeconds(task.enqueued_ns, dequeued_ns));
             {
-                // Adopt the submitter's trace for everything the task
-                // does; the scope ends (and the span buffer drains)
-                // before any promise resolves, so a client that just
-                // observed "done" can already collect the full trace.
-                obs::ScopedTraceContext trace_scope(task.trace_context);
+                obs::ScopedTraceContext task_scope(task.trace_context);
                 obs::emitSpan("engine", "queue_wait", task.enqueued_ns,
                               dequeued_ns);
-
-                // Memory cache missed at submit time; the second-level
-                // cache (e.g. the on-disk ResultStore) gets its chance
-                // here, off the caller's thread.
-                std::shared_ptr<ResultCache> second_level;
-                {
-                    util::MutexLock lock(mutex_);
-                    if (options_.memoize)
-                        second_level = second_level_;
-                }
-                bool from_second_level = false;
-                if (second_level &&
-                    second_level->fetch(task.key, &result))
-                    from_second_level = true;
-
-                if (from_second_level) {
-                    metrics.jobs_store_hit.add();
-                } else {
-                    AcceleratorRegistry& registry =
-                        AcceleratorRegistry::instance();
-                    std::unique_ptr<Accelerator> accel = registry.create(
-                        task.job.accelerator.name,
-                        task.job.accelerator.params);
-                    obs::GaugeGuard busy(metrics.in_flight);
-                    obs::ScopedSpan span("engine", "simulate");
-                    if (span.active())
-                        span.setDetail(task.job.accelerator.name + " / " +
-                                       task.job.workload.name());
-                    const std::uint64_t start_ns = obs::monotonicNanos();
-                    result = runWorkload(*accel, task.job.workload,
-                                         task.job.options);
-                    metrics.simulate_seconds.observe(obs::elapsedSeconds(
-                        start_ns, obs::monotonicNanos()));
-                    metrics.jobs_simulated.add();
-                }
-
-                {
-                    util::MutexLock lock(mutex_);
-                    if (from_second_level)
-                        ++cache_hits_;
-                    else
-                        ++cache_misses_;
-                    if (options_.memoize) {
-                        cache_.emplace(task.key, result);
-                        const auto it = inflight_.find(task.key);
-                        if (it != inflight_.end()) {
-                            waiters = std::move(it->second);
-                            inflight_.erase(it);
-                        }
-                    }
-                }
-                if (!from_second_level && second_level)
-                    second_level->publish(task.key, result);
             }
-            for (std::promise<RunResult>& waiter : waiters)
-                waiter.set_value(result);
-            task.promise.set_value(std::move(result));
-        } catch (...) {
-            const std::exception_ptr error = std::current_exception();
-            std::vector<std::promise<RunResult>> waiters;
-            {
-                util::MutexLock lock(mutex_);
-                const auto it = inflight_.find(task.key);
+            try {
+                // The memory cache missed at submit time; the
+                // second-level cache (e.g. the on-disk ResultStore)
+                // gets its chance here, off the caller's thread.
+                if (second_level &&
+                    second_level->fetch(task.key, &results[i])) {
+                    stored[i] = true;
+                    metrics.jobs_store_hit.add();
+                    continue;
+                }
+                owned.push_back(AcceleratorRegistry::instance().create(
+                    task.job.accelerator.name, task.job.accelerator.params));
+                lineup.push_back(owned.back().get());
+                simulated.push_back(i);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+
+        if (!lineup.empty()) {
+            const SimulationJob& lead = tasks[simulated.front()].job;
+            obs::GaugeGuard busy(metrics.in_flight);
+            obs::ScopedSpan span("engine", "simulate");
+            if (span.active())
+                span.setDetail(lead.workload.name() + " x" +
+                               std::to_string(lineup.size()));
+            const std::uint64_t start_ns = obs::monotonicNanos();
+            try {
+                std::vector<RunResult> computed =
+                    runWorkloadOnAll(lineup, lead.workload, lead.options);
+                for (std::size_t k = 0; k < simulated.size(); ++k)
+                    results[simulated[k]] = std::move(computed[k]);
+                metrics.simulate_seconds.observe(obs::elapsedSeconds(
+                    start_ns, obs::monotonicNanos()));
+                metrics.jobs_simulated.add(lineup.size());
+            } catch (...) {
+                for (const std::size_t i : simulated)
+                    errors[i] = std::current_exception();
+            }
+        }
+
+        {
+            util::MutexLock lock(mutex_);
+            for (std::size_t i = 0; i < tasks.size(); ++i) {
+                const auto it = inflight_.find(tasks[i].key);
                 if (it != inflight_.end()) {
-                    waiters = std::move(it->second);
+                    waiters[i] = std::move(it->second);
                     inflight_.erase(it);
                 }
+                if (errors[i])
+                    continue;
+                cache_.emplace(tasks[i].key, results[i]);
+                if (stored[i])
+                    ++cache_hits_;
+                else
+                    ++cache_misses_;
             }
-            for (std::promise<RunResult>& waiter : waiters)
-                waiter.set_exception(error);
-            task.promise.set_exception(error);
         }
+        for (const std::size_t i : simulated) {
+            if (!second_level || errors[i])
+                continue;
+            try {
+                second_level->publish(tasks[i].key, results[i]);
+            } catch (...) {
+                errors[i] = std::current_exception();
+            }
+        }
+    }
+
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        for (std::promise<RunResult>& waiter : waiters[i]) {
+            if (errors[i])
+                waiter.set_exception(errors[i]);
+            else
+                waiter.set_value(results[i]);
+        }
+        if (errors[i])
+            tasks[i].promise.set_exception(errors[i]);
+        else
+            tasks[i].promise.set_value(std::move(results[i]));
     }
 }
 
 std::future<RunResult>
 SimulationEngine::submit(const SimulationJob& job)
 {
-    std::promise<RunResult> promise;
-    std::future<RunResult> future = promise.get_future();
-    std::string key = jobKey(job);
+    return std::move(submit(std::vector<SimulationJob>{job}).front());
+}
+
+std::vector<std::future<RunResult>>
+SimulationEngine::submit(const std::vector<SimulationJob>& jobs)
+{
+    // The lineup key adds the submitter's trace id to the workload
+    // key, so traced requests never share a lineup.
+    const obs::TraceContext trace_context = obs::currentTraceContext();
+    std::vector<std::string> keys;
+    std::vector<std::string> lineup_keys;
+    keys.reserve(jobs.size());
+    lineup_keys.reserve(jobs.size());
+    for (const SimulationJob& job : jobs) {
+        keys.push_back(jobKey(job));
+        lineup_keys.push_back(workloadKey(job) + '#' +
+                              std::to_string(trace_context.trace_id));
+    }
+
     EngineMetrics& metrics = engineMetrics();
+    std::vector<std::future<RunResult>> futures;
+    futures.reserve(jobs.size());
+    bool enqueued = false;
     {
-        util::UniqueLock lock(mutex_);
-        if (options_.memoize) {
-            const auto cached = cache_.find(key);
+        util::MutexLock lock(mutex_);
+        const std::uint64_t enqueued_ns = obs::monotonicNanos();
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            std::promise<RunResult> promise;
+            futures.push_back(promise.get_future());
+            const auto cached = cache_.find(keys[i]);
             if (cached != cache_.end()) {
                 ++cache_hits_;
                 metrics.jobs_memo_hit.add();
                 promise.set_value(cached->second);
-                return future;
+                continue;
             }
-            const auto computing = inflight_.find(key);
-            if (computing != inflight_.end()) {
+            const auto [computing, fresh] = inflight_.try_emplace(keys[i]);
+            if (!fresh) {
                 ++inflight_dedups_;
                 metrics.jobs_inflight_dedup.add();
                 computing->second.push_back(std::move(promise));
-                return future;
+                continue;
             }
-            inflight_.emplace(key,
-                              std::vector<std::promise<RunResult>>{});
+            queue_.push_back(AsyncTask{jobs[i], std::move(keys[i]),
+                                       std::move(lineup_keys[i]),
+                                       std::move(promise), enqueued_ns,
+                                       trace_context});
+            metrics.queue_depth.add(1.0);
+            enqueued = true;
         }
-        queue_.push_back(AsyncTask{job, std::move(key),
-                                   std::move(promise),
-                                   obs::monotonicNanos(),
-                                   obs::currentTraceContext()});
-        metrics.queue_depth.add(1.0);
-        ensureWorkersLocked();
+        if (enqueued)
+            ensureWorkersLocked();
     }
-    queue_cv_.notify_one();
-    return future;
+    if (enqueued)
+        queue_cv_.notify_all();
+    return futures;
 }
 
 std::vector<RunResult>
@@ -308,189 +371,16 @@ SimulationEngine::runBatch(const std::vector<SimulationJob>& jobs)
 {
     AcceleratorRegistry& registry = AcceleratorRegistry::instance();
     // Validate every design point up front so a typo fails fast instead
-    // of surfacing from a worker thread mid-batch.
+    // of surfacing from a future mid-batch.
     for (const SimulationJob& job : jobs)
         if (!registry.contains(job.accelerator.name))
             registry.create(job.accelerator.name); // throws with details
 
-    // Dedupe: one simulation per distinct key, in first-seen order.
-    // Cache hits are snapshotted here so a concurrent clearCache()
-    // cannot invalidate them before assembly.
-    constexpr std::size_t kCached = static_cast<std::size_t>(-1);
-    std::vector<std::string> keys(jobs.size());
-    std::map<std::string, std::size_t> unique_index;
-    std::map<std::string, RunResult> snapshot; // cache hits, this batch
-    std::set<std::string> store_keys; // snapshot entries the disk served
-    std::vector<const SimulationJob*> pending;  // jobs to simulate
-    std::vector<std::string> pending_keys;
-    std::shared_ptr<ResultCache> second_level;
-    if (options_.memoize) {
-        util::MutexLock lock(mutex_);
-        second_level = second_level_;
-    }
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        keys[i] = jobKey(jobs[i]);
-        if (unique_index.count(keys[i]))
-            continue;
-        if (options_.memoize) {
-            util::MutexLock lock(mutex_);
-            const auto it = cache_.find(keys[i]);
-            if (it != cache_.end()) {
-                snapshot.emplace(keys[i], it->second);
-                unique_index.emplace(keys[i], kCached);
-                continue;
-            }
-        }
-        // Memory miss: the second-level cache (disk store) is next.
-        // Hits are promoted into the memory cache so later batches
-        // never touch the disk for this key again.
-        if (second_level) {
-            RunResult stored;
-            if (second_level->fetch(keys[i], &stored)) {
-                store_keys.insert(keys[i]);
-                {
-                    util::MutexLock lock(mutex_);
-                    cache_.emplace(keys[i], stored);
-                }
-                snapshot.emplace(keys[i], std::move(stored));
-                unique_index.emplace(keys[i], kCached);
-                continue;
-            }
-        }
-        unique_index.emplace(keys[i], pending.size());
-        pending.push_back(&jobs[i]);
-        pending_keys.push_back(keys[i]);
-    }
-
-    // Group pending jobs that share a workload + options so each
-    // layer's spike matrix is generated once per group and fed to the
-    // whole lineup (the legacy runWorkloadOnAll optimization).
-    std::map<std::string, std::size_t> group_of;
-    std::vector<std::vector<std::size_t>> groups;
-    for (std::size_t i = 0; i < pending.size(); ++i) {
-        const std::string wkey = workloadKey(*pending[i]);
-        const auto [it, inserted] = group_of.emplace(wkey, groups.size());
-        if (inserted)
-            groups.emplace_back();
-        groups[it->second].push_back(i);
-    }
-
-    // While workers would otherwise idle, split the largest group in
-    // half (each half keeps shared generation): a single-workload
-    // lineup still spreads across cores. The split rule is a pure
-    // function of the group sizes, so it cannot affect results.
-    while (!groups.empty() && groups.size() < options_.threads) {
-        std::size_t largest = 0;
-        for (std::size_t g = 1; g < groups.size(); ++g)
-            if (groups[g].size() > groups[largest].size())
-                largest = g;
-        if (groups[largest].size() <= 1)
-            break;
-        // Detach the tail before touching `groups`: emplace_back may
-        // reallocate and would invalidate any reference into it.
-        const std::size_t half = groups[largest].size() / 2;
-        std::vector<std::size_t> tail(
-            groups[largest].end() - static_cast<std::ptrdiff_t>(half),
-            groups[largest].end());
-        groups[largest].resize(groups[largest].size() - half);
-        groups.push_back(std::move(tail));
-    }
-
-    // Simulate group by group across the pool. Each worker claims the
-    // next un-started group and writes to its jobs' own slots, so the
-    // computed values cannot depend on scheduling. The caller's trace
-    // context is captured here and re-installed inside each pool
-    // thread so per-group simulate spans join the caller's trace.
-    const obs::TraceContext trace_context = obs::currentTraceContext();
-    std::vector<RunResult> computed(pending.size());
-    auto simulate = [&](std::size_t group_idx) {
-        obs::ScopedTraceContext trace_scope(trace_context);
-        obs::ScopedSpan group_span("engine", "simulate");
-        const std::vector<std::size_t>& group = groups[group_idx];
-        std::vector<std::unique_ptr<Accelerator>> owned;
-        std::vector<Accelerator*> lineup;
-        owned.reserve(group.size());
-        lineup.reserve(group.size());
-        for (const std::size_t idx : group) {
-            const SimulationJob& job = *pending[idx];
-            owned.push_back(registry.create(job.accelerator.name,
-                                            job.accelerator.params));
-            lineup.push_back(owned.back().get());
-        }
-        const SimulationJob& lead = *pending[group.front()];
-        if (group_span.active())
-            group_span.setDetail(lead.workload.name() + " x" +
-                                 std::to_string(group.size()));
-        EngineMetrics& metrics = engineMetrics();
-        obs::GaugeGuard busy(metrics.in_flight);
-        const std::uint64_t start_ns = obs::monotonicNanos();
-        std::vector<RunResult> results =
-            runWorkloadOnAll(lineup, lead.workload, lead.options);
-        metrics.simulate_seconds.observe(
-            obs::elapsedSeconds(start_ns, obs::monotonicNanos()));
-        metrics.jobs_simulated.add(group.size());
-        for (std::size_t k = 0; k < group.size(); ++k)
-            computed[group[k]] = std::move(results[k]);
-    };
-
-    const std::size_t workers = std::min(options_.threads, groups.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < groups.size(); ++i)
-            simulate(i);
-    } else {
-        std::atomic<std::size_t> next{0};
-        std::exception_ptr first_error;
-        util::Mutex error_mutex;
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (std::size_t w = 0; w < workers; ++w) {
-            pool.emplace_back([&] {
-                for (;;) {
-                    const std::size_t idx =
-                        next.fetch_add(1, std::memory_order_relaxed);
-                    if (idx >= groups.size())
-                        return;
-                    try {
-                        simulate(idx);
-                    } catch (...) {
-                        util::MutexLock lock(error_mutex);
-                        if (!first_error)
-                            first_error = std::current_exception();
-                    }
-                }
-            });
-        }
-        for (std::thread& t : pool)
-            t.join();
-        if (first_error)
-            std::rethrow_exception(first_error);
-    }
-
-    // Publish new results, then assemble in job order.
-    if (second_level)
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            second_level->publish(pending_keys[i], computed[i]);
-    std::vector<RunResult> results(jobs.size());
-    {
-        util::MutexLock lock(mutex_);
-        cache_misses_ += pending.size();
-        for (std::size_t i = 0; i < pending.size(); ++i)
-            if (options_.memoize)
-                cache_.emplace(pending_keys[i], computed[i]);
-        for (std::size_t i = 0; i < jobs.size(); ++i) {
-            const std::size_t slot = unique_index.at(keys[i]);
-            if (slot == kCached) {
-                results[i] = snapshot.at(keys[i]);
-                ++cache_hits_;
-                if (store_keys.count(keys[i]))
-                    engineMetrics().jobs_store_hit.add();
-                else
-                    engineMetrics().jobs_memo_hit.add();
-            } else {
-                results[i] = computed[slot];
-            }
-        }
-    }
+    std::vector<std::future<RunResult>> futures = submit(jobs);
+    std::vector<RunResult> results;
+    results.reserve(futures.size());
+    for (std::future<RunResult>& future : futures)
+        results.push_back(future.get());
     return results;
 }
 
@@ -517,24 +407,10 @@ SimulationEngine::runGrid(const std::vector<AcceleratorSpec>& accelerators,
 }
 
 std::size_t
-SimulationEngine::cacheSize() const
-{
-    util::MutexLock lock(mutex_);
-    return cache_.size();
-}
-
-std::size_t
 SimulationEngine::queueDepth() const
 {
     util::MutexLock lock(mutex_);
     return queue_.size();
-}
-
-std::size_t
-SimulationEngine::cacheHits() const
-{
-    util::MutexLock lock(mutex_);
-    return cache_hits_;
 }
 
 EngineStats

@@ -4,10 +4,10 @@
  * first-class operation.
  *
  * A SimulationJob names an accelerator (registry name + params) and a
- * workload; the engine executes batches of jobs across a std::thread
- * pool and memoizes per-(accelerator config, workload, options)
- * results. Jobs sharing a (workload, options) pair are grouped so each
- * layer's spike matrix is generated once for the whole lineup. Because
+ * workload; the engine executes jobs on a persistent std::thread pool
+ * and memoizes per-(accelerator config, workload, options) results.
+ * Queued jobs sharing a (workload, options) pair run as one lineup, so
+ * each layer's spike matrix is generated once for all of them. Because
  * every job builds its own accelerator through the AcceleratorRegistry
  * and the layer API returns results by value, jobs share no mutable
  * state — results are bitwise identical whatever the thread count, and
@@ -69,11 +69,8 @@ struct SimulationJob
 /** Engine configuration. */
 struct EngineOptions
 {
-    /** Worker threads for batch runs; 0 = hardware concurrency. */
+    /** Worker threads; 0 = hardware concurrency. */
     std::size_t threads = 0;
-
-    /** Cache results keyed by (accelerator spec, workload, options). */
-    bool memoize = true;
 };
 
 /**
@@ -132,8 +129,8 @@ struct EngineStats
      *  both cache levels). */
     std::size_t misses = 0;
 
-    /** submit() calls that piggybacked on an in-flight computation of
-     *  the same key instead of enqueueing their own. */
+    /** Submitted jobs that piggybacked on a queued or running
+     *  computation of the same key instead of enqueueing their own. */
     std::size_t in_flight_dedups = 0;
 
     /** Second-level ResultCache defect counters (all zero when no
@@ -144,9 +141,11 @@ struct EngineStats
 };
 
 /**
- * Executes batches of simulation jobs in parallel with deterministic
- * result ordering and cross-batch memoization. Thread-safe: a single
- * engine may be shared, and its cache persists across runBatch calls.
+ * Executes simulation jobs on one persistent worker pool with
+ * deterministic result ordering and cross-call memoization.
+ * Thread-safe: a single engine may be shared, and its cache persists
+ * across calls. submit() is the only executor; run, runBatch and
+ * runGrid submit and wait.
  *
  * @par Memoization key
  * Results are cached under the canonical string
@@ -157,12 +156,20 @@ struct EngineStats
  * in the key (thread count, batch composition, submission order) must
  * not — and does not — affect the result.
  *
+ * @par Lineups
+ * A worker that dequeues a task also claims every queued task with
+ * the same lineup key — the key's (workload, options) half plus the
+ * submitter's trace id, so traced requests never share a lineup — and
+ * runs the ones both cache levels miss as one runWorkloadOnAll
+ * lineup. Factory errors, cache hits and results stay per task.
+ *
  * @par Thread-count independence
  * Every job constructs its own Accelerator through the registry and
- * spike generation draws from per-(seed, layer) streams, so no mutable
- * state is shared between workers. runBatch(jobs) therefore returns
- * bitwise-identical results for any EngineOptions::threads value,
- * including 1 — pinned by tests/test_engine.cc.
+ * spike generation draws from per-(seed, layer) streams, so neither
+ * the lineup a job lands in nor the worker that runs it can change
+ * its result. runBatch(jobs) therefore returns bitwise-identical
+ * results for any EngineOptions::threads value, including 1 — pinned
+ * by tests/test_engine.cc.
  */
 class SimulationEngine
 {
@@ -170,16 +177,16 @@ class SimulationEngine
     explicit SimulationEngine(EngineOptions options = {});
 
     /**
-     * Joins the async worker pool. Tasks already submitted are
-     * finished first (their futures stay valid); destroying the
-     * engine never breaks an outstanding promise.
+     * Joins the worker pool. Tasks already submitted are finished
+     * first (their futures stay valid); destroying the engine never
+     * breaks an outstanding promise.
      */
     ~SimulationEngine();
 
     SimulationEngine(const SimulationEngine&) = delete;
     SimulationEngine& operator=(const SimulationEngine&) = delete;
 
-    /** Run a single job (memoized like any batch member). */
+    /** Run a single job: submit(job).get(). */
     RunResult run(const SimulationJob& job);
 
     /**
@@ -187,42 +194,40 @@ class SimulationEngine
      * persistent worker pool (EngineOptions::threads workers, started
      * lazily) and return a future for its result.
      *
-     * The async path shares the runBatch cache: a submit whose key is
-     * already cached returns an immediately-ready future and counts as
-     * a cache hit, a submit whose key is currently being computed by
-     * an earlier submit piggybacks on that computation (simulated
-     * once, not counted as a hit — same rule as duplicate jobs inside
-     * one batch), and freshly computed results are published for later
-     * run/runBatch/submit calls. Results are bitwise identical to
-     * runBatch of the same job (pinned in tests/test_engine.cc).
-     *
-     * Errors — unknown accelerator names, bad parameters — surface
-     * from future::get(), not from submit() itself.
+     * A submit whose key is already cached returns an immediately-
+     * ready future and counts as a cache hit; a submit whose key is
+     * queued or running piggybacks on that computation (simulated
+     * once, not counted as a hit); freshly computed results are cached
+     * for later calls. Errors — unknown accelerator names, bad
+     * parameters — surface from future::get(), not from submit()
+     * itself.
      */
     std::future<RunResult> submit(const SimulationJob& job);
 
     /**
-     * Run all jobs, using up to EngineOptions::threads workers.
-     * results[i] always corresponds to jobs[i]; duplicate jobs are
-     * simulated once. Throws std::invalid_argument before starting any
-     * work if a job names an unregistered accelerator.
+     * Submit a batch under one lock: no worker sees part of it, so its
+     * jobs group into lineups the same way on every run. futures[i]
+     * belongs to jobs[i].
+     */
+    std::vector<std::future<RunResult>> submit(
+        const std::vector<SimulationJob>& jobs);
+
+    /**
+     * Submit all jobs and wait for them. results[i] always corresponds
+     * to jobs[i]; duplicate jobs are simulated once. Throws
+     * std::invalid_argument before submitting anything if a job names
+     * an unregistered accelerator.
      */
     std::vector<RunResult> runBatch(const std::vector<SimulationJob>& jobs);
 
     /**
      * Cross-product convenience: returns one row per workload, one
-     * column per accelerator spec, all simulated as a single batch.
+     * column per accelerator spec, all submitted as a single batch.
      */
     std::vector<std::vector<RunResult>> runGrid(
         const std::vector<AcceleratorSpec>& accelerators,
         const std::vector<Workload>& workloads,
         const RunOptions& options = {});
-
-    /** Number of memoized results currently held. */
-    std::size_t cacheSize() const;
-
-    /** Jobs served from the cache since construction. */
-    std::size_t cacheHits() const;
 
     /** All memoization counters in one consistent snapshot. */
     EngineStats stats() const;
@@ -230,14 +235,14 @@ class SimulationEngine
     /** Configured worker-pool size (resolved, never 0). */
     std::size_t threads() const { return options_.threads; }
 
-    /** Async tasks enqueued but not yet claimed by a worker. */
+    /** Tasks enqueued but not yet claimed by a worker. */
     std::size_t queueDepth() const;
 
     /**
      * Install (or clear, with nullptr) the second-level result cache.
-     * Takes effect for subsequent run/runBatch/submit calls; typically
-     * set once right after construction. The engine shares ownership,
-     * so the backing store outlives any in-flight workers.
+     * Takes effect for tasks claimed afterwards; typically set once
+     * right after construction. The engine shares ownership, so the
+     * backing store outlives any in-flight workers.
      */
     void setResultCache(std::shared_ptr<ResultCache> cache);
 
@@ -251,11 +256,13 @@ class SimulationEngine
     static std::string jobKey(const SimulationJob& job);
 
   private:
-    /** One queued submit(): the job, its key, and the caller's promise. */
+    /** One queued job: its keys, and the caller's promise. */
     struct AsyncTask
     {
         SimulationJob job;
         std::string key;
+        /** Tasks with equal lineup keys may run as one lineup. */
+        std::string lineup_key;
         std::promise<RunResult> promise;
         /** obs::monotonicNanos() at enqueue; feeds the queue-wait
          *  histogram and nothing else (results never depend on it). */
@@ -268,6 +275,8 @@ class SimulationEngine
     /** Start the worker pool if needed. */
     void ensureWorkersLocked() REQUIRES(mutex_);
     void workerLoop() EXCLUDES(mutex_);
+    /** Simulate one claimed lineup and resolve its tasks' promises. */
+    void runLineup(std::vector<AsyncTask>& tasks) EXCLUDES(mutex_);
 
     EngineOptions options_;
     mutable util::Mutex mutex_;
@@ -277,10 +286,9 @@ class SimulationEngine
     std::size_t inflight_dedups_ GUARDED_BY(mutex_) = 0;
     std::shared_ptr<ResultCache> second_level_ GUARDED_BY(mutex_);
 
-    // Async submission state.
     std::deque<AsyncTask> queue_ GUARDED_BY(mutex_);
-    /** Keys being computed by a worker -> promises of piggybacked
-     *  submits waiting for that computation. */
+    /** Keys queued or running -> promises of piggybacked submits
+     *  waiting for that computation. */
     std::map<std::string, std::vector<std::promise<RunResult>>>
         inflight_ GUARDED_BY(mutex_);
     std::vector<std::thread> workers_ GUARDED_BY(mutex_);

@@ -1,6 +1,5 @@
 #include "runner.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "gen/spike_generator.h"
@@ -78,36 +77,6 @@ layerRequestFor(const LayerSpec& layer, const BitMatrix* spikes)
     return request;
 }
 
-RunResult
-runWorkload(Accelerator& accel, const Workload& workload,
-            const RunOptions& options)
-{
-    const ModelSpec model = workload.buildModel();
-    const SpikeGenerator gen(workload.profile, options.seed);
-
-    RunResult result;
-    result.accelerator = accel.name();
-    result.workload = workload.name();
-    result.tech = accel.tech();
-
-    accel.beginModel(hintsFor(model));
-
-    std::size_t layer_index = 0;
-    for (const auto& layer : model.layers) {
-        ++layer_index;
-        BitMatrix spikes;
-        const bool is_spiking = layer.isSpikingGemm();
-        if (is_spiking) {
-            obs::ScopedSpan span("spikegen", layer.name);
-            spikes = generateLayerSpikes(gen, layer, layer_index,
-                                         options.seed);
-        }
-        accumulateLayer(accel, layer, is_spiking ? &spikes : nullptr,
-                        options, result);
-    }
-    return result;
-}
-
 std::vector<RunResult>
 runWorkloadOnAll(const std::vector<Accelerator*>& accels,
                  const Workload& workload, const RunOptions& options)
@@ -143,40 +112,11 @@ runWorkloadOnAll(const std::vector<Accelerator*>& accels,
     return results;
 }
 
-AveragedRunResult
-runWorkloadAveraged(Accelerator& accel, const Workload& workload,
-                    std::size_t samples, const RunOptions& options)
+RunResult
+runWorkload(Accelerator& accel, const Workload& workload,
+            const RunOptions& options)
 {
-    PROSPERITY_ASSERT(samples > 0, "need at least one sample");
-    AveragedRunResult out;
-    double min_cycles = 0.0, max_cycles = 0.0;
-    for (std::size_t i = 0; i < samples; ++i) {
-        RunOptions per_sample = options;
-        per_sample.seed = options.seed + i;
-        const RunResult r = runWorkload(accel, workload, per_sample);
-        if (i == 0) {
-            out.mean = r;
-            min_cycles = max_cycles = r.cycles;
-        } else {
-            out.mean.cycles += r.cycles;
-            out.mean.dram_bytes += r.dram_bytes;
-            out.mean.energy.merge(r.energy);
-            min_cycles = std::min(min_cycles, r.cycles);
-            max_cycles = std::max(max_cycles, r.cycles);
-        }
-    }
-    const double n = static_cast<double>(samples);
-    out.mean.cycles /= n;
-    out.mean.dram_bytes /= n;
-    // Scale merged energy back to a single inference.
-    EnergyModel scaled;
-    for (const auto& [component, pj] : out.mean.energy.breakdown())
-        scaled.charge(component, pj / n, 1.0);
-    out.mean.energy = scaled;
-    out.cycles_rel_spread =
-        out.mean.cycles > 0.0 ? (max_cycles - min_cycles) / out.mean.cycles
-                              : 0.0;
-    return out;
+    return std::move(runWorkloadOnAll({&accel}, workload, options).front());
 }
 
 double

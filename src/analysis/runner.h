@@ -1,9 +1,9 @@
 /**
  * @file
- * Workload runner: drives an Accelerator through every layer of a
- * (model, dataset) workload with calibrated synthetic activations, and
- * aggregates latency / energy / throughput — the machinery behind
- * Table IV, Fig. 8 and Fig. 9.
+ * Workload runner: drives a lineup of Accelerators through every layer
+ * of a (model, dataset) workload with calibrated synthetic activations,
+ * and aggregates latency / energy / throughput per design — the
+ * machinery behind Table IV, Fig. 8 and Fig. 9.
  */
 
 #ifndef PROSPERITY_ANALYSIS_RUNNER_H
@@ -94,35 +94,19 @@ operator!=(const RunOptions& a, const RunOptions& b)
 LayerRequest layerRequestFor(const LayerSpec& layer,
                              const BitMatrix* spikes);
 
-/** Run one workload end to end on `accel`. */
-RunResult runWorkload(Accelerator& accel, const Workload& workload,
-                      const RunOptions& options = {});
-
 /**
  * Run one workload on several accelerators, generating each layer's
- * spike matrix once and feeding it to all of them — identical results
- * to per-accelerator runWorkload calls, much less generation time.
+ * spike matrix once and feeding it to all of them. Accelerators share
+ * nothing but the read-only matrices, so results[i] is what the
+ * lineup {accels[i]} alone would produce.
  */
 std::vector<RunResult> runWorkloadOnAll(
     const std::vector<Accelerator*>& accels, const Workload& workload,
     const RunOptions& options = {});
 
-/**
- * Dataset-style averaging: run `samples` independent activation draws
- * (seeds options.seed, options.seed+1, ...) and return the mean-cycles
- * result with merged energy (scaled back to one inference), plus the
- * relative spread. Mirrors the paper's methodology of averaging the
- * A100/end-to-end measurements over the whole dataset.
- */
-struct AveragedRunResult
-{
-    RunResult mean;              ///< cycles/energy averaged per sample
-    double cycles_rel_spread = 0.0; ///< (max - min) / mean cycles
-};
-AveragedRunResult runWorkloadAveraged(Accelerator& accel,
-                                      const Workload& workload,
-                                      std::size_t samples,
-                                      const RunOptions& options = {});
+/** Run one workload end to end on `accel`: the one-design lineup. */
+RunResult runWorkload(Accelerator& accel, const Workload& workload,
+                      const RunOptions& options = {});
 
 /** Geometric mean helper for the Fig. 8 summary columns. */
 double geometricMean(const std::vector<double>& values);

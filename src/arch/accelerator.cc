@@ -97,7 +97,7 @@ Accelerator::simulateDenseGemm(const GemmShape& shape, EnergyModel& energy)
 {
     const double macs = shape.denseOps();
     energy.charge("processor", energy.params().pe_mac8_pj, macs);
-    chargeDramTraffic(shape, 256, 32 * 1024, energy);
+    chargeDramTraffic(shape, 256, energy);
     return macs / static_cast<double>(std::max<std::size_t>(1, numPes()));
 }
 
@@ -115,15 +115,12 @@ Accelerator::simulateLif(double neuron_updates, EnergyModel& energy)
 }
 
 double
-Accelerator::chargeDramTraffic(const GemmShape& shape,
-                               std::size_t row_tile,
-                               std::size_t weight_buffer_bytes,
+Accelerator::chargeDramTraffic(const GemmShape& shape, std::size_t row_tile,
                                EnergyModel& energy)
 {
     // Weight-resident dataflow: weights stream once; the packed spike
-    // matrix re-streams once per output-column pass when it exceeds the
-    // (row_tile x k)-sized spike staging buffer.
-    (void)weight_buffer_bytes;
+    // matrix re-streams once per row_tile-wide output-column pass when
+    // it exceeds the 8 KiB spike staging buffer.
     const double spikes_in =
         static_cast<double>(shape.m) * static_cast<double>(shape.k) /
         8.0 / static_cast<double>(std::max<std::size_t>(1,

@@ -163,15 +163,13 @@ class Accelerator
     void noteDramBytes(double bytes) { layer_dram_bytes_ += bytes; }
 
     /**
-     * Default DRAM traffic for one spiking GeMM: packed spikes in,
-     * 8-bit weights (re-streamed once per row-tile pass when they
-     * exceed `weight_buffer_bytes`), packed spikes out. Returns bytes
-     * moved, charges DRAM energy, and notes the bytes for the layer
-     * result.
+     * Default DRAM traffic for one spiking GeMM: 8-bit weights streamed
+     * once, packed spikes in (re-streamed once per `row_tile`-column
+     * pass over n when they exceed 8 KiB), packed spikes out. Returns
+     * bytes moved, charges DRAM energy, and notes the bytes for the
+     * layer result.
      */
-    double chargeDramTraffic(const GemmShape& shape,
-                             std::size_t row_tile,
-                             std::size_t weight_buffer_bytes,
+    double chargeDramTraffic(const GemmShape& shape, std::size_t row_tile,
                              EnergyModel& energy);
 
   private:

@@ -18,7 +18,6 @@
 #include <string>
 
 #include "arch/tech.h"
-#include "sim/stats.h"
 
 namespace prosperity {
 

@@ -58,8 +58,7 @@ PtbAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double ops = structuredOps(spikes, time_steps_, shape.n);
     energy.charge("processor", energy.params().pe_add8_pj, ops);
     energy.charge("buffer", 0.55, ops); // weight fetch per add
-    const double dram_bytes =
-        chargeDramTraffic(shape, 128, 32 * 1024, energy);
+    const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =
         ops / (static_cast<double>(numPes()) *

@@ -58,8 +58,7 @@ SatoAccelerator::simulateSpikingGemm(const GemmShape& shape,
 
     energy.charge("processor", energy.params().pe_add8_pj, bit_ops);
     energy.charge("buffer", 0.55, bit_ops);
-    const double dram_bytes =
-        chargeDramTraffic(shape, 128, 32 * 1024, energy);
+    const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =
         padded / (static_cast<double>(numPes()) *

@@ -40,8 +40,7 @@ StellarAccelerator::simulateSpikingGemm(const GemmShape& shape,
     // Stellar's sparsity preprocessing is a large fixed share of its
     // energy (47% of total per its paper, Sec. VII-G here).
     energy.charge("other", energy.params().pe_add12_pj, fs_ops * 0.9);
-    const double dram_bytes =
-        chargeDramTraffic(shape, 128, 32 * 1024, energy);
+    const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =
         fs_ops / (static_cast<double>(numPes()) *

@@ -31,10 +31,10 @@
  *
  * Context propagation is cooperative: code that hops threads captures
  * `currentTraceContext()` on the submitting thread and installs it on
- * the executing thread with a ScopedTraceContext (the engine's async
- * queue, runBatch's pool, and the service's adaptive-campaign task
- * all do this), so child spans land in the right trace with the right
- * parent regardless of which worker ran them.
+ * the executing thread with a ScopedTraceContext (the engine's worker
+ * pool and the service's adaptive-campaign task both do this), so
+ * child spans land in the right trace with the right parent regardless
+ * of which worker ran them.
  */
 
 #ifndef PROSPERITY_OBS_TRACE_H

@@ -183,7 +183,7 @@ SimulationService::SimulationService(ServiceOptions options)
       store_(options.store_dir.empty()
                  ? nullptr
                  : std::make_shared<ResultStore>(options.store_dir)),
-      engine_(EngineOptions{options.threads, true})
+      engine_(EngineOptions{options.threads})
 {
     if (store_)
         engine_.setResultCache(store_);
@@ -519,8 +519,9 @@ SimulationService::submitCampaign(const HttpRequest& request)
                 .share();
     } else {
         record.futures.reserve(expansion.jobs.size());
-        for (const SimulationJob& job : expansion.jobs)
-            record.futures.push_back(engine_.submit(job).share());
+        for (std::future<RunResult>& future :
+             engine_.submit(expansion.jobs))
+            record.futures.push_back(future.share());
     }
     record.expansion = std::move(expansion);
     ++campaigns_submitted_;

@@ -5,8 +5,7 @@
  * A LayerSpec records the spiking-GeMM geometry of one layer after the
  * standard lowerings (im2col for convolutions, time-step unrolling for
  * everything — Sec. II of the paper). The simulator consumes these
- * descriptors; the functional path (examples/tests) executes small ones
- * end to end.
+ * descriptors.
  */
 
 #ifndef PROSPERITY_SNN_LAYER_H
@@ -18,9 +17,28 @@
 
 #include "bitmatrix/bit_matrix.h"
 #include "snn/activation_profile.h"
-#include "snn/spike_tensor.h"
 
 namespace prosperity {
+
+/**
+ * Convolution geometry. im2col lowers a spiking convolution to a
+ * spiking GeMM with T * outH * outW rows and C * kernel^2 columns.
+ */
+struct ConvParams
+{
+    std::size_t in_channels = 1;
+    std::size_t out_channels = 1;
+    std::size_t kernel = 3;
+    std::size_t stride = 1;
+    std::size_t padding = 1;
+
+    /** Output spatial size for an input of `in` pixels along one axis. */
+    std::size_t
+    outDim(std::size_t in) const
+    {
+        return (in + 2 * padding - kernel) / stride + 1;
+    }
+};
 
 /** Kind of computation a layer performs. */
 enum class LayerType {

@@ -88,15 +88,15 @@ runAdaptive(SimulationEngine& engine,
     std::size_t total_seeds = 0;
     bool any_active = !cells.empty();
     while (any_active) {
-        // Submit this round's batch for every unfinished cell first, so
-        // seeds spread across the engine's whole pool ...
+        // Submit this round's seeds for every unfinished cell as one
+        // batch, so they spread across the engine's whole pool ...
         struct Pending
         {
             std::size_t cell;
             std::size_t seed_index;
-            std::future<RunResult> future;
         };
         std::vector<Pending> pending;
+        std::vector<SimulationJob> round;
         for (std::size_t c = 0; c < cells.size(); ++c) {
             Cell& cell = cells[c];
             if (cell.done)
@@ -108,17 +108,19 @@ runAdaptive(SimulationEngine& engine,
                 SimulationJob job = *cell.base;
                 job.options.seed = deriveSubstreamSeed(
                     cell.key, cell.base->options.seed, seed_index);
-                pending.push_back(
-                    {c, seed_index, engine.submit(job)});
+                pending.push_back({c, seed_index});
+                round.push_back(std::move(job));
             }
         }
+        std::vector<std::future<RunResult>> futures = engine.submit(round);
 
         // ... then append results strictly in (cell, seed index) order:
         // accumulator state, checkpoint snapshots and the upcoming
         // stopping decisions never depend on completion order.
-        for (Pending& p : pending) {
+        for (std::size_t i = 0; i < pending.size(); ++i) {
+            const Pending& p = pending[i];
             Cell& cell = cells[p.cell];
-            RunResult result = p.future.get();
+            RunResult result = futures[i].get();
             if (p.seed_index == 0)
                 cell.first = result;
             cell.tracker.append(result);

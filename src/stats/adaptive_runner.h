@@ -11,12 +11,13 @@
  * changes the seeds already drawn, which is what makes convergence
  * curves and incremental reruns meaningful.
  *
- * Determinism: seeds are submitted in batches (all cells in parallel
- * across the engine's pool) but their results are *appended* to the
- * per-cell accumulators strictly in (cell index, seed index) order, and
- * the stopping rule is consulted only at batch boundaries — so the
- * number of seeds drawn, every mean/half-width, and the final report
- * are bitwise identical for any engine thread count.
+ * Determinism: each round's seeds are submitted as one batch (all
+ * cells in parallel across the engine's pool) but their results are
+ * *appended* to the per-cell accumulators strictly in (cell index,
+ * seed index) order, and the stopping rule is consulted only at batch
+ * boundaries — so the number of seeds drawn, every mean/half-width,
+ * and the final report are bitwise identical for any engine thread
+ * count.
  */
 
 #ifndef PROSPERITY_STATS_ADAPTIVE_RUNNER_H

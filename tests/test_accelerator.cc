@@ -25,7 +25,7 @@ class StubAccelerator : public Accelerator
     dramBytes(const GemmShape& shape)
     {
         EnergyModel energy;
-        return chargeDramTraffic(shape, 128, 32 * 1024, energy);
+        return chargeDramTraffic(shape, 128, energy);
     }
 
   protected:

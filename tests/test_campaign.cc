@@ -268,9 +268,9 @@ TEST(CampaignRunner, FileModelRunsEndToEndDeterministicAndMemoized)
     }
 
     // Re-running hits the memo cache and reproduces every number.
-    const std::size_t hits_before = engine.cacheHits();
+    const std::size_t hits_before = engine.stats().hits;
     const CampaignReport again = runner.run(spec);
-    EXPECT_GT(engine.cacheHits(), hits_before);
+    EXPECT_GT(engine.stats().hits, hits_before);
     for (std::size_t i = 0; i < first.cells.size(); ++i)
         expectIdentical(again.cells[i].result, first.cells[i].result);
 
@@ -388,9 +388,9 @@ TEST(CampaignSpec, Fig8SpecExpandsToTheLegacyJobList)
             << "job " << i;
 }
 
-/** CampaignRunner (async submit path) == runGrid (batch path),
- *  bitwise, over a slice of the real fig8 campaign. Together with
- *  Fig8SpecExpandsToTheLegacyJobList this pins that
+/** CampaignRunner == runGrid, bitwise, cell for grid position, over a
+ *  slice of the real fig8 campaign on independent engines. Together
+ *  with Fig8SpecExpandsToTheLegacyJobList this pins that
  *  `prosperity_cli campaign campaigns/fig8.json` reproduces the
  *  pre-redesign bench's RunResult numbers. */
 TEST(CampaignRunner, MatchesRunGridBitwiseOnAFig8Slice)
@@ -402,9 +402,7 @@ TEST(CampaignRunner, MatchesRunGridBitwiseOnAFig8Slice)
     for (const CampaignAccelerator& a : spec.accelerators)
         accels.push_back(a.spec);
 
-    EngineOptions no_memo;
-    no_memo.memoize = false;
-    SimulationEngine grid_engine(no_memo);
+    SimulationEngine grid_engine;
     const auto grid = grid_engine.runGrid(accels, spec.workloads);
 
     SimulationEngine engine;

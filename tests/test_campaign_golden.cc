@@ -139,30 +139,45 @@ INSTANTIATE_TEST_SUITE_P(
  * context, per-layer and per-stage spans recording) must produce the
  * byte-identical golden report. Spans observe the run; nothing they
  * do may feed back into a result or its serialization.
+ *
+ * The spans also show the smoke campaign's three designs running as
+ * one lineup at any thread count: one engine/simulate span, and one
+ * spikegen span per spiking layer of LeNet5 (four), not per design.
  */
 TEST(CampaignGoldenTraced, SmokeReportIsByteIdenticalWithTracingOn)
 {
     obs::TraceRecorder& recorder = obs::TraceRecorder::global();
     recorder.setEnabled(true);
-    const std::uint64_t trace_id = recorder.mintTraceId();
+    const std::string golden = readFile(goldenDir() + "/smoke.report.json");
 
-    std::string produced;
-    {
-        obs::ScopedTraceContext scope(obs::TraceContext{trace_id, 0});
-        obs::ScopedSpan root("campaign", "smoke");
-        SimulationEngine engine;
-        CampaignRunner runner(engine);
-        const CampaignReport report =
-            runner.run(loadNamedCampaign("smoke"));
-        produced = report.toJson().dump(2) + "\n";
+    for (const std::size_t threads : {1u, 4u}) {
+        const std::uint64_t trace_id = recorder.mintTraceId();
+        std::string produced;
+        {
+            obs::ScopedTraceContext scope(obs::TraceContext{trace_id, 0});
+            obs::ScopedSpan root("campaign", "smoke");
+            EngineOptions options;
+            options.threads = threads;
+            SimulationEngine engine(options);
+            CampaignRunner runner(engine);
+            const CampaignReport report =
+                runner.run(loadNamedCampaign("smoke"));
+            produced = report.toJson().dump(2) + "\n";
+        }
+        EXPECT_EQ(produced, golden) << threads << " threads";
+
+        std::size_t spikegen = 0;
+        std::size_t simulate = 0;
+        for (const obs::TraceSpan& span : recorder.collect(trace_id)) {
+            const std::string category = span.category;
+            spikegen += category == "spikegen";
+            simulate += category == "engine" && span.name == "simulate";
+        }
+        EXPECT_EQ(spikegen, 4u) << threads << " threads";
+        EXPECT_EQ(simulate, 1u) << threads << " threads";
     }
-
-    // The run was actually traced, not silently untraced.
-    EXPECT_FALSE(recorder.collect(trace_id).empty());
     recorder.setEnabled(false);
     recorder.clear();
-
-    EXPECT_EQ(produced, readFile(goldenDir() + "/smoke.report.json"));
 }
 
 } // namespace

@@ -2,7 +2,8 @@
  * @file
  * Tests for the SimulationEngine: multi-threaded batch runs are
  * bitwise-identical to single-threaded ones over the full
- * model x accelerator grid, result order matches job order,
+ * model x accelerator grid, a design run in a shared-spike lineup
+ * matches the same design run alone, result order matches job order,
  * memoization works, and ModelHints reach time-batching designs
  * exactly as on the legacy runner path.
  */
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <memory>
 #include <stdexcept>
 #include <vector>
 
@@ -65,10 +67,8 @@ TEST(Engine, ParallelBatchMatchesSingleThreadedBitwise)
 
     EngineOptions serial;
     serial.threads = 1;
-    serial.memoize = false;
     EngineOptions parallel;
     parallel.threads = 4;
-    parallel.memoize = false;
 
     SimulationEngine engine1(serial);
     SimulationEngine engine4(parallel);
@@ -107,18 +107,18 @@ TEST(Engine, MemoizesAcrossAndWithinBatches)
 
     SimulationEngine engine;
     const RunResult first = engine.run(job);
-    EXPECT_EQ(engine.cacheSize(), 1u);
-    EXPECT_EQ(engine.cacheHits(), 0u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().hits, 0u);
 
     const RunResult again = engine.run(job);
-    EXPECT_EQ(engine.cacheSize(), 1u);
-    EXPECT_EQ(engine.cacheHits(), 1u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().hits, 1u);
     expectIdentical(first, again);
 
     // Duplicates inside one batch simulate once and stay in order.
     const auto results = engine.runBatch({job, job, job});
-    EXPECT_EQ(engine.cacheSize(), 1u);
-    EXPECT_EQ(engine.cacheHits(), 4u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().hits, 4u);
     for (const RunResult& r : results)
         expectIdentical(first, r);
 }
@@ -132,7 +132,7 @@ TEST(Engine, DifferentSeedsAreDistinctJobs)
 
     SimulationEngine engine;
     const auto results = engine.runBatch({a, b});
-    EXPECT_EQ(engine.cacheSize(), 2u);
+    EXPECT_EQ(engine.stats().entries, 2u);
     EXPECT_NE(results[0].cycles, results[1].cycles);
 }
 
@@ -146,8 +146,8 @@ TEST(Engine, UnknownAcceleratorFailsFast)
 
 TEST(Engine, FactoryErrorsPropagateFromWorkers)
 {
-    // Two distinct workloads -> two groups -> the pooled worker path
-    // runs, and the bad factory's exception must surface from it.
+    // Two distinct workloads -> two lineups on a 4-worker pool, and
+    // the bad factory's exception must surface from runBatch.
     const Workload w1 = makeWorkload("LeNet5", "MNIST");
     const Workload w2 =
         makeWorkload("SpikingBERT", "SST-2");
@@ -169,35 +169,31 @@ TEST(Engine, JobKeyIsCaseInsensitiveLikeTheRegistry)
     SimulationEngine engine;
     const RunResult lower =
         engine.run(SimulationJob{AcceleratorSpec{"ptb"}, w, {}});
-    EXPECT_EQ(engine.cacheSize(), 1u);
+    EXPECT_EQ(engine.stats().entries, 1u);
     const RunResult upper =
         engine.run(SimulationJob{AcceleratorSpec{"PTB"}, w, {}});
-    EXPECT_EQ(engine.cacheSize(), 1u); // same design, same key
-    EXPECT_EQ(engine.cacheHits(), 1u);
+    EXPECT_EQ(engine.stats().entries, 1u); // same design, same key
+    EXPECT_EQ(engine.stats().hits, 1u);
     expectIdentical(lower, upper);
 }
 
-TEST(Engine, SubmitMatchesRunBatchBitwise)
+TEST(Engine, LineupMatchesSingleDesignRunsBitwise)
 {
+    // runGrid submits each workload's designs as one lineup sharing
+    // its spike matrices; every result must equal that design run
+    // alone on a fresh accelerator.
     const auto specs = fullLineup();
     const auto workloads = gridWorkloads();
-    std::vector<SimulationJob> jobs;
-    for (const Workload& w : workloads)
-        for (const AcceleratorSpec& spec : specs)
-            jobs.push_back(SimulationJob{spec, w, {}});
-
-    EngineOptions no_memo;
-    no_memo.memoize = false;
-    SimulationEngine batch_engine(no_memo);
-    const auto batched = batch_engine.runBatch(jobs);
-
-    SimulationEngine async_engine(no_memo);
-    std::vector<std::future<RunResult>> futures;
-    for (const SimulationJob& job : jobs)
-        futures.push_back(async_engine.submit(job));
-    ASSERT_EQ(futures.size(), batched.size());
-    for (std::size_t i = 0; i < futures.size(); ++i)
-        expectIdentical(futures[i].get(), batched[i]);
+    SimulationEngine engine;
+    const auto grid = engine.runGrid(specs, workloads);
+    for (std::size_t w = 0; w < workloads.size(); ++w) {
+        for (std::size_t a = 0; a < specs.size(); ++a) {
+            const std::unique_ptr<Accelerator> alone =
+                AcceleratorRegistry::instance().create(specs[a].name,
+                                                       specs[a].params);
+            expectIdentical(grid[w][a], runWorkload(*alone, workloads[w]));
+        }
+    }
 }
 
 TEST(Engine, SubmitSharesTheMemoizationCacheWithRunBatch)
@@ -208,23 +204,23 @@ TEST(Engine, SubmitSharesTheMemoizationCacheWithRunBatch)
     SimulationEngine engine;
     // Seed the cache through the synchronous path ...
     const RunResult batch_result = engine.run(job);
-    EXPECT_EQ(engine.cacheSize(), 1u);
-    EXPECT_EQ(engine.cacheHits(), 0u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().hits, 0u);
 
     // ... and the async path must hit it (ready future, counted hit).
     const RunResult async_result = engine.submit(job).get();
-    EXPECT_EQ(engine.cacheSize(), 1u);
-    EXPECT_EQ(engine.cacheHits(), 1u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().hits, 1u);
     expectIdentical(batch_result, async_result);
 
     // The reverse direction: a submit-computed result serves runBatch.
     SimulationJob other = job;
     other.options.seed = 99;
     const RunResult computed = engine.submit(other).get();
-    EXPECT_EQ(engine.cacheSize(), 2u);
+    EXPECT_EQ(engine.stats().entries, 2u);
     const RunResult again = engine.run(other);
-    EXPECT_EQ(engine.cacheSize(), 2u);
-    EXPECT_EQ(engine.cacheHits(), 2u);
+    EXPECT_EQ(engine.stats().entries, 2u);
+    EXPECT_EQ(engine.stats().hits, 2u);
     expectIdentical(computed, again);
 }
 
@@ -242,7 +238,8 @@ TEST(Engine, ConcurrentDuplicateSubmitsSimulateOnce)
         results.push_back(f.get());
     // However the submits raced (piggybacked in flight or served from
     // the cache), exactly one simulation ran and every future agrees.
-    EXPECT_EQ(engine.cacheSize(), 1u);
+    EXPECT_EQ(engine.stats().entries, 1u);
+    EXPECT_EQ(engine.stats().misses, 1u);
     for (const RunResult& r : results)
         expectIdentical(results.front(), r);
 }
@@ -262,11 +259,21 @@ TEST(Engine, SubmitErrorsSurfaceFromTheFuture)
     EXPECT_THROW(bad_params.get(), std::invalid_argument);
 
     // A failed job is not cached; the engine stays usable.
-    EXPECT_EQ(engine.cacheSize(), 0u);
+    EXPECT_EQ(engine.stats().entries, 0u);
     const RunResult ok =
         engine.submit(SimulationJob{AcceleratorSpec{"eyeriss"}, w, {}})
             .get();
     EXPECT_GT(ok.cycles, 0.0);
+
+    // One batch on one workload is one lineup: the bad factory fails
+    // its own job only, and its lineup mate matches a lone run.
+    SimulationEngine fresh;
+    std::vector<std::future<RunResult>> batch =
+        fresh.submit(std::vector<SimulationJob>{
+            SimulationJob{bad, w, {}},
+            SimulationJob{AcceleratorSpec{"eyeriss"}, w, {}}});
+    EXPECT_THROW(batch[0].get(), std::invalid_argument);
+    expectIdentical(batch[1].get(), ok);
 }
 
 TEST(Engine, ModelHintsReachTimeBatchingDesigns)

@@ -324,6 +324,21 @@ TEST_F(ResultStoreTest, EngineServesWarmTrafficFromDisk)
     (void)warm.run(job);
     EXPECT_EQ(store->stats().hits, 1u);
     EXPECT_EQ(warm.stats().hits, 2u);
+
+    // A batch mixing the stored job with a new one on the same
+    // workload (one lineup): the stored job is a store hit, the other
+    // is simulated, and both equal their cold runs.
+    SimulationJob fresh_job = job;
+    fresh_job.accelerator = AcceleratorSpec("ptb");
+    const std::string fresh_cold_dump =
+        dumpOf(SimulationEngine().run(fresh_job));
+    SimulationEngine mixed;
+    mixed.setResultCache(std::make_shared<ResultStore>(dir_));
+    const std::vector<RunResult> batch = mixed.runBatch({job, fresh_job});
+    EXPECT_EQ(dumpOf(batch[0]), cold_dump);
+    EXPECT_EQ(dumpOf(batch[1]), fresh_cold_dump);
+    EXPECT_EQ(mixed.stats().hits, 1u);
+    EXPECT_EQ(mixed.stats().misses, 1u);
 }
 
 TEST_F(ResultStoreTest, SubmitPathAlsoHitsTheStore)

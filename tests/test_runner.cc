@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "analysis/runner.h"
 #include "baselines/eyeriss.h"
 #include "baselines/ptb.h"
@@ -99,31 +97,6 @@ TEST(Runner, GopsAndGopjAreConsistent)
     EXPECT_NEAR(r.gops(), r.dense_macs / r.seconds() / 1e9, 1e-6);
     const double joules = r.energy.totalPj() * 1e-12;
     EXPECT_NEAR(r.gopj(), r.dense_macs / joules / 1e9, 1e-6);
-}
-
-TEST(Runner, AveragedRunsReduceSeedNoise)
-{
-    ProsperityAccelerator prosperity;
-    const Workload w = smallWorkload();
-    const AveragedRunResult avg =
-        runWorkloadAveraged(prosperity, w, 4);
-    EXPECT_GT(avg.mean.cycles, 0.0);
-    EXPECT_GT(avg.mean.energy.totalPj(), 0.0);
-    EXPECT_GE(avg.cycles_rel_spread, 0.0);
-    EXPECT_LT(avg.cycles_rel_spread, 0.5);
-
-    // The mean must lie between the per-seed extremes.
-    RunOptions o;
-    double lo = 1e300, hi = 0.0;
-    for (std::size_t i = 0; i < 4; ++i) {
-        o.seed = 7 + i;
-        ProsperityAccelerator fresh;
-        const double c = runWorkload(fresh, w, o).cycles;
-        lo = std::min(lo, c);
-        hi = std::max(hi, c);
-    }
-    EXPECT_GE(avg.mean.cycles, lo - 1e-6);
-    EXPECT_LE(avg.mean.cycles, hi + 1e-6);
 }
 
 TEST(GeometricMean, Values)
