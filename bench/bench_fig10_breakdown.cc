@@ -21,15 +21,15 @@ main()
     const AreaBreakdown area = AreaModel().area();
     Table area_table("Fig. 10 (a) — area breakdown (mm^2)");
     area_table.setHeader({"component", "mm^2", "(paper)"});
-    area_table.addRow({"Detector", Table::num(area.detector, 3),
+    area_table.addRow({"detector", Table::num(area.detector, 3),
                        "0.021"});
-    area_table.addRow({"Pruner", Table::num(area.pruner, 3), "0.020"});
-    area_table.addRow({"Dispatcher", Table::num(area.dispatcher, 3),
+    area_table.addRow({"pruner", Table::num(area.pruner, 3), "0.020"});
+    area_table.addRow({"dispatcher", Table::num(area.dispatcher, 3),
                        "0.088"});
-    area_table.addRow({"Processor", Table::num(area.processor, 3),
+    area_table.addRow({"processor", Table::num(area.processor, 3),
                        "0.074"});
-    area_table.addRow({"Other", Table::num(area.other, 3), "0.022"});
-    area_table.addRow({"Buffer", Table::num(area.buffer, 3), "0.303"});
+    area_table.addRow({"other", Table::num(area.other, 3), "0.022"});
+    area_table.addRow({"buffer", Table::num(area.buffer, 3), "0.303"});
     area_table.addRow({"TOTAL", Table::num(area.total(), 3), "0.529"});
     area_table.print(std::cout);
     std::cout << '\n';
@@ -48,24 +48,24 @@ main()
     Table power_table(
         "Fig. 10 (b) — power breakdown on Spikformer/CIFAR10 (mW)");
     power_table.setHeader({"component", "mW", "(paper)"});
-    power_table.addRow({"Detector", Table::num(mw("detector"), 1),
+    power_table.addRow({"detector", Table::num(mw("detector"), 1),
                         "268.6"});
-    power_table.addRow({"Pruner", Table::num(mw("pruner"), 1), "3.1"});
-    power_table.addRow({"Dispatcher", Table::num(mw("dispatcher"), 1),
+    power_table.addRow({"pruner", Table::num(mw("pruner"), 1), "3.1"});
+    power_table.addRow({"dispatcher", Table::num(mw("dispatcher"), 1),
                         "24.1"});
-    power_table.addRow({"Processor", Table::num(mw("processor"), 1),
+    power_table.addRow({"processor", Table::num(mw("processor"), 1),
                         "55.0"});
-    power_table.addRow({"Other", Table::num(mw("other"), 1), "16.3"});
-    power_table.addRow({"Buffer", Table::num(mw("buffer"), 1), "80.4"});
+    power_table.addRow({"other", Table::num(mw("other"), 1), "16.3"});
+    power_table.addRow({"buffer", Table::num(mw("buffer"), 1), "80.4"});
     power_table.addRow({"DRAM", Table::num(mw("dram"), 1), "467.5"});
     power_table.addRow({"TOTAL",
                         Table::num(r.averagePowerW() * 1e3, 1), "915"});
     power_table.print(std::cout);
 
     std::cout << "\nExpected structure: DRAM is about half of total "
-                 "power; the TCAM Detector dominates on-chip power "
+                 "power; the TCAM detector dominates on-chip power "
                  "(every cell searched every cycle) while the "
-                 "Dispatcher dominates logic area but not power (the "
+                 "dispatcher dominates logic area but not power (the "
                  "table is only partially activated per cycle).\n";
     return 0;
 }

@@ -5,14 +5,15 @@
  * `BENCH_hotpath.json` trajectory (schema: docs/BENCHMARKS.md).
  *
  * Stages timed:
- *  - detector: naive all-pairs TCAM sweep vs the popcount-sorted,
- *    signature-prefiltered Detector::detect, over a 256-row tile sweep
- *    across densities (checksums must agree — verified here);
+ *  - frontend: the all-pairs selectPrefixesNaive reference vs the
+ *    popcount-sorted, signature-prefiltered selectPrefixes, over a
+ *    256x16 tile sweep across densities (checksums must agree —
+ *    verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitVector::randomize, plus a full SpikeGenerator layer;
- *  - forest: Pruner::prune + ProsparsityForest build;
  *  - gemm: the functional ProductGemm multiply;
- *  - engine: a LeNet5/MNIST end-to-end run through SimulationEngine.
+ *  - engine: LeNet5/MNIST and SpikeBERT/SST-2 end-to-end runs of the
+ *    prosperity design through SimulationEngine.
  *
  * Usage: bench_hotpath [--quick] [--out PATH] [--reps N]
  *   --quick  CI-smoke configuration: fewer densities, reps and tiles.
@@ -25,29 +26,28 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "analysis/engine.h"
 #include "bench_harness.h"
 #include "bitmatrix/simd_dispatch.h"
-#include "core/detector.h"
-#include "core/forest.h"
+#include "core/prefix_select.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
 #include "gen/spike_generator.h"
 
 using namespace prosperity;
 
 namespace {
 
-/** XOR-fold a DetectionResult for cross-implementation identity. */
+/** XOR-fold a PrefixSelection for cross-implementation identity. */
 std::uint64_t
-checksumDetection(const DetectionResult& r)
+checksumSelection(const PrefixSelection& s)
 {
     std::uint64_t h = 0;
-    for (std::size_t i = 0; i < r.rows(); ++i)
-        h ^= r.subset_mask[i].hash() + 0x9e3779b97f4a7c15ULL * i +
-             r.popcounts[i];
+    for (std::size_t i = 0; i < s.rows(); ++i)
+        h ^= (static_cast<std::uint64_t>(s.prefix[i] + 1) << 32) +
+             0x9e3779b97f4a7c15ULL * i + s.popcounts[i];
     return h;
 }
 
@@ -138,13 +138,12 @@ main(int argc, char** argv)
                      : full_reps;
     };
 
-    // ---- detector: naive vs optimized over a 256-row tile sweep ------
-    std::cout << "detector (256-row tile sweep)\n";
+    // ---- frontend: reference vs selectPrefixes over 256x16 tiles -----
+    std::cout << "frontend (256x16 tile sweep)\n";
     const std::vector<double> densities =
         quick ? std::vector<double>{0.15}
               : std::vector<double>{0.05, 0.15, 0.30};
     const std::size_t tiles_per_density = quick ? 4 : 16;
-    const Detector detector;
     for (double d : densities) {
         const SpikeGenerator gen(benchProfile(d), 7);
         std::vector<BitMatrix> tiles;
@@ -155,33 +154,33 @@ main(int argc, char** argv)
         opts.reps = reps(30);
         opts.warmup = quick ? 1 : 3;
         opts.items = 256.0 * static_cast<double>(tiles.size());
+        const bench::ParamList params = {
+            {"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
+            {"tiles", std::to_string(tiles.size())}};
 
-        const auto naive = h.run(
-            "detector/naive/d=" + fmt(d), "detector",
-            {{"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
-             {"tiles", std::to_string(tiles.size())}},
-            opts, [&] {
+        const auto reference = h.run(
+            "frontend/reference/d=" + fmt(d), "frontend", params, opts,
+            [&] {
                 std::uint64_t c = 0;
                 for (const BitMatrix& tile : tiles)
-                    c ^= checksumDetection(detector.detectNaive(tile));
+                    c ^= checksumSelection(selectPrefixesNaive(tile));
                 return c;
             });
         const auto fast = h.run(
-            "detector/optimized/d=" + fmt(d), "detector",
-            {{"rows", "256"}, {"cols", "16"}, {"density", fmt(d)},
-             {"tiles", std::to_string(tiles.size())}},
+            "frontend/select_prefixes/d=" + fmt(d), "frontend", params,
             opts, [&] {
                 std::uint64_t c = 0;
                 for (const BitMatrix& tile : tiles)
-                    c ^= checksumDetection(detector.detect(tile));
+                    c ^= checksumSelection(selectPrefixes(tile));
                 return c;
             });
-        if (naive.checksum != fast.checksum) {
-            std::cerr << "FATAL: optimized detector diverged from naive "
+        if (reference.checksum != fast.checksum) {
+            std::cerr << "FATAL: selectPrefixes diverged from the "
                          "reference at density " << d << "\n";
             return 1;
         }
-        std::cout << "    speedup " << fmt(naive.median_ns / fast.median_ns)
+        std::cout << "    speedup "
+                  << fmt(reference.median_ns / fast.median_ns)
                   << "x (checksums identical)\n";
     }
 
@@ -223,37 +222,6 @@ main(int argc, char** argv)
               });
     }
 
-    // ---- forest: prune + forest build over detected tiles ------------
-    std::cout << "forest\n";
-    {
-        const SpikeGenerator gen(benchProfile(0.15), 7);
-        const std::size_t n_tiles = quick ? 4 : 16;
-        std::vector<BitMatrix> tiles;
-        std::vector<DetectionResult> detections;
-        for (std::size_t t = 0; t < n_tiles; ++t) {
-            tiles.push_back(gen.generate(256, 16, 4, t));
-            detections.push_back(detector.detect(tiles.back()));
-        }
-        const Pruner pruner;
-        bench::CaseOptions opts;
-        opts.reps = reps(30);
-        opts.warmup = quick ? 1 : 3;
-        opts.items = 256.0 * static_cast<double>(n_tiles);
-        h.run("forest/prune_and_build", "forest",
-              {{"rows", "256"}, {"tiles", std::to_string(n_tiles)}}, opts,
-              [&] {
-                  std::uint64_t c = 0;
-                  for (std::size_t t = 0; t < n_tiles; ++t) {
-                      const SparsityTable table =
-                          pruner.prune(tiles[t], detections[t]);
-                      const ProsparsityForest forest(table);
-                      c ^= forest.treeCount() + 31 * forest.depth() +
-                           131 * forest.bfsOrder().size();
-                  }
-                  return c;
-              });
-    }
-
     // ---- gemm: functional ProductGemm multiply -----------------------
     std::cout << "gemm\n";
     {
@@ -283,27 +251,32 @@ main(int argc, char** argv)
               });
     }
 
-    // ---- engine: end-to-end smallest workload ------------------------
+    // ---- engine: end-to-end runs of the prosperity design ------------
     std::cout << "engine\n";
     {
         SimulationEngine engine;
-        SimulationJob job;
-        job.accelerator = AcceleratorSpec("prosperity");
-        job.workload = makeWorkload("LeNet5", "MNIST");
         bench::CaseOptions opts;
         opts.reps = reps_override > 0 ? reps_override
                                       : (quick ? std::size_t{1}
                                                : std::size_t{3});
         opts.warmup = 0;
         opts.items = 1.0;
-        h.run("engine/lenet5_mnist_prosperity", "engine",
-              {{"model", "LeNet5"}, {"dataset", "MNIST"},
-               {"accelerator", "prosperity"}},
-              opts, [&] {
-                  engine.clearCache(); // time real runs, not cache hits
-                  const RunResult r = engine.run(job);
-                  return static_cast<std::uint64_t>(r.cycles);
-              });
+        for (const auto& [name, model, dataset] :
+             {std::tuple<const char*, const char*, const char*>{
+                  "engine/lenet5_mnist_prosperity", "LeNet5", "MNIST"},
+              {"engine/spikebert_sst2_prosperity", "SpikeBERT", "SST-2"}}) {
+            SimulationJob job;
+            job.accelerator = AcceleratorSpec("prosperity");
+            job.workload = makeWorkload(model, dataset);
+            h.run(name, "engine",
+                  {{"model", model}, {"dataset", dataset},
+                   {"accelerator", "prosperity"}},
+                  opts, [&] {
+                      engine.clearCache(); // time real runs, not hits
+                      const RunResult r = engine.run(job);
+                      return static_cast<std::uint64_t>(r.cycles);
+                  });
+        }
     }
 
     if (!h.writeJsonFile(out_path)) {

@@ -1,17 +1,15 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulator's PPU stage models:
- * Detector (TCAM functional model), Pruner, Dispatcher and the
- * functional ProSparsity GeMM. These measure *simulator software*
+ * prefix selection (the TCAM detector and the pruner in one pass) and
+ * the functional ProSparsity GeMM. These measure *simulator software*
  * throughput, useful when sizing sampling budgets for large sweeps.
  */
 
 #include <benchmark/benchmark.h>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
+#include "core/prefix_select.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
 
@@ -28,46 +26,16 @@ makeTile(std::size_t m, std::size_t k, double density)
 }
 
 void
-BM_Detector(benchmark::State& state)
+BM_SelectPrefixes(benchmark::State& state)
 {
     const BitMatrix tile =
         makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const Detector detector;
     for (auto _ : state) {
-        benchmark::DoNotOptimize(detector.detect(tile));
+        benchmark::DoNotOptimize(selectPrefixes(tile));
     }
     state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Detector)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
-
-void
-BM_Pruner(benchmark::State& state)
-{
-    const BitMatrix tile =
-        makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const DetectionResult detection = Detector().detect(tile);
-    const Pruner pruner;
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(pruner.prune(tile, detection));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_Pruner)->Arg(64)->Arg(256);
-
-void
-BM_DispatcherSort(benchmark::State& state)
-{
-    const BitMatrix tile =
-        makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
-    const SparsityTable table =
-        Pruner().prune(tile, Detector().detect(tile));
-    const Dispatcher dispatcher(DispatchMode::kOverheadFree);
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(dispatcher.dispatch(table));
-    }
-    state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_DispatcherSort)->Arg(256);
+BENCHMARK(BM_SelectPrefixes)->Arg(64)->Arg(128)->Arg(256)->Arg(512);
 
 void
 BM_ProductGemm(benchmark::State& state)

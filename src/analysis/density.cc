@@ -1,12 +1,7 @@
 #include "density.h"
 
-#include <utility>
-#include <vector>
-
-#include "core/detector.h"
-#include "core/pruner.h"
+#include "core/prefix_select.h"
 #include "gen/spike_generator.h"
-#include "sim/logging.h"
 
 namespace prosperity {
 
@@ -28,9 +23,9 @@ namespace {
 
 /** Analyze one cropped tile, optionally selecting a second prefix. */
 DensityReport
-analyzeTile(const BitMatrix& tile, const DetectionResult& detection,
-            const SparsityTable& table, bool two_prefix)
+analyzeTile(const BitMatrix& tile, bool two_prefix)
 {
+    const PrefixSelection sel = selectPrefixes(tile);
     DensityReport report;
     const std::size_t m = tile.rows();
     report.rows = static_cast<double>(m);
@@ -38,42 +33,35 @@ analyzeTile(const BitMatrix& tile, const DetectionResult& detection,
         static_cast<double>(m) * static_cast<double>(tile.cols());
 
     for (std::size_t i = 0; i < m; ++i) {
-        const PrefixEntry& entry = table[i];
-        report.bits_set += static_cast<double>(entry.popcount);
-        const std::size_t residual_one = entry.pattern.popcount();
+        const std::size_t pops = sel.popcounts[i];
+        const bool has_prefix = sel.prefix[i] != PrefixSelection::kNoPrefix;
+        const auto p = static_cast<std::size_t>(sel.prefix[i]);
+        const std::size_t residual_one =
+            has_prefix ? pops - sel.popcounts[p] : pops;
+        report.bits_set += static_cast<double>(pops);
         report.pattern_bits_one += static_cast<double>(residual_one);
-        if (entry.hasPrefix()) {
+        if (has_prefix) {
             report.rows_one_prefix += 1.0;
-            if (entry.kind == PrefixKind::kExactMatch)
+            if (residual_one == 0)
                 report.exact_matches += 1.0;
             else
                 report.partial_matches += 1.0;
         }
 
-        if (!two_prefix) {
-            report.pattern_bits_two += static_cast<double>(residual_one);
-            continue;
-        }
-
-        // Second prefix: the largest candidate fully inside the residual
-        // pattern (guaranteeing disjointness from the first prefix).
-        std::size_t best_pops = 1; // a useful second prefix has >= 2 ones
-        std::int32_t best = -1;
-        if (entry.hasPrefix() && residual_one >= 2) {
-            const BitVector& candidates = detection.subset_mask[i];
-            for (std::size_t j = candidates.findFirst(); j < m;
-                 j = candidates.findNext(j)) {
-                if (static_cast<std::int32_t>(j) == entry.prefix)
-                    continue;
-                const std::size_t pops = detection.popcounts[j];
-                if (pops > best_pops &&
-                    tile.row(j).isSubsetOf(entry.pattern)) {
-                    best_pops = pops;
-                    best = static_cast<std::int32_t>(j);
-                }
+        // Second prefix: the largest row inside the residual row ^
+        // prefix, hence disjoint from the first prefix. A useful second
+        // prefix has at least two ones.
+        std::size_t best_pops = 1;
+        if (two_prefix && has_prefix && residual_one >= 2) {
+            const BitVector residual = tile.row(i) ^ tile.row(p);
+            for (std::size_t j = 0; j < m; ++j) {
+                const std::size_t pops_j = sel.popcounts[j];
+                if (pops_j > best_pops && pops_j <= residual_one &&
+                    tile.row(j).isSubsetOf(residual))
+                    best_pops = pops_j;
             }
         }
-        if (best >= 0) {
+        if (best_pops > 1) {
             report.rows_two_prefix += 1.0;
             report.pattern_bits_two +=
                 static_cast<double>(residual_one - best_pops);
@@ -90,34 +78,14 @@ DensityReport
 analyzeMatrix(const BitMatrix& spikes, const DensityOptions& options)
 {
     const TileConfig& tile = options.tile;
-    std::vector<std::pair<std::size_t, std::size_t>> origins;
-    for (std::size_t r = 0; r < spikes.rows(); r += tile.m)
-        for (std::size_t c = 0; c < spikes.cols(); c += tile.k)
-            origins.emplace_back(r, c);
+    const TileSample sample = sampleTiles(spikes.rows(), spikes.cols(),
+                                          tile, options.max_sampled_tiles);
+    const double scale = sample.scale;
 
-    double scale = 1.0;
-    if (options.max_sampled_tiles > 0 &&
-        origins.size() > options.max_sampled_tiles) {
-        std::vector<std::pair<std::size_t, std::size_t>> sampled;
-        const double stride = static_cast<double>(origins.size()) /
-                              static_cast<double>(options.max_sampled_tiles);
-        for (std::size_t i = 0; i < options.max_sampled_tiles; ++i)
-            sampled.push_back(
-                origins[static_cast<std::size_t>(i * stride)]);
-        scale = static_cast<double>(origins.size()) /
-                static_cast<double>(sampled.size());
-        origins = std::move(sampled);
-    }
-
-    Detector detector;
-    Pruner pruner;
     DensityReport total;
-    for (const auto& [r0, c0] : origins) {
-        const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
-        const DetectionResult detection = detector.detect(t);
-        const SparsityTable table = pruner.prune(t, detection);
-        DensityReport tile_report =
-            analyzeTile(t, detection, table, options.two_prefix);
+    for (const auto& [r0, c0] : sample.origins) {
+        DensityReport tile_report = analyzeTile(
+            spikes.tile(r0, c0, tile.m, tile.k), options.two_prefix);
         tile_report.bits_total *= scale;
         tile_report.bits_set *= scale;
         tile_report.pattern_bits_one *= scale;

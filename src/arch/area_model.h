@@ -7,8 +7,8 @@
  * (TCAM ~ m*k, pruner ~ m, sparsity table ~ m * entry bits, bitonic
  * sorter ~ m log^2 m, PE array ~ n) with coefficients anchored so the
  * default configuration reproduces Fig. 10 (a): total 0.529 mm^2 with
- * Detector 0.021, Pruner 0.020, Dispatcher 0.088, Processor 0.074,
- * Other 0.022 and Buffer 0.303 mm^2. The same structure provides the
+ * detector 0.021, pruner 0.020, dispatcher 0.088, processor 0.074,
+ * other 0.022 and buffer 0.303 mm^2. The same structure provides the
  * super-linear area/power growth with m shown in Fig. 7.
  */
 

@@ -4,8 +4,8 @@
  *
  * Component event energies are calibrated so that the default Prosperity
  * configuration reproduces the paper's Fig. 10 power breakdown (915 mW on
- * Spikformer/CIFAR10: DRAM 467.5, Detector 268.6, Buffer 80.4, Processor
- * 55.0, Dispatcher 24.1, Other 16.3, Pruner 3.1 mW). The paper's own
+ * Spikformer/CIFAR10: DRAM 467.5, detector 268.6, buffer 80.4, processor
+ * 55.0, dispatcher 24.1, other 16.3, pruner 3.1 mW). The paper's own
  * numbers come from Design Compiler + CACTI + DRAMsim3; here the same
  * structure is captured with analytic per-event energies (see DESIGN.md
  * substitution table).

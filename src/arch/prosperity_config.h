@@ -36,7 +36,7 @@ struct ProsperityConfig
     std::size_t num_ppus = 1;
     std::size_t weight_bits = 8;      ///< weight precision
     std::size_t psum_bits = 24;       ///< output partial-sum precision
-    std::size_t num_popcounts = 8;    ///< Detector popcount units
+    std::size_t num_popcounts = 8;    ///< detector popcount units
     std::size_t num_lif_cells = 32;   ///< Spiking Neuron Array width
 
     /** Spike buffer bytes: several double-buffered m x k tiles (8 KB). */

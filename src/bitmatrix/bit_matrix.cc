@@ -108,4 +108,28 @@ BitMatrix::randomize(Rng& rng, double density)
         r.randomize(rng, density);
 }
 
+TileSample
+sampleTiles(std::size_t rows, std::size_t cols, const TileConfig& tile,
+            std::size_t max_tiles)
+{
+    TileSample sample;
+    for (std::size_t r = 0; r < rows; r += tile.m)
+        for (std::size_t c = 0; c < cols; c += tile.k)
+            sample.origins.emplace_back(r, c);
+    if (max_tiles == 0 || sample.origins.size() <= max_tiles)
+        return sample;
+
+    std::vector<std::pair<std::size_t, std::size_t>> sampled;
+    sampled.reserve(max_tiles);
+    const double stride = static_cast<double>(sample.origins.size()) /
+                          static_cast<double>(max_tiles);
+    for (std::size_t i = 0; i < max_tiles; ++i)
+        sampled.push_back(
+            sample.origins[static_cast<std::size_t>(i * stride)]);
+    sample.scale = static_cast<double>(sample.origins.size()) /
+                   static_cast<double>(sampled.size());
+    sample.origins = std::move(sampled);
+    return sample;
+}
+
 } // namespace prosperity

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bitmatrix/bit_vector.h"
@@ -131,20 +132,26 @@ struct TileConfig
 };
 
 /**
- * Iterate all (row0, col0) tile origins of an M x K spike matrix for a
- * given tile config, row-major over K then M, and invoke `fn(tile)` on
- * the cropped tile. Convenience used by the sparsity analyses.
+ * The tiles an analysis of one matrix visits: their (row0, col0)
+ * origins, and how many of the matrix's tiles each visited one stands
+ * for.
  */
-template <typename Fn>
-void
-forEachTile(const BitMatrix& matrix, const TileConfig& tile, Fn&& fn)
+struct TileSample
 {
-    for (std::size_t r = 0; r < matrix.rows(); r += tile.m) {
-        for (std::size_t c = 0; c < matrix.cols(); c += tile.k) {
-            fn(matrix.tile(r, c, tile.m, tile.k));
-        }
-    }
-}
+    std::vector<std::pair<std::size_t, std::size_t>> origins;
+    double scale = 1.0;
+};
+
+/**
+ * Tile origins of a `rows` x `cols` matrix, row-major (col0 varies
+ * fastest); the tiles at the bottom and right edges are cropped by
+ * BitMatrix::tile. When there are more than `max_tiles` tiles (and
+ * max_tiles > 0), keeps the max_tiles origins at multiples of the
+ * stride all/max_tiles, and sets `scale` to all/max_tiles so summed
+ * per-tile counts extrapolate to the whole matrix.
+ */
+TileSample sampleTiles(std::size_t rows, std::size_t cols,
+                       const TileConfig& tile, std::size_t max_tiles);
 
 } // namespace prosperity
 

@@ -124,7 +124,7 @@ BitVector::fromString(const std::string& pattern)
 // vector tiers never hit their scalar tail loops. Vectors narrower
 // than one stride pass the logical count instead: sweeping a full
 // 8-word stride for a 1-word row would be pure overhead on the
-// Detector's 16-column tiles.
+// paper's 16-column tiles.
 
 bool
 BitVector::any() const

@@ -4,12 +4,12 @@
  *
  * A BitVector models one row of a spike matrix: a fixed number of bits
  * packed into 64-bit words. The operations mirror exactly what the
- * Prosperity hardware performs on spike rows: popcount (the Detector's
- * number-of-ones), subset test (the TCAM match), XOR (the Pruner's
- * sparsify step), and bit-scan-forward (the Processor's address decode).
- * The per-word loops live in bitmatrix/word_kernels.h (scalar
+ * Prosperity hardware performs on spike rows: popcount (the detector's
+ * number-of-ones), subset test (the TCAM match), XOR (the residual
+ * pattern row ^ prefix), and bit-scan-forward (the Processor's address
+ * decode). The per-word loops live in bitmatrix/word_kernels.h (scalar
  * reference) and are executed through the runtime SIMD dispatch
- * (bitmatrix/simd_dispatch.h), so the Detector runs the same fused
+ * (bitmatrix/simd_dispatch.h), so prefix selection runs the same fused
  * kernels — at whatever tier the host supports — over raw word spans.
  *
  * @par Word layout
@@ -28,10 +28,10 @@
  * popcount / subset / any kernels cannot change their result.
  *
  * Vectors of at most one stride (<= 512 bits) store their words inline
- * in the object — no heap allocation. The Detector builds one
- * subset-mask row per tile row per call over narrow (k <= 64) tiles,
- * so the inline buffer takes all heap traffic out of that hot loop;
- * wider vectors fall back to one heap block of strideWords() words.
+ * in the object — no heap allocation, so copying a tile row of the
+ * paper's 16 columns (BitMatrix::tile, the residual pattern) costs no
+ * heap traffic; wider vectors fall back to one heap block of
+ * strideWords() words.
  *
  * @par Tail-masking invariant
  * Bits of the last word at positions `>= size() % 64` (when `size()` is
@@ -106,8 +106,8 @@ class BitVector
     }
 
     /**
-     * Set bit `pos` to `value`. Inline: the Detector sets one bit per
-     * confirmed subset match, so this sits in the hottest loop.
+     * Set bit `pos` to `value`. Inline: BitMatrix::tile copies every
+     * tile row bit by bit, so this sits in a hot loop.
      */
     void set(std::size_t pos, bool value = true)
     {
@@ -137,7 +137,7 @@ class BitVector
     /**
      * 64-bit occupancy signature (see signatureWords): a one-word
      * necessary-condition prefilter for isSubsetOf. If A.isSubsetOf(B)
-     * then `A.signature() & ~B.signature() == 0`; the Detector rejects
+     * then `A.signature() & ~B.signature() == 0`; prefix selection rejects
      * most non-subset candidates on this single word operation.
      */
     std::uint64_t signature() const;

@@ -91,7 +91,7 @@ struct SimdOps
      * (sigs[t] & ~query_sig) == 0, ascending, and returns how many it
      * wrote. `out` must have room for n entries; entries past the
      * returned count are unspecified (the vector tiers compress-store
-     * survivors branchlessly). This is the Detector's inner loop: one
+     * survivors branchlessly). This is prefix selection's inner loop: one
      * query row tested against every sorted candidate signature.
      */
     std::size_t (*signatureScanWords)(const std::uint64_t* sigs,

@@ -23,6 +23,22 @@ namespace prosperity::detail {
 
 namespace {
 
+/**
+ * Sum of the eight 64-bit lanes, through a store and a scalar add.
+ * GCC 12's _mm512_reduce_add_epi64 reads _mm256_undefined_si256()
+ * internally and trips -Wuninitialized at every call site.
+ */
+std::size_t
+sumLanes(__m512i v)
+{
+    alignas(64) std::uint64_t lanes[8];
+    _mm512_store_si512(lanes, v);
+    std::uint64_t sum = 0;
+    for (const std::uint64_t lane : lanes)
+        sum += lane;
+    return static_cast<std::size_t>(sum);
+}
+
 std::size_t
 popcountAvx512(const std::uint64_t* words, std::size_t n)
 {
@@ -32,8 +48,7 @@ popcountAvx512(const std::uint64_t* words, std::size_t n)
         const __m512i v = _mm512_loadu_si512(words + i);
         acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
     }
-    std::size_t count =
-        static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+    std::size_t count = sumLanes(acc);
     for (; i < n; ++i)
         count += static_cast<std::size_t>(std::popcount(words[i]));
     return count;
@@ -50,8 +65,7 @@ andPopcountAvx512(const std::uint64_t* a, const std::uint64_t* b,
                                            _mm512_loadu_si512(b + i));
         acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
     }
-    std::size_t count =
-        static_cast<std::size_t>(_mm512_reduce_add_epi64(acc));
+    std::size_t count = sumLanes(acc);
     for (; i < n; ++i)
         count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
     return count;
@@ -62,11 +76,13 @@ isSubsetAvx512(const std::uint64_t* sub, const std::uint64_t* super,
                std::size_t n)
 {
     std::size_t i = 0;
-    // One cache line (one zmm vector) per early-exit test.
+    // One cache line (one zmm vector) per early-exit test: a lane
+    // violates the subset order iff (sub & super) != sub there.
     for (; i + 8 <= n; i += 8) {
-        const __m512i violation = _mm512_andnot_si512(
-            _mm512_loadu_si512(super + i), _mm512_loadu_si512(sub + i));
-        if (_mm512_test_epi64_mask(violation, violation) != 0)
+        const __m512i s = _mm512_loadu_si512(sub + i);
+        const __m512i kept =
+            _mm512_and_si512(s, _mm512_loadu_si512(super + i));
+        if (_mm512_cmpneq_epi64_mask(kept, s) != 0)
             return false;
     }
     for (; i < n; ++i)

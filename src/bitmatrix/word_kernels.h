@@ -3,8 +3,8 @@
  * Fused 64-bit word-level kernels over packed bit spans.
  *
  * These are the innermost loops of the simulator: every hot path that
- * touches spike bits (the Detector's TCAM model, the Pruner's XOR, the
- * density analyses) bottoms out here, operating on whole 64-bit words
+ * touches spike bits (prefix selection's TCAM model, the residual XOR,
+ * the density analyses) bottoms out here, operating on whole 64-bit words
  * instead of individual bits. The functions are deliberately free of
  * class state so they can run over raw `BitVector::words()` spans and
  * so future SIMD specializations have a single place to land.
@@ -111,7 +111,7 @@ signatureWords(const std::uint64_t* words, std::size_t n)
  * Signature-prefilter scan: append to `out` every index t in [0, n)
  * whose candidate signature passes the subset prefilter against
  * `query_sig` — (sigs[t] & ~query_sig) == 0 — in ascending order, and
- * return the number written. This is the Detector's candidate sweep
+ * return the number written. This is prefix selection's candidate sweep
  * hoisted over a contiguous array so the SIMD tiers can test several
  * candidates per instruction.
  *

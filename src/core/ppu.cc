@@ -1,7 +1,6 @@
 #include "ppu.h"
 
 #include <algorithm>
-#include <vector>
 
 #include "arch/sram.h"
 #include "sim/logging.h"
@@ -31,27 +30,10 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     const double total_tiles =
         static_cast<double>(row_tiles) * static_cast<double>(col_tiles);
 
-    // Choose the tiles to analyze (strided sampling for huge layers).
-    std::vector<std::pair<std::size_t, std::size_t>> origins;
-    origins.reserve(row_tiles * col_tiles);
-    for (std::size_t r = 0; r < row_tiles; ++r)
-        for (std::size_t c = 0; c < col_tiles; ++c)
-            origins.emplace_back(r * tile.m, c * tile.k);
-
-    double scale = 1.0;
-    if (options_.max_sampled_tiles > 0 &&
-        origins.size() > options_.max_sampled_tiles) {
-        std::vector<std::pair<std::size_t, std::size_t>> sampled;
-        sampled.reserve(options_.max_sampled_tiles);
-        const double stride = static_cast<double>(origins.size()) /
-                              static_cast<double>(options_.max_sampled_tiles);
-        for (std::size_t i = 0; i < options_.max_sampled_tiles; ++i)
-            sampled.push_back(
-                origins[static_cast<std::size_t>(i * stride)]);
-        scale = static_cast<double>(origins.size()) /
-                static_cast<double>(sampled.size());
-        origins = std::move(sampled);
-    }
+    // Strided sampling for huge layers (scale = tiles per analyzed one).
+    const TileSample sample = sampleTiles(shape.m, shape.k, tile,
+                                          options_.max_sampled_tiles);
+    const double scale = sample.scale;
 
     const TilePipeline pipeline(options_.sparsity, options_.dispatch,
                                 options_.issue_width);
@@ -63,7 +45,7 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     double first_phase = 0.0;
     bool first = true;
 
-    for (const auto& [r0, c0] : origins) {
+    for (const auto& [r0, c0] : sample.origins) {
         const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
         const TileStats stats = pipeline.process(t);
 
@@ -130,9 +112,9 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     }
 
     // Inter-PPU parallelism: row-tiles are distributed across PPU
-    // instances; each instance runs its own detect/prune/dispatch
-    // pipeline, so the tile stream divides evenly (row-tile counts are
-    // large compared to the PPU count for every evaluated model).
+    // instances; each instance runs its own ProSparsity front end, so
+    // the tile stream divides evenly (row-tile counts are large
+    // compared to the PPU count for every evaluated model).
     const double ppus = static_cast<double>(
         std::max<std::size_t>(1, std::min(config_.num_ppus, row_tiles)));
     pipelined_cycles = pipelined_cycles * scale / ppus + first_phase;

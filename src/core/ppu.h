@@ -61,7 +61,7 @@ class Ppu
 
         /**
          * Intra-PPU parallelism (Sec. VIII-A): how many independent
-         * forest nodes the Dispatcher issues per cycle. Nodes in the
+         * forest nodes the dispatcher issues per cycle. Nodes in the
          * same tree level have no dependency; extra issue slots let
          * exact-match copies (which bypass the weight port) proceed
          * alongside accumulating rows.

@@ -1,7 +1,10 @@
 #include "product_gemm.h"
 
+#include <algorithm>
+#include <numeric>
 #include <vector>
 
+#include "core/prefix_select.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -21,41 +24,51 @@ ProductGemm::multiply(const BitMatrix& spikes,
     result.dense_ops = static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
 
-    const TilePipeline pipeline(SparsityMode::kProductSparsity, dispatch_);
-
     for (std::size_t r0 = 0; r0 < M; r0 += tile_.m) {
         for (std::size_t c0 = 0; c0 < K; c0 += tile_.k) {
             const BitMatrix tile = spikes.tile(r0, c0, tile_.m, tile_.k);
-            const auto fe = pipeline.processFull(tile);
+            const PrefixSelection sel = selectPrefixes(tile);
             const std::size_t rows = tile.rows();
+
+            // Issue order: stable by number of ones. A prefix has fewer
+            // ones than its row, or as many and a smaller index, so it
+            // always issues first.
+            std::vector<std::size_t> order(rows);
+            std::iota(order.begin(), order.end(), 0);
+            std::stable_sort(order.begin(), order.end(),
+                             [&](std::size_t a, std::size_t b) {
+                                 return sel.popcounts[a] < sel.popcounts[b];
+                             });
 
             // Tile-local output rows: the Processor's output buffer.
             std::vector<std::vector<std::int32_t>> local(
                 rows, std::vector<std::int32_t>(N, 0));
 
-            for (const std::size_t row : fe.dispatch.order) {
-                const PrefixEntry& entry = fe.table[row];
+            for (const std::size_t row : order) {
                 std::vector<std::int32_t>& acc = local[row];
-                if (entry.hasPrefix()) {
-                    // Step 9: prefix result is the starting partial sum.
-                    const auto p = static_cast<std::size_t>(entry.prefix);
+                BitVector pattern = tile.row(row);
+                if (sel.prefix[row] != PrefixSelection::kNoPrefix) {
+                    // Step 9: prefix result is the starting partial sum;
+                    // the XOR unit leaves the residual bits.
+                    const auto p = static_cast<std::size_t>(sel.prefix[row]);
                     acc = local[p];
+                    pattern ^= tile.row(p);
                     ++result.prefix_hits;
-                    if (entry.kind == PrefixKind::kExactMatch)
+                    if (pattern.none())
                         ++result.exact_matches;
                     else
                         ++result.partial_matches;
                 }
                 // Steps 10-11: accumulate the residual pattern's weights.
-                for (std::size_t bit = entry.pattern.findFirst();
-                     bit < tile.cols(); bit = entry.pattern.findNext(bit)) {
+                for (std::size_t bit = pattern.findFirst();
+                     bit < tile.cols(); bit = pattern.findNext(bit)) {
                     const std::int32_t* w = weights.rowPtr(c0 + bit);
                     for (std::size_t col = 0; col < N; ++col)
                         acc[col] += w[col];
                     result.product_ops += static_cast<double>(N);
                 }
                 result.bit_ops +=
-                    static_cast<double>(entry.popcount) *
+                    static_cast<double>(sel.popcounts[row]) *
                     static_cast<double>(N);
             }
 

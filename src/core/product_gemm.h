@@ -3,11 +3,12 @@
  * Functional ProSparsity spiking GeMM.
  *
  * Executes a spiking GeMM exactly the way the Prosperity Processor does
- * (Sec. V-E): tile by tile, rows issued in the Dispatcher's order, each
- * row starting from its prefix's output row and accumulating only the
- * weight rows selected by its residual pattern. Because ProSparsity is
- * lossless, the result is bit-identical to the dense reference — the
- * property tests in tests/ verify this on every configuration.
+ * (Sec. V-E): tile by tile, rows issued in (popcount, index) order —
+ * the dispatcher's sorted order — each row starting from its prefix's
+ * output row and accumulating only the weight rows selected by its
+ * residual pattern row ^ prefix. Because ProSparsity is lossless, the
+ * result is bit-identical to the dense reference — the property tests
+ * in tests/ verify this on every configuration.
  */
 
 #ifndef PROSPERITY_CORE_PRODUCT_GEMM_H
@@ -15,7 +16,6 @@
 
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/dense_matrix.h"
-#include "core/tile_pipeline.h"
 
 namespace prosperity {
 
@@ -23,11 +23,7 @@ namespace prosperity {
 class ProductGemm
 {
   public:
-    explicit ProductGemm(TileConfig tile = {},
-                         DispatchMode dispatch = DispatchMode::kOverheadFree)
-        : tile_(tile), dispatch_(dispatch)
-    {
-    }
+    explicit ProductGemm(TileConfig tile = {}) : tile_(tile) {}
 
     /** Result of one multiplication with its operation accounting. */
     struct Result
@@ -56,7 +52,6 @@ class ProductGemm
 
   private:
     TileConfig tile_;
-    DispatchMode dispatch_;
 };
 
 } // namespace prosperity

@@ -1,12 +1,15 @@
 /**
  * @file
- * Per-tile PPU processing: Detector -> Pruner -> Dispatcher -> cost.
+ * Per-tile PPU processing: prefix selection -> issue -> cost.
  *
- * Combines the stage models into the per-tile schedule the pipeline
- * model (ppu.h) consumes, and counts the architectural activity the
- * energy model charges. Supports the ablation configurations of Fig. 9:
- * bit-sparsity-only processing (no detection, no reuse) and product
- * sparsity with either dispatch mode.
+ * Turns one tile's prefix selection (core/prefix_select.h) into the
+ * per-tile schedule the pipeline model (ppu.h) consumes, and counts the
+ * architectural activity the energy model charges: the ProSparsity
+ * phase's cycles (Sec. VI-A), the dispatcher's bitonic sorter or, in
+ * the ablation, its prefix-chain walk (Sec. V-D), and the Processor's
+ * residual accumulations. Supports the ablation configurations of
+ * Fig. 9: bit-sparsity-only processing (no detection, no reuse) and
+ * product sparsity with either dispatch mode.
  */
 
 #ifndef PROSPERITY_CORE_TILE_PIPELINE_H
@@ -15,8 +18,6 @@
 #include <cstddef>
 
 #include "bitmatrix/bit_matrix.h"
-#include "core/dispatcher.h"
-#include "core/pruner.h"
 
 namespace prosperity {
 
@@ -24,6 +25,21 @@ namespace prosperity {
 enum class SparsityMode {
     kBitSparsity,     ///< skip zeros only (rows processed as-is)
     kProductSparsity, ///< prefix reuse + residual patterns (the paper)
+};
+
+/**
+ * How the dispatcher derives the issue order (Sec. V-D). Both modes
+ * issue a legal order and compute the same result; they differ only
+ * in exposed cycles and energy.
+ */
+enum class DispatchMode {
+    /** Bitonic sort by number of ones, hidden behind detection (the
+     *  paper's design). */
+    kOverheadFree,
+    /** Forest traversal (the Fig. 9 ablation): the O(m) table stores
+     *  no suffix lists, so scheduling walks each row's prefix chain
+     *  leaf to root, O(m * d) exposed cycles. */
+    kTreeTraversal,
 };
 
 /** Activity and timing of one spike tile through the PPU. */
@@ -80,7 +96,7 @@ class TilePipeline
 
     TilePipeline(SparsityMode sparsity, DispatchMode dispatch,
                  std::size_t issue_width = 1)
-        : sparsity_(sparsity), dispatcher_(dispatch),
+        : sparsity_(sparsity), dispatch_(dispatch),
           issue_width_(issue_width == 0 ? 1 : issue_width)
     {
     }
@@ -90,20 +106,9 @@ class TilePipeline
     /** Process one cropped tile and return its schedule/activity. */
     TileStats process(const BitMatrix& tile) const;
 
-    /**
-     * Full front-end products for the functional executor: sparsity
-     * table plus issue order. Only meaningful in product-sparsity mode.
-     */
-    struct FrontEnd
-    {
-        SparsityTable table;
-        DispatchResult dispatch;
-    };
-    FrontEnd processFull(const BitMatrix& tile) const;
-
   private:
     SparsityMode sparsity_;
-    Dispatcher dispatcher_;
+    DispatchMode dispatch_;
     std::size_t issue_width_;
 };
 

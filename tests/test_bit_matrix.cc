@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/dense_matrix.h"
 #include "sim/rng.h"
@@ -83,7 +86,7 @@ TEST(BitMatrix, TilePreservesBitsAcrossWordBoundaries)
             EXPECT_EQ(t.test(r, c), m.test(10 + r, 60 + c));
 }
 
-TEST(BitMatrix, ForEachTileCoversEveryBitOnce)
+TEST(BitMatrix, SampleTilesVisitsEveryTileRowMajor)
 {
     Rng rng(9);
     BitMatrix m(70, 45);
@@ -91,14 +94,42 @@ TEST(BitMatrix, ForEachTileCoversEveryBitOnce)
     TileConfig tile;
     tile.m = 32;
     tile.k = 16;
+    // ceil(70/32) x ceil(45/16) tiles, col0 varying fastest; a cap of
+    // 0 (none) or at least the tile count keeps them all.
+    const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+        {0, 0},  {0, 16},  {0, 32},
+        {32, 0}, {32, 16}, {32, 32},
+        {64, 0}, {64, 16}, {64, 32}};
+    for (const std::size_t max_tiles : {0UL, 9UL, 96UL}) {
+        const TileSample sample = sampleTiles(70, 45, tile, max_tiles);
+        EXPECT_EQ(sample.origins, expected) << "max_tiles=" << max_tiles;
+        EXPECT_EQ(sample.scale, 1.0);
+    }
+
+    // Edge tiles are cropped, so the tiles cover every bit once.
     std::size_t bits = 0;
-    std::size_t tiles = 0;
-    forEachTile(m, tile, [&](const BitMatrix& t) {
-        bits += t.popcount();
-        ++tiles;
-    });
+    for (const auto& [r0, c0] : sampleTiles(70, 45, tile, 0).origins)
+        bits += m.tile(r0, c0, tile.m, tile.k).popcount();
     EXPECT_EQ(bits, m.popcount());
-    EXPECT_EQ(tiles, 3u * 3u); // ceil(70/32) x ceil(45/16)
+    const BitMatrix corner = m.tile(64, 32, tile.m, tile.k);
+    EXPECT_EQ(corner.rows(), 6u);
+    EXPECT_EQ(corner.cols(), 13u);
+}
+
+TEST(BitMatrix, SampleTilesStridesAndScales)
+{
+    // 5 x 2 = 10 tiles, 4 kept: stride 2.5 picks tiles 0, 2, 5 and 7
+    // (floor of i * stride) and each stands for 2.5 tiles.
+    TileConfig tile;
+    tile.m = 4;
+    tile.k = 8;
+    const TileSample sample = sampleTiles(20, 16, tile, 4);
+    const std::vector<std::pair<std::size_t, std::size_t>> expected = {
+        {0, 0}, {4, 0}, {8, 8}, {12, 8}};
+    EXPECT_EQ(sample.origins, expected);
+    EXPECT_EQ(sample.scale, 2.5);
+
+    EXPECT_TRUE(sampleTiles(0, 16, tile, 4).origins.empty());
 }
 
 TEST(BitMatrix, TransposeInvolution)

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "analysis/density.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
@@ -131,6 +133,65 @@ TEST(Density, SamplingApproximatesFull)
     const double d_full = analyzeMatrix(m, full).productDensity();
     const double d_sampled = analyzeMatrix(m, sampled).productDensity();
     EXPECT_NEAR(d_sampled / d_full, 1.0, 0.15);
+}
+
+/** All nine report fields, for exact comparison. */
+std::vector<double>
+fields(const DensityReport& r)
+{
+    return {r.bits_total,       r.bits_set,        r.pattern_bits_one,
+            r.pattern_bits_two, r.rows,            r.rows_one_prefix,
+            r.rows_two_prefix,  r.exact_matches,   r.partial_matches};
+}
+
+TEST(Density, WorkloadReportsArePinnedExactly)
+{
+    // Tables I, II and V and Fig. 11 read these reports. The values are
+    // exact (hex floats) at the default 96 sampled tiles, so any change
+    // to prefix selection, the second-prefix search or tile sampling
+    // shows up here, not only beyond the calibration tolerances.
+    struct Pin
+    {
+        const char* model;
+        const char* dataset;
+        bool two_prefix;
+        std::vector<double> expected;
+    };
+    const Pin pins[] = {
+        {"SpikeBERT", "SST-2", false,
+         {0x1.680cp+24, 0x1.804dcp+21, 0x1.dc44p+17, 0x1.dc44p+17,
+          0x1.680cp+20, 0x1.36392p+20, 0x0p+0, 0x1.1aaeap+20,
+          0x1.b8a8p+16}},
+        {"SpikeBERT", "SST-2", true,
+         {0x1.680cp+24, 0x1.804dcp+21, 0x1.dc44p+17, 0x1.d5e9p+17,
+          0x1.680cp+20, 0x1.36392p+20, 0x1.904p+10, 0x1.1aaeap+20,
+          0x1.b8a8p+16}},
+        {"SpikingBERT", "SST-2", false,
+         {0x1.e03p+22, 0x1.86b76p+20, 0x1.92198p+17, 0x1.92198p+17,
+          0x1.e03p+18, 0x1.b9afcp+18, 0x0p+0, 0x1.667ccp+18,
+          0x1.4cccp+16}},
+        {"SpikingBERT", "SST-2", true,
+         {0x1.e03p+22, 0x1.86b76p+20, 0x1.92198p+17, 0x1.8198p+17,
+          0x1.e03p+18, 0x1.b9afcp+18, 0x1.00ep+12, 0x1.667ccp+18,
+          0x1.4cccp+16}},
+        {"VGG16", "CIFAR100", false,
+         {0x1.90cp+22, 0x1.f79448p+20, 0x1.b1d34p+17, 0x1.b1d34p+17,
+          0x1.90cp+18, 0x1.72fap+18, 0x0p+0, 0x1.42b96p+18,
+          0x1.8205p+15}},
+        {"VGG16", "CIFAR100", true,
+         {0x1.90cp+22, 0x1.f79448p+20, 0x1.b1d34p+17, 0x1.aa00cp+17,
+          0x1.90cp+18, 0x1.72fap+18, 0x1.c8cp+10, 0x1.42b96p+18,
+          0x1.8205p+15}},
+    };
+    for (const Pin& pin : pins) {
+        DensityOptions opt;
+        opt.two_prefix = pin.two_prefix;
+        const DensityReport r =
+            analyzeWorkload(makeWorkload(pin.model, pin.dataset), opt, 7);
+        EXPECT_EQ(fields(r), pin.expected)
+            << pin.model << "/" << pin.dataset
+            << " two_prefix=" << pin.two_prefix;
+    }
 }
 
 } // namespace

@@ -1,126 +1,75 @@
 /**
  * @file
- * Tests for the Dispatcher (Sec. V-D): the overhead-free stable sort
- * and the high-overhead traversal ablation.
+ * Tests for the dispatcher (Sec. V-D) as TilePipeline models it: the
+ * overhead-free bitonic sort and the high-overhead traversal ablation.
+ * Both issue a legal order; they differ only in exposed cycles and
+ * energy.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
+#include "core/tile_pipeline.h"
 #include "sim/rng.h"
 
 namespace prosperity {
 namespace {
 
-SparsityTable
-pruneTile(const BitMatrix& tile)
+TileStats
+processTile(DispatchMode dispatch, const BitMatrix& tile)
 {
-    return Pruner().prune(tile, Detector().detect(tile));
+    return TilePipeline(SparsityMode::kProductSparsity, dispatch)
+        .process(tile);
 }
 
-/** Every prefix must be issued before its suffixes. */
-void
-expectTopological(const SparsityTable& table,
-                  const std::vector<std::size_t>& order)
-{
-    ASSERT_EQ(order.size(), table.size());
-    std::vector<std::size_t> position(order.size());
-    for (std::size_t idx = 0; idx < order.size(); ++idx)
-        position[order[idx]] = idx;
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        if (table[i].hasPrefix()) {
-            EXPECT_LT(position[static_cast<std::size_t>(table[i].prefix)],
-                      position[i])
-                << "prefix of row " << i << " issued too late";
-        }
-    }
-}
-
-TEST(Dispatcher, PaperSortedOrder)
-{
-    // Fig. 5 (c): sorting the NO vector (2,2,3,1,3,3) stably yields
-    // 3, 0, 1, 2, 4, 5.
-    const BitMatrix tile = BitMatrix::fromStrings({
-        "1010", "1001", "1011", "0010", "1101", "1101"});
-    const DispatchResult r =
-        Dispatcher(DispatchMode::kOverheadFree).dispatch(pruneTile(tile));
-    const std::vector<std::size_t> expected = {3, 0, 1, 2, 4, 5};
-    EXPECT_EQ(r.order, expected);
-    EXPECT_EQ(r.exposed_cycles, 0u);
-}
-
-TEST(Dispatcher, StableSortOrderIsTopological)
-{
-    Rng rng(19);
-    for (int trial = 0; trial < 25; ++trial) {
-        BitMatrix tile(128, 16);
-        tile.randomize(rng, 0.1 + 0.03 * trial);
-        const SparsityTable table = pruneTile(tile);
-        const DispatchResult r =
-            Dispatcher(DispatchMode::kOverheadFree).dispatch(table);
-        expectTopological(table, r.order);
-    }
-}
-
-TEST(Dispatcher, TraversalOrderIsTopological)
-{
-    Rng rng(20);
-    for (int trial = 0; trial < 10; ++trial) {
-        BitMatrix tile(96, 16);
-        tile.randomize(rng, 0.3);
-        const SparsityTable table = pruneTile(tile);
-        const DispatchResult r =
-            Dispatcher(DispatchMode::kTreeTraversal).dispatch(table);
-        expectTopological(table, r.order);
-    }
-}
-
-TEST(Dispatcher, TraversalExposesCycles)
-{
-    // The ablation's point: traversal costs O(m * d) un-hideable cycles
-    // while the stable sort exposes none.
-    const BitMatrix tile = BitMatrix::fromStrings({
-        "1100", "1100", "1100", "1100"});
-    const SparsityTable table = pruneTile(tile);
-    const DispatchResult free_r =
-        Dispatcher(DispatchMode::kOverheadFree).dispatch(table);
-    const DispatchResult slow_r =
-        Dispatcher(DispatchMode::kTreeTraversal).dispatch(table);
-    EXPECT_EQ(free_r.exposed_cycles, 0u);
-    // Per-row leaf-to-root walks over the EM chain: 1+2+3+4 = 10 hops
-    // over 2 parallel table banks.
-    EXPECT_EQ(slow_r.exposed_cycles, 5u); // ceil(10 hops / 2 lanes)
-}
-
-TEST(Dispatcher, SorterCompareCountMatchesBitonicNetwork)
+TEST(Dispatch, SorterCompareCountMatchesBitonicNetwork)
 {
     BitMatrix tile(256, 16);
     Rng rng(3);
     tile.randomize(rng, 0.3);
-    const DispatchResult r =
-        Dispatcher(DispatchMode::kOverheadFree).dispatch(pruneTile(tile));
+    const TileStats sorted = processTile(DispatchMode::kOverheadFree, tile);
     // m/2 * log(m) * (log(m)+1) / 2 = 128 * 8 * 9 / 2 = 4608.
-    EXPECT_DOUBLE_EQ(r.sorter_compares, 4608.0);
+    EXPECT_DOUBLE_EQ(sorted.sorter_compares, 4608.0);
+    // The traversal ablation walks the table instead of sorting.
+    const TileStats walked = processTile(DispatchMode::kTreeTraversal, tile);
+    EXPECT_DOUBLE_EQ(walked.sorter_compares, 0.0);
 }
 
-TEST(Dispatcher, StabilityPreservesIndexOrderWithinEqualNo)
+TEST(Dispatch, TraversalExposesCycles)
 {
-    // Equal-popcount rows must keep ascending index order; EM prefixes
-    // rely on it.
+    // The ablation's point: traversal costs O(m * d) un-hideable cycles
+    // while the sorted dispatch exposes none.
     const BitMatrix tile = BitMatrix::fromStrings({
-        "0011", "1100", "0101", "1010"});
-    const DispatchResult r =
-        Dispatcher(DispatchMode::kOverheadFree).dispatch(pruneTile(tile));
-    const std::vector<std::size_t> expected = {0, 1, 2, 3};
-    EXPECT_EQ(r.order, expected);
+        "1100", "1100", "1100", "1100"});
+    const TileStats sorted = processTile(DispatchMode::kOverheadFree, tile);
+    const TileStats walked = processTile(DispatchMode::kTreeTraversal, tile);
+    EXPECT_EQ(sorted.prosparsity_cycles, 4u + 4u);
+    // Per-row leaf-to-root walks over the EM chain: 1+2+3+4 = 10 hops
+    // over 2 parallel table banks, ceil(10 / 2) = 5 exposed cycles.
+    EXPECT_EQ(walked.prosparsity_cycles, 4u + 4u + 5u);
+    // Each hop is one table access on top of the write and read.
+    EXPECT_DOUBLE_EQ(walked.table_accesses, 8.0 + 10.0);
 }
 
-TEST(Dispatcher, EmptyTable)
+TEST(Dispatch, TraversalModeAddsExposedCycles)
 {
-    const DispatchResult r =
-        Dispatcher(DispatchMode::kOverheadFree).dispatch(SparsityTable{});
-    EXPECT_TRUE(r.order.empty());
+    const BitMatrix tile = BitMatrix::fromStrings({
+        "1010", "1001", "1011", "0010", "1101", "1101"});
+    const TileStats f = processTile(DispatchMode::kOverheadFree, tile);
+    const TileStats s = processTile(DispatchMode::kTreeTraversal, tile);
+    EXPECT_GT(s.prosparsity_cycles, f.prosparsity_cycles);
+    EXPECT_DOUBLE_EQ(s.accum_row_ops, f.accum_row_ops)
+        << "dispatch mode must not change the computation";
+}
+
+TEST(Dispatch, EmptyTable)
+{
+    for (const DispatchMode mode :
+         {DispatchMode::kOverheadFree, DispatchMode::kTreeTraversal}) {
+        const TileStats stats = processTile(mode, BitMatrix(0, 0));
+        EXPECT_EQ(stats.prosparsity_cycles, 0u);
+        EXPECT_DOUBLE_EQ(stats.sorter_compares, 0.0);
+        EXPECT_DOUBLE_EQ(stats.table_accesses, 0.0);
+    }
 }
 
 } // namespace

@@ -355,7 +355,8 @@ TEST_F(ObsTraceTest, RingWrapsAroundKeepingTheNewestSpans)
     {
         ScopedTraceContext scope(TraceContext{id, 0});
         for (int i = 0; i < 20; ++i)
-            ScopedSpan span("test", "s" + std::to_string(i));
+            ScopedSpan span("test",
+                            std::string("s").append(std::to_string(i)));
     }
     // All 20 were accepted; only the final 8 survive in the ring.
     EXPECT_EQ(recorder.recorded() - before, 20u);
@@ -365,7 +366,9 @@ TEST_F(ObsTraceTest, RingWrapsAroundKeepingTheNewestSpans)
     for (const TraceSpan& span : spans)
         names.insert(span.name);
     for (int i = 12; i < 20; ++i)
-        EXPECT_EQ(names.count("s" + std::to_string(i)), 1u) << i;
+        EXPECT_EQ(names.count(std::string("s").append(std::to_string(i))),
+                  1u)
+            << i;
 }
 
 TEST_F(ObsTraceTest, ConcurrentEmissionKeepsTracesSeparate)

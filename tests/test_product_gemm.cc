@@ -75,19 +75,6 @@ TEST(ProductGemm, ExactAcrossTileBoundaries)
               ProductGemm::referenceMultiply(spikes, weights));
 }
 
-TEST(ProductGemm, ExactUnderTraversalDispatch)
-{
-    Rng rng(6);
-    BitMatrix spikes(128, 32);
-    spikes.randomize(rng, 0.25);
-    const WeightMatrix weights = randomWeights(32, 16, 7);
-    const auto result =
-        ProductGemm(TileConfig{}, DispatchMode::kTreeTraversal)
-            .multiply(spikes, weights);
-    EXPECT_EQ(result.output,
-              ProductGemm::referenceMultiply(spikes, weights));
-}
-
 TEST(ProductGemm, ExactWithGeneratorStructure)
 {
     // Clustered/temporal structure exercises deep PM/EM chains.

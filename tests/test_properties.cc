@@ -4,21 +4,18 @@
  * invariants listed in DESIGN.md Sec. 6:
  *
  *  1. ProSparsity GeMM == dense GeMM (losslessness);
- *  2. every prefix issues before its suffixes (topological legality);
- *  3. the forest is acyclic;
- *  4. prefix/pattern disjointness + reconstruction;
- *  5. op monotonicity: product <= bit <= dense.
+ *  2. every prefix precedes its row in (popcount, index) order, so the
+ *     sorted issue order is legal and the prefix forest is acyclic;
+ *  3. prefix/pattern disjointness + reconstruction;
+ *  4. op monotonicity: product <= bit <= dense.
  */
 
 #include <gtest/gtest.h>
 
 #include <tuple>
 
-#include "core/detector.h"
-#include "core/dispatcher.h"
-#include "core/forest.h"
+#include "core/prefix_select.h"
 #include "core/product_gemm.h"
-#include "core/pruner.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
 
@@ -79,39 +76,21 @@ TEST_P(ProsparsityProperties, TileInvariants)
     for (std::size_t r0 = 0; r0 < spikes.rows(); r0 += tile.m) {
         for (std::size_t c0 = 0; c0 < spikes.cols(); c0 += tile.k) {
             const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
-            const DetectionResult detection = Detector().detect(t);
-            const SparsityTable table = Pruner().prune(t, detection);
-
-            // (3) acyclic forest.
-            const ProsparsityForest forest(table);
-            ASSERT_TRUE(forest.isAcyclic());
-
-            // (4) disjointness + reconstruction.
-            for (std::size_t i = 0; i < table.size(); ++i) {
-                const PrefixEntry& e = table[i];
-                if (!e.hasPrefix())
+            const PrefixSelection sel = selectPrefixes(t);
+            for (std::size_t i = 0; i < sel.rows(); ++i) {
+                if (sel.prefix[i] == PrefixSelection::kNoPrefix)
                     continue;
-                const BitVector& prefix_row =
-                    t.row(static_cast<std::size_t>(e.prefix));
-                ASSERT_EQ(e.pattern.andPopcount(prefix_row), 0u);
-                ASSERT_EQ(e.pattern | prefix_row, t.row(i));
-            }
+                const auto p = static_cast<std::size_t>(sel.prefix[i]);
 
-            // (2) topological legality of both dispatch modes.
-            for (DispatchMode mode : {DispatchMode::kOverheadFree,
-                                      DispatchMode::kTreeTraversal}) {
-                const DispatchResult d = Dispatcher(mode).dispatch(table);
-                std::vector<std::size_t> position(d.order.size());
-                for (std::size_t idx = 0; idx < d.order.size(); ++idx)
-                    position[d.order[idx]] = idx;
-                for (std::size_t i = 0; i < table.size(); ++i) {
-                    if (table[i].hasPrefix()) {
-                        ASSERT_LT(
-                            position[static_cast<std::size_t>(
-                                table[i].prefix)],
-                            position[i]);
-                    }
-                }
+                // (2) the prefix issues first in (popcount, index) order.
+                ASSERT_TRUE(sel.popcounts[p] < sel.popcounts[i] ||
+                            (sel.popcounts[p] == sel.popcounts[i] && p < i))
+                    << "row " << i << " prefix " << p;
+
+                // (3) disjointness + reconstruction.
+                const BitVector pattern = t.row(i) ^ t.row(p);
+                ASSERT_EQ(pattern.andPopcount(t.row(p)), 0u);
+                ASSERT_EQ(pattern | t.row(p), t.row(i));
             }
         }
     }

@@ -1,79 +1,94 @@
 /**
  * @file
- * Tests for the Pruner (Sec. V-C): single-prefix selection under the
- * paper's pruning rules, and pattern generation.
+ * Tests for the pruner stage of prefix selection (Sec. V-C) as
+ * selectPrefixes() implements it: the Fig. 5 walkthrough of the
+ * pruning rules, and the properties every selected prefix must have.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/detector.h"
-#include "core/pruner.h"
+#include "core/prefix_select.h"
 #include "sim/rng.h"
 
 namespace prosperity {
 namespace {
 
-SparsityTable
-pruneTile(const BitMatrix& tile)
+constexpr std::int32_t kNone = PrefixSelection::kNoPrefix;
+
+BitMatrix
+fig5Matrix()
 {
-    const DetectionResult detection = Detector().detect(tile);
-    return Pruner().prune(tile, detection);
+    // Fig. 5 (a): the 6-row tile the paper walks through.
+    return BitMatrix::fromStrings({
+        "1010", // 0
+        "1001", // 1
+        "1011", // 2
+        "0010", // 3
+        "1101", // 4  (paper Fig. 3 uses 1011 here; Fig. 5 uses 1101)
+        "1101", // 5
+    });
 }
 
-TEST(Pruner, PaperRow2SelectsRow1)
+/** Residual pattern of row i: the bits its prefix does not cover. */
+BitVector
+pattern(const BitMatrix& tile, const PrefixSelection& sel, std::size_t i)
 {
-    // Fig. 5 (b): Row 2 (1011) has subset candidates {0, 1, 3}; Row 1
-    // (1001, 2 ones, larger index than Row 0 on the tie) wins... both
-    // Row 0 (1010) and Row 1 (1001) have 2 ones; the largest-index rule
+    if (sel.prefix[i] == kNone)
+        return tile.row(i);
+    return tile.row(i) ^ tile.row(static_cast<std::size_t>(sel.prefix[i]));
+}
+
+// ---- Fig. 5 walkthrough -----------------------------------------------
+
+TEST(Pruning, PaperRow2SelectsRow1)
+{
+    // Fig. 5 (b): Row 2 (1011) has subset candidates {0, 1, 3}. Rows 0
+    // (1010) and 1 (1001) both have 2 ones; the largest-index rule
     // picks Row 1, matching the paper's walkthrough.
-    const BitMatrix tile = BitMatrix::fromStrings({
-        "1010", "1001", "1011", "0010", "1101", "1101"});
-    const SparsityTable table = pruneTile(tile);
-    EXPECT_EQ(table[2].prefix, 1);
-    EXPECT_EQ(table[2].kind, PrefixKind::kPartialMatch);
-    EXPECT_EQ(table[2].pattern.toString(), "0010");
+    const BitMatrix tile = fig5Matrix();
+    const PrefixSelection sel = selectPrefixes(tile);
+    EXPECT_EQ(sel.prefix[2], 1);
+    EXPECT_LT(sel.popcounts[1], sel.popcounts[2]); // a partial match
+    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
 }
 
-TEST(Pruner, ExactMatchUsesSmallerIndexAsPrefix)
+TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
 {
-    const BitMatrix tile = BitMatrix::fromStrings({
-        "1010", "1001", "1011", "0010", "1101", "1101"});
-    const SparsityTable table = pruneTile(tile);
+    const BitMatrix tile = fig5Matrix();
+    const PrefixSelection sel = selectPrefixes(tile);
     // Row 5 reuses Row 4 entirely (EM), pattern all-zero.
-    EXPECT_EQ(table[5].prefix, 4);
-    EXPECT_EQ(table[5].kind, PrefixKind::kExactMatch);
-    EXPECT_TRUE(table[5].pattern.none());
+    EXPECT_EQ(sel.prefix[5], 4);
+    EXPECT_EQ(sel.popcounts[4], sel.popcounts[5]);
+    EXPECT_TRUE(pattern(tile, sel, 5).none());
     // Row 4 must NOT pick Row 5 (larger-index EM is a violation); its
     // best legal prefix is Row 1 (1001, subset with 2 ones).
-    EXPECT_EQ(table[4].prefix, 1);
-    EXPECT_EQ(table[4].kind, PrefixKind::kPartialMatch);
-    EXPECT_EQ(table[4].pattern.toString(), "0100");
+    EXPECT_EQ(sel.prefix[4], 1);
+    EXPECT_EQ(pattern(tile, sel, 4).toString(), "0100");
 }
 
-TEST(Pruner, EmChainLinksThroughLargestIndex)
+TEST(Pruning, EmChainLinksThroughLargestIndex)
 {
-    const BitMatrix tile = BitMatrix::fromStrings({
-        "1100", "1100", "1100"});
-    const SparsityTable table = pruneTile(tile);
-    EXPECT_FALSE(table[0].hasPrefix());
-    EXPECT_EQ(table[1].prefix, 0);
+    const PrefixSelection sel =
+        selectPrefixes(BitMatrix::fromStrings({"1100", "1100", "1100"}));
+    EXPECT_EQ(sel.prefix[0], kNone);
+    EXPECT_EQ(sel.prefix[1], 0);
     // Row 2 ties between Row 0 and Row 1; largest index wins.
-    EXPECT_EQ(table[2].prefix, 1);
+    EXPECT_EQ(sel.prefix[2], 1);
 }
 
-TEST(Pruner, ArgmaxPrefersLargestSubset)
+TEST(Pruning, ArgmaxPrefersLargestSubset)
 {
     const BitMatrix tile = BitMatrix::fromStrings({
-        "1000",  // 0: subset of 2, 1 one
-        "1100",  // 1: subset of 2, 2 ones  <- best
-        "1110",  // 2
+        "1000", // 0: subset of 2, 1 one
+        "1100", // 1: subset of 2, 2 ones  <- best
+        "1110", // 2
     });
-    const SparsityTable table = pruneTile(tile);
-    EXPECT_EQ(table[2].prefix, 1);
-    EXPECT_EQ(table[2].pattern.toString(), "0010");
+    const PrefixSelection sel = selectPrefixes(tile);
+    EXPECT_EQ(sel.prefix[2], 1);
+    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
 }
 
-TEST(Pruner, SingleSpikeRowsUseExactMatchOnly)
+TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
 {
     const BitMatrix tile = BitMatrix::fromStrings({
         "1000",
@@ -81,77 +96,72 @@ TEST(Pruner, SingleSpikeRowsUseExactMatchOnly)
         "0100", // different 1-spike row: no candidate
         "0000", // empty: nothing to reuse
     });
-    const SparsityTable table = pruneTile(tile);
-    EXPECT_TRUE(table[1].hasPrefix());
-    EXPECT_EQ(table[1].prefix, 0);
-    EXPECT_EQ(table[1].kind, PrefixKind::kExactMatch);
-    EXPECT_TRUE(table[1].pattern.none());
-    EXPECT_FALSE(table[2].hasPrefix());
-    EXPECT_FALSE(table[3].hasPrefix());
-    EXPECT_EQ(table[2].pattern.toString(), "0100");
+    const PrefixSelection sel = selectPrefixes(tile);
+    EXPECT_EQ(sel.prefix[1], 0);
+    EXPECT_TRUE(pattern(tile, sel, 1).none());
+    EXPECT_EQ(sel.prefix[2], kNone);
+    EXPECT_EQ(sel.prefix[3], kNone);
+    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0100");
 }
 
-TEST(Pruner, PatternPlusPrefixReconstructsRow)
+// ---- properties -------------------------------------------------------
+
+TEST(Pruning, PatternPlusPrefixReconstructsRow)
 {
     Rng rng(12);
     for (int trial = 0; trial < 20; ++trial) {
-        BitMatrix tile(48, 16);
+        BitMatrix tile(48, trial % 2 == 0 ? 16 : 80);
         tile.randomize(rng, 0.35);
-        const SparsityTable table = pruneTile(tile);
+        const PrefixSelection sel = selectPrefixes(tile);
         for (std::size_t i = 0; i < tile.rows(); ++i) {
-            const PrefixEntry& e = table[i];
-            if (!e.hasPrefix()) {
-                EXPECT_EQ(e.pattern, tile.row(i));
+            EXPECT_EQ(sel.popcounts[i], tile.row(i).popcount());
+            if (sel.prefix[i] == kNone)
                 continue;
-            }
             const BitVector& prefix_row =
-                tile.row(static_cast<std::size_t>(e.prefix));
+                tile.row(static_cast<std::size_t>(sel.prefix[i]));
+            const BitVector residual = pattern(tile, sel, i);
             // Disjointness: pattern AND prefix == 0.
-            EXPECT_EQ(e.pattern.andPopcount(prefix_row), 0u);
+            EXPECT_EQ(residual.andPopcount(prefix_row), 0u);
             // Reconstruction: pattern OR prefix == row.
-            EXPECT_EQ(e.pattern | prefix_row, tile.row(i));
+            EXPECT_EQ(residual | prefix_row, tile.row(i));
         }
     }
 }
 
-TEST(Pruner, PrefixRespectsPartialOrdering)
+TEST(Pruning, PrefixRespectsPartialOrdering)
 {
-    // Prefix must have strictly fewer ones, or equal ones and smaller
-    // index — the invariant the overhead-free dispatcher relies on.
+    // A prefix has strictly fewer ones, or as many and a smaller index:
+    // it issues first in (popcount, index) order.
     Rng rng(13);
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(64, 16);
-        tile.randomize(rng, 0.25);
-        const SparsityTable table = pruneTile(tile);
+        tile.randomize(rng, 0.15 + 0.02 * trial);
+        const PrefixSelection sel = selectPrefixes(tile);
         for (std::size_t i = 0; i < tile.rows(); ++i) {
-            if (!table[i].hasPrefix())
+            if (sel.prefix[i] == kNone)
                 continue;
-            const auto p = static_cast<std::size_t>(table[i].prefix);
-            const std::size_t no_p = table[p].popcount;
-            const std::size_t no_i = table[i].popcount;
+            const auto p = static_cast<std::size_t>(sel.prefix[i]);
+            const std::size_t no_p = sel.popcounts[p];
+            const std::size_t no_i = sel.popcounts[i];
             EXPECT_TRUE(no_p < no_i || (no_p == no_i && p < i))
                 << "row " << i << " prefix " << p;
         }
     }
 }
 
-TEST(Pruner, KindMatchesPopcountRelation)
+TEST(Pruning, ExactMatchIffEqualPopcounts)
 {
     Rng rng(14);
     BitMatrix tile(96, 16);
     tile.randomize(rng, 0.2);
-    const SparsityTable table = pruneTile(tile);
+    const PrefixSelection sel = selectPrefixes(tile);
     for (std::size_t i = 0; i < tile.rows(); ++i) {
-        if (!table[i].hasPrefix())
+        if (sel.prefix[i] == kNone)
             continue;
-        const auto p = static_cast<std::size_t>(table[i].prefix);
-        if (table[i].kind == PrefixKind::kExactMatch) {
-            EXPECT_EQ(table[p].popcount, table[i].popcount);
-            EXPECT_TRUE(table[i].pattern.none());
-        } else {
-            EXPECT_LT(table[p].popcount, table[i].popcount);
-            EXPECT_FALSE(table[i].pattern.none());
-        }
+        const auto p = static_cast<std::size_t>(sel.prefix[i]);
+        EXPECT_EQ(sel.popcounts[p] == sel.popcounts[i],
+                  pattern(tile, sel, i).none())
+            << "row " << i;
     }
 }
 

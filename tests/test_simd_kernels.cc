@@ -7,11 +7,11 @@
  * identical outputs, across randomized widths, word-boundary +/-1
  * tails, all-zero / all-one extremes and adversarial patterns placing
  * the deciding word first / middle / last. Failure messages name the
- * tier, the width and the first diverging word so a kernel bug is
- * localized from the log alone. The batched RNG draw
+ * tier, the width and the deciding word so a kernel bug is localized
+ * from the log alone. The batched RNG draw
  * (Rng::nextBernoulliWords) is pinned to the per-word draw sequence
- * the same way, and Detector::detect is checked for cross-tier
- * identity against detectNaive.
+ * the same way, and selectPrefixes is checked for cross-tier identity
+ * against selectPrefixesNaive.
  */
 
 #include <gtest/gtest.h>
@@ -24,7 +24,7 @@
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/simd_dispatch.h"
 #include "bitmatrix/word_kernels.h"
-#include "core/detector.h"
+#include "core/prefix_select.h"
 #include "sim/rng.h"
 
 namespace prosperity {
@@ -42,16 +42,6 @@ randomWords(Rng& rng, std::size_t n, double density)
     if (n > 0)
         rng.nextBernoulliWords(words.data(), n, density);
     return words;
-}
-
-std::string
-firstDivergingWord(const std::uint64_t* a, const std::uint64_t* b,
-                   std::size_t n)
-{
-    for (std::size_t i = 0; i < n; ++i)
-        if (a[i] != b[i])
-            return "first diverging word " + std::to_string(i);
-    return "no diverging word";
 }
 
 /**
@@ -241,27 +231,27 @@ TEST_P(SimdKernels, BitVectorOpsAgreeWithScalarLoops)
     }
 }
 
-TEST_P(SimdKernels, DetectorMatchesNaiveReference)
+TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
 {
     Rng rng(107);
-    Detector detector;
     for (const std::size_t cols : {16UL, 64UL, 200UL}) {
+        // Half i.i.d. rows, half subsets of one base row: the clustered
+        // half gives the wide tiles' subset confirmation real work.
         BitMatrix tile(96, cols);
-        for (std::size_t r = 0; r < tile.rows(); ++r)
-            tile.row(r).randomize(rng, 0.15);
-        const DetectionResult fast = detector.detect(tile);
-        const DetectionResult naive = detector.detectNaive(tile);
+        BitVector base(cols);
+        base.randomize(rng, 0.6);
+        for (std::size_t r = 0; r < tile.rows(); ++r) {
+            tile.row(r).randomize(rng, r % 2 == 0 ? 0.15 : 0.4);
+            if (r % 2 == 1)
+                tile.row(r) = base.andNot(tile.row(r));
+        }
+        const PrefixSelection fast = selectPrefixes(tile);
+        const PrefixSelection naive = selectPrefixesNaive(tile);
         ASSERT_EQ(fast.popcounts, naive.popcounts)
             << "tier " << tier() << " cols=" << cols;
-        for (std::size_t r = 0; r < tile.rows(); ++r) {
-            EXPECT_EQ(fast.subset_mask[r], naive.subset_mask[r])
-                << "tier " << tier() << " cols=" << cols << " row " << r
-                << " "
-                << firstDivergingWord(
-                       fast.subset_mask[r].paddedWords().data(),
-                       naive.subset_mask[r].paddedWords().data(),
-                       fast.subset_mask[r].strideWords());
-        }
+        for (std::size_t r = 0; r < tile.rows(); ++r)
+            EXPECT_EQ(fast.prefix[r], naive.prefix[r])
+                << "tier " << tier() << " cols=" << cols << " row " << r;
     }
 }
 

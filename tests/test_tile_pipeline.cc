@@ -50,19 +50,30 @@ TEST(TilePipeline, ProsparsityPhaseCycles)
     const TileStats stats = pipeline.process(paperTile());
     EXPECT_EQ(stats.prosparsity_cycles, 6u + 4u); // m + 4
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 6.0 * 6.0 * 4.0);
+
+    // A one-row tile still pays the five-stage pipeline.
+    const TileStats one =
+        pipeline.process(BitMatrix::fromStrings({"0110"}));
+    EXPECT_EQ(one.prosparsity_cycles, 5u);
 }
 
-TEST(TilePipeline, TraversalModeAddsExposedCycles)
+TEST(TilePipeline, PhaseCostsAtPaperTileSize)
 {
-    const TilePipeline fast(SparsityMode::kProductSparsity,
-                            DispatchMode::kOverheadFree);
-    const TilePipeline slow(SparsityMode::kProductSparsity,
-                            DispatchMode::kTreeTraversal);
-    const TileStats f = fast.process(paperTile());
-    const TileStats s = slow.process(paperTile());
-    EXPECT_GT(s.prosparsity_cycles, f.prosparsity_cycles);
-    EXPECT_DOUBLE_EQ(s.accum_row_ops, f.accum_row_ops)
-        << "dispatch mode must not change the computation";
+    // Sec. VI-A: m + 4 cycles for the five-stage one-row-per-cycle
+    // pipeline; Sec. VII-G: m^2 * k TCAM bit ops per tile; one popcount
+    // and one pruner step per row; one table write and read per row.
+    BitMatrix tile(256, 16);
+    Rng rng(3);
+    tile.randomize(rng, 0.3);
+    const TileStats stats =
+        TilePipeline(SparsityMode::kProductSparsity,
+                     DispatchMode::kOverheadFree)
+            .process(tile);
+    EXPECT_EQ(stats.prosparsity_cycles, 260u);
+    EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 256.0 * 256.0 * 16.0);
+    EXPECT_DOUBLE_EQ(stats.popcount_ops, 256.0);
+    EXPECT_DOUBLE_EQ(stats.pruner_ops, 256.0);
+    EXPECT_DOUBLE_EQ(stats.table_accesses, 512.0);
 }
 
 TEST(TilePipeline, EmRowsStillCostOneCycle)
