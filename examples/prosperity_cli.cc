@@ -74,7 +74,7 @@
  *   prosperity_cli serve --port 8080 --store runs.store
  *   prosperity_cli campaign smoke --simd scalar
  *
- * The global `--simd <scalar|sse2|avx2|avx512>` flag (any command)
+ * The global `--simd <scalar|avx2|avx512>` flag (any command)
  * forces the SIMD kernel tier, equivalent to setting PROSPERITY_SIMD;
  * tier choice never changes results, only speed (simd_dispatch.h).
  */
@@ -130,7 +130,7 @@ usage()
         << "  prosperity_cli serve [--port P] [--store DIR]"
            " [--threads N] [--max-pending N] [--trace]"
            " [--trace-slow-ms N]\n"
-        << "global flags: --simd scalar|sse2|avx2|avx512 (force the"
+        << "global flags: --simd scalar|avx2|avx512 (force the"
            " kernel tier; see `list simd`)\n";
     return 2;
 }
@@ -875,7 +875,7 @@ main(int argc, char** argv)
         if (std::strcmp(args[i], "--simd") == 0) {
             if (!parseSimdTier(args[i + 1])) {
                 std::cerr << "--simd: unknown tier \"" << args[i + 1]
-                          << "\" (expected scalar, sse2, avx2 or"
+                          << "\" (expected one of: scalar, avx2,"
                              " avx512)\n";
                 return 2;
             }

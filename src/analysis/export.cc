@@ -57,25 +57,4 @@ exportRunResults(std::ostream& os, const std::vector<RunResult>& results)
     }
 }
 
-void
-exportDensities(std::ostream& os,
-                const std::vector<NamedDensity>& densities)
-{
-    CsvWriter csv(os);
-    csv.writeRow({"workload", "bit_density", "product_density",
-                  "product_density_two_prefix", "one_prefix_ratio",
-                  "two_prefix_ratio", "exact_matches",
-                  "partial_matches"});
-    for (const NamedDensity& d : densities) {
-        csv.writeRow({d.workload,
-                      CsvWriter::cell(d.report.bitDensity()),
-                      CsvWriter::cell(d.report.productDensity()),
-                      CsvWriter::cell(d.report.productDensityTwoPrefix()),
-                      CsvWriter::cell(d.report.onePrefixRatio()),
-                      CsvWriter::cell(d.report.twoPrefixRatio()),
-                      CsvWriter::cell(d.report.exact_matches),
-                      CsvWriter::cell(d.report.partial_matches)});
-    }
-}
-
 } // namespace prosperity

@@ -4,8 +4,8 @@
  *
  * The paper's figures are plots; this module dumps the simulator's
  * results in a plotting-friendly CSV form (one row per data point,
- * stable column order) so downstream users can regenerate Fig. 7/8/11
- * graphics with their tool of choice.
+ * stable column order) so downstream users can regenerate the
+ * end-to-end figures with their tool of choice.
  */
 
 #ifndef PROSPERITY_ANALYSIS_EXPORT_H
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/density.h"
 #include "analysis/runner.h"
 
 namespace prosperity {
@@ -45,18 +44,6 @@ class CsvWriter
  */
 void exportRunResults(std::ostream& os,
                       const std::vector<RunResult>& results);
-
-/**
- * Dump density reports: one row per workload with bit / product /
- * two-prefix densities and match statistics.
- */
-struct NamedDensity
-{
-    std::string workload;
-    DensityReport report;
-};
-void exportDensities(std::ostream& os,
-                     const std::vector<NamedDensity>& densities);
 
 } // namespace prosperity
 

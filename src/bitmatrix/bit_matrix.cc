@@ -78,30 +78,6 @@ BitMatrix::tile(std::size_t row0, std::size_t col0, std::size_t tile_rows,
 }
 
 void
-BitMatrix::appendRows(const BitMatrix& other)
-{
-    if (rows_.empty()) {
-        *this = other;
-        return;
-    }
-    PROSPERITY_ASSERT(other.cols_ == cols_, "column count mismatch");
-    rows_.insert(rows_.end(), other.rows_.begin(), other.rows_.end());
-}
-
-BitMatrix
-BitMatrix::transpose() const
-{
-    BitMatrix out(cols_, rows());
-    for (std::size_t r = 0; r < rows(); ++r) {
-        const BitVector& row = rows_[r];
-        for (std::size_t c = row.findFirst(); c < cols_;
-             c = row.findNext(c))
-            out.set(c, r);
-    }
-    return out;
-}
-
-void
 BitMatrix::randomize(Rng& rng, double density)
 {
     for (auto& r : rows_)

@@ -79,12 +79,6 @@ class BitMatrix
     BitMatrix tile(std::size_t row0, std::size_t col0,
                    std::size_t tile_rows, std::size_t tile_cols) const;
 
-    /** Append the rows of `other` (same column count) below this matrix. */
-    void appendRows(const BitMatrix& other);
-
-    /** Transposed copy (cols x rows). */
-    BitMatrix transpose() const;
-
     /** Fill with Bernoulli(p) bits. */
     void randomize(Rng& rng, double density);
 

@@ -20,49 +20,37 @@ wordsFor(std::size_t bits)
     return (bits + kWordBits - 1) / kWordBits;
 }
 
-/** Logical word count rounded up to the SIMD row stride. */
-std::size_t
-strideFor(std::size_t bits)
-{
-    const std::size_t words = wordsFor(bits);
-    const std::size_t stride = BitVector::kRowStrideWords;
-    return (words + stride - 1) / stride * stride;
-}
-
 } // namespace
 
 BitVector::BitVector(std::size_t bits)
-    : bits_(bits), word_count_(wordsFor(bits)), stride_words_(strideFor(bits))
+    : bits_(bits), word_count_(wordsFor(bits))
 {
-    if (stride_words_ > kRowStrideWords)
-        heap_words_ = std::make_unique<std::uint64_t[]>(stride_words_);
+    if (word_count_ > kInlineWords)
+        heap_words_ = std::make_unique<std::uint64_t[]>(word_count_);
     // Inline storage is zero-initialized by the member initializer;
     // make_unique value-initializes the heap block.
 }
 
 BitVector::BitVector(const BitVector& other)
-    : bits_(other.bits_), word_count_(other.word_count_),
-      stride_words_(other.stride_words_)
+    : bits_(other.bits_), word_count_(other.word_count_)
 {
     if (other.heap_words_) {
-        heap_words_ = std::make_unique<std::uint64_t[]>(stride_words_);
-        std::copy_n(other.heap_words_.get(), stride_words_,
+        heap_words_ = std::make_unique<std::uint64_t[]>(word_count_);
+        std::copy_n(other.heap_words_.get(), word_count_,
                     heap_words_.get());
     } else {
-        std::copy_n(other.inline_words_, kRowStrideWords, inline_words_);
+        std::copy_n(other.inline_words_, kInlineWords, inline_words_);
     }
 }
 
 BitVector::BitVector(BitVector&& other) noexcept
     : bits_(other.bits_), word_count_(other.word_count_),
-      stride_words_(other.stride_words_),
       heap_words_(std::move(other.heap_words_))
 {
-    std::copy_n(other.inline_words_, kRowStrideWords, inline_words_);
+    std::copy_n(other.inline_words_, kInlineWords, inline_words_);
     other.bits_ = 0;
     other.word_count_ = 0;
-    other.stride_words_ = 0;
-    std::fill_n(other.inline_words_, kRowStrideWords, 0);
+    std::fill_n(other.inline_words_, kInlineWords, 0);
 }
 
 BitVector&
@@ -71,19 +59,18 @@ BitVector::operator=(const BitVector& other)
     if (this == &other)
         return *this;
     if (other.heap_words_) {
-        // Reuse our block when the strides match; reallocate otherwise.
-        if (!heap_words_ || stride_words_ != other.stride_words_)
+        // Reuse our block when the sizes match; reallocate otherwise.
+        if (!heap_words_ || word_count_ != other.word_count_)
             heap_words_ =
-                std::make_unique<std::uint64_t[]>(other.stride_words_);
-        std::copy_n(other.heap_words_.get(), other.stride_words_,
+                std::make_unique<std::uint64_t[]>(other.word_count_);
+        std::copy_n(other.heap_words_.get(), other.word_count_,
                     heap_words_.get());
     } else {
         heap_words_.reset();
-        std::copy_n(other.inline_words_, kRowStrideWords, inline_words_);
+        std::copy_n(other.inline_words_, kInlineWords, inline_words_);
     }
     bits_ = other.bits_;
     word_count_ = other.word_count_;
-    stride_words_ = other.stride_words_;
     return *this;
 }
 
@@ -93,14 +80,12 @@ BitVector::operator=(BitVector&& other) noexcept
     if (this == &other)
         return *this;
     heap_words_ = std::move(other.heap_words_);
-    std::copy_n(other.inline_words_, kRowStrideWords, inline_words_);
+    std::copy_n(other.inline_words_, kInlineWords, inline_words_);
     bits_ = other.bits_;
     word_count_ = other.word_count_;
-    stride_words_ = other.stride_words_;
     other.bits_ = 0;
     other.word_count_ = 0;
-    other.stride_words_ = 0;
-    std::fill_n(other.inline_words_, kRowStrideWords, 0);
+    std::fill_n(other.inline_words_, kInlineWords, 0);
     return *this;
 }
 
@@ -118,46 +103,35 @@ BitVector::fromString(const std::string& pattern)
     return v;
 }
 
-// The query ops below go through the dispatched SIMD table. Wide
-// vectors hand the kernels the whole padded stride — pad words are
-// zero, so popcount / subset / any results are unchanged and the
-// vector tiers never hit their scalar tail loops. Vectors narrower
-// than one stride pass the logical count instead: sweeping a full
-// 8-word stride for a 1-word row would be pure overhead on the
-// paper's 16-column tiles.
-
 bool
 BitVector::any() const
 {
-    return simdOps().anyWord(data(), queryLen());
+    return anyWord(data(), word_count_);
 }
 
 void
 BitVector::clear()
 {
-    std::fill_n(data(), stride_words_, 0);
+    std::fill_n(data(), word_count_, 0);
 }
 
 std::size_t
 BitVector::popcount() const
 {
-    return simdOps().popcountWords(data(), queryLen());
+    return simdOps().popcountWords(data(), word_count_);
 }
 
 bool
 BitVector::isSubsetOf(const BitVector& other) const
 {
     PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
-    return simdOps().isSubsetOfWords(data(), other.data(), queryLen());
+    return isSubsetOfWords(data(), other.data(), word_count_);
 }
 
 std::uint64_t
 BitVector::signature() const
 {
-    // Logical count, not the stride: the signature's group mapping
-    // depends on n (for one logical word it IS the word), so padding
-    // would weaken the filter and change signature() values.
-    return simdOps().signatureWords(data(), word_count_);
+    return signatureWords(data(), word_count_);
 }
 
 std::size_t
@@ -200,13 +174,6 @@ BitVector::setBits() const
     return out;
 }
 
-std::size_t
-BitVector::andPopcount(const BitVector& other) const
-{
-    PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
-    return simdOps().andPopcountWords(data(), other.data(), queryLen());
-}
-
 BitVector
 BitVector::operator&(const BitVector& other) const
 {
@@ -241,7 +208,7 @@ BitVector::andNot(const BitVector& other) const
     const std::uint64_t* a = data();
     const std::uint64_t* b = other.data();
     std::uint64_t* o = out.data();
-    for (std::size_t i = 0; i < stride_words_; ++i)
+    for (std::size_t i = 0; i < word_count_; ++i)
         o[i] = a[i] & ~b[i];
     return out;
 }
@@ -258,7 +225,7 @@ BitVector::operator&=(const BitVector& other)
     PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
     std::uint64_t* a = data();
     const std::uint64_t* b = other.data();
-    for (std::size_t i = 0; i < stride_words_; ++i)
+    for (std::size_t i = 0; i < word_count_; ++i)
         a[i] &= b[i];
     return *this;
 }
@@ -269,7 +236,7 @@ BitVector::operator|=(const BitVector& other)
     PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
     std::uint64_t* a = data();
     const std::uint64_t* b = other.data();
-    for (std::size_t i = 0; i < stride_words_; ++i)
+    for (std::size_t i = 0; i < word_count_; ++i)
         a[i] |= b[i];
     return *this;
 }
@@ -280,7 +247,7 @@ BitVector::operator^=(const BitVector& other)
     PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
     std::uint64_t* a = data();
     const std::uint64_t* b = other.data();
-    for (std::size_t i = 0; i < stride_words_; ++i)
+    for (std::size_t i = 0; i < word_count_; ++i)
         a[i] ^= b[i];
     return *this;
 }
@@ -299,7 +266,7 @@ BitVector::randomize(Rng& rng, double density)
     // logical word with the exact bit stream the per-word loop drew
     // (same draws, same order — the per-(seed, layer) hash pins in
     // tests/test_spike_generator.cc hold), then one masked store
-    // restores the tail invariant. Pad words are never written.
+    // restores the tail invariant.
     if (word_count_ == 0)
         return;
     rng.nextBernoulliWords(data(), word_count_, density);
@@ -319,9 +286,8 @@ BitVector::toString() const
 std::uint64_t
 BitVector::hash() const
 {
-    // FNV-1a over the logical words (pad excluded, so values are
-    // unchanged by the stride padding); the zero-padded tail keeps
-    // this canonical.
+    // FNV-1a over the words; the zero-padded tail keeps this
+    // canonical.
     std::uint64_t h = 0xcbf29ce484222325ULL;
     const std::uint64_t* w = data();
     for (std::size_t i = 0; i < word_count_; ++i) {

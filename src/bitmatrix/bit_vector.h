@@ -7,45 +7,32 @@
  * Prosperity hardware performs on spike rows: popcount (the detector's
  * number-of-ones), subset test (the TCAM match), XOR (the residual
  * pattern row ^ prefix), and bit-scan-forward (the Processor's address
- * decode). The per-word loops live in bitmatrix/word_kernels.h (scalar
- * reference) and are executed through the runtime SIMD dispatch
- * (bitmatrix/simd_dispatch.h), so prefix selection runs the same fused
- * kernels — at whatever tier the host supports — over raw word spans.
+ * decode). The per-word loops live in bitmatrix/word_kernels.h; popcount
+ * runs through the runtime SIMD dispatch (bitmatrix/simd_dispatch.h) at
+ * whatever tier the host supports, the other queries call the scalar
+ * loops directly.
  *
  * @par Word layout
  * Bit `pos` lives in `words()[pos / 64]` at bit `pos % 64` (little-endian
- * within and across words). `words().size() == ceil(size() / 64)`.
- *
- * @par Padded stride (SIMD layout contract)
- * The backing store is padded past the logical words up to a multiple
- * of kRowStrideWords (8 words = 512 bits, the widest vector tier), so
- * a kernel streaming whole 512-bit chunks from `words().data()` never
- * reads past the allocation at any logical width — every row span is
- * alignment-safe for full-vector loads. `wordCount()` is the logical
- * word count (== words().size()), `strideWords()` the padded one;
- * `paddedWords()` exposes the full stride. Pad words are always zero
- * (checked by the property tests), so handing the padded stride to
- * popcount / subset / any kernels cannot change their result.
- *
- * Vectors of at most one stride (<= 512 bits) store their words inline
+ * within and across words). `words().size() == wordCount() ==
+ * ceil(size() / 64)`, and the backing store holds exactly those words.
+ * Vectors of at most kInlineWords words (<= 512 bits) store them inline
  * in the object — no heap allocation, so copying a tile row of the
  * paper's 16 columns (BitMatrix::tile, the residual pattern) costs no
- * heap traffic; wider vectors fall back to one heap block of
- * strideWords() words.
+ * heap traffic; wider vectors fall back to one heap block.
  *
  * @par Tail-masking invariant
  * Bits of the last word at positions `>= size() % 64` (when `size()` is
- * not word-aligned) are always zero, and every pad word beyond
- * wordCount() is zero. The invariant cannot be bypassed: every write
- * that can introduce arbitrary out-of-range bits — `setWord` and the
- * word-batched `randomize`, i.e. all word-granularity entry points
- * future kernels would use — funnels through one private masked-write
- * path (`storeWord`) that discards tail bits, while the remaining
- * mutators preserve the invariant by construction (`set` asserts
- * `pos < size()`; AND/OR/XOR between canonical equal-width operands
- * yield canonical words, pad included). The invariant is what makes
- * `hash()`, `operator==`, and the word kernels canonical: equal bit
- * content implies equal words.
+ * not word-aligned) are always zero. The invariant cannot be bypassed:
+ * every write that can introduce arbitrary out-of-range bits —
+ * `setWord` and the word-batched `randomize`, i.e. all
+ * word-granularity entry points future kernels would use — funnels
+ * through one private masked-write path (`storeWord`) that discards
+ * tail bits, while the remaining mutators preserve the invariant by
+ * construction (`set` asserts `pos < size()`; AND/OR/XOR between
+ * canonical equal-width operands yield canonical words). The invariant
+ * is what makes `hash()`, `operator==`, and the word kernels canonical:
+ * equal bit content implies equal words.
  */
 
 #ifndef PROSPERITY_BITMATRIX_BIT_VECTOR_H
@@ -66,12 +53,8 @@ namespace prosperity {
 class BitVector
 {
   public:
-    /**
-     * Row stride granularity in words: the backing store of every
-     * non-empty vector is a multiple of this, sized for the widest
-     * SIMD tier (512 bits).
-     */
-    static constexpr std::size_t kRowStrideWords = 8;
+    /** Widest vector, in words, whose words are stored in-object. */
+    static constexpr std::size_t kInlineWords = 8;
 
     /** Construct an all-zero vector of `bits` bits. */
     explicit BitVector(std::size_t bits = 0);
@@ -151,9 +134,6 @@ class BitVector
     /** Indices of all set bits in ascending order (the spike set S_i). */
     std::vector<std::size_t> setBits() const;
 
-    /** Popcount of (this & other) without materializing the AND. */
-    std::size_t andPopcount(const BitVector& other) const;
-
     BitVector operator&(const BitVector& other) const;
     BitVector operator|(const BitVector& other) const;
     BitVector operator^(const BitVector& other) const;
@@ -187,36 +167,17 @@ class BitVector
     std::uint64_t hash() const;
 
     /**
-     * Logical backing words, low bits first; the final word is
-     * zero-padded (the tail-masking invariant above), so spans handed
-     * to the word kernels never expose phantom bits. The allocation
-     * extends to strideWords() (see the padded-stride contract above),
-     * so full-vector reads from `words().data()` up to the stride are
-     * always in bounds.
+     * Backing words, low bits first; the final word is zero-padded
+     * (the tail-masking invariant above), so spans handed to the word
+     * kernels never expose phantom bits.
      */
     std::span<const std::uint64_t> words() const
     {
         return {data(), word_count_};
     }
 
-    /** Number of logical words, ceil(size() / 64). */
+    /** Number of words, ceil(size() / 64). */
     std::size_t wordCount() const { return word_count_; }
-
-    /**
-     * Padded stride in words: wordCount() rounded up to
-     * kRowStrideWords (0 for an empty vector).
-     */
-    std::size_t strideWords() const { return stride_words_; }
-
-    /**
-     * The whole padded stride, pad words included. Pad words are
-     * always zero; kernels that are popcount/subset/any-shaped may
-     * consume this span instead of words() to skip scalar tails.
-     */
-    std::span<const std::uint64_t> paddedWords() const
-    {
-        return {data(), stride_words_};
-    }
 
     /**
      * Direct word write for bulk generators and kernels. Tail bits
@@ -237,19 +198,7 @@ class BitVector
     /** All-ones mask of valid bits for word `index`. */
     std::uint64_t wordMask(std::size_t index) const;
 
-    /**
-     * Word count handed to the dispatched query kernels: the padded
-     * stride for vectors of at least one stride (tail-free
-     * whole-vector loops over zero pad), the logical count below that
-     * (a 1-word row must not pay for an 8-word sweep).
-     */
-    std::size_t queryLen() const
-    {
-        return word_count_ >= kRowStrideWords ? stride_words_
-                                              : word_count_;
-    }
-
-    /** Backing words: inline up to one stride, heap beyond. */
+    /** Backing words: inline up to kInlineWords, heap beyond. */
     const std::uint64_t* data() const
     {
         return heap_words_ ? heap_words_.get() : inline_words_;
@@ -260,11 +209,10 @@ class BitVector
     }
 
     std::size_t bits_ = 0;
-    std::size_t word_count_ = 0; ///< logical words, ceil(bits_ / 64)
-    std::size_t stride_words_ = 0; ///< padded to kRowStrideWords
-    /** In-object storage for vectors of at most kRowStrideWords. */
-    std::uint64_t inline_words_[kRowStrideWords] = {};
-    /** Heap storage (stride_words_ words) for wider vectors. */
+    std::size_t word_count_ = 0; ///< ceil(bits_ / 64)
+    /** In-object storage for vectors of at most kInlineWords words. */
+    std::uint64_t inline_words_[kInlineWords] = {};
+    /** Heap storage (word_count_ words) for wider vectors. */
     std::unique_ptr<std::uint64_t[]> heap_words_;
 };
 

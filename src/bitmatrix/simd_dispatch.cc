@@ -3,8 +3,9 @@
  * Tier detection and dispatch for the SIMD bit kernels.
  *
  * This TU is compiled with the repo's plain baseline flags — it must
- * run on any host, so it contains no vector intrinsics. It decides
- * which tier table (simd_tiers.h) to publish: the widest tier that is
+ * run on any host, so it contains no vector intrinsics; it holds the
+ * scalar table (the word_kernels.h loops themselves). It decides which
+ * tier table (simd_tiers.h) to publish: the widest tier that is
  * (a) compiled into this binary and (b) executable on this CPU/OS,
  * unless PROSPERITY_SIMD or setSimdTier() forces another one.
  */
@@ -17,6 +18,7 @@
 #include <cstdlib>
 
 #include "bitmatrix/simd_tiers.h"
+#include "bitmatrix/word_kernels.h"
 #include "util/thread_annotations.h"
 
 #if defined(__x86_64__) || defined(__i386__)
@@ -27,6 +29,11 @@
 namespace prosperity {
 
 namespace {
+
+/** Scalar reference table: always available, the ground truth every
+ *  vector tier is differentially tested against. */
+const SimdOps kScalarOps = {SimdTier::kScalar, "scalar", popcountWords,
+                            signatureScanWords};
 
 #ifdef PROSPERITY_X86
 
@@ -41,7 +48,6 @@ readXcr0()
 
 struct CpuFeatures
 {
-    bool sse2 = false;
     bool avx2 = false;
     bool avx512 = false; // F+BW+VL+DQ+VPOPCNTDQ, with OS zmm state
 };
@@ -53,7 +59,6 @@ detectCpu()
     std::uint32_t eax, ebx, ecx, edx;
     if (!__get_cpuid(1, &eax, &ebx, &ecx, &edx))
         return f;
-    f.sse2 = (edx >> 26) & 1;
     const bool osxsave = (ecx >> 27) & 1;
     const bool avx = (ecx >> 28) & 1;
     if (!osxsave || !avx)
@@ -78,7 +83,6 @@ detectCpu()
 
 struct CpuFeatures
 {
-    bool sse2 = false;
     bool avx2 = false;
     bool avx512 = false;
 };
@@ -98,13 +102,7 @@ tierTable(SimdTier tier)
     static const CpuFeatures cpu = detectCpu();
     switch (tier) {
     case SimdTier::kScalar:
-        return &detail::simdOpsScalar();
-    case SimdTier::kSse2:
-#ifdef PROSPERITY_SIMD_HAS_SSE2
-        if (cpu.sse2)
-            return &detail::simdOpsSse2();
-#endif
-        return nullptr;
+        return &kScalarOps;
     case SimdTier::kAvx2:
 #ifdef PROSPERITY_SIMD_HAS_AVX2
         if (cpu.avx2)
@@ -128,7 +126,7 @@ bestTableAtOrBelow(SimdTier ceiling)
     for (int t = static_cast<int>(ceiling); t > 0; --t)
         if (const SimdOps* ops = tierTable(static_cast<SimdTier>(t)))
             return ops;
-    return &detail::simdOpsScalar();
+    return &kScalarOps;
 }
 
 /** Auto selection: PROSPERITY_SIMD override, else widest available. */
@@ -141,7 +139,7 @@ autoSelect()
         if (!wanted) {
             std::fprintf(stderr,
                          "prosperity: PROSPERITY_SIMD=%s is not a tier "
-                         "(scalar, sse2, avx2, avx512); using "
+                         "(scalar, avx2, avx512); using "
                          "auto-detection\n",
                          env);
         } else if (const SimdOps* ops = tierTable(*wanted)) {
@@ -193,8 +191,6 @@ simdTierName(SimdTier tier)
     switch (tier) {
     case SimdTier::kScalar:
         return "scalar";
-    case SimdTier::kSse2:
-        return "sse2";
     case SimdTier::kAvx2:
         return "avx2";
     case SimdTier::kAvx512:
@@ -213,8 +209,6 @@ parseSimdTier(const std::string& name)
             std::tolower(static_cast<unsigned char>(c))));
     if (lower == "scalar")
         return SimdTier::kScalar;
-    if (lower == "sse2")
-        return SimdTier::kSse2;
     if (lower == "avx2")
         return SimdTier::kAvx2;
     if (lower == "avx512" || lower == "avx-512")

@@ -1,32 +1,35 @@
 /**
  * @file
- * Runtime-dispatched SIMD tiers for the word-level bit kernels.
+ * Runtime-dispatched SIMD tiers for the two word-level bit kernels
+ * that carry measurable time: popcount and prefix selection's
+ * signature scan.
  *
- * The simulator's innermost loops (bitmatrix/word_kernels.h) have one
- * scalar reference implementation and up to three vector
- * specializations (SSE2 / AVX2 / AVX-512), each compiled in its own
- * translation unit with that tier's `-m` flags so the rest of the
- * library stays portable baseline code. At startup the best tier the
- * CPU supports is selected once; every call after that goes through a
- * table of function pointers (`simdOps()`).
+ * Both have one scalar reference implementation (bitmatrix/
+ * word_kernels.h) and two vector specializations (AVX2 / AVX-512),
+ * each compiled in its own translation unit with that tier's `-m`
+ * flags so the rest of the library stays portable baseline code. At
+ * startup the best tier the CPU supports is selected once; every call
+ * after that goes through a table of function pointers (`simdOps()`).
+ * The other word kernels (subset, any, signature) are short scalar
+ * loops that callers use directly.
  *
  * @par Equivalence contract
  * Every tier computes bit-identical results to the scalar reference in
  * word_kernels.h for every input — not "close", identical. The
  * differential suite (tests/test_simd_kernels.cc) fuzzes all available
- * tiers against the scalar reference across widths, word-boundary
- * tails and adversarial patterns, and the golden pins (detector
- * identity, spike-generator hashes, byte-identical campaign reports)
- * are re-run under each forced tier. Tier choice can never change a
- * simulation result, only its speed.
+ * tiers against the scalar reference across widths and word-boundary
+ * tails, and the golden pins (prefix selection, spike-generator
+ * hashes, byte-identical campaign reports) are re-run under each
+ * forced tier. Tier choice can never change a simulation result, only
+ * its speed.
  *
  * @par Forcing a tier
  * The `PROSPERITY_SIMD` environment variable (values: `scalar`,
- * `sse2`, `avx2`, `avx512`, case-insensitive) forces a tier before the
- * first dispatch; the CLI forwards `--simd <tier>` to the same
- * mechanism. Forcing a tier the host cannot run falls back to the best
- * available tier at or below the request, with a warning on stderr.
- * Tests force tiers directly via setSimdTier().
+ * `avx2`, `avx512`, case-insensitive) forces a tier before the first
+ * dispatch; the CLI forwards `--simd <tier>` to the same mechanism.
+ * Forcing a tier the host cannot run falls back to the best available
+ * tier at or below the request, with a warning on stderr. Tests force
+ * tiers directly via setSimdTier().
  */
 
 #ifndef PROSPERITY_BITMATRIX_SIMD_DISPATCH_H
@@ -44,18 +47,14 @@ namespace prosperity {
 enum class SimdTier : int
 {
     kScalar = 0,
-    kSse2 = 1,
-    kAvx2 = 2,
-    kAvx512 = 3,
+    kAvx2 = 1,
+    kAvx512 = 2,
 };
 
 /**
- * One tier's kernel table. All functions are exact-width safe: they
- * read exactly `n` words (vector main loop plus scalar tail), so raw
- * arrays are legal inputs. Spans from BitVector/BitMatrix rows are
- * additionally padded to kRowStrideWords (bit_vector.h), which lets
- * callers hand whole padded strides to the popcount/subset/any kernels
- * and never exercise the scalar tail on the hot path.
+ * One tier's kernel table. Both functions read exactly `n` words
+ * (vector main loop plus scalar tail), so any word span is a legal
+ * input.
  */
 struct SimdOps
 {
@@ -65,25 +64,6 @@ struct SimdOps
     /** Total set bits across `n` words. */
     std::size_t (*popcountWords)(const std::uint64_t* words,
                                  std::size_t n);
-
-    /** popcount(a & b) over `n` words without materializing the AND. */
-    std::size_t (*andPopcountWords)(const std::uint64_t* a,
-                                    const std::uint64_t* b,
-                                    std::size_t n);
-
-    /**
-     * Subset test: (sub & ~super) == 0, early-exiting one cache line
-     * (8 words) at a time in the vector tiers.
-     */
-    bool (*isSubsetOfWords)(const std::uint64_t* sub,
-                            const std::uint64_t* super, std::size_t n);
-
-    /** Whether any of `n` words is non-zero. */
-    bool (*anyWord)(const std::uint64_t* words, std::size_t n);
-
-    /** Occupancy signature (see word_kernels.h signatureWords). */
-    std::uint64_t (*signatureWords)(const std::uint64_t* words,
-                                    std::size_t n);
 
     /**
      * Signature-prefilter scan over a contiguous array of candidate
@@ -110,7 +90,7 @@ const SimdOps& simdOps();
 /** Tier of the active table. */
 SimdTier activeSimdTier();
 
-/** Lower-case tier name ("scalar", "sse2", "avx2", "avx512"). */
+/** Lower-case tier name ("scalar", "avx2", "avx512"). */
 const char* simdTierName(SimdTier tier);
 
 /** Parse a tier name (case-insensitive); nullopt for unknown names. */

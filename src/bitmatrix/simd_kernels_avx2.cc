@@ -1,15 +1,13 @@
 /**
  * @file
  * AVX2 tier: 256-bit (4-word) kernels, compiled with -mavx2 -mpopcnt
- * (CMake sets the flags on this TU only). Every function is exact-n
+ * (CMake sets the flags on this TU only). Both functions are exact-n
  * safe — vector main loop, scalar tail — and bit-identical to the
  * scalar reference in word_kernels.h; tests/test_simd_kernels.cc
  * enforces the equivalence.
  *
  * Popcounts use the Mula pshufb nibble-LUT with _mm256_sad_epu8
- * accumulation; the subset and any kernels consume one 64-byte cache
- * line (two 256-bit vectors) per early-exit check, so a failing word
- * costs at most one extra line of reads.
+ * accumulation; the signature scan tests 4 candidates per compare.
  */
 
 #if defined(__AVX2__)
@@ -19,7 +17,6 @@
 #include <bit>
 
 #include "bitmatrix/simd_tiers.h"
-#include "bitmatrix/word_kernels.h"
 
 namespace prosperity::detail {
 
@@ -65,114 +62,6 @@ popcountAvx2(const std::uint64_t* words, std::size_t n)
     for (; i < n; ++i)
         count += static_cast<std::size_t>(std::popcount(words[i]));
     return count;
-}
-
-std::size_t
-andPopcountAvx2(const std::uint64_t* a, const std::uint64_t* b,
-                std::size_t n)
-{
-    __m256i acc = _mm256_setzero_si256();
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i va =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + i));
-        const __m256i vb =
-            _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + i));
-        acc = _mm256_add_epi64(acc,
-                               popcountLanes(_mm256_and_si256(va, vb)));
-    }
-    std::size_t count = static_cast<std::size_t>(horizontalSum(acc));
-    for (; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return count;
-}
-
-bool
-isSubsetAvx2(const std::uint64_t* sub, const std::uint64_t* super,
-             std::size_t n)
-{
-    std::size_t i = 0;
-    // One cache line (8 words) per early-exit test.
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v0 = _mm256_andnot_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(super + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(sub + i)));
-        const __m256i v1 = _mm256_andnot_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(super + i + 4)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(sub + i + 4)));
-        const __m256i violation = _mm256_or_si256(v0, v1);
-        if (!_mm256_testz_si256(violation, violation))
-            return false;
-    }
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_andnot_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(super + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(sub + i)));
-        if (!_mm256_testz_si256(v, v))
-            return false;
-    }
-    for (; i < n; ++i)
-        if (sub[i] & ~super[i])
-            return false;
-    return true;
-}
-
-bool
-anyAvx2(const std::uint64_t* words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m256i v = _mm256_or_si256(
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + i)),
-            _mm256_loadu_si256(
-                reinterpret_cast<const __m256i*>(words + i + 4)));
-        if (!_mm256_testz_si256(v, v))
-            return true;
-    }
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + i));
-        if (!_mm256_testz_si256(v, v))
-            return true;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            return true;
-    return false;
-}
-
-std::uint64_t
-signatureAvx2(const std::uint64_t* words, std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    if (n == 1)
-        return words[0];
-    if (n > 64)
-        return signatureWords(words, n); // grouped: scalar reference
-    // One signature bit per word: movemask of the per-lane zero test.
-    const __m256i zero = _mm256_setzero_si256();
-    std::uint64_t sig = 0;
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        const __m256i v = _mm256_loadu_si256(
-            reinterpret_cast<const __m256i*>(words + i));
-        const __m256i is_zero = _mm256_cmpeq_epi64(v, zero);
-        const unsigned zero_mask = static_cast<unsigned>(
-            _mm256_movemask_pd(_mm256_castsi256_pd(is_zero)));
-        sig |= static_cast<std::uint64_t>(~zero_mask & 0xfu) << i;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            sig |= 1ULL << i;
-    return sig;
 }
 
 /**
@@ -248,11 +137,8 @@ signatureScanAvx2(const std::uint64_t* sigs, std::size_t n,
 const SimdOps&
 simdOpsAvx2()
 {
-    static const SimdOps ops = {
-        SimdTier::kAvx2, "avx2",       popcountAvx2,
-        andPopcountAvx2, isSubsetAvx2, anyAvx2,
-        signatureAvx2,   signatureScanAvx2,
-    };
+    static const SimdOps ops = {SimdTier::kAvx2, "avx2", popcountAvx2,
+                                signatureScanAvx2};
     return ops;
 }
 

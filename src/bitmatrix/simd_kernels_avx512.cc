@@ -3,8 +3,8 @@
  * AVX-512 tier: 512-bit (8-word) kernels. Requires F+BW+VL+DQ plus
  * VPOPCNTDQ (the dispatcher checks all five CPU bits and the OS zmm
  * state before selecting this tier), so popcounts are a single
- * vpopcntq per cache line and the subset / any / scan predicates come
- * straight out of mask registers. Exact-n safe and bit-identical to
+ * vpopcntq per cache line and the signature scan's predicate comes
+ * straight out of a mask register. Exact-n safe and bit-identical to
  * the scalar reference (enforced by tests/test_simd_kernels.cc).
  */
 
@@ -17,7 +17,6 @@
 #include <bit>
 
 #include "bitmatrix/simd_tiers.h"
-#include "bitmatrix/word_kernels.h"
 
 namespace prosperity::detail {
 
@@ -55,82 +54,6 @@ popcountAvx512(const std::uint64_t* words, std::size_t n)
 }
 
 std::size_t
-andPopcountAvx512(const std::uint64_t* a, const std::uint64_t* b,
-                  std::size_t n)
-{
-    __m512i acc = _mm512_setzero_si512();
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_and_si512(_mm512_loadu_si512(a + i),
-                                           _mm512_loadu_si512(b + i));
-        acc = _mm512_add_epi64(acc, _mm512_popcnt_epi64(v));
-    }
-    std::size_t count = sumLanes(acc);
-    for (; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
-    return count;
-}
-
-bool
-isSubsetAvx512(const std::uint64_t* sub, const std::uint64_t* super,
-               std::size_t n)
-{
-    std::size_t i = 0;
-    // One cache line (one zmm vector) per early-exit test: a lane
-    // violates the subset order iff (sub & super) != sub there.
-    for (; i + 8 <= n; i += 8) {
-        const __m512i s = _mm512_loadu_si512(sub + i);
-        const __m512i kept =
-            _mm512_and_si512(s, _mm512_loadu_si512(super + i));
-        if (_mm512_cmpneq_epi64_mask(kept, s) != 0)
-            return false;
-    }
-    for (; i < n; ++i)
-        if (sub[i] & ~super[i])
-            return false;
-    return true;
-}
-
-bool
-anyAvx512(const std::uint64_t* words, std::size_t n)
-{
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_loadu_si512(words + i);
-        if (_mm512_test_epi64_mask(v, v) != 0)
-            return true;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            return true;
-    return false;
-}
-
-std::uint64_t
-signatureAvx512(const std::uint64_t* words, std::size_t n)
-{
-    if (n == 0)
-        return 0;
-    if (n == 1)
-        return words[0];
-    if (n > 64)
-        return signatureWords(words, n); // grouped: scalar reference
-    // One signature bit per word: the non-zero lane mask is the
-    // signature byte directly.
-    std::uint64_t sig = 0;
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        const __m512i v = _mm512_loadu_si512(words + i);
-        const std::uint64_t nonzero = _mm512_test_epi64_mask(v, v);
-        sig |= nonzero << i;
-    }
-    for (; i < n; ++i)
-        if (words[i])
-            sig |= 1ULL << i;
-    return sig;
-}
-
-std::size_t
 signatureScanAvx512(const std::uint64_t* sigs, std::size_t n,
                     std::uint64_t query_sig, std::uint32_t* out)
 {
@@ -165,11 +88,8 @@ signatureScanAvx512(const std::uint64_t* sigs, std::size_t n,
 const SimdOps&
 simdOpsAvx512()
 {
-    static const SimdOps ops = {
-        SimdTier::kAvx512, "avx512",       popcountAvx512,
-        andPopcountAvx512, isSubsetAvx512, anyAvx512,
-        signatureAvx512,   signatureScanAvx512,
-    };
+    static const SimdOps ops = {SimdTier::kAvx512, "avx512",
+                                popcountAvx512, signatureScanAvx512};
     return ops;
 }
 

@@ -1,6 +1,6 @@
 /**
  * @file
- * Internal linkage between the dispatch TU and the per-tier kernel
+ * Internal linkage between the dispatch TU and the vector-tier kernel
  * TUs. Each vector tier is compiled in its own translation unit with
  * that tier's `-m` flags (see CMakeLists.txt); the TU defines its
  * table getter only when the compiler actually enabled the ISA, and
@@ -16,12 +16,6 @@
 
 namespace prosperity::detail {
 
-/** Scalar reference table (always present; wraps word_kernels.h). */
-const SimdOps& simdOpsScalar();
-
-#ifdef PROSPERITY_SIMD_HAS_SSE2
-const SimdOps& simdOpsSse2();
-#endif
 #ifdef PROSPERITY_SIMD_HAS_AVX2
 const SimdOps& simdOpsAvx2();
 #endif

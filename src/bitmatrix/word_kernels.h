@@ -6,20 +6,20 @@
  * touches spike bits (prefix selection's TCAM model, the residual XOR,
  * the density analyses) bottoms out here, operating on whole 64-bit words
  * instead of individual bits. The functions are deliberately free of
- * class state so they can run over raw `BitVector::words()` spans and
- * so future SIMD specializations have a single place to land.
+ * class state so they can run over raw `BitVector::words()` spans.
  *
  * All kernels assume canonical operands: unused tail bits beyond the
  * logical width are zero. `BitVector` maintains that invariant through
  * its single masked-write path (see BitVector::storeWord), so spans
  * obtained from `BitVector::words()` are always safe inputs.
  *
- * These functions are the *scalar reference tier*: the runtime SIMD
- * dispatch (bitmatrix/simd_dispatch.h) exposes the same operations as
- * function pointers with SSE2/AVX2/AVX-512 specializations that must
- * be bit-identical to these loops on every input — the differential
- * suite in tests/test_simd_kernels.cc enforces it. Hot paths call the
- * dispatched table; these inlines remain the semantic ground truth.
+ * `popcountWords` and `signatureScanWords` are also the *scalar
+ * reference tier* of the runtime SIMD dispatch (bitmatrix/
+ * simd_dispatch.h), which adds AVX2 and AVX-512 specializations that
+ * must be bit-identical to these loops on every input — the
+ * differential suite in tests/test_simd_kernels.cc enforces it. Hot
+ * paths call those two through the dispatched table; the subset, any
+ * and signature loops are called directly.
  */
 
 #ifndef PROSPERITY_BITMATRIX_WORD_KERNELS_H
@@ -38,17 +38,6 @@ popcountWords(const std::uint64_t* words, std::size_t n)
     std::size_t count = 0;
     for (std::size_t i = 0; i < n; ++i)
         count += static_cast<std::size_t>(std::popcount(words[i]));
-    return count;
-}
-
-/** popcount(a & b) over `n` words without materializing the AND. */
-inline std::size_t
-andPopcountWords(const std::uint64_t* a, const std::uint64_t* b,
-                 std::size_t n)
-{
-    std::size_t count = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        count += static_cast<std::size_t>(std::popcount(a[i] & b[i]));
     return count;
 }
 

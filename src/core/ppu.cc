@@ -40,6 +40,26 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     PpuLayerResult result;
     result.dense_ops = shape.denseOps();
 
+    // Per-byte access energies of the weight, output and spike
+    // buffers: they depend only on the config, so the three SramBuffers
+    // are built once per layer, and only when energy is charged (a
+    // tile narrower than 8 columns has no spike-buffer word).
+    double wgt_pj_per_byte = 0.0;
+    double out_pj_per_byte = 0.0;
+    double spk_pj_per_byte = 0.0;
+    if (energy) {
+        wgt_pj_per_byte =
+            SramBuffer("weight", config_.weightBufferBytes(), tile.n)
+                .accessEnergyPerBytePj();
+        out_pj_per_byte =
+            SramBuffer("output", config_.outputBufferBytes(),
+                       tile.n * config_.psum_bits / 8)
+                .accessEnergyPerBytePj();
+        spk_pj_per_byte =
+            SramBuffer("spike", config_.spikeBufferBytes(), tile.k / 8)
+                .accessEnergyPerBytePj();
+    }
+
     const double n_total = static_cast<double>(shape.n);
     double pipelined_cycles = 0.0;
     double first_phase = 0.0;
@@ -90,21 +110,15 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
             energy->charge("processor", e.pe_add8_pj,
                            stats.accum_row_ops * n_total * scale);
 
-            const SramBuffer wgt("weight", config_.weightBufferBytes(),
-                                 tile.n);
-            const SramBuffer out("output", config_.outputBufferBytes(),
-                                 tile.n * config_.psum_bits / 8);
-            const SramBuffer spk("spike", config_.spikeBufferBytes(),
-                                 tile.k / 8);
             const double psum_bytes =
                 static_cast<double>(config_.psum_bits) / 8.0;
-            energy->charge("buffer", wgt.accessEnergyPerBytePj(),
+            energy->charge("buffer", wgt_pj_per_byte,
                            stats.accum_row_ops * n_total * scale);
-            energy->charge("buffer", out.accessEnergyPerBytePj(),
+            energy->charge("buffer", out_pj_per_byte,
                            (static_cast<double>(stats.rows) +
                             stats.prefix_loads) *
                                n_total * psum_bytes * scale);
-            energy->charge("buffer", spk.accessEnergyPerBytePj(),
+            energy->charge("buffer", spk_pj_per_byte,
                            2.0 * static_cast<double>(stats.rows) *
                                static_cast<double>(stats.cols) / 8.0 *
                                scale);

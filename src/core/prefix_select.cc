@@ -4,6 +4,7 @@
 #include <cstdint>
 
 #include "bitmatrix/simd_dispatch.h"
+#include "bitmatrix/word_kernels.h"
 
 namespace prosperity {
 
@@ -18,23 +19,16 @@ selectPrefixes(const BitMatrix& tile)
         return sel;
 
     // Per-row word spans, popcounts and one-word occupancy signatures.
-    // All kernel calls below go through the dispatched SIMD table. Wide
-    // rows are swept over their whole padded stride (zero pad, so no
-    // scalar tails); rows narrower than a stride use the logical count
-    // — the paper's 16-column tiles are one word per row and must not
-    // pay for an 8-word sweep.
+    // Popcount and the signature scan below go through the dispatched
+    // SIMD table.
     const SimdOps& ops = simdOps();
-    const std::size_t logical_words = tile.row(0).wordCount();
-    const std::size_t nwords =
-        logical_words >= BitVector::kRowStrideWords
-            ? tile.row(0).strideWords()
-            : logical_words;
+    const std::size_t nwords = tile.row(0).wordCount();
     std::vector<const std::uint64_t*> row_words(m);
     std::vector<std::uint64_t> sig(m);
     std::size_t max_pc = 0;
     for (std::size_t i = 0; i < m; ++i) {
         const BitVector& row = tile.row(i);
-        row_words[i] = row.paddedWords().data();
+        row_words[i] = row.words().data();
         sel.popcounts[i] = ops.popcountWords(row_words[i], nwords);
         sig[i] = row.signature();
         max_pc = std::max(max_pc, sel.popcounts[i]);
@@ -77,7 +71,7 @@ selectPrefixes(const BitMatrix& tile)
     // true subset is the argmax with ties to the largest index. For
     // single-word rows (every k <= 64 tile, including the paper's
     // 256x16 ones) the signature IS the row and the scan is exact.
-    const bool signature_is_exact = logical_words == 1;
+    const bool signature_is_exact = nwords == 1;
     for (std::size_t i = 0; i < m; ++i) {
         if (sel.popcounts[i] == 0)
             continue;
@@ -86,7 +80,7 @@ selectPrefixes(const BitMatrix& tile)
         for (std::size_t s = kept; s-- > 0;) {
             const std::uint32_t j = order[survivors[s]];
             if (signature_is_exact ||
-                ops.isSubsetOfWords(row_words[j], row_words[i], nwords)) {
+                isSubsetOfWords(row_words[j], row_words[i], nwords)) {
                 sel.prefix[i] = static_cast<std::int32_t>(j);
                 break;
             }

@@ -62,6 +62,9 @@ registerProsperityAccelerator(AcceleratorRegistry& registry)
             if (config.tile.m == 0 || config.tile.k == 0)
                 throw std::invalid_argument(
                     "prosperity: tile_m and tile_k must be at least 1");
+            if (config.num_ppus == 0)
+                throw std::invalid_argument(
+                    "prosperity: num_ppus must be at least 1");
 
             Ppu::Options options;
             const std::string sparsity =
@@ -82,6 +85,9 @@ registerProsperityAccelerator(AcceleratorRegistry& registry)
                     "\" (want overhead-free|traversal)");
             options.issue_width =
                 params.getSize("issue_width", options.issue_width);
+            if (options.issue_width == 0)
+                throw std::invalid_argument(
+                    "prosperity: issue_width must be at least 1");
             options.max_sampled_tiles = params.getSize(
                 "max_sampled_tiles", options.max_sampled_tiles);
 

@@ -170,6 +170,16 @@ profileFromJson(const json::Value& value, ActivationProfile profile,
             continue;
         }
         const double number = requireNumberValue(v, field_context);
+        // The generator needs a density strictly inside (0, 1) and
+        // probabilities in [0, 1]; reject the rest here, where the
+        // error can still name the key.
+        const bool density = key == "bit_density";
+        if (density ? !(number > 0.0 && number < 1.0)
+                    : !(number >= 0.0 && number <= 1.0))
+            schemaError(field_context,
+                        std::string("must lie in ") +
+                            (density ? "(0, 1)" : "[0, 1]") + ", got " +
+                            json::formatDouble(number));
         if (key == "bit_density")
             profile.bit_density = number;
         else if (key == "cluster_fraction")

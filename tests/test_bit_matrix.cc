@@ -132,37 +132,6 @@ TEST(BitMatrix, SampleTilesStridesAndScales)
     EXPECT_TRUE(sampleTiles(0, 16, tile, 4).origins.empty());
 }
 
-TEST(BitMatrix, TransposeInvolution)
-{
-    Rng rng(21);
-    BitMatrix m(37, 129);
-    m.randomize(rng, 0.3);
-    const BitMatrix t = m.transpose();
-    EXPECT_EQ(t.rows(), 129u);
-    EXPECT_EQ(t.cols(), 37u);
-    for (std::size_t r = 0; r < m.rows(); ++r)
-        for (std::size_t c = 0; c < m.cols(); ++c)
-            EXPECT_EQ(m.test(r, c), t.test(c, r));
-    EXPECT_EQ(t.transpose(), m);
-}
-
-TEST(BitMatrix, TransposePreservesPopcount)
-{
-    Rng rng(22);
-    BitMatrix m(64, 64);
-    m.randomize(rng, 0.5);
-    EXPECT_EQ(m.transpose().popcount(), m.popcount());
-}
-
-TEST(BitMatrix, AppendRowsConcatenates)
-{
-    BitMatrix a = BitMatrix::fromStrings({"10", "01"});
-    const BitMatrix b = BitMatrix::fromStrings({"11"});
-    a.appendRows(b);
-    EXPECT_EQ(a.rows(), 3u);
-    EXPECT_EQ(a.row(2).toString(), "11");
-}
-
 TEST(GemmShape, DenseOps)
 {
     const GemmShape shape{6, 4, 3};

@@ -142,17 +142,6 @@ TEST(BitVector, FindFirstOnEmptyReturnsSize)
     EXPECT_EQ(v.findFirst(), 70u);
 }
 
-TEST(BitVector, AndPopcountAgainstMaterializedAnd)
-{
-    Rng rng(11);
-    for (int trial = 0; trial < 20; ++trial) {
-        BitVector a(193), b(193);
-        a.randomize(rng, 0.4);
-        b.randomize(rng, 0.4);
-        EXPECT_EQ(a.andPopcount(b), (a & b).popcount());
-    }
-}
-
 TEST(BitVector, BitwiseOperatorsAgreeWithPerBitSemantics)
 {
     Rng rng(5);
@@ -185,30 +174,27 @@ TEST(BitVector, SetWordMasksTailBits)
     EXPECT_EQ(v.popcount(), 10u);
 }
 
-TEST(BitVector, PaddedStrideLayoutContract)
+TEST(BitVector, WordLayoutContract)
 {
-    // words() spans exactly the logical words; the backing stride is
-    // the next multiple of kRowStrideWords, and the pad reads as zero.
+    // words() spans exactly ceil(size / 64) words, across the inline /
+    // heap storage boundary, and a full-density fill leaves the tail
+    // bits of the last word zero.
     for (std::size_t bits :
          {1UL, 10UL, 64UL, 65UL, 511UL, 512UL, 513UL, 1000UL}) {
         BitVector v(bits);
         const std::size_t logical = (bits + 63) / 64;
         EXPECT_EQ(v.wordCount(), logical) << "bits=" << bits;
         EXPECT_EQ(v.words().size(), logical) << "bits=" << bits;
-        EXPECT_EQ(v.strideWords() % BitVector::kRowStrideWords, 0u)
-            << "bits=" << bits;
-        EXPECT_GE(v.strideWords(), logical) << "bits=" << bits;
-        EXPECT_LT(v.strideWords(), logical + BitVector::kRowStrideWords)
-            << "bits=" << bits;
-        EXPECT_EQ(v.paddedWords().size(), v.strideWords())
-            << "bits=" << bits;
 
-        // Pad words stay zero through a full-density fill.
         Rng rng(bits);
         v.randomize(rng, 1.0);
-        for (std::size_t i = v.wordCount(); i < v.strideWords(); ++i)
-            EXPECT_EQ(v.paddedWords()[i], 0u)
-                << "bits=" << bits << " pad word " << i;
+        EXPECT_EQ(v.popcount(), bits) << "bits=" << bits;
+        if (bits % 64 != 0) {
+            EXPECT_EQ(v.words().back() >> (bits % 64), 0u)
+                << "bits=" << bits;
+        }
+        const BitVector copy = v;
+        EXPECT_EQ(copy, v) << "bits=" << bits;
     }
 }
 

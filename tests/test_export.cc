@@ -47,22 +47,6 @@ TEST(Export, RunResultsHaveHeaderAndRows)
     EXPECT_NE(text.find("LeNet5/MNIST,Prosperity,"), std::string::npos);
 }
 
-TEST(Export, DensityRowsMatchReports)
-{
-    DensityReport report;
-    report.bits_total = 100.0;
-    report.bits_set = 40.0;
-    report.pattern_bits_one = 10.0;
-    report.pattern_bits_two = 8.0;
-    report.rows = 10.0;
-    report.rows_one_prefix = 6.0;
-
-    std::ostringstream os;
-    exportDensities(os, {{"toy", report}});
-    const std::string text = os.str();
-    EXPECT_NE(text.find("toy,0.4,0.1,0.08,0.6"), std::string::npos);
-}
-
 TEST(Export, EmptyInputsProduceHeaderOnly)
 {
     std::ostringstream os;

@@ -259,6 +259,52 @@ TEST(ModelDesc, MalformedDefinitionsFailWithKeyPaths)
     }
 }
 
+TEST(ModelDesc, OutOfRangeProfileValuesFailWithKeyPaths)
+{
+    // The spike generator needs bit_density in (0, 1) and every
+    // probability in [0, 1]; anything else must fail at parse time
+    // with the key path, not abort (or never finish) a simulation.
+    const auto parseProfile = [](const std::string& profile) {
+        ModelDesc::fromJson(json::Value::parse(
+            R"({"name": "x", "layers": [{"kind": "pool", "name": "p",
+                                        "profile": )" +
+            profile + "}]}"));
+    };
+    const auto expectRejected = [&](const std::string& key,
+                                    const std::string& value) {
+        try {
+            parseProfile("{\"" + key + "\": " + value + "}");
+            FAIL() << key << " = " << value << " accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("layers[0].profile." + key),
+                      std::string::npos)
+                << "message \"" << message << "\" lacks the key path";
+            EXPECT_NE(message.find("must lie in"), std::string::npos)
+                << message;
+        }
+    };
+
+    expectRejected("bit_density", "0");
+    expectRejected("bit_density", "1");
+    expectRejected("bit_density", "1.5");
+    expectRejected("bit_density", "-0.1");
+    for (const char* key : {"cluster_fraction", "subset_drop_prob",
+                            "temporal_repeat", "union_prob",
+                            "noise_insert_prob"}) {
+        expectRejected(key, "-0.01");
+        expectRejected(key, "2");
+        expectRejected(key, "1e9");
+        // The closed interval's ends are legal probabilities.
+        EXPECT_NO_THROW(parseProfile(std::string("{\"") + key +
+                                     "\": 0}"))
+            << key;
+        EXPECT_NO_THROW(parseProfile(std::string("{\"") + key +
+                                     "\": 1}"))
+            << key;
+    }
+}
+
 TEST(ModelDesc, RegisterModelFileIsIdempotentAndConflictChecked)
 {
     // Loading the same definition twice returns the same key...

@@ -89,7 +89,7 @@ TEST_P(ProsparsityProperties, TileInvariants)
 
                 // (3) disjointness + reconstruction.
                 const BitVector pattern = t.row(i) ^ t.row(p);
-                ASSERT_EQ(pattern.andPopcount(t.row(p)), 0u);
+                ASSERT_TRUE((pattern & t.row(p)).none());
                 ASSERT_EQ(pattern | t.row(p), t.row(i));
             }
         }
@@ -135,100 +135,77 @@ TEST_P(TileSizeProperties, LosslessForAnyTileConfig)
 }
 
 /**
- * Canonical-form check for the SIMD layout contract (bit_vector.h):
- * tail bits of the last logical word and every pad word of the stride
- * must be zero after any sequence of mutations.
+ * Canonical-form check for the tail-masking invariant (bit_vector.h):
+ * tail bits of the last word must be zero after any sequence of
+ * mutations.
  */
 ::testing::AssertionResult
-paddingIsCanonical(const BitVector& v)
+tailIsCanonical(const BitVector& v)
 {
-    const auto padded = v.paddedWords();
     const std::size_t tail = v.size() % 64;
-    if (tail != 0 && (padded[v.wordCount() - 1] >> tail) != 0)
+    if (tail != 0 && (v.words().back() >> tail) != 0)
         return ::testing::AssertionFailure()
-               << "tail bits set in last logical word (size=" << v.size()
-               << ")";
-    for (std::size_t i = v.wordCount(); i < padded.size(); ++i)
-        if (padded[i] != 0)
-            return ::testing::AssertionFailure()
-                   << "pad word " << i << " non-zero (size=" << v.size()
-                   << ", wordCount=" << v.wordCount() << ")";
-    if (padded.size() % BitVector::kRowStrideWords != 0)
-        return ::testing::AssertionFailure()
-               << "stride " << padded.size()
-               << " not a multiple of kRowStrideWords";
+               << "tail bits set in last word (size=" << v.size() << ")";
     return ::testing::AssertionSuccess();
 }
 
-/** Padded-stride invariant through every mutating path. */
-class PaddedStrideProperties : public ::testing::TestWithParam<std::size_t>
+/** Tail-masking invariant through every mutating path. */
+class CanonicalTailProperties : public ::testing::TestWithParam<std::size_t>
 {
 };
 
-TEST_P(PaddedStrideProperties, EveryMutatingPathKeepsPaddingZero)
+TEST_P(CanonicalTailProperties, EveryMutatingPathKeepsTailZero)
 {
     const std::size_t bits = GetParam();
     Rng rng(bits * 7919 + 3);
 
     BitVector v(bits);
-    ASSERT_TRUE(paddingIsCanonical(v)) << "fresh";
+    ASSERT_TRUE(tailIsCanonical(v)) << "fresh";
 
     v.randomize(rng, 0.6);
-    ASSERT_TRUE(paddingIsCanonical(v)) << "randomize";
+    ASSERT_TRUE(tailIsCanonical(v)) << "randomize";
 
     for (std::size_t w = 0; w < v.wordCount(); ++w)
         v.setWord(w, rng.next());
-    ASSERT_TRUE(paddingIsCanonical(v)) << "setWord";
+    ASSERT_TRUE(tailIsCanonical(v)) << "setWord";
 
     v.set(bits - 1);
     v.set(0, false);
-    ASSERT_TRUE(paddingIsCanonical(v)) << "set";
+    ASSERT_TRUE(tailIsCanonical(v)) << "set";
 
     BitVector other(bits);
     other.randomize(rng, 0.4);
     v &= other;
-    ASSERT_TRUE(paddingIsCanonical(v)) << "operator&=";
+    ASSERT_TRUE(tailIsCanonical(v)) << "operator&=";
     v |= other;
-    ASSERT_TRUE(paddingIsCanonical(v)) << "operator|=";
+    ASSERT_TRUE(tailIsCanonical(v)) << "operator|=";
     v ^= other;
-    ASSERT_TRUE(paddingIsCanonical(v)) << "operator^=";
-    ASSERT_TRUE(paddingIsCanonical(v & other)) << "operator&";
-    ASSERT_TRUE(paddingIsCanonical(v | other)) << "operator|";
-    ASSERT_TRUE(paddingIsCanonical(v ^ other)) << "operator^";
-    ASSERT_TRUE(paddingIsCanonical(v.andNot(other))) << "andNot";
+    ASSERT_TRUE(tailIsCanonical(v)) << "operator^=";
+    ASSERT_TRUE(tailIsCanonical(v & other)) << "operator&";
+    ASSERT_TRUE(tailIsCanonical(v | other)) << "operator|";
+    ASSERT_TRUE(tailIsCanonical(v ^ other)) << "operator^";
+    ASSERT_TRUE(tailIsCanonical(v.andNot(other))) << "andNot";
 
     v.clear();
-    ASSERT_TRUE(paddingIsCanonical(v)) << "clear";
+    ASSERT_TRUE(tailIsCanonical(v)) << "clear";
 
     const BitVector parsed =
         BitVector::fromString(std::string(bits, '1'));
-    ASSERT_TRUE(paddingIsCanonical(parsed)) << "fromString";
+    ASSERT_TRUE(tailIsCanonical(parsed)) << "fromString";
 }
 
-TEST_P(PaddedStrideProperties, MatrixPathsKeepPaddingZero)
+TEST_P(CanonicalTailProperties, MatrixPathsKeepTailZero)
 {
     const std::size_t cols = GetParam();
     Rng rng(cols + 17);
     BitMatrix m(48, cols);
     m.randomize(rng, 0.3);
     for (std::size_t r = 0; r < m.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(m.row(r))) << "randomize row " << r;
+        ASSERT_TRUE(tailIsCanonical(m.row(r))) << "randomize row " << r;
 
     const BitMatrix t = m.tile(5, 1, 16, cols > 2 ? cols - 2 : cols);
     for (std::size_t r = 0; r < t.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(t.row(r))) << "tile row " << r;
-
-    const BitMatrix tr = m.transpose();
-    for (std::size_t r = 0; r < tr.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(tr.row(r)))
-            << "transpose row " << r;
-
-    BitMatrix appended(0, cols);
-    appended.appendRows(m);
-    appended.appendRows(t.rows() > 0 && t.cols() == cols ? t : m);
-    for (std::size_t r = 0; r < appended.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(appended.row(r)))
-            << "appendRows row " << r;
+        ASSERT_TRUE(tailIsCanonical(t.row(r))) << "tile row " << r;
 
     // The generator exercises randomize + set + row copies in one go.
     ActivationProfile profile;
@@ -236,11 +213,11 @@ TEST_P(PaddedStrideProperties, MatrixPathsKeepPaddingZero)
     const BitMatrix gen =
         SpikeGenerator(profile, 77).generate(64, cols, 2, 1);
     for (std::size_t r = 0; r < gen.rows(); ++r)
-        ASSERT_TRUE(paddingIsCanonical(gen.row(r)))
+        ASSERT_TRUE(tailIsCanonical(gen.row(r)))
             << "spike generator row " << r;
 }
 
-INSTANTIATE_TEST_SUITE_P(Widths, PaddedStrideProperties,
+INSTANTIATE_TEST_SUITE_P(Widths, CanonicalTailProperties,
                          ::testing::Values(1, 5, 63, 64, 65, 127, 128,
                                            511, 512, 513, 1000));
 

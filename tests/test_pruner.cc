@@ -121,7 +121,7 @@ TEST(Pruning, PatternPlusPrefixReconstructsRow)
                 tile.row(static_cast<std::size_t>(sel.prefix[i]));
             const BitVector residual = pattern(tile, sel, i);
             // Disjointness: pattern AND prefix == 0.
-            EXPECT_EQ(residual.andPopcount(prefix_row), 0u);
+            EXPECT_TRUE((residual & prefix_row).none());
             // Reconstruction: pattern OR prefix == row.
             EXPECT_EQ(residual | prefix_row, tile.row(i));
         }

@@ -115,6 +115,18 @@ TEST(Registry, ProsperityAblationParams)
                      "prosperity",
                      AcceleratorParams{{"sparsity", "banana"}}),
                  std::invalid_argument);
+    // Zero widths and counts are rejected like tile_m / tile_k = 0,
+    // not silently run as 1.
+    for (const char* key :
+         {"issue_width", "num_ppus", "tile_m", "tile_k"}) {
+        try {
+            registry.create("prosperity", AcceleratorParams{{key, "0"}});
+            FAIL() << key << "=0 accepted";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(Registry, UnknownParameterKeysAreRejected)

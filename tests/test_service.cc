@@ -318,6 +318,28 @@ TEST_F(ServiceTest, UnknownAcceleratorIs400WithKeyPathAndRoster)
     EXPECT_NE(message.find("prosperity"), std::string::npos) << message;
 }
 
+TEST_F(ServiceTest, OutOfRangeProfileIs400AndServiceKeepsServing)
+{
+    // Admitted, bit_density 0 would abort the daemon inside the spike
+    // generator: it must be a key-path 400, and the service must keep
+    // answering.
+    startService();
+    HttpClient http = client();
+    const HttpResponse response = http.post(
+        "/v1/runs",
+        R"({"accelerator": {"name": "eyeriss"},
+            "workload": {"model": "LeNet5", "dataset": "MNIST",
+                         "profile": {"bit_density": 0}}})");
+    EXPECT_EQ(response.status, 400);
+    const std::string message = json::Value::parse(response.body)
+                                    .at("error")
+                                    .at("message")
+                                    .asString();
+    EXPECT_NE(message.find("profile.bit_density"), std::string::npos)
+        << message;
+    EXPECT_EQ(http.get("/v1/stats").status, 200);
+}
+
 TEST_F(ServiceTest, UnknownRouteAndIdAre404)
 {
     startService();

@@ -23,19 +23,6 @@ TEST(WordKernels, PopcountMatchesScalar)
     EXPECT_EQ(popcountWords(words, 0), 0u);
 }
 
-TEST(WordKernels, AndPopcountMatchesMaterializedAnd)
-{
-    Rng rng(3);
-    for (int trial = 0; trial < 20; ++trial) {
-        BitVector a(300), b(300);
-        a.randomize(rng, 0.4);
-        b.randomize(rng, 0.4);
-        EXPECT_EQ(andPopcountWords(a.words().data(), b.words().data(),
-                                   a.words().size()),
-                  (a & b).popcount());
-    }
-}
-
 TEST(WordKernels, SubsetAgreesWithBitVector)
 {
     Rng rng(9);
