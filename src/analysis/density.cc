@@ -1,5 +1,8 @@
 #include "density.h"
 
+#include <vector>
+
+#include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "gen/spike_generator.h"
 
@@ -23,14 +26,16 @@ namespace {
 
 /** Analyze one cropped tile, optionally selecting a second prefix. */
 DensityReport
-analyzeTile(const BitMatrix& tile, bool two_prefix)
+analyzeTile(const TileWords& tile, bool two_prefix)
 {
     const PrefixSelection sel = selectPrefixes(tile);
     DensityReport report;
-    const std::size_t m = tile.rows();
+    const std::size_t m = tile.rows;
+    const std::size_t nwords = tile.row_words;
     report.rows = static_cast<double>(m);
     report.bits_total =
-        static_cast<double>(m) * static_cast<double>(tile.cols());
+        static_cast<double>(m) * static_cast<double>(tile.cols);
+    std::vector<std::uint64_t> residual(nwords);
 
     for (std::size_t i = 0; i < m; ++i) {
         const std::size_t pops = sel.popcounts[i];
@@ -53,11 +58,15 @@ analyzeTile(const BitMatrix& tile, bool two_prefix)
         // prefix has at least two ones.
         std::size_t best_pops = 1;
         if (two_prefix && has_prefix && residual_one >= 2) {
-            const BitVector residual = tile.row(i) ^ tile.row(p);
+            const std::span<const std::uint64_t> row = tile.row(i);
+            const std::span<const std::uint64_t> prefix = tile.row(p);
+            for (std::size_t w = 0; w < nwords; ++w)
+                residual[w] = row[w] ^ prefix[w];
             for (std::size_t j = 0; j < m; ++j) {
                 const std::size_t pops_j = sel.popcounts[j];
                 if (pops_j > best_pops && pops_j <= residual_one &&
-                    tile.row(j).isSubsetOf(residual))
+                    isSubsetOfWords(tile.row(j).data(), residual.data(),
+                                    nwords))
                     best_pops = pops_j;
             }
         }
@@ -83,9 +92,10 @@ analyzeMatrix(const BitMatrix& spikes, const DensityOptions& options)
     const double scale = sample.scale;
 
     DensityReport total;
+    TileWords words; // one buffer, refilled for every tile
     for (const auto& [r0, c0] : sample.origins) {
-        DensityReport tile_report = analyzeTile(
-            spikes.tile(r0, c0, tile.m, tile.k), options.two_prefix);
+        extractTile(spikes, r0, c0, tile.m, tile.k, words);
+        DensityReport tile_report = analyzeTile(words, options.two_prefix);
         tile_report.bits_total *= scale;
         tile_report.bits_set *= scale;
         tile_report.pattern_bits_one *= scale;

@@ -56,32 +56,49 @@ BitMatrix::density() const
     return bits == 0.0 ? 0.0 : static_cast<double>(popcount()) / bits;
 }
 
-BitMatrix
-BitMatrix::tile(std::size_t row0, std::size_t col0, std::size_t tile_rows,
-                std::size_t tile_cols) const
-{
-    PROSPERITY_ASSERT(row0 <= rows() && col0 <= cols(),
-                      "tile origin out of range");
-    const std::size_t r_end = std::min(rows(), row0 + tile_rows);
-    const std::size_t c_end = std::min(cols(), col0 + tile_cols);
-    BitMatrix out(r_end - row0, c_end - col0);
-    for (std::size_t r = row0; r < r_end; ++r) {
-        const BitVector& src = rows_[r];
-        BitVector& dst = out.rows_[r - row0];
-        for (std::size_t c = src.findNext(col0 == 0 ? std::size_t(-1)
-                                                    : col0 - 1);
-             c < c_end; c = src.findNext(c)) {
-            dst.set(c - col0);
-        }
-    }
-    return out;
-}
-
 void
 BitMatrix::randomize(Rng& rng, double density)
 {
     for (auto& r : rows_)
         r.randomize(rng, density);
+}
+
+void
+extractTile(const BitMatrix& matrix, std::size_t row0, std::size_t col0,
+            std::size_t tile_rows, std::size_t tile_cols, TileWords& out)
+{
+    PROSPERITY_ASSERT(row0 <= matrix.rows() && col0 <= matrix.cols(),
+                      "tile origin out of range");
+    out.rows = std::min(matrix.rows() - row0, tile_rows);
+    out.cols = std::min(matrix.cols() - col0, tile_cols);
+    out.row_words = (out.cols + 63) / 64;
+    out.words.resize(out.rows * out.row_words);
+    if (out.row_words == 0)
+        return;
+
+    // Output word w holds source bits [col0 + 64w, col0 + 64w + 64):
+    // source word first + w shifted down by `shift`, merged with the
+    // low bits of the next source word when col0 is not word-aligned.
+    // The last word is masked to `cols` bits: the source bits past it
+    // belong to the tiles to the right.
+    const std::size_t first = col0 / 64;
+    const std::size_t shift = col0 % 64;
+    const std::size_t tail = out.cols % 64;
+    const std::uint64_t last_mask = tail == 0 ? ~0ULL : (1ULL << tail) - 1;
+    std::uint64_t* dst = out.words.data();
+    for (std::size_t r = 0; r < out.rows; ++r) {
+        const std::span<const std::uint64_t> src =
+            matrix.row(row0 + r).words();
+        for (std::size_t w = 0; w < out.row_words; ++w) {
+            const std::size_t s = first + w;
+            std::uint64_t word = src[s] >> shift;
+            if (shift != 0 && s + 1 < src.size())
+                word |= src[s + 1] << (64 - shift);
+            dst[w] = word;
+        }
+        dst[out.row_words - 1] &= last_mask;
+        dst += out.row_words;
+    }
 }
 
 TileSample

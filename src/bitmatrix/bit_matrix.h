@@ -6,13 +6,15 @@
  * per-time-step spike matrices are concatenated along the row dimension
  * (Sec. II-A of the paper), giving a single (T*L) x K binary matrix that
  * multiplies a shared K x N weight matrix. Tiling (Sec. V-A) slices this
- * into m x k sub-matrices for the PPU.
+ * into m x k sub-matrices for the PPU, each extracted as contiguous row
+ * words (TileWords).
  */
 
 #ifndef PROSPERITY_BITMATRIX_BIT_MATRIX_H
 #define PROSPERITY_BITMATRIX_BIT_MATRIX_H
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -71,14 +73,6 @@ class BitMatrix
     /** Fraction of bits set (the paper's bit density). */
     double density() const;
 
-    /**
-     * Extract the tile starting at (row0, col0) with at most
-     * `tile_rows` x `tile_cols` bits; edge tiles are cropped, not padded,
-     * so tile ops never see phantom bits.
-     */
-    BitMatrix tile(std::size_t row0, std::size_t col0,
-                   std::size_t tile_rows, std::size_t tile_cols) const;
-
     /** Fill with Bernoulli(p) bits. */
     void randomize(Rng& rng, double density);
 
@@ -88,6 +82,37 @@ class BitMatrix
     std::size_t cols_ = 0;
     std::vector<BitVector> rows_;
 };
+
+/**
+ * One cropped m x k tile as contiguous row words: the layout the
+ * detector searches, one k-bit TCAM word per row (Secs. V-A, V-B).
+ *
+ * Tile bit (r, c) is bit c % 64 of `row(r)[c / 64]`. Bits past `cols`
+ * in each row's last word are zero, so the word kernels may stream any
+ * row, and equal rows have equal words.
+ */
+struct TileWords
+{
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::size_t row_words = 0;        ///< ceil(cols / 64)
+    std::vector<std::uint64_t> words; ///< rows * row_words, row-major
+
+    std::span<const std::uint64_t> row(std::size_t r) const
+    {
+        return {words.data() + r * row_words, row_words};
+    }
+};
+
+/**
+ * Extract the tile of `matrix` starting at (row0, col0) with at most
+ * `tile_rows` x `tile_cols` bits into `out`, reusing its buffer. Edge
+ * tiles are cropped, not padded, so tile ops never see phantom bits.
+ * Each output word shifts and merges at most two source words.
+ */
+void extractTile(const BitMatrix& matrix, std::size_t row0,
+                 std::size_t col0, std::size_t tile_rows,
+                 std::size_t tile_cols, TileWords& out);
 
 /** Geometry of one spiking GeMM: (M x K) spikes times (K x N) weights. */
 struct GemmShape
@@ -139,7 +164,7 @@ struct TileSample
 /**
  * Tile origins of a `rows` x `cols` matrix, row-major (col0 varies
  * fastest); the tiles at the bottom and right edges are cropped by
- * BitMatrix::tile. When there are more than `max_tiles` tiles (and
+ * extractTile. When there are more than `max_tiles` tiles (and
  * max_tiles > 0), keeps the max_tiles origins at multiples of the
  * stride all/max_tiles, and sets `scale` to all/max_tiles so summed
  * per-tile counts extrapolate to the whole matrix.

@@ -128,12 +128,6 @@ BitVector::isSubsetOf(const BitVector& other) const
     return isSubsetOfWords(data(), other.data(), word_count_);
 }
 
-std::uint64_t
-BitVector::signature() const
-{
-    return signatureWords(data(), word_count_);
-}
-
 std::size_t
 BitVector::findFirst() const
 {

@@ -17,9 +17,10 @@
  * within and across words). `words().size() == wordCount() ==
  * ceil(size() / 64)`, and the backing store holds exactly those words.
  * Vectors of at most kInlineWords words (<= 512 bits) store them inline
- * in the object — no heap allocation, so copying a tile row of the
- * paper's 16 columns (BitMatrix::tile, the residual pattern) costs no
- * heap traffic; wider vectors fall back to one heap block.
+ * in the object — no heap allocation, so building a layer's spike
+ * matrix (every row constructed, and the spike generator's repeated
+ * time steps copied) costs no per-row heap traffic; wider vectors fall
+ * back to one heap block.
  *
  * @par Tail-masking invariant
  * Bits of the last word at positions `>= size() % 64` (when `size()` is
@@ -89,8 +90,8 @@ class BitVector
     }
 
     /**
-     * Set bit `pos` to `value`. Inline: BitMatrix::tile copies every
-     * tile row bit by bit, so this sits in a hot loop.
+     * Set bit `pos` to `value`. Inline: the spike generator sets each
+     * clustered row's spikes bit by bit, so this sits in a hot loop.
      */
     void set(std::size_t pos, bool value = true)
     {
@@ -116,14 +117,6 @@ class BitVector
      * violating word.
      */
     bool isSubsetOf(const BitVector& other) const;
-
-    /**
-     * 64-bit occupancy signature (see signatureWords): a one-word
-     * necessary-condition prefilter for isSubsetOf. If A.isSubsetOf(B)
-     * then `A.signature() & ~B.signature() == 0`; prefix selection rejects
-     * most non-subset candidates on this single word operation.
-     */
-    std::uint64_t signature() const;
 
     /** Index of the lowest set bit, or size() when empty. */
     std::size_t findFirst() const;

@@ -6,12 +6,14 @@
  * touches spike bits (prefix selection's TCAM model, the residual XOR,
  * the density analyses) bottoms out here, operating on whole 64-bit words
  * instead of individual bits. The functions are deliberately free of
- * class state so they can run over raw `BitVector::words()` spans.
+ * class state so they can run over raw `BitVector::words()` and tile
+ * row spans.
  *
  * All kernels assume canonical operands: unused tail bits beyond the
  * logical width are zero. `BitVector` maintains that invariant through
- * its single masked-write path (see BitVector::storeWord), so spans
- * obtained from `BitVector::words()` are always safe inputs.
+ * its single masked-write path (see BitVector::storeWord), and
+ * extractTile masks every tile row's last word, so spans obtained from
+ * `BitVector::words()` and `TileWords::row()` are always safe inputs.
  *
  * `popcountWords` and `signatureScanWords` are also the *scalar
  * reference tier* of the runtime SIMD dispatch (bitmatrix/

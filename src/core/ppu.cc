@@ -65,9 +65,10 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     double first_phase = 0.0;
     bool first = true;
 
+    TileWords words; // one buffer, refilled for every tile
     for (const auto& [r0, c0] : sample.origins) {
-        const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
-        const TileStats stats = pipeline.process(t);
+        extractTile(spikes, r0, c0, tile.m, tile.k, words);
+        const TileStats stats = pipeline.process(words);
 
         const double compute =
             static_cast<double>(stats.compute_cycles) *

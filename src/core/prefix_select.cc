@@ -9,28 +9,26 @@
 namespace prosperity {
 
 PrefixSelection
-selectPrefixes(const BitMatrix& tile)
+selectPrefixes(const TileWords& tile)
 {
-    const std::size_t m = tile.rows();
+    const std::size_t m = tile.rows;
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);
     if (m == 0)
         return sel;
 
-    // Per-row word spans, popcounts and one-word occupancy signatures.
-    // Popcount and the signature scan below go through the dispatched
-    // SIMD table.
+    // Per-row popcounts and one-word occupancy signatures. Popcount
+    // and the signature scan below go through the dispatched SIMD
+    // table.
     const SimdOps& ops = simdOps();
-    const std::size_t nwords = tile.row(0).wordCount();
-    std::vector<const std::uint64_t*> row_words(m);
+    const std::size_t nwords = tile.row_words;
     std::vector<std::uint64_t> sig(m);
     std::size_t max_pc = 0;
     for (std::size_t i = 0; i < m; ++i) {
-        const BitVector& row = tile.row(i);
-        row_words[i] = row.words().data();
-        sel.popcounts[i] = ops.popcountWords(row_words[i], nwords);
-        sig[i] = row.signature();
+        const std::uint64_t* row = tile.row(i).data();
+        sel.popcounts[i] = ops.popcountWords(row, nwords);
+        sig[i] = signatureWords(row, nwords);
         max_pc = std::max(max_pc, sel.popcounts[i]);
     }
     if (max_pc == 0)
@@ -80,7 +78,8 @@ selectPrefixes(const BitMatrix& tile)
         for (std::size_t s = kept; s-- > 0;) {
             const std::uint32_t j = order[survivors[s]];
             if (signature_is_exact ||
-                isSubsetOfWords(row_words[j], row_words[i], nwords)) {
+                isSubsetOfWords(tile.row(j).data(), tile.row(i).data(),
+                                nwords)) {
                 sel.prefix[i] = static_cast<std::int32_t>(j);
                 break;
             }

@@ -56,12 +56,13 @@ struct PrefixSelection
  * select nor serve as a prefix (the TCAM's valid bit masks them out).
  * The result equals selectPrefixesNaive() on every tile.
  */
-PrefixSelection selectPrefixes(const BitMatrix& tile);
+PrefixSelection selectPrefixes(const TileWords& tile);
 
 /**
  * All-pairs reference: every subset candidate of every row, pruned by
  * the three rules above. The test oracle and bench baseline for
- * selectPrefixes().
+ * selectPrefixes(); it reads a BitMatrix, so it checks the tile
+ * extraction too.
  */
 PrefixSelection selectPrefixesNaive(const BitMatrix& tile);
 

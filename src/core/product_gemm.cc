@@ -1,9 +1,11 @@
 #include "product_gemm.h"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 #include <vector>
 
+#include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "sim/logging.h"
 
@@ -24,11 +26,13 @@ ProductGemm::multiply(const BitMatrix& spikes,
     result.dense_ops = static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
 
+    TileWords tile;                      // refilled for every tile
+    std::vector<std::uint64_t> pattern; // one row's residual words
     for (std::size_t r0 = 0; r0 < M; r0 += tile_.m) {
         for (std::size_t c0 = 0; c0 < K; c0 += tile_.k) {
-            const BitMatrix tile = spikes.tile(r0, c0, tile_.m, tile_.k);
+            extractTile(spikes, r0, c0, tile_.m, tile_.k, tile);
             const PrefixSelection sel = selectPrefixes(tile);
-            const std::size_t rows = tile.rows();
+            const std::size_t rows = tile.rows;
 
             // Issue order: stable by number of ones. A prefix has fewer
             // ones than its row, or as many and a smaller index, so it
@@ -46,26 +50,35 @@ ProductGemm::multiply(const BitMatrix& spikes,
 
             for (const std::size_t row : order) {
                 std::vector<std::int32_t>& acc = local[row];
-                BitVector pattern = tile.row(row);
+                const std::span<const std::uint64_t> bits = tile.row(row);
+                pattern.assign(bits.begin(), bits.end());
                 if (sel.prefix[row] != PrefixSelection::kNoPrefix) {
                     // Step 9: prefix result is the starting partial sum;
                     // the XOR unit leaves the residual bits.
                     const auto p = static_cast<std::size_t>(sel.prefix[row]);
                     acc = local[p];
-                    pattern ^= tile.row(p);
+                    const std::span<const std::uint64_t> prefix =
+                        tile.row(p);
+                    for (std::size_t w = 0; w < pattern.size(); ++w)
+                        pattern[w] ^= prefix[w];
                     ++result.prefix_hits;
-                    if (pattern.none())
-                        ++result.exact_matches;
-                    else
+                    if (anyWord(pattern.data(), pattern.size()))
                         ++result.partial_matches;
+                    else
+                        ++result.exact_matches;
                 }
                 // Steps 10-11: accumulate the residual pattern's weights.
-                for (std::size_t bit = pattern.findFirst();
-                     bit < tile.cols(); bit = pattern.findNext(bit)) {
-                    const std::int32_t* w = weights.rowPtr(c0 + bit);
-                    for (std::size_t col = 0; col < N; ++col)
-                        acc[col] += w[col];
-                    result.product_ops += static_cast<double>(N);
+                for (std::size_t w = 0; w < pattern.size(); ++w) {
+                    for (std::uint64_t word = pattern[w]; word != 0;
+                         word &= word - 1) {
+                        const std::size_t bit =
+                            w * 64 +
+                            static_cast<std::size_t>(std::countr_zero(word));
+                        const std::int32_t* wrow = weights.rowPtr(c0 + bit);
+                        for (std::size_t col = 0; col < N; ++col)
+                            acc[col] += wrow[col];
+                        result.product_ops += static_cast<double>(N);
+                    }
                 }
                 result.bit_ops +=
                     static_cast<double>(sel.popcounts[row]) *

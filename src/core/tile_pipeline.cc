@@ -1,7 +1,9 @@
 #include "tile_pipeline.h"
 
 #include <cmath>
+#include <vector>
 
+#include "bitmatrix/simd_dispatch.h"
 #include "core/prefix_select.h"
 
 namespace prosperity {
@@ -18,14 +20,47 @@ bitonicCompares(std::size_t m)
     return static_cast<double>(m) / 2.0 * log_m * (log_m + 1.0) / 2.0;
 }
 
+/**
+ * Total hops of every row's leaf-to-root prefix-chain walk, a root
+ * counting one. A row's walk is one hop longer than its prefix's, so
+ * each row's count is memoized once it is known and the total costs
+ * O(m), not O(m x chain depth).
+ */
+std::size_t
+prefixChainWalk(const std::vector<std::int32_t>& prefix)
+{
+    std::vector<std::size_t> hops(prefix.size(), 0); // 0 = not yet known
+    std::vector<std::size_t> pending;
+    std::size_t walk = 0;
+    for (std::size_t i = 0; i < prefix.size(); ++i) {
+        // Climb to the first row whose count is known, or past a root.
+        std::size_t known = 0;
+        for (std::size_t node = i;;) {
+            if (hops[node] != 0) {
+                known = hops[node];
+                break;
+            }
+            pending.push_back(node);
+            if (prefix[node] == PrefixSelection::kNoPrefix)
+                break;
+            node = static_cast<std::size_t>(prefix[node]);
+        }
+        // Each climbed row walks one hop more than the row above it.
+        for (; !pending.empty(); pending.pop_back())
+            hops[pending.back()] = ++known;
+        walk += hops[i];
+    }
+    return walk;
+}
+
 } // namespace
 
 TileStats
-TilePipeline::process(const BitMatrix& tile) const
+TilePipeline::process(const TileWords& tile) const
 {
     TileStats stats;
-    stats.rows = tile.rows();
-    stats.cols = tile.cols();
+    stats.rows = tile.rows;
+    stats.cols = tile.cols;
     if (stats.rows == 0 || stats.cols == 0)
         return stats;
 
@@ -35,12 +70,9 @@ TilePipeline::process(const BitMatrix& tile) const
         // No detection: rows issue in natural order, every set bit is
         // one accumulation cycle, and all-zero rows are squeezed out by
         // the issue logic's valid bits.
-        std::size_t work = 0;
-        for (std::size_t r = 0; r < stats.rows; ++r) {
-            const std::size_t pops = tile.row(r).popcount();
-            stats.bit_row_ops += static_cast<double>(pops);
-            work += pops;
-        }
+        const std::size_t work =
+            simdOps().popcountWords(tile.words.data(), tile.words.size());
+        stats.bit_row_ops = static_cast<double>(work);
         stats.accum_row_ops = stats.bit_row_ops;
         stats.compute_cycles =
             fill + static_cast<std::size_t>(
@@ -67,15 +99,7 @@ TilePipeline::process(const BitMatrix& tile) const
     } else {
         // One table lookup per hop of each row's leaf-to-root walk; the
         // table is banked two ways, so two walks proceed per cycle.
-        std::size_t walk = 0;
-        for (std::size_t i = 0; i < m; ++i) {
-            std::size_t hops = 1;
-            for (std::int32_t node = sel.prefix[i];
-                 node != PrefixSelection::kNoPrefix;
-                 node = sel.prefix[static_cast<std::size_t>(node)])
-                ++hops;
-            walk += hops;
-        }
+        const std::size_t walk = prefixChainWalk(sel.prefix);
         exposed = (walk + 1) / 2;
         stats.table_accesses += static_cast<double>(walk);
     }

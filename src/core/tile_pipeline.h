@@ -104,7 +104,7 @@ class TilePipeline
     SparsityMode sparsityMode() const { return sparsity_; }
 
     /** Process one cropped tile and return its schedule/activity. */
-    TileStats process(const BitMatrix& tile) const;
+    TileStats process(const TileWords& tile) const;
 
   private:
     SparsityMode sparsity_;

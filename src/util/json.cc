@@ -274,8 +274,17 @@ class Parser
         if (atEnd())
             fail("unexpected end of input");
         switch (peek()) {
-          case '{': return parseObject();
-          case '[': return parseArray();
+          case '{':
+          case '[': {
+            // Each level is one recursion: bound it before the stack.
+            if (depth_ == kMaxNestingDepth)
+                fail("arrays and objects nest deeper than " +
+                     std::to_string(kMaxNestingDepth) + " levels");
+            ++depth_;
+            Value value = peek() == '{' ? parseObject() : parseArray();
+            --depth_;
+            return value;
+          }
           case '"': return Value(parseString());
           case 't': expectLiteral("true"); return Value(true);
           case 'f': expectLiteral("false"); return Value(false);
@@ -470,6 +479,7 @@ class Parser
 
     const std::string& text_;
     std::size_t pos_ = 0;
+    std::size_t depth_ = 0; ///< arrays and objects open at pos_
 };
 
 } // namespace

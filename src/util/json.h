@@ -21,6 +21,10 @@
  *   std::runtime_error naming the expected and actual type, so a
  *   malformed campaign spec fails with an actionable message instead
  *   of a default-constructed value.
+ * - **Nesting is bounded**: the parser recurses once per array or
+ *   object level, so input nested deeper than kMaxNestingDepth is a
+ *   ParseError rather than a stack overflow. Bytes from the network
+ *   and from disk reach this parser.
  *
  * Non-finite numbers have no JSON representation; dump() writes them
  * as `null` (and formatDouble() returns "nan"/"inf"/"-inf" for
@@ -47,6 +51,13 @@ namespace prosperity::json {
  * exactly-representable range print without an exponent ("42", "-0").
  */
 std::string formatDouble(double v);
+
+/**
+ * Deepest array/object nesting Value::parse accepts. The deepest
+ * checked-in document (campaigns, models, golden reports) nests 6
+ * levels.
+ */
+inline constexpr std::size_t kMaxNestingDepth = 256;
 
 /** Parse failure with 1-based source position. */
 class ParseError : public std::runtime_error
@@ -125,7 +136,8 @@ class Value
 
     /**
      * Parse a complete JSON document (trailing whitespace allowed,
-     * trailing content is an error). Throws ParseError.
+     * trailing content is an error). Throws ParseError, also for
+     * arrays and objects nested deeper than kMaxNestingDepth.
      */
     static Value parse(const std::string& text);
 

@@ -13,6 +13,7 @@
 
 #include "core/prefix_select.h"
 #include "sim/rng.h"
+#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -34,14 +35,16 @@ expectIdentical(const PrefixSelection& fast, const PrefixSelection& naive)
 void
 expectMatchesNaive(const BitMatrix& tile)
 {
-    expectIdentical(selectPrefixes(tile), selectPrefixesNaive(tile));
+    expectIdentical(selectPrefixes(wholeTile(tile)),
+                    selectPrefixesNaive(tile));
 }
 
 TEST(Detection, PopcountsMatchRows)
 {
     // Fig. 5 (a): the 6-row tile the paper walks through.
-    const PrefixSelection sel = selectPrefixes(BitMatrix::fromStrings(
-        {"1010", "1001", "1011", "0010", "1101", "1101"}));
+    const PrefixSelection sel =
+        selectPrefixes(wholeTile(BitMatrix::fromStrings(
+            {"1010", "1001", "1011", "0010", "1101", "1101"})));
     ASSERT_EQ(sel.rows(), 6u);
     const std::size_t expected[] = {2, 2, 3, 1, 3, 3};
     for (std::size_t i = 0; i < 6; ++i)
@@ -52,8 +55,8 @@ TEST(Detection, EmptyRowsNeverMatch)
 {
     // Empty rows are trivially subsets but carry no reusable result,
     // and they have nothing to compute.
-    const PrefixSelection sel = selectPrefixes(
-        BitMatrix::fromStrings({"0000", "1010", "0000", "0000"}));
+    const PrefixSelection sel = selectPrefixes(wholeTile(
+        BitMatrix::fromStrings({"0000", "1010", "0000", "0000"})));
     for (std::size_t i = 0; i < sel.rows(); ++i)
         EXPECT_EQ(sel.prefix[i], kNone) << "row " << i;
 }
@@ -122,7 +125,7 @@ TEST(DetectionGolden, DegenerateTiles)
     BitMatrix one_row(1, 16);
     one_row.set(0, 3);
     expectMatchesNaive(one_row);
-    const PrefixSelection sel = selectPrefixes(one_row);
+    const PrefixSelection sel = selectPrefixes(wholeTile(one_row));
     EXPECT_EQ(sel.popcounts[0], 1u);
     EXPECT_EQ(sel.prefix[0], kNone);
 }

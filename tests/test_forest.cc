@@ -10,6 +10,7 @@
 
 #include "core/prefix_select.h"
 #include "sim/rng.h"
+#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -20,7 +21,7 @@ void
 expectPrefixes(const BitMatrix& tile,
                const std::vector<std::int32_t>& expected)
 {
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     ASSERT_EQ(sel.rows(), expected.size());
     for (std::size_t i = 0; i < expected.size(); ++i)
         EXPECT_EQ(sel.prefix[i], expected[i]) << "row " << i;
@@ -55,7 +56,7 @@ TEST(Forest, AlwaysAcyclicOnRandomTiles)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(64, 16);
         tile.randomize(rng, 0.1 + 0.03 * trial);
-        const PrefixSelection sel = selectPrefixes(tile);
+        const PrefixSelection sel = selectPrefixes(wholeTile(tile));
         for (std::size_t i = 0; i < sel.rows(); ++i) {
             std::size_t hops = 0;
             for (std::int32_t node = sel.prefix[i];

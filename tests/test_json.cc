@@ -12,6 +12,7 @@
 #include <cstring>
 #include <limits>
 #include <locale>
+#include <string>
 
 #include "util/json.h"
 
@@ -91,6 +92,44 @@ TEST(Json, ErrorsCarryPositionAndMessage)
     EXPECT_THROW(Value::parse("{} trailing"), ParseError);
     EXPECT_THROW(Value::parse(R"("\q")"), ParseError);
     EXPECT_THROW(Value::parse(R"("\uD83D")"), ParseError);
+}
+
+TEST(Json, NestingDepthIsCapped)
+{
+    // The parser recurses once per array or object level, so nesting
+    // is capped: kMaxNestingDepth levels parse, one more is a
+    // positioned ParseError, and inputs 400k and 200k levels deep throw
+    // instead of overflowing the stack.
+    const std::size_t cap = kMaxNestingDepth;
+    const std::string arrays =
+        std::string(cap, '[') + std::string(cap, ']');
+    std::string objects;
+    for (std::size_t i = 0; i < cap; ++i)
+        objects += "{\"a\":";
+    objects += "1" + std::string(cap, '}');
+    EXPECT_NO_THROW(Value::parse(arrays));
+    EXPECT_NO_THROW(Value::parse(objects));
+    EXPECT_THROW(Value::parse("[" + arrays + "]"), ParseError);
+    EXPECT_THROW(Value::parse("{\"a\":" + objects + "}"), ParseError);
+
+    try {
+        Value::parse(std::string(cap + 1, '['));
+        FAIL() << "nesting past the cap not rejected";
+    } catch (const ParseError& e) {
+        // Reported at the bracket that opens level cap + 1.
+        EXPECT_EQ(e.line(), 1u);
+        EXPECT_EQ(e.column(), cap + 1);
+        EXPECT_NE(std::string(e.what()).find("nest deeper than 256"),
+                  std::string::npos)
+            << e.what();
+    }
+
+    EXPECT_THROW(Value::parse(std::string(400000, '[') + "\n"),
+                 ParseError);
+    std::string deep_objects;
+    for (std::size_t i = 0; i < 200000; ++i)
+        deep_objects += "{\"a\":";
+    EXPECT_THROW(Value::parse(deep_objects + "\n"), ParseError);
 }
 
 TEST(Json, TypedAccessorsNameTheMismatch)

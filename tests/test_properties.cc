@@ -73,9 +73,10 @@ TEST_P(ProsparsityProperties, TileInvariants)
 {
     const BitMatrix spikes = makeMatrix();
     TileConfig tile;
+    TileWords t;
     for (std::size_t r0 = 0; r0 < spikes.rows(); r0 += tile.m) {
         for (std::size_t c0 = 0; c0 < spikes.cols(); c0 += tile.k) {
-            const BitMatrix t = spikes.tile(r0, c0, tile.m, tile.k);
+            extractTile(spikes, r0, c0, tile.m, tile.k, t);
             const PrefixSelection sel = selectPrefixes(t);
             for (std::size_t i = 0; i < sel.rows(); ++i) {
                 if (sel.prefix[i] == PrefixSelection::kNoPrefix)
@@ -87,10 +88,12 @@ TEST_P(ProsparsityProperties, TileInvariants)
                             (sel.popcounts[p] == sel.popcounts[i] && p < i))
                     << "row " << i << " prefix " << p;
 
-                // (3) disjointness + reconstruction.
-                const BitVector pattern = t.row(i) ^ t.row(p);
-                ASSERT_TRUE((pattern & t.row(p)).none());
-                ASSERT_EQ(pattern | t.row(p), t.row(i));
+                // (3) disjointness + reconstruction, word by word.
+                for (std::size_t w = 0; w < t.row_words; ++w) {
+                    const std::uint64_t pattern = t.row(i)[w] ^ t.row(p)[w];
+                    ASSERT_EQ(pattern & t.row(p)[w], 0u);
+                    ASSERT_EQ(pattern | t.row(p)[w], t.row(i)[w]);
+                }
             }
         }
     }
@@ -203,9 +206,12 @@ TEST_P(CanonicalTailProperties, MatrixPathsKeepTailZero)
     for (std::size_t r = 0; r < m.rows(); ++r)
         ASSERT_TRUE(tailIsCanonical(m.row(r))) << "randomize row " << r;
 
-    const BitMatrix t = m.tile(5, 1, 16, cols > 2 ? cols - 2 : cols);
-    for (std::size_t r = 0; r < t.rows(); ++r)
-        ASSERT_TRUE(tailIsCanonical(t.row(r))) << "tile row " << r;
+    TileWords t;
+    extractTile(m, 5, 1, 16, cols > 2 ? cols - 2 : cols, t);
+    const std::size_t tail = t.cols % 64;
+    for (std::size_t r = 0; r < t.rows; ++r)
+        ASSERT_TRUE(tail == 0 || (t.row(r).back() >> tail) == 0)
+            << "tile row " << r;
 
     // The generator exercises randomize + set + row copies in one go.
     ActivationProfile profile;

@@ -9,6 +9,7 @@
 
 #include "core/prefix_select.h"
 #include "sim/rng.h"
+#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -46,7 +47,7 @@ TEST(Pruning, PaperRow2SelectsRow1)
     // (1010) and 1 (1001) both have 2 ones; the largest-index rule
     // picks Row 1, matching the paper's walkthrough.
     const BitMatrix tile = fig5Matrix();
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     EXPECT_EQ(sel.prefix[2], 1);
     EXPECT_LT(sel.popcounts[1], sel.popcounts[2]); // a partial match
     EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
@@ -55,7 +56,7 @@ TEST(Pruning, PaperRow2SelectsRow1)
 TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
 {
     const BitMatrix tile = fig5Matrix();
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     // Row 5 reuses Row 4 entirely (EM), pattern all-zero.
     EXPECT_EQ(sel.prefix[5], 4);
     EXPECT_EQ(sel.popcounts[4], sel.popcounts[5]);
@@ -68,8 +69,8 @@ TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
 
 TEST(Pruning, EmChainLinksThroughLargestIndex)
 {
-    const PrefixSelection sel =
-        selectPrefixes(BitMatrix::fromStrings({"1100", "1100", "1100"}));
+    const PrefixSelection sel = selectPrefixes(
+        wholeTile(BitMatrix::fromStrings({"1100", "1100", "1100"})));
     EXPECT_EQ(sel.prefix[0], kNone);
     EXPECT_EQ(sel.prefix[1], 0);
     // Row 2 ties between Row 0 and Row 1; largest index wins.
@@ -83,7 +84,7 @@ TEST(Pruning, ArgmaxPrefersLargestSubset)
         "1100", // 1: subset of 2, 2 ones  <- best
         "1110", // 2
     });
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     EXPECT_EQ(sel.prefix[2], 1);
     EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
 }
@@ -96,7 +97,7 @@ TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
         "0100", // different 1-spike row: no candidate
         "0000", // empty: nothing to reuse
     });
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     EXPECT_EQ(sel.prefix[1], 0);
     EXPECT_TRUE(pattern(tile, sel, 1).none());
     EXPECT_EQ(sel.prefix[2], kNone);
@@ -112,7 +113,7 @@ TEST(Pruning, PatternPlusPrefixReconstructsRow)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(48, trial % 2 == 0 ? 16 : 80);
         tile.randomize(rng, 0.35);
-        const PrefixSelection sel = selectPrefixes(tile);
+        const PrefixSelection sel = selectPrefixes(wholeTile(tile));
         for (std::size_t i = 0; i < tile.rows(); ++i) {
             EXPECT_EQ(sel.popcounts[i], tile.row(i).popcount());
             if (sel.prefix[i] == kNone)
@@ -136,7 +137,7 @@ TEST(Pruning, PrefixRespectsPartialOrdering)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(64, 16);
         tile.randomize(rng, 0.15 + 0.02 * trial);
-        const PrefixSelection sel = selectPrefixes(tile);
+        const PrefixSelection sel = selectPrefixes(wholeTile(tile));
         for (std::size_t i = 0; i < tile.rows(); ++i) {
             if (sel.prefix[i] == kNone)
                 continue;
@@ -154,7 +155,7 @@ TEST(Pruning, ExactMatchIffEqualPopcounts)
     Rng rng(14);
     BitMatrix tile(96, 16);
     tile.randomize(rng, 0.2);
-    const PrefixSelection sel = selectPrefixes(tile);
+    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     for (std::size_t i = 0; i < tile.rows(); ++i) {
         if (sel.prefix[i] == kNone)
             continue;

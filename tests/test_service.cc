@@ -16,6 +16,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -336,6 +337,25 @@ TEST_F(ServiceTest, OutOfRangeProfileIs400AndServiceKeepsServing)
                                     .at("message")
                                     .asString();
     EXPECT_NE(message.find("profile.bit_density"), std::string::npos)
+        << message;
+    EXPECT_EQ(http.get("/v1/stats").status, 200);
+}
+
+TEST_F(ServiceTest, DeeplyNestedBodyIs400AndServiceKeepsServing)
+{
+    // 400k nested arrays once overflowed the JSON parser's stack and
+    // killed the daemon; the nesting cap makes them a positioned 400.
+    startService();
+    HttpClient http = client();
+    const HttpResponse response =
+        http.post("/v1/campaigns", std::string(400000, '[') + "\n");
+    EXPECT_EQ(response.status, 400);
+    const std::string message = json::Value::parse(response.body)
+                                    .at("error")
+                                    .at("message")
+                                    .asString();
+    EXPECT_NE(message.find("JSON parse error at line 1"),
+              std::string::npos)
         << message;
     EXPECT_EQ(http.get("/v1/stats").status, 200);
 }

@@ -25,6 +25,7 @@
 #include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "sim/rng.h"
+#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -155,9 +156,6 @@ TEST_P(SimdKernels, BitVectorOpsAgreeWithScalarLoops)
             << "tier " << tier() << " bits=" << bits;
         EXPECT_EQ(v.any(), expected > 0)
             << "tier " << tier() << " bits=" << bits;
-        EXPECT_EQ(v.signature(),
-                  signatureWords(v.words().data(), v.wordCount()))
-            << "tier " << tier() << " bits=" << bits;
 
         // Dropping bits keeps a subset; one bit outside breaks it.
         BitVector drop(bits);
@@ -191,7 +189,7 @@ TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
             if (r % 2 == 1)
                 tile.row(r) = base.andNot(tile.row(r));
         }
-        const PrefixSelection fast = selectPrefixes(tile);
+        const PrefixSelection fast = selectPrefixes(wholeTile(tile));
         const PrefixSelection naive = selectPrefixesNaive(tile);
         ASSERT_EQ(fast.popcounts, naive.popcounts)
             << "tier " << tier() << " cols=" << cols;

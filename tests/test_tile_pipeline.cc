@@ -7,15 +7,16 @@
 
 #include "core/tile_pipeline.h"
 #include "sim/rng.h"
+#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
 
-BitMatrix
+TileWords
 paperTile()
 {
-    return BitMatrix::fromStrings({
-        "1010", "1001", "1011", "0010", "1101", "1101"});
+    return wholeTile(BitMatrix::fromStrings({
+        "1010", "1001", "1011", "0010", "1101", "1101"}));
 }
 
 TEST(TilePipeline, BitSparsityCountsRawSpikes)
@@ -53,7 +54,7 @@ TEST(TilePipeline, ProsparsityPhaseCycles)
 
     // A one-row tile still pays the five-stage pipeline.
     const TileStats one =
-        pipeline.process(BitMatrix::fromStrings({"0110"}));
+        pipeline.process(wholeTile(BitMatrix::fromStrings({"0110"})));
     EXPECT_EQ(one.prosparsity_cycles, 5u);
 }
 
@@ -68,7 +69,7 @@ TEST(TilePipeline, PhaseCostsAtPaperTileSize)
     const TileStats stats =
         TilePipeline(SparsityMode::kProductSparsity,
                      DispatchMode::kOverheadFree)
-            .process(tile);
+            .process(wholeTile(tile));
     EXPECT_EQ(stats.prosparsity_cycles, 260u);
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 256.0 * 256.0 * 16.0);
     EXPECT_DOUBLE_EQ(stats.popcount_ops, 256.0);
@@ -83,7 +84,7 @@ TEST(TilePipeline, EmRowsStillCostOneCycle)
         "1111", "1111", "1111", "1111"});
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.process(tile);
+    const TileStats stats = pipeline.process(wholeTile(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 4.0); // row 0 pays 4 adds
     EXPECT_EQ(stats.exact_matches, 3u);
     // 4 fill + ceil((4 row-0 adds + 3 EM copies) / 0.65) = 4 + 11.
@@ -98,7 +99,7 @@ TEST(TilePipeline, ProductOpsNeverExceedBitOps)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(128, 16);
         tile.randomize(rng, 0.05 + 0.04 * trial);
-        const TileStats stats = pipeline.process(tile);
+        const TileStats stats = pipeline.process(wholeTile(tile));
         EXPECT_LE(stats.accum_row_ops, stats.bit_row_ops);
     }
 }
@@ -107,7 +108,7 @@ TEST(TilePipeline, EmptyTile)
 {
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.process(BitMatrix(0, 0));
+    const TileStats stats = pipeline.process(TileWords{});
     EXPECT_EQ(stats.compute_cycles, 0u);
     EXPECT_EQ(stats.prosparsity_cycles, 0u);
 }
@@ -117,7 +118,7 @@ TEST(TilePipeline, AllZeroRowsAreSqueezedOut)
     const BitMatrix tile(8, 16);
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.process(tile);
+    const TileStats stats = pipeline.process(wholeTile(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 0.0);
     EXPECT_EQ(stats.compute_cycles, 4u); // pipeline fill only
 }

@@ -15,6 +15,12 @@
 namespace prosperity {
 namespace {
 
+std::uint64_t
+signatureOf(const BitVector& v)
+{
+    return signatureWords(v.words().data(), v.wordCount());
+}
+
 TEST(WordKernels, PopcountMatchesScalar)
 {
     const std::uint64_t words[] = {0x0, 0xffffffffffffffffULL, 0x5ULL,
@@ -55,7 +61,7 @@ TEST(WordKernels, SignatureIsExactForOneWord)
     BitVector v(48);
     v.set(0);
     v.set(47);
-    EXPECT_EQ(v.signature(), v.words()[0]);
+    EXPECT_EQ(signatureOf(v), v.words()[0]);
 }
 
 TEST(WordKernels, SignaturePreservesSubsetOrder)
@@ -70,7 +76,7 @@ TEST(WordKernels, SignaturePreservesSubsetOrder)
             BitVector drop(width);
             drop.randomize(rng, 0.5);
             const BitVector a = b.andNot(drop);
-            EXPECT_EQ(a.signature() & ~b.signature(), 0u)
+            EXPECT_EQ(signatureOf(a) & ~signatureOf(b), 0u)
                 << "width " << width;
         }
     }
@@ -82,7 +88,7 @@ TEST(WordKernels, SignatureRejectsDisjointOccupancy)
     BitVector lo(256), hi(256);
     lo.set(3);
     hi.set(200);
-    EXPECT_NE(lo.signature() & ~hi.signature(), 0u);
+    EXPECT_NE(signatureOf(lo) & ~signatureOf(hi), 0u);
     EXPECT_FALSE(lo.isSubsetOf(hi));
 }
 
