@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 #include "obs/trace.h"
 #include "sim/logging.h"
@@ -37,15 +38,16 @@ generateLayerSpikes(const SpikeGenerator& gen, const LayerSpec& layer,
 /** Run one layer on one accelerator and fold it into `result`. */
 void
 accumulateLayer(Accelerator& accel, const LayerSpec& layer,
-                const BitMatrix* spikes, const RunOptions& options,
-                RunResult& result)
+                const BitMatrix* spikes, TileSummaryCache* summaries,
+                const RunOptions& options, RunResult& result)
 {
     // One child span per layer; Accelerator::runLayer adds per-stage
     // grandchildren. Free when the thread is not being traced.
     obs::ScopedSpan span("layer", layer.name);
     if (span.active())
         span.setDetail(accel.name());
-    const LayerRequest request = layerRequestFor(layer, spikes);
+    LayerRequest request = layerRequestFor(layer, spikes);
+    request.tile_summaries = summaries;
     const LayerResult lr = accel.runLayer(request);
     result.cycles += lr.cycles;
     result.dense_macs += lr.dense_macs;
@@ -104,9 +106,13 @@ runWorkloadOnAll(const std::vector<Accelerator*>& accels,
                                          options.seed);
         }
 
+        // The designs that tile these spikes alike share one front-end
+        // pass over them.
+        TileSummaryCache summaries(spikes, layer.name);
         for (std::size_t a = 0; a < accels.size(); ++a)
             accumulateLayer(*accels[a], layer,
-                            is_spiking ? &spikes : nullptr, options,
+                            is_spiking ? &spikes : nullptr,
+                            is_spiking ? &summaries : nullptr, options,
                             results[a]);
     }
     return results;

@@ -53,6 +53,7 @@ Accelerator::runLayer(const LayerRequest& request)
     EnergyModel& energy = result.energy;
 
     layer_dram_bytes_ = 0.0;
+    layer_tile_summaries_ = request.tile_summaries;
     // Per-stage child spans: these are the leaves of a request's trace
     // timeline, and no-ops (no clock read) when tracing is off.
     switch (request.kind) {

@@ -11,6 +11,14 @@
  * state crosses the call boundary, which is what lets the
  * SimulationEngine in src/analysis run batches across threads.
  *
+ * The one piece of shared state is a request's optional
+ * TileSummaryCache, and it cannot change any result. It is
+ * lineup-local: the designs of one runWorkloadOnAll lineup share it
+ * for one layer, and only that lineup's thread touches it. It memoizes
+ * a pure function of the layer's spike matrix and tiling, so whichever
+ * design fills an entry, every design reads the same summaries it
+ * would have computed alone.
+ *
  * Design authors override the protected simulate* hooks, which charge
  * into a request-local EnergyModel owned by runLayer(); the hooks are
  * not callable from outside, so external code cannot reintroduce the
@@ -27,6 +35,8 @@
 #include "bitmatrix/bit_matrix.h"
 
 namespace prosperity {
+
+class TileSummaryCache; // core/tile_pipeline.h
 
 /** Model-level information passed to accelerators before layers run. */
 struct ModelHints
@@ -53,6 +63,9 @@ struct LayerRequest
     const BitMatrix* spikes = nullptr; ///< left operand (kSpikingGemm)
     double sfu_ops = 0.0;             ///< softmax/LN elementwise ops
     double lif_updates = 0.0;         ///< neuron-array membrane updates
+    /** Tile summaries of `spikes` shared across a lineup (may be null;
+     *  must outlive the runLayer call). */
+    TileSummaryCache* tile_summaries = nullptr;
 
     /** A spiking GeMM; `spikes` must outlive the runLayer call. */
     static LayerRequest spikingGemm(const GemmShape& shape,
@@ -162,6 +175,12 @@ class Accelerator
      */
     void noteDramBytes(double bytes) { layer_dram_bytes_ += bytes; }
 
+    /** The current request's shared tile summaries, or null. */
+    TileSummaryCache* layerTileSummaries() const
+    {
+        return layer_tile_summaries_;
+    }
+
     /**
      * Default DRAM traffic for one spiking GeMM: 8-bit weights streamed
      * once, packed spikes in (re-streamed once per `row_tile`-column
@@ -174,6 +193,7 @@ class Accelerator
 
   private:
     double layer_dram_bytes_ = 0.0; ///< scratch for the current layer
+    TileSummaryCache* layer_tile_summaries_ = nullptr; ///< same
 };
 
 } // namespace prosperity

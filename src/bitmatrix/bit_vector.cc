@@ -103,12 +103,6 @@ BitVector::fromString(const std::string& pattern)
     return v;
 }
 
-bool
-BitVector::any() const
-{
-    return anyWord(data(), word_count_);
-}
-
 void
 BitVector::clear()
 {
@@ -185,14 +179,6 @@ BitVector::operator|(const BitVector& other) const
 }
 
 BitVector
-BitVector::operator^(const BitVector& other) const
-{
-    BitVector out(*this);
-    out ^= other;
-    return out;
-}
-
-BitVector
 BitVector::andNot(const BitVector& other) const
 {
     PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
@@ -207,7 +193,7 @@ BitVector::andNot(const BitVector& other) const
     return out;
 }
 
-// The compound bitwise operators write words_ directly: AND/OR/XOR of
+// The compound bitwise operators write words_ directly: AND/OR of
 // two canonical (zero-tail) operands of equal width are canonical by
 // construction, and the branch-free loops auto-vectorize. Only writes
 // that can carry arbitrary out-of-range bits — setWord, randomize —
@@ -232,17 +218,6 @@ BitVector::operator|=(const BitVector& other)
     const std::uint64_t* b = other.data();
     for (std::size_t i = 0; i < word_count_; ++i)
         a[i] |= b[i];
-    return *this;
-}
-
-BitVector&
-BitVector::operator^=(const BitVector& other)
-{
-    PROSPERITY_ASSERT(bits_ == other.bits_, "width mismatch");
-    std::uint64_t* a = data();
-    const std::uint64_t* b = other.data();
-    for (std::size_t i = 0; i < word_count_; ++i)
-        a[i] ^= b[i];
     return *this;
 }
 

@@ -5,12 +5,12 @@
  * A BitVector models one row of a spike matrix: a fixed number of bits
  * packed into 64-bit words. The operations mirror exactly what the
  * Prosperity hardware performs on spike rows: popcount (the detector's
- * number-of-ones), subset test (the TCAM match), XOR (the residual
- * pattern row ^ prefix), and bit-scan-forward (the Processor's address
- * decode). The per-word loops live in bitmatrix/word_kernels.h; popcount
- * runs through the runtime SIMD dispatch (bitmatrix/simd_dispatch.h) at
- * whatever tier the host supports, the other queries call the scalar
- * loops directly.
+ * number-of-ones), subset test (the TCAM match) and bit-scan-forward
+ * (the Processor's address decode); the residual pattern row ^ prefix
+ * is formed on tile words (TileWords). The per-word loops live in
+ * bitmatrix/word_kernels.h; popcount runs through the runtime SIMD
+ * dispatch (bitmatrix/simd_dispatch.h) at whatever tier the host
+ * supports, the other queries call the scalar loops directly.
  *
  * @par Word layout
  * Bit `pos` lives in `words()[pos / 64]` at bit `pos % 64` (little-endian
@@ -30,7 +30,7 @@
  * word-granularity entry points future kernels would use — funnels
  * through one private masked-write path (`storeWord`) that discards
  * tail bits, while the remaining mutators preserve the invariant by
- * construction (`set` asserts `pos < size()`; AND/OR/XOR between
+ * construction (`set` asserts `pos < size()`; AND/OR between
  * canonical equal-width operands yield canonical words). The invariant
  * is what makes `hash()`, `operator==`, and the word kernels canonical:
  * equal bit content implies equal words.
@@ -75,12 +75,6 @@ class BitVector
 
     /** Number of bits. */
     std::size_t size() const { return bits_; }
-
-    /** Whether any bit is set. */
-    bool any() const;
-
-    /** Whether no bit is set. */
-    bool none() const { return !any(); }
 
     /** Read bit `pos`. */
     bool test(std::size_t pos) const
@@ -129,13 +123,11 @@ class BitVector
 
     BitVector operator&(const BitVector& other) const;
     BitVector operator|(const BitVector& other) const;
-    BitVector operator^(const BitVector& other) const;
     /** this & ~other — the residual ProSparsity pattern. */
     BitVector andNot(const BitVector& other) const;
 
     BitVector& operator&=(const BitVector& other);
     BitVector& operator|=(const BitVector& other);
-    BitVector& operator^=(const BitVector& other);
 
     bool operator==(const BitVector& other) const;
     bool operator!=(const BitVector& other) const = default;

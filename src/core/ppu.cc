@@ -19,7 +19,7 @@ ceilDiv(std::size_t a, std::size_t b)
 
 PpuLayerResult
 Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
-             EnergyModel* energy) const
+             EnergyModel* energy, TileSummaryCache* summaries) const
 {
     PROSPERITY_ASSERT(spikes.rows() == shape.m && spikes.cols() == shape.k,
                       "spike matrix does not match GeMM shape");
@@ -30,9 +30,15 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     const double total_tiles =
         static_cast<double>(row_tiles) * static_cast<double>(col_tiles);
 
-    // Strided sampling for huge layers (scale = tiles per analyzed one).
-    const TileSample sample = sampleTiles(shape.m, shape.k, tile,
-                                          options_.max_sampled_tiles);
+    // The analyzed tiles' summaries: a strided sample of huge layers
+    // (scale = tiles per analyzed one), shared with the rest of the
+    // lineup when it passes its cache.
+    PROSPERITY_ASSERT(!summaries || &summaries->spikes() == &spikes,
+                      "tile summaries belong to another spike matrix");
+    TileSummaryCache local(spikes, "spiking_gemm");
+    const TileSummarySet& sample =
+        (summaries ? *summaries : local)
+            .summaries(tile, options_.max_sampled_tiles);
     const double scale = sample.scale;
 
     const TilePipeline pipeline(options_.sparsity, options_.dispatch,
@@ -65,10 +71,8 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     double first_phase = 0.0;
     bool first = true;
 
-    TileWords words; // one buffer, refilled for every tile
-    for (const auto& [r0, c0] : sample.origins) {
-        extractTile(spikes, r0, c0, tile.m, tile.k, words);
-        const TileStats stats = pipeline.process(words);
+    for (const TileSummary& summary : sample.tiles) {
+        const TileStats stats = pipeline.cost(summary);
 
         const double compute =
             static_cast<double>(stats.compute_cycles) *

@@ -88,10 +88,14 @@ class Ppu
 
     /**
      * Run one spiking GeMM. `spikes` must be shape.m x shape.k; `energy`
-     * may be null when only cycles/ops are needed.
+     * may be null when only cycles/ops are needed. `summaries`, when
+     * given, must hold `spikes`: it supplies the tile summaries, shared
+     * with the other designs of a lineup. Without it the tiles are
+     * summarized into a call-local cache.
      */
     PpuLayerResult runGemm(const GemmShape& shape, const BitMatrix& spikes,
-                           EnergyModel* energy) const;
+                           EnergyModel* energy,
+                           TileSummaryCache* summaries = nullptr) const;
 
   private:
     ProsperityConfig config_;

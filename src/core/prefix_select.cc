@@ -47,7 +47,8 @@ selectPrefixes(const TileWords& tile)
             ++next[sel.popcounts[i] + 1];
     for (std::size_t p = 1; p <= max_pc + 1; ++p)
         next[p] += next[p - 1];
-    std::vector<std::uint32_t> order(next[max_pc + 1]);
+    std::vector<std::uint32_t>& order = sel.order;
+    order.resize(next[max_pc + 1]);
     std::vector<std::size_t> rank(m, 0);
     for (std::size_t i = 0; i < m; ++i) {
         if (sel.popcounts[i] == 0)
@@ -95,8 +96,15 @@ selectPrefixesNaive(const BitMatrix& tile)
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);
-    for (std::size_t i = 0; i < m; ++i)
+    for (std::size_t i = 0; i < m; ++i) {
         sel.popcounts[i] = tile.row(i).popcount();
+        if (sel.popcounts[i] > 0)
+            sel.order.push_back(static_cast<std::uint32_t>(i));
+    }
+    std::stable_sort(sel.order.begin(), sel.order.end(),
+                     [&](std::uint32_t a, std::uint32_t b) {
+                         return sel.popcounts[a] < sel.popcounts[b];
+                     });
 
     for (std::size_t i = 0; i < m; ++i) {
         const std::size_t no_i = sel.popcounts[i];

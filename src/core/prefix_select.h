@@ -20,7 +20,7 @@
  * always computes a prefix before its suffixes.
  *
  * selectPrefixes() is the one routine that models both stages: the
- * timing path (TilePipeline), the density analyses and the functional
+ * timing path (summarizeTile), the density analyses and the functional
  * ProductGemm all read its result.
  */
 
@@ -41,6 +41,9 @@ struct PrefixSelection
 
     std::vector<std::size_t> popcounts; ///< NO of each row
     std::vector<std::int32_t> prefix;   ///< prefix row, or kNoPrefix
+    /** The non-empty rows in (popcount, index) order: the sorter's
+     *  issue order, in which every prefix precedes its rows. */
+    std::vector<std::uint32_t> order;
 
     std::size_t rows() const { return popcounts.size(); }
 };

@@ -1,8 +1,6 @@
 #include "product_gemm.h"
 
-#include <algorithm>
 #include <bit>
-#include <numeric>
 #include <vector>
 
 #include "bitmatrix/word_kernels.h"
@@ -34,21 +32,13 @@ ProductGemm::multiply(const BitMatrix& spikes,
             const PrefixSelection sel = selectPrefixes(tile);
             const std::size_t rows = tile.rows;
 
-            // Issue order: stable by number of ones. A prefix has fewer
-            // ones than its row, or as many and a smaller index, so it
-            // always issues first.
-            std::vector<std::size_t> order(rows);
-            std::iota(order.begin(), order.end(), 0);
-            std::stable_sort(order.begin(), order.end(),
-                             [&](std::size_t a, std::size_t b) {
-                                 return sel.popcounts[a] < sel.popcounts[b];
-                             });
-
             // Tile-local output rows: the Processor's output buffer.
             std::vector<std::vector<std::int32_t>> local(
                 rows, std::vector<std::int32_t>(N, 0));
 
-            for (const std::size_t row : order) {
+            // Issue order: a prefix always issues before its rows, and
+            // empty rows (no spikes, no prefix) issue nothing.
+            for (const std::size_t row : sel.order) {
                 std::vector<std::int32_t>& acc = local[row];
                 const std::span<const std::uint64_t> bits = tile.row(row);
                 pattern.assign(bits.begin(), bits.end());

@@ -38,7 +38,7 @@ ProsperityAccelerator::simulateSpikingGemm(const GemmShape& shape,
                                            const BitMatrix& spikes,
                                            EnergyModel& energy)
 {
-    last_ = ppu_.runGemm(shape, spikes, &energy);
+    last_ = ppu_.runGemm(shape, spikes, &energy, layerTileSummaries());
     noteDramBytes(last_.dram_bytes);
     return last_.cycles;
 }

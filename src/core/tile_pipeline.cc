@@ -3,8 +3,8 @@
 #include <cmath>
 #include <vector>
 
-#include "bitmatrix/simd_dispatch.h"
 #include "core/prefix_select.h"
+#include "obs/trace.h"
 
 namespace prosperity {
 
@@ -20,43 +20,73 @@ bitonicCompares(std::size_t m)
     return static_cast<double>(m) / 2.0 * log_m * (log_m + 1.0) / 2.0;
 }
 
-/**
- * Total hops of every row's leaf-to-root prefix-chain walk, a root
- * counting one. A row's walk is one hop longer than its prefix's, so
- * each row's count is memoized once it is known and the total costs
- * O(m), not O(m x chain depth).
- */
-std::size_t
-prefixChainWalk(const std::vector<std::int32_t>& prefix)
-{
-    std::vector<std::size_t> hops(prefix.size(), 0); // 0 = not yet known
-    std::vector<std::size_t> pending;
-    std::size_t walk = 0;
-    for (std::size_t i = 0; i < prefix.size(); ++i) {
-        // Climb to the first row whose count is known, or past a root.
-        std::size_t known = 0;
-        for (std::size_t node = i;;) {
-            if (hops[node] != 0) {
-                known = hops[node];
-                break;
-            }
-            pending.push_back(node);
-            if (prefix[node] == PrefixSelection::kNoPrefix)
-                break;
-            node = static_cast<std::size_t>(prefix[node]);
-        }
-        // Each climbed row walks one hop more than the row above it.
-        for (; !pending.empty(); pending.pop_back())
-            hops[pending.back()] = ++known;
-        walk += hops[i];
-    }
-    return walk;
-}
-
 } // namespace
 
+TileSummary
+summarizeTile(const TileWords& tile)
+{
+    TileSummary summary;
+    summary.rows = tile.rows;
+    summary.cols = tile.cols;
+    if (tile.rows == 0 || tile.cols == 0)
+        return summary;
+
+    const PrefixSelection sel = selectPrefixes(tile);
+    // A row's leaf-to-root walk is one hop longer than its prefix's.
+    // Rows go in issue order, so a prefix's count is known before its
+    // rows need it, and the walk total costs O(m), not O(m x chain
+    // depth). Empty rows are roots: one hop each.
+    std::vector<std::size_t> hops(tile.rows, 1);
+    summary.walk = tile.rows - sel.order.size();
+    for (const std::uint32_t r : sel.order) {
+        const std::size_t pops = sel.popcounts[r];
+        std::size_t pattern_pops = pops;
+        summary.ones += pops;
+        if (sel.prefix[r] != PrefixSelection::kNoPrefix) {
+            const auto p = static_cast<std::size_t>(sel.prefix[r]);
+            pattern_pops -= sel.popcounts[p];
+            if (pattern_pops == 0)
+                ++summary.exact;
+            else
+                ++summary.partial;
+            hops[r] = hops[p] + 1;
+        }
+        summary.pattern_ones += pattern_pops;
+        summary.walk += hops[r];
+    }
+    return summary;
+}
+
+const TileSummarySet&
+TileSummaryCache::summaries(const TileConfig& tile,
+                            std::size_t max_sampled_tiles)
+{
+    const std::array<std::size_t, 3> key{tile.m, tile.k,
+                                         max_sampled_tiles};
+    if (const auto found = sets_.find(key); found != sets_.end())
+        return found->second;
+
+    obs::ScopedSpan span("frontend", layer_);
+    if (span.active())
+        span.setDetail("tile_m=" + std::to_string(tile.m) +
+                       " tile_k=" + std::to_string(tile.k) +
+                       " max_sampled_tiles=" +
+                       std::to_string(max_sampled_tiles));
+    const TileSample sample =
+        sampleTiles(spikes_.rows(), spikes_.cols(), tile, max_sampled_tiles);
+    TileSummarySet set;
+    set.scale = sample.scale;
+    set.tiles.reserve(sample.origins.size());
+    TileWords words; // one buffer, refilled for every tile
+    for (const auto& [r0, c0] : sample.origins) {
+        extractTile(spikes_, r0, c0, tile.m, tile.k, words);
+        set.tiles.push_back(summarizeTile(words));
+    }
+    return sets_.emplace(key, std::move(set)).first->second;
+}
+
 TileStats
-TilePipeline::process(const TileWords& tile) const
+TilePipeline::cost(const TileSummary& tile) const
 {
     TileStats stats;
     stats.rows = tile.rows;
@@ -65,23 +95,19 @@ TilePipeline::process(const TileWords& tile) const
         return stats;
 
     const std::size_t fill = 4; // issue/decode/execute/writeback stages
+    stats.bit_row_ops = static_cast<double>(tile.ones);
 
     if (sparsity_ == SparsityMode::kBitSparsity) {
         // No detection: rows issue in natural order, every set bit is
         // one accumulation cycle, and all-zero rows are squeezed out by
         // the issue logic's valid bits.
-        const std::size_t work =
-            simdOps().popcountWords(tile.words.data(), tile.words.size());
-        stats.bit_row_ops = static_cast<double>(work);
         stats.accum_row_ops = stats.bit_row_ops;
         stats.compute_cycles =
             fill + static_cast<std::size_t>(
-                       std::ceil(static_cast<double>(work) /
-                                 kIssueEfficiency));
+                       std::ceil(stats.bit_row_ops / kIssueEfficiency));
         return stats;
     }
 
-    const PrefixSelection sel = selectPrefixes(tile);
     const std::size_t m = stats.rows;
 
     // ProSparsity phase: the Step 2-6 pipeline issues one row per cycle
@@ -99,43 +125,25 @@ TilePipeline::process(const TileWords& tile) const
     } else {
         // One table lookup per hop of each row's leaf-to-root walk; the
         // table is banked two ways, so two walks proceed per cycle.
-        const std::size_t walk = prefixChainWalk(sel.prefix);
-        exposed = (walk + 1) / 2;
-        stats.table_accesses += static_cast<double>(walk);
+        exposed = (tile.walk + 1) / 2;
+        stats.table_accesses += static_cast<double>(tile.walk);
     }
     stats.prosparsity_cycles = m + 4 + exposed;
 
-    double adds = 0.0;
-    for (std::size_t r = 0; r < m; ++r) {
-        const std::size_t pops = sel.popcounts[r];
-        std::size_t pattern_pops = pops;
-        stats.bit_row_ops += static_cast<double>(pops);
-        if (sel.prefix[r] != PrefixSelection::kNoPrefix) {
-            pattern_pops -=
-                sel.popcounts[static_cast<std::size_t>(sel.prefix[r])];
-            ++stats.prefix_hits;
-            ++stats.prefix_loads;
-            if (pattern_pops == 0)
-                ++stats.exact_matches;
-            else
-                ++stats.partial_matches;
-        }
-        stats.accum_row_ops += static_cast<double>(pattern_pops);
-        // An exact match has an all-zero pattern but still occupies one
-        // issue cycle to copy the prefix result (Sec. VII-F); all-zero
-        // rows are squeezed out entirely. Copies go through the banked
-        // psum path, so `issue_width` of them retire per cycle
-        // (intra-PPU parallelism, Sec. VIII-A).
-        if (pops > 0) {
-            if (pattern_pops == 0)
-                stats.floor_rows += 1.0;
-            else
-                adds += static_cast<double>(pattern_pops);
-        }
-    }
+    stats.exact_matches = tile.exact;
+    stats.partial_matches = tile.partial;
+    stats.prefix_hits = tile.exact + tile.partial;
+    stats.prefix_loads = static_cast<double>(stats.prefix_hits);
+    stats.accum_row_ops = static_cast<double>(tile.pattern_ones);
+    // An exact match has an all-zero pattern but still occupies one
+    // issue cycle to copy the prefix result (Sec. VII-F); all-zero
+    // rows are squeezed out entirely. Copies go through the banked
+    // psum path, so `issue_width` of them retire per cycle
+    // (intra-PPU parallelism, Sec. VIII-A).
+    stats.floor_rows = static_cast<double>(tile.exact);
     const double work =
-        adds + std::ceil(stats.floor_rows /
-                         static_cast<double>(issue_width_));
+        stats.accum_row_ops +
+        std::ceil(stats.floor_rows / static_cast<double>(issue_width_));
     stats.compute_cycles =
         fill +
         static_cast<std::size_t>(std::ceil(work / kIssueEfficiency));

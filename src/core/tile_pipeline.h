@@ -1,21 +1,31 @@
 /**
  * @file
- * Per-tile PPU processing: prefix selection -> issue -> cost.
+ * Per-tile PPU processing: prefix selection -> summary -> cost.
  *
- * Turns one tile's prefix selection (core/prefix_select.h) into the
- * per-tile schedule the pipeline model (ppu.h) consumes, and counts the
- * architectural activity the energy model charges: the ProSparsity
- * phase's cycles (Sec. VI-A), the dispatcher's bitonic sorter or, in
- * the ablation, its prefix-chain walk (Sec. V-D), and the Processor's
- * residual accumulations. Supports the ablation configurations of
- * Fig. 9: bit-sparsity-only processing (no detection, no reuse) and
- * product sparsity with either dispatch mode.
+ * The front end is split in two. summarizeTile() runs one tile's
+ * prefix selection (core/prefix_select.h) and reduces it to a few
+ * design-independent sums (TileSummary). TilePipeline::cost() folds a
+ * summary with one design's formulas into the per-tile schedule the
+ * pipeline model (ppu.h) consumes, and counts the architectural
+ * activity the energy model charges: the ProSparsity phase's cycles
+ * (Sec. VI-A), the dispatcher's bitonic sorter or, in the ablation,
+ * its prefix-chain walk (Sec. V-D), and the Processor's residual
+ * accumulations. Supports the ablation configurations of Fig. 9:
+ * bit-sparsity-only processing (no detection, no reuse) and product
+ * sparsity with either dispatch mode. Those modes see the same prefix
+ * selection over the same tiles, so a TileSummaryCache computes each
+ * layer's summaries once for every design that shares its tiling.
  */
 
 #ifndef PROSPERITY_CORE_TILE_PIPELINE_H
 #define PROSPERITY_CORE_TILE_PIPELINE_H
 
+#include <array>
 #include <cstddef>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bitmatrix/bit_matrix.h"
 
@@ -81,7 +91,68 @@ struct TileStats
     double prefix_loads = 0.0; ///< output-buffer row reads for prefixes
 };
 
-/** Tile-level PPU front end. */
+/**
+ * The design-independent result of one tile's prefix selection: every
+ * TileStats field of every mode follows from these sums.
+ */
+struct TileSummary
+{
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    std::size_t ones = 0;         ///< set bits of the tile
+    /** Ones left to accumulate: sum of NO(row) - NO(prefix). */
+    std::size_t pattern_ones = 0;
+    /** Rows whose prefix has as many ones (all-zero pattern). Each is
+     *  a non-empty row, so these are also the 1-cycle floor rows. */
+    std::size_t exact = 0;
+    std::size_t partial = 0;      ///< rows reusing a smaller prefix
+    /** Hops of every row's leaf-to-root prefix-chain walk, a root
+     *  counting one (the traversal dispatcher's table lookups). */
+    std::size_t walk = 0;
+};
+
+/** Select every row's prefix in `tile` and sum the result. */
+TileSummary summarizeTile(const TileWords& tile);
+
+/** Summaries of one spike matrix's analyzed tiles, in sampleTiles
+ *  order, and how many of the matrix's tiles each stands for. */
+struct TileSummarySet
+{
+    std::vector<TileSummary> tiles;
+    double scale = 1.0;
+};
+
+/**
+ * One layer's tile summaries, shared by every design of a lineup.
+ * Keyed by (tile.m, tile.k, max_sampled_tiles): the first design that
+ * asks for a key extracts and summarizes the sampled tiles, and later
+ * designs with the same tiling reuse them. Each computation is one
+ * `frontend` span. Returned references stay valid as keys are added.
+ * Single-threaded: a lineup runs on one worker.
+ */
+class TileSummaryCache
+{
+  public:
+    /** Summaries of `spikes`, which must outlive the cache; `layer`
+     *  names the frontend spans. */
+    TileSummaryCache(const BitMatrix& spikes, std::string layer)
+        : spikes_(spikes), layer_(std::move(layer))
+    {
+    }
+
+    const BitMatrix& spikes() const { return spikes_; }
+
+    /** The summaries under this tiling, computed on first use. */
+    const TileSummarySet& summaries(const TileConfig& tile,
+                                    std::size_t max_sampled_tiles);
+
+  private:
+    const BitMatrix& spikes_;
+    std::string layer_;
+    std::map<std::array<std::size_t, 3>, TileSummarySet> sets_;
+};
+
+/** Tile-level PPU cost model of one design. */
 class TilePipeline
 {
   public:
@@ -103,8 +174,8 @@ class TilePipeline
 
     SparsityMode sparsityMode() const { return sparsity_; }
 
-    /** Process one cropped tile and return its schedule/activity. */
-    TileStats process(const TileWords& tile) const;
+    /** One tile's schedule/activity under this design. */
+    TileStats cost(const TileSummary& tile) const;
 
   private:
     SparsityMode sparsity_;

@@ -143,6 +143,8 @@ INSTANTIATE_TEST_SUITE_P(
  * The spans also show the smoke campaign's three designs running as
  * one lineup at any thread count: one engine/simulate span, and one
  * spikegen span per spiking layer of LeNet5 (four), not per design.
+ * Its one Prosperity design summarizes each spiking layer's tiles
+ * once: four frontend spans.
  */
 TEST(CampaignGoldenTraced, SmokeReportIsByteIdenticalWithTracingOn)
 {
@@ -167,13 +169,16 @@ TEST(CampaignGoldenTraced, SmokeReportIsByteIdenticalWithTracingOn)
         EXPECT_EQ(produced, golden) << threads << " threads";
 
         std::size_t spikegen = 0;
+        std::size_t frontend = 0;
         std::size_t simulate = 0;
         for (const obs::TraceSpan& span : recorder.collect(trace_id)) {
             const std::string category = span.category;
             spikegen += category == "spikegen";
+            frontend += category == "frontend";
             simulate += category == "engine" && span.name == "simulate";
         }
         EXPECT_EQ(spikegen, 4u) << threads << " threads";
+        EXPECT_EQ(frontend, 4u) << threads << " threads";
         EXPECT_EQ(simulate, 1u) << threads << " threads";
     }
     recorder.setEnabled(false);

@@ -30,6 +30,7 @@ expectIdentical(const PrefixSelection& fast, const PrefixSelection& naive)
         EXPECT_EQ(fast.popcounts[i], naive.popcounts[i]) << "row " << i;
         EXPECT_EQ(fast.prefix[i], naive.prefix[i]) << "row " << i;
     }
+    EXPECT_EQ(fast.order, naive.order);
 }
 
 void

@@ -20,10 +20,10 @@ namespace prosperity {
 namespace {
 
 TileStats
-processTile(DispatchMode dispatch, const BitMatrix& tile)
+tileStats(DispatchMode dispatch, const BitMatrix& tile)
 {
     return TilePipeline(SparsityMode::kProductSparsity, dispatch)
-        .process(wholeTile(tile));
+        .cost(summarizeTile(wholeTile(tile)));
 }
 
 /** Every row's leaf-to-root hop count, each chain followed in full. */
@@ -47,11 +47,11 @@ TEST(Dispatch, SorterCompareCountMatchesBitonicNetwork)
     BitMatrix tile(256, 16);
     Rng rng(3);
     tile.randomize(rng, 0.3);
-    const TileStats sorted = processTile(DispatchMode::kOverheadFree, tile);
+    const TileStats sorted = tileStats(DispatchMode::kOverheadFree, tile);
     // m/2 * log(m) * (log(m)+1) / 2 = 128 * 8 * 9 / 2 = 4608.
     EXPECT_DOUBLE_EQ(sorted.sorter_compares, 4608.0);
     // The traversal ablation walks the table instead of sorting.
-    const TileStats walked = processTile(DispatchMode::kTreeTraversal, tile);
+    const TileStats walked = tileStats(DispatchMode::kTreeTraversal, tile);
     EXPECT_DOUBLE_EQ(walked.sorter_compares, 0.0);
 }
 
@@ -61,8 +61,8 @@ TEST(Dispatch, TraversalExposesCycles)
     // while the sorted dispatch exposes none.
     const BitMatrix tile = BitMatrix::fromStrings({
         "1100", "1100", "1100", "1100"});
-    const TileStats sorted = processTile(DispatchMode::kOverheadFree, tile);
-    const TileStats walked = processTile(DispatchMode::kTreeTraversal, tile);
+    const TileStats sorted = tileStats(DispatchMode::kOverheadFree, tile);
+    const TileStats walked = tileStats(DispatchMode::kTreeTraversal, tile);
     EXPECT_EQ(sorted.prosparsity_cycles, 4u + 4u);
     // Per-row leaf-to-root walks over the EM chain: 1+2+3+4 = 10 hops
     // over 2 parallel table banks, ceil(10 / 2) = 5 exposed cycles.
@@ -76,7 +76,8 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
     // The traversal charges 2m table accesses plus one per hop of each
     // row's leaf-to-root walk. The pipeline's walk total must equal
     // the per-row walks over the oracle's prefixes, on i.i.d. tiles and
-    // on subset-heavy ones whose chains run deep.
+    // on subset-heavy ones whose chains run deep. So must every other
+    // sum of the tile's summary, which all the modes' costs fold.
     ActivationProfile clustered;
     clustered.cluster_fraction = 0.9;
     clustered.bank_size = 4;
@@ -99,10 +100,33 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
                 SCOPED_TRACE(::testing::Message()
                              << rows << "x" << cols << " d=" << density
                              << (tile == &chained ? " clustered" : ""));
-                const std::size_t walk =
-                    naiveChainWalk(selectPrefixesNaive(*tile));
+                const PrefixSelection sel = selectPrefixesNaive(*tile);
+                const std::size_t walk = naiveChainWalk(sel);
+                std::size_t ones = 0, pattern_ones = 0;
+                std::size_t exact = 0, partial = 0;
+                for (std::size_t i = 0; i < sel.rows(); ++i) {
+                    std::size_t pattern = sel.popcounts[i];
+                    ones += pattern;
+                    if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
+                        pattern -= sel.popcounts[static_cast<std::size_t>(
+                            sel.prefix[i])];
+                        ++(pattern == 0 ? exact : partial);
+                    }
+                    pattern_ones += pattern;
+                }
+                const TileSummary summary = summarizeTile(wholeTile(*tile));
+                EXPECT_EQ(summary.rows, rows);
+                EXPECT_EQ(summary.cols, cols);
+                EXPECT_EQ(summary.ones, ones);
+                EXPECT_EQ(summary.pattern_ones, pattern_ones);
+                EXPECT_EQ(summary.exact, exact);
+                EXPECT_EQ(summary.partial, partial);
+                EXPECT_EQ(summary.walk, walk);
+
                 const TileStats stats =
-                    processTile(DispatchMode::kTreeTraversal, *tile);
+                    TilePipeline(SparsityMode::kProductSparsity,
+                                 DispatchMode::kTreeTraversal)
+                        .cost(summary);
                 EXPECT_DOUBLE_EQ(stats.table_accesses,
                                  2.0 * static_cast<double>(rows) +
                                      static_cast<double>(walk));
@@ -121,7 +145,7 @@ TEST(Dispatch, AllOnesTileWalksOneFullChain)
     BitMatrix tile(256, 16);
     for (std::size_t r = 0; r < tile.rows(); ++r)
         tile.row(r).setWord(0, ~0ULL);
-    const TileStats walked = processTile(DispatchMode::kTreeTraversal, tile);
+    const TileStats walked = tileStats(DispatchMode::kTreeTraversal, tile);
     EXPECT_DOUBLE_EQ(walked.table_accesses, 512.0 + 32896.0);
     EXPECT_EQ(walked.prosparsity_cycles, 256u + 4u + 16448u);
 }
@@ -130,8 +154,8 @@ TEST(Dispatch, TraversalModeAddsExposedCycles)
 {
     const BitMatrix tile = BitMatrix::fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
-    const TileStats f = processTile(DispatchMode::kOverheadFree, tile);
-    const TileStats s = processTile(DispatchMode::kTreeTraversal, tile);
+    const TileStats f = tileStats(DispatchMode::kOverheadFree, tile);
+    const TileStats s = tileStats(DispatchMode::kTreeTraversal, tile);
     EXPECT_GT(s.prosparsity_cycles, f.prosparsity_cycles);
     EXPECT_DOUBLE_EQ(s.accum_row_ops, f.accum_row_ops)
         << "dispatch mode must not change the computation";
@@ -143,7 +167,7 @@ TEST(Dispatch, EmptyTable)
          {DispatchMode::kOverheadFree, DispatchMode::kTreeTraversal}) {
         const TileStats stats =
             TilePipeline(SparsityMode::kProductSparsity, mode)
-                .process(TileWords{});
+                .cost(summarizeTile(TileWords{}));
         EXPECT_EQ(stats.prosparsity_cycles, 0u);
         EXPECT_DOUBLE_EQ(stats.sorter_compares, 0.0);
         EXPECT_DOUBLE_EQ(stats.table_accesses, 0.0);

@@ -3,7 +3,8 @@
  * Tests for the SimulationEngine: multi-threaded batch runs are
  * bitwise-identical to single-threaded ones over the full
  * model x accelerator grid, a design run in a shared-spike lineup
- * matches the same design run alone, result order matches job order,
+ * matches the same design run alone (also when Prosperity variants
+ * share tile summaries), result order matches job order,
  * memoization works, and ModelHints reach time-batching designs
  * exactly as on the legacy runner path.
  */
@@ -192,6 +193,50 @@ TEST(Engine, LineupMatchesSingleDesignRunsBitwise)
                 AcceleratorRegistry::instance().create(specs[a].name,
                                                        specs[a].params);
             expectIdentical(grid[w][a], runWorkload(*alone, workloads[w]));
+        }
+    }
+}
+
+TEST(Engine, ProsperityVariantLineupMatchesLoneRunsBitwise)
+{
+    // Prosperity variants in one lineup share each layer's tile
+    // summaries wherever their tiling (tile_m, tile_k,
+    // max_sampled_tiles) agrees; the other knobs only change how a
+    // summary is costed. Every variant must still equal its lone run
+    // on a fresh accelerator, whichever variant fills a summary first.
+    const std::vector<AcceleratorParams> variants = {
+        AcceleratorParams{{"sparsity", "bit"}},
+        AcceleratorParams{{"dispatch", "traversal"}},
+        AcceleratorParams{},
+        AcceleratorParams{{"issue_width", "2"}},
+        AcceleratorParams{{"num_ppus", "2"}},
+        AcceleratorParams{{"tile_m", "128"}},
+        AcceleratorParams{{"max_sampled_tiles", "0"}},
+    };
+    const auto create = [](const AcceleratorParams& params) {
+        return AcceleratorRegistry::instance().create("prosperity", params);
+    };
+    for (const Workload& workload : gridWorkloads()) {
+        std::vector<RunResult> alone;
+        for (const AcceleratorParams& params : variants)
+            alone.push_back(runWorkload(*create(params), workload));
+
+        for (const bool reversed : {false, true}) {
+            SCOPED_TRACE(workload.name() +
+                         (reversed ? " reversed" : " forward"));
+            std::vector<std::size_t> order(variants.size());
+            for (std::size_t i = 0; i < order.size(); ++i)
+                order[i] = reversed ? order.size() - 1 - i : i;
+            std::vector<std::unique_ptr<Accelerator>> owned;
+            std::vector<Accelerator*> lineup;
+            for (const std::size_t v : order) {
+                owned.push_back(create(variants[v]));
+                lineup.push_back(owned.back().get());
+            }
+            const std::vector<RunResult> shared =
+                runWorkloadOnAll(lineup, workload);
+            for (std::size_t i = 0; i < order.size(); ++i)
+                expectIdentical(shared[i], alone[order[i]]);
         }
     }
 }

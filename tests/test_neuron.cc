@@ -143,7 +143,7 @@ TEST(FsNeuron, SparserThanRateCoding)
 TEST(FsNeuron, ZeroActivationSilent)
 {
     const FsNeuron fs(6, 2);
-    EXPECT_TRUE(fs.encode(0.0).none());
+    EXPECT_EQ(fs.encode(0.0).popcount(), 0u);
 }
 
 } // namespace

@@ -182,11 +182,8 @@ TEST_P(CanonicalTailProperties, EveryMutatingPathKeepsTailZero)
     ASSERT_TRUE(tailIsCanonical(v)) << "operator&=";
     v |= other;
     ASSERT_TRUE(tailIsCanonical(v)) << "operator|=";
-    v ^= other;
-    ASSERT_TRUE(tailIsCanonical(v)) << "operator^=";
     ASSERT_TRUE(tailIsCanonical(v & other)) << "operator&";
     ASSERT_TRUE(tailIsCanonical(v | other)) << "operator|";
-    ASSERT_TRUE(tailIsCanonical(v ^ other)) << "operator^";
     ASSERT_TRUE(tailIsCanonical(v.andNot(other))) << "andNot";
 
     v.clear();

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "sim/rng.h"
 #include "whole_tile.h"
@@ -30,13 +31,26 @@ fig5Matrix()
     });
 }
 
-/** Residual pattern of row i: the bits its prefix does not cover. */
+/** Residual pattern of row i, row XOR prefix word by word: the bits
+ *  its prefix does not cover. */
 BitVector
 pattern(const BitMatrix& tile, const PrefixSelection& sel, std::size_t i)
 {
+    BitVector out = tile.row(i);
     if (sel.prefix[i] == kNone)
-        return tile.row(i);
-    return tile.row(i) ^ tile.row(static_cast<std::size_t>(sel.prefix[i]));
+        return out;
+    const BitVector& prefix =
+        tile.row(static_cast<std::size_t>(sel.prefix[i]));
+    for (std::size_t w = 0; w < out.wordCount(); ++w)
+        out.setWord(w, out.words()[w] ^ prefix.words()[w]);
+    return out;
+}
+
+/** Whether `v` has no set bit, through the word-level helper. */
+bool
+noneSet(const BitVector& v)
+{
+    return !anyWord(v.words().data(), v.wordCount());
 }
 
 // ---- Fig. 5 walkthrough -----------------------------------------------
@@ -60,7 +74,7 @@ TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
     // Row 5 reuses Row 4 entirely (EM), pattern all-zero.
     EXPECT_EQ(sel.prefix[5], 4);
     EXPECT_EQ(sel.popcounts[4], sel.popcounts[5]);
-    EXPECT_TRUE(pattern(tile, sel, 5).none());
+    EXPECT_TRUE(noneSet(pattern(tile, sel, 5)));
     // Row 4 must NOT pick Row 5 (larger-index EM is a violation); its
     // best legal prefix is Row 1 (1001, subset with 2 ones).
     EXPECT_EQ(sel.prefix[4], 1);
@@ -99,7 +113,7 @@ TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
     });
     const PrefixSelection sel = selectPrefixes(wholeTile(tile));
     EXPECT_EQ(sel.prefix[1], 0);
-    EXPECT_TRUE(pattern(tile, sel, 1).none());
+    EXPECT_TRUE(noneSet(pattern(tile, sel, 1)));
     EXPECT_EQ(sel.prefix[2], kNone);
     EXPECT_EQ(sel.prefix[3], kNone);
     EXPECT_EQ(pattern(tile, sel, 2).toString(), "0100");
@@ -122,7 +136,7 @@ TEST(Pruning, PatternPlusPrefixReconstructsRow)
                 tile.row(static_cast<std::size_t>(sel.prefix[i]));
             const BitVector residual = pattern(tile, sel, i);
             // Disjointness: pattern AND prefix == 0.
-            EXPECT_TRUE((residual & prefix_row).none());
+            EXPECT_TRUE(noneSet(residual & prefix_row));
             // Reconstruction: pattern OR prefix == row.
             EXPECT_EQ(residual | prefix_row, tile.row(i));
         }
@@ -161,7 +175,7 @@ TEST(Pruning, ExactMatchIffEqualPopcounts)
             continue;
         const auto p = static_cast<std::size_t>(sel.prefix[i]);
         EXPECT_EQ(sel.popcounts[p] == sel.popcounts[i],
-                  pattern(tile, sel, i).none())
+                  noneSet(pattern(tile, sel, i)))
             << "row " << i;
     }
 }

@@ -154,7 +154,7 @@ TEST_P(SimdKernels, BitVectorOpsAgreeWithScalarLoops)
             expected += v.test(pos) ? 1 : 0;
         EXPECT_EQ(v.popcount(), expected)
             << "tier " << tier() << " bits=" << bits;
-        EXPECT_EQ(v.any(), expected > 0)
+        EXPECT_EQ(anyWord(v.words().data(), v.wordCount()), expected > 0)
             << "tier " << tier() << " bits=" << bits;
 
         // Dropping bits keeps a subset; one bit outside breaks it.
@@ -196,6 +196,8 @@ TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
         for (std::size_t r = 0; r < tile.rows(); ++r)
             EXPECT_EQ(fast.prefix[r], naive.prefix[r])
                 << "tier " << tier() << " cols=" << cols << " row " << r;
+        EXPECT_EQ(fast.order, naive.order)
+            << "tier " << tier() << " cols=" << cols;
     }
 }
 
