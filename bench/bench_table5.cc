@@ -15,7 +15,7 @@
 #include "baselines/loas.h"
 #include "gen/spike_generator.h"
 #include "sim/table.h"
-#include "snn/models.h"
+#include "snn/model_registry.h"
 
 using namespace prosperity;
 
@@ -43,11 +43,12 @@ buildLoasModel(const std::string& name)
 {
     InputConfig in;
     in.num_classes = 10;
+    const ModelRegistry& models = ModelRegistry::instance();
     if (name == "AlexNet")
-        return buildAlexNet(in);
+        return models.build("AlexNet", in);
     if (name == "VGG-16")
-        return buildVgg16(in);
-    return buildResNet19(in);
+        return models.build("VGG16", in);
+    return models.build("ResNet19", in);
 }
 
 /** Merge density analysis over every spiking-GeMM layer of a model. */

@@ -80,6 +80,7 @@
  */
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <csignal>
 #include <cstdlib>
@@ -136,6 +137,33 @@ usage()
 }
 
 /**
+ * Parse a decimal flag value: digits only, across the whole string
+ * (the full-input check parseSeeds makes), so "-1" and "2x" are
+ * errors rather than 2^64-1 and 2. False on anything else, overflow
+ * included.
+ */
+bool
+parseDigits(const std::string& value, std::size_t* out)
+{
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, *out);
+    return ec == std::errc() && ptr == end;
+}
+
+/** Parse `--port P` (0-65535; 0 picks a free port). */
+bool
+parsePort(const std::string& value, std::uint16_t* port)
+{
+    std::size_t parsed = 0;
+    if (!parseDigits(value, &parsed) || parsed > 65535) {
+        std::cerr << "--port must be 0-65535, got \"" << value << "\"\n";
+        return false;
+    }
+    *port = static_cast<std::uint16_t>(parsed);
+    return true;
+}
+
+/**
  * Parse a positive `--threads N` value. 0 is rejected with an
  * actionable error (EngineOptions treats 0 as "hardware concurrency",
  * but a user typing 0 almost certainly wanted to disable threading,
@@ -145,9 +173,7 @@ bool
 parseThreads(const std::string& value, std::size_t* threads)
 {
     std::size_t parsed = 0;
-    try {
-        parsed = std::stoull(value);
-    } catch (const std::exception&) {
+    if (!parseDigits(value, &parsed)) {
         std::cerr << "--threads needs a positive integer, got \""
                   << value << "\"\n";
         return false;
@@ -211,10 +237,11 @@ cmdList(const std::string& section)
         std::cerr << "unknown list section: " << section << '\n';
         return usage();
     }
-    const ModelRegistry& models = ModelRegistry::instance();
     const DatasetRegistry& datasets = DatasetRegistry::instance();
     const AcceleratorRegistry& accels = AcceleratorRegistry::instance();
     if (all || section == "models") {
+        // The only section that loads the model zoo (and can fail to).
+        const ModelRegistry& models = ModelRegistry::instance();
         std::cout << "models:";
         for (const std::string& name : models.names())
             std::cout << ' ' << name;
@@ -514,16 +541,8 @@ cmdCampaign(int argc, char** argv)
                 std::cerr << "--port needs a port number\n";
                 return usage();
             }
-            try {
-                const unsigned long value = std::stoul(argv[++i]);
-                if (value > 65535)
-                    throw std::out_of_range("port");
-                port = static_cast<std::uint16_t>(value);
-            } catch (const std::exception&) {
-                std::cerr << "--port must be 0-65535, got \""
-                          << argv[i] << "\"\n";
+            if (!parsePort(argv[++i], &port))
                 return 2;
-            }
         } else if (arg == "--threads") {
             if (i + 1 >= argc) {
                 std::cerr << "--threads needs a thread count\n";
@@ -783,24 +802,25 @@ cmdServe(int argc, char** argv)
         const std::string value = argv[++i];
         try {
             if (arg == "--port") {
-                const unsigned long port = std::stoul(value);
-                if (port > 65535) {
-                    std::cerr << "--port must be 0-65535, got "
-                              << value << '\n';
+                if (!parsePort(value, &server_options.port))
                     return 2;
-                }
-                server_options.port =
-                    static_cast<std::uint16_t>(port);
             } else if (arg == "--store") {
                 service_options.store_dir = value;
             } else if (arg == "--threads") {
                 if (!parseThreads(value, &service_options.threads))
                     return 2;
             } else if (arg == "--max-pending") {
-                service_options.max_pending = std::stoull(value);
+                if (!parseDigits(value, &service_options.max_pending) ||
+                    service_options.max_pending == 0) {
+                    std::cerr << "--max-pending needs a positive "
+                                 "integer, got \"" << value << "\"\n";
+                    return 2;
+                }
             } else if (arg == "--trace-slow-ms") {
-                service_options.slow_trace_ms = std::stod(value);
-                if (!(service_options.slow_trace_ms > 0.0)) {
+                std::size_t consumed = 0;
+                service_options.slow_trace_ms = std::stod(value, &consumed);
+                if (consumed != value.size() ||
+                    !(service_options.slow_trace_ms > 0.0)) {
                     std::cerr << "--trace-slow-ms needs a positive "
                                  "millisecond threshold, got "
                               << value << '\n';
@@ -892,8 +912,16 @@ main(int argc, char** argv)
     if (argc < 2)
         return usage();
     const std::string command = argv[1];
-    if (command == "list")
-        return cmdList(argc > 2 ? argv[2] : "");
+    if (command == "list") {
+        try {
+            return cmdList(argc > 2 ? argv[2] : "");
+        } catch (const std::exception& e) {
+            // The registries failed to come up (e.g. a built-in
+            // model's file is missing from the model directory).
+            std::cerr << e.what() << '\n';
+            return 1;
+        }
+    }
     if (command == "model")
         return cmdModel(argc, argv);
     if (command == "campaign")

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -306,12 +308,17 @@ parseRequest(ConnReader& reader, const HttpServerOptions& options,
     outcome.keep_alive =
         connection ? toLower(*connection) != "close" : http11;
 
-    // Body (Content-Length only).
+    // Body (Content-Length only). RFC 9110 §8.6: the value is 1*DIGIT,
+    // so a sign, a suffix ("2x") or an empty value is a 400; a value
+    // too large for size_t is oversized like any other (413).
     std::size_t content_length = 0;
     if (const std::string* value = request->header("content-length")) {
-        try {
-            content_length = std::stoull(*value);
-        } catch (const std::exception&) {
+        const char* end = value->data() + value->size();
+        const auto [ptr, ec] =
+            std::from_chars(value->data(), end, content_length);
+        if (ec == std::errc::result_out_of_range && ptr == end) {
+            content_length = std::numeric_limits<std::size_t>::max();
+        } else if (ec != std::errc() || ptr != end) {
             outcome.error_status = 400;
             outcome.error_message = "malformed Content-Length";
             return outcome;

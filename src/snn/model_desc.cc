@@ -1,5 +1,6 @@
 #include "model_desc.h"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -18,6 +19,81 @@ using json::requireObject;
 using json::requireSizeValue;
 using json::requireString;
 using json::schemaError;
+
+namespace {
+
+/** Append one transformer encoder block's layers (see EncoderDesc). */
+void
+appendEncoderBlock(ModelSpec& model, const std::string& prefix,
+                   std::size_t t, std::size_t seq_len, std::size_t dim,
+                   std::size_t mlp_hidden, bool softmax_attention)
+{
+    auto linear = [&](const std::string& name, std::size_t in,
+                      std::size_t out) {
+        model.layers.push_back(
+            makeLinearLayer(prefix + "." + name, t, seq_len, in, out));
+    };
+    linear("q_proj", dim, dim);
+    linear("k_proj", dim, dim);
+    linear("v_proj", dim, dim);
+
+    // Q x K^T: binary query spikes against binary key spikes -> spiking
+    // GeMM of shape (T*L, dim, L) aggregated across heads.
+    LayerSpec qk;
+    qk.name = prefix + ".attn_qk";
+    qk.type = LayerType::kAttentionQK;
+    qk.time_steps = t;
+    qk.gemm = {t * seq_len, dim, seq_len};
+    model.layers.push_back(qk);
+
+    if (softmax_attention) {
+        LayerSpec sm;
+        sm.name = prefix + ".softmax";
+        sm.type = LayerType::kSoftmax;
+        sm.time_steps = t;
+        sm.spiking = false;
+        sm.sfu_ops = static_cast<double>(t) * seq_len * seq_len;
+        model.layers.push_back(sm);
+    }
+
+    // Score x V: (T*L, L, dim). With softmax-free spiking attention the
+    // score matrix is binary (a spiking GeMM); with softmax attention
+    // the scores are real-valued, so every design runs it densely.
+    LayerSpec sv;
+    sv.name = prefix + ".attn_sv";
+    sv.type = LayerType::kAttentionSV;
+    sv.time_steps = t;
+    sv.gemm = {t * seq_len, seq_len, dim};
+    sv.spiking = !softmax_attention;
+    model.layers.push_back(sv);
+
+    linear("out_proj", dim, dim);
+
+    if (softmax_attention) {
+        LayerSpec ln;
+        ln.name = prefix + ".layernorm1";
+        ln.type = LayerType::kLayerNorm;
+        ln.time_steps = t;
+        ln.spiking = false;
+        ln.sfu_ops = static_cast<double>(t) * seq_len * dim;
+        model.layers.push_back(ln);
+    }
+
+    linear("mlp.fc1", dim, mlp_hidden);
+    linear("mlp.fc2", mlp_hidden, dim);
+
+    if (softmax_attention) {
+        LayerSpec ln;
+        ln.name = prefix + ".layernorm2";
+        ln.type = LayerType::kLayerNorm;
+        ln.time_steps = t;
+        ln.spiking = false;
+        ln.sfu_ops = static_cast<double>(t) * seq_len * dim;
+        model.layers.push_back(ln);
+    }
+}
+
+} // namespace
 
 std::size_t
 SymbolicSize::resolve(const InputConfig& input) const
@@ -124,7 +200,7 @@ ModelDesc::lower(const InputConfig& in) const
             model.layers.push_back(makeLinearLayer(
                 lin->name, t, lin->tokens, in_features, out_features));
             if (!lin->in_features) {
-                // CnnState::linear: the model is a feature vector now.
+                // Flattened: the model is a feature vector now.
                 c = out_features;
                 h = w = 1;
             }

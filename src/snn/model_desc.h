@@ -1,26 +1,26 @@
 /**
  * @file
  * ModelDesc: declarative SNN model definitions — a model is *data*,
- * not a C++ builder.
+ * not code.
  *
  * A ModelDesc is the JSON-loadable form of a model architecture: an
  * ordered list of layer descriptors (conv / pool / linear / encoder)
- * that lowers against an InputConfig to exactly the ModelSpec a
- * hand-written builder would produce. The checked-in zoo under
- * models/ mirrors the C++ builders in src/snn/models.cc layer for
- * layer — pinned by tests/test_model_desc.cc — so evaluating a new
- * SNN means writing a JSON file, not editing the library.
+ * that lowers against an InputConfig to the simulator's ModelSpec.
+ * The paper's built-in zoo is the checked-in models/<key>.json, which
+ * the ModelRegistry loads on first use (each lowering pinned by a
+ * digest in tests/test_model_zoo.cc), so evaluating a new SNN means
+ * writing a JSON file, not editing the library.
  *
- * Lowering semantics mirror the builders' CnnState: a running
- * (channels, height, width) geometry that convs and pools advance, a
- * "spatial" flag that flips once any conv/pool has run (encoder blocks
- * then take their token count from the feature map, NLP models from
- * the dataset's seq_len), and a checkpoint register for residual
- * shortcut convolutions that consume the geometry from *before* the
- * downsampling conv. Values that depend on the dataset — classifier
- * widths, token counts — are written symbolically ("num_classes",
- * "seq_len") and resolved at lowering time, so one JSON definition
- * instantiates correctly for every dataset geometry.
+ * Lowering keeps a running (channels, height, width) geometry that
+ * convs and pools advance, a "spatial" flag that flips once any
+ * conv/pool has run (encoder blocks then take their token count from
+ * the feature map, NLP models from the dataset's seq_len), and a
+ * checkpoint register for residual shortcut convolutions that consume
+ * the geometry from *before* the downsampling conv. Values that depend
+ * on the dataset — classifier widths, token counts — are written
+ * symbolically ("num_classes", "seq_len") and resolved at lowering
+ * time, so one JSON definition instantiates correctly for every
+ * dataset geometry.
  *
  * Schema reference and a worked custom-model example:
  * docs/WORKLOADS.md. Parse errors carry the offending key path;
@@ -36,10 +36,23 @@
 #include <vector>
 
 #include "snn/activation_profile.h"
-#include "snn/models.h"
+#include "snn/layer.h"
 #include "util/json.h"
 
 namespace prosperity {
+
+/** Input geometry + time steps a model is instantiated for. */
+struct InputConfig
+{
+    std::size_t time_steps = 4;   ///< T
+    std::size_t channels = 3;     ///< image channels (2 for DVS)
+    std::size_t height = 32;      ///< image height
+    std::size_t width = 32;       ///< image width
+    std::size_t seq_len = 128;    ///< tokens (NLP models)
+    std::size_t num_classes = 10;
+
+    bool operator==(const InputConfig&) const = default;
+};
 
 /**
  * An integer field that may instead name an InputConfig field,
@@ -94,10 +107,9 @@ struct PoolDesc
 
 /**
  * Fully connected layer. Without `in_features` it flattens the running
- * feature map (c*h*w) and resets the geometry to a feature vector,
- * exactly like the builders' CnnState::linear; with an explicit
- * `in_features` (transformer heads) the running geometry is left
- * untouched.
+ * feature map (c*h*w) and resets the geometry to a feature vector;
+ * with an explicit `in_features` (transformer heads) the running
+ * geometry is left untouched.
  */
 struct LinearDesc
 {
@@ -111,7 +123,8 @@ struct LinearDesc
 
 /**
  * `blocks` transformer encoder blocks named `<prefix>0`, `<prefix>1`,
- * ... (appendEncoderBlock). Token count defaults to the running
+ * ...: Q/K/V projections, QxK^T, (softmax,) score x V, output
+ * projection, (layernorm,) MLP. Token count defaults to the running
  * feature map's h*w after a conv stem, and to the dataset's seq_len
  * otherwise.
  */
@@ -146,7 +159,8 @@ struct ModelDesc
      *  when run as a workload the dataset's InputConfig wins. */
     std::optional<InputConfig> input;
     /** Default activation profile of workloads on this model (the
-     *  calibration a C++ builder gets from the registry's table). */
+     *  built-ins take theirs from the registry's calibration table
+     *  instead). */
     std::optional<ActivationProfile> profile;
     std::vector<LayerDesc> layers;
 

@@ -4,22 +4,21 @@
  *
  * The workload layer's analogue of the AcceleratorRegistry — the three
  * axes of an experiment (accelerator, model, dataset) are all open,
- * string-keyed registries now. Every model registers a builder
- * (InputConfig -> ModelSpec) plus its calibrated activation statistics
- * under a canonical lowercase key; every dataset registers the
- * InputConfig it imposes (time steps, geometry, classes) — the single
- * source of truth for `defaultInputConfig`. Lookup is case-insensitive
- * so the display names used in reports ("VGG16", "SST-2") resolve too.
+ * string-keyed registries. Every model is a declarative ModelDesc
+ * (model_desc.h) plus its calibrated activation statistics under a
+ * canonical lowercase key; every dataset registers the InputConfig it
+ * imposes (time steps, geometry, classes) — the single source of truth
+ * for `defaultInputConfig`. Lookup is case-insensitive so the display
+ * names used in reports ("VGG16", "SST-2") resolve too.
  *
  * Built-in entries are the paper's zoo (the eight Fig. 8 / Fig. 11
- * models plus the LoAS Table V CNNs and the nine evaluation datasets);
- * they are also checked in declaratively as models/<key>.json, pinned
- * equivalent to the C++ builders by tests/test_model_desc.cc. Opening
- * a new workload therefore needs no library edit:
- *
- *  - register a ModelDesc at run time (`addDesc`), e.g. from a JSON
- *    file — campaign specs do this for `"model": "file:<path>.json"`;
- *  - or register a C++ builder (`add`) from application code.
+ * models plus the LoAS Table V CNNs and the nine evaluation datasets).
+ * The built-in models are defined only by the checked-in
+ * models/<key>.json files, loaded from defaultModelDir() when the
+ * registry is first used; their calibration stays in
+ * model_registry.cc. Opening a new workload therefore needs no library
+ * edit: register a ModelDesc at run time (`addDesc`), e.g. from a JSON
+ * file — campaign specs do this for `"model": "file:<path>.json"`.
  *
  * Like the AcceleratorRegistry, registration is explicit (no
  * static-initializer tricks) and the registry hands out copies, never
@@ -29,7 +28,6 @@
 #ifndef PROSPERITY_SNN_MODEL_REGISTRY_H
 #define PROSPERITY_SNN_MODEL_REGISTRY_H
 
-#include <functional>
 #include <optional>
 #include <string>
 #include <utility>
@@ -37,32 +35,29 @@
 
 #include "snn/activation_profile.h"
 #include "snn/model_desc.h"
-#include "snn/models.h"
 #include "util/thread_annotations.h"
 
 namespace prosperity {
 
-/** Name -> builder registry for every known model architecture. */
+/** Name -> ModelDesc registry for every known model architecture. */
 class ModelRegistry
 {
   public:
-    using Builder = std::function<ModelSpec(const InputConfig&)>;
-
-    /** Everything a model registers under its name. */
-    struct ModelInfo
+    /** Calibrated activation statistics of workloads on one model
+     *  (DESIGN.md substitution #1). */
+    struct Calibration
     {
-        std::string name; ///< display name ("VGG16"); key is lowercased
-        std::string description;
-        Builder builder;
-        /** Calibrated activation statistics of workloads on this
-         *  model (DESIGN.md substitution #1). */
         ActivationProfile profile{};
         /** Per-dataset bit-density overrides (dataset name -> value),
          *  for the workloads the paper quotes exactly. */
         std::vector<std::pair<std::string, double>> dataset_bit_density{};
     };
 
-    /** The process-wide registry, with all built-in models present. */
+    /**
+     * The process-wide registry, with all built-in models present.
+     * Throws std::invalid_argument (naming the path) if a built-in
+     * model file is missing or malformed; the next call retries.
+     */
     static ModelRegistry& instance();
 
     /**
@@ -72,18 +67,17 @@ class ModelRegistry
      */
     static std::string canonicalKey(const std::string& name);
 
-    /** Register a model (matched case-insensitively). Returns false
-     *  if the name is already taken. */
-    bool add(ModelInfo info);
-
     /**
-     * Register a declarative model: the builder lowers `desc` against
-     * the requested InputConfig; the default profile is `desc.profile`
-     * (or the ActivationProfile defaults). `source` records where the
-     * desc came from (e.g. the "file:" reference of a campaign spec)
-     * so specs serialize back to the same reference.
+     * Register a declarative model under `desc.name` (matched
+     * case-insensitively); false if the name is already taken.
+     * `source` records where the desc came from (e.g. the "file:"
+     * reference of a campaign spec) so specs serialize back to the
+     * same reference. Without `calibration` the model's profile is
+     * `desc.profile` (or the ActivationProfile defaults) on every
+     * dataset.
      */
-    bool addDesc(ModelDesc desc, std::string source = "");
+    bool addDesc(ModelDesc desc, std::string source = "",
+                 std::optional<Calibration> calibration = std::nullopt);
 
     bool contains(const std::string& name) const;
 
@@ -98,7 +92,7 @@ class ModelRegistry
     std::string displayName(const std::string& name) const;
 
     /**
-     * Build `name` lowered for `input`. Throws std::invalid_argument
+     * Lower `name`'s desc for `input`. Throws std::invalid_argument
      * for unknown names (the message lists the registered ones).
      */
     ModelSpec build(const std::string& name,
@@ -113,12 +107,12 @@ class ModelRegistry
     ActivationProfile profileFor(const std::string& model,
                                  const std::string& dataset) const;
 
-    /** The declarative form of a desc-backed model; nullopt for
-     *  builder-backed entries and unknown names. */
+    /** The registered definition of a model; nullopt for unknown
+     *  names. */
     std::optional<ModelDesc> desc(const std::string& name) const;
 
-    /** Source reference a desc-backed model was registered from (""
-     *  when registered programmatically or unknown). */
+    /** Source reference a model was registered from ("" for the
+     *  built-ins, programmatic registrations and unknown names). */
     std::string sourceOf(const std::string& name) const;
 
   private:
@@ -127,9 +121,9 @@ class ModelRegistry
     struct Entry
     {
         std::string key; ///< canonical (lowercase)
-        ModelInfo info;
-        std::optional<ModelDesc> desc;
+        ModelDesc desc;
         std::string source;
+        Calibration calibration;
     };
 
     const Entry* find(const std::string& name) const REQUIRES(mutex_);
@@ -218,11 +212,11 @@ std::string resolveModelPath(const std::string& path);
 
 /**
  * Load the ModelDesc at `path` (via resolveModelPath) and register it,
- * remembering `path` as the entry's source. Idempotent: reloading an
- * identical definition returns the existing key. Throws
- * std::invalid_argument on parse errors, on redefining a registered
- * desc differently, and on colliding with a built-in (builder-backed)
- * model name. Returns the registry key.
+ * remembering `path` as the entry's source. A name that is already
+ * registered with an identical definition (a reload, or a copy of a
+ * built-in's file) returns the existing key and keeps its source.
+ * Throws std::invalid_argument on parse errors and on a name already
+ * registered with a different definition. Returns the registry key.
  */
 std::string registerModelFile(const std::string& path);
 
@@ -230,6 +224,9 @@ std::string registerModelFile(const std::string& path);
  * Registration hooks for the built-in zoo, invoked once by the
  * instance() accessors (kept explicit so static archives cannot
  * dead-strip them, mirroring the accelerator registry).
+ * registerBuiltinModels loads defaultModelDir()/<key>.json for each
+ * built-in model and throws, naming the path, if one is missing,
+ * malformed or defines a different model name.
  */
 void registerBuiltinModels(ModelRegistry& registry);
 void registerBuiltinDatasets(DatasetRegistry& registry);

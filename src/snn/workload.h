@@ -26,7 +26,6 @@
 
 #include "snn/activation_profile.h"
 #include "snn/model_registry.h"
-#include "snn/models.h"
 
 namespace prosperity {
 

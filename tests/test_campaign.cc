@@ -250,9 +250,9 @@ TEST(CampaignSpec, UnknownNamesListTheRegisteredRosters)
                  "CIFAR10DVS", "MNLI"});
 }
 
-/** Acceptance pin: a model defined only in JSON (no C++ builder) runs
- *  end to end through the campaign engine with deterministic,
- *  memoized results. */
+/** Acceptance pin: a model outside the built-in zoo, referenced by
+ *  file, runs end to end through the campaign engine with
+ *  deterministic, memoized results. */
 TEST(CampaignRunner, FileModelRunsEndToEndDeterministicAndMemoized)
 {
     const CampaignSpec spec = loadNamedCampaign("custom_smoke");

@@ -219,6 +219,26 @@ TEST(HttpServer, OversizedBodyIs413)
     EXPECT_EQ(reply.compare(0, 12, "HTTP/1.1 413"), 0) << reply;
 }
 
+TEST(HttpServer, NonDigitContentLengthIs400)
+{
+    // RFC 9110 §8.6: Content-Length is digits only. A sign, a suffix
+    // or an empty value is malformed, not read for its leading digits.
+    HttpServer server(testOptions(), echoHandler);
+    server.start();
+    for (const char* value : {"2x", "+2", "-1", ""}) {
+        const std::string reply = rawExchange(
+            server.port(), std::string("POST /x HTTP/1.1\r\n"
+                                       "Content-Length: ") +
+                               value +
+                               "\r\nConnection: close\r\n\r\nhi");
+        EXPECT_EQ(reply.compare(0, 12, "HTTP/1.1 400"), 0)
+            << "Content-Length \"" << value << "\": " << reply;
+        EXPECT_NE(reply.find("malformed Content-Length"),
+                  std::string::npos)
+            << reply;
+    }
+}
+
 TEST(HttpServer, Expect100ContinueGetsInterimResponse)
 {
     HttpServer server(testOptions(), echoHandler);

@@ -1,11 +1,11 @@
 /**
  * @file
  * Tests for the declarative model format: the checked-in JSON zoo
- * lowers bitwise-identically to the C++ builders for every registered
- * dataset geometry, files are canonical (parse -> serialize is the
- * identity on bytes), parse(serialize(desc)) == desc, per-layer
- * profile overrides survive lowering, and malformed definitions fail
- * with key-path errors.
+ * files are canonical (parse -> serialize is the identity on bytes),
+ * parse(serialize(desc)) == desc, per-layer profile overrides survive
+ * lowering, malformed definitions fail with key-path errors, and
+ * registering a file under a taken name follows one rule. The zoo's
+ * lowering itself is pinned by tests/test_model_zoo.cc.
  */
 
 #include <gtest/gtest.h>
@@ -20,7 +20,7 @@
 namespace prosperity {
 namespace {
 
-/** The checked-in declarative zoo and the builder each file mirrors. */
+/** The checked-in built-in zoo and the model name each file defines. */
 const char* const kZoo[][2] = {
     {"vgg16.json", "VGG16"},           {"vgg9.json", "VGG9"},
     {"resnet18.json", "ResNet18"},     {"lenet5.json", "LeNet5"},
@@ -43,25 +43,6 @@ readFile(const std::string& path)
     std::ostringstream text;
     text << is.rdbuf();
     return text.str();
-}
-
-TEST(ModelDesc, ZooLowersIdenticallyToTheBuilders)
-{
-    // The acceptance pin of the workload redesign: every built-in
-    // model's JSON definition lowers to a ModelSpec equal, field for
-    // field, to the C++ builder's output — for every registered
-    // dataset geometry (28x28 MNIST, 64x64 DVS, 128-token NLP, ...).
-    for (const auto& entry : kZoo) {
-        const ModelDesc desc = ModelDesc::load(zooPath(entry[0]));
-        EXPECT_EQ(desc.name, entry[1]);
-        for (const std::string& dataset :
-             DatasetRegistry::instance().names()) {
-            const InputConfig input = defaultInputConfig(dataset);
-            EXPECT_TRUE(desc.lower(input) ==
-                        ModelRegistry::instance().build(entry[1], input))
-                << entry[0] << " on " << dataset;
-        }
-    }
 }
 
 TEST(ModelDesc, ZooFilesAreCanonical)
@@ -315,14 +296,29 @@ TEST(ModelDesc, RegisterModelFileIsIdempotentAndConflictChecked)
     EXPECT_EQ(ModelRegistry::instance().sourceOf(key),
               "models/example_custom.json");
 
-    // ...while a zoo file whose name collides with a built-in
-    // (builder-backed) model is refused.
+    // A built-in's own file is the identical definition: it returns
+    // the built-in's key, which keeps its empty source (reports still
+    // serialize "VGG16", not a file reference)...
+    EXPECT_EQ(registerModelFile("models/vgg16.json"), "vgg16");
+    EXPECT_EQ(ModelRegistry::instance().sourceOf("vgg16"), "");
+
+    // ...while a copy with one changed field is refused.
+    ModelDesc changed = ModelDesc::load(zooPath("vgg16.json"));
+    for (LayerDesc& layer : changed.layers)
+        if (auto* conv = std::get_if<ConvDesc>(&layer.op);
+            conv && conv->name == "conv5_3")
+            conv->out_channels = 256;
+    ASSERT_FALSE(changed == ModelDesc::load(zooPath("vgg16.json")));
+    const std::string path = ::testing::TempDir() + "vgg16_changed.json";
+    ASSERT_TRUE(changed.save(path));
     try {
-        registerModelFile("models/vgg16.json");
-        FAIL() << "builder collision not rejected";
+        registerModelFile(path);
+        FAIL() << "a different definition of VGG16 was not refused";
     } catch (const std::invalid_argument& e) {
-        EXPECT_NE(std::string(e.what()).find("collides"),
-                  std::string::npos);
+        EXPECT_NE(std::string(e.what()).find(
+                      "already registered with a different definition"),
+                  std::string::npos)
+            << e.what();
     }
 }
 

@@ -5,15 +5,99 @@
  * dimensions, and time steps"): per-model layer counts, spiking-GeMM
  * counts, exact dense/spiking op totals, and per-layer GeMM shapes.
  * Registry or lowering refactors that silently drift any model's
- * geometry fail here first.
+ * geometry fail here first, and a per-model digest of the lowering on
+ * every registered dataset catches a change to any single field.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <iomanip>
+#include <sstream>
+
+#include "snn/model_registry.h"
 #include "snn/workload.h"
 
 namespace prosperity {
 namespace {
+
+/** 64-bit FNV-1a over a fixed little-endian encoding, so a digest is
+ *  the same on every host. */
+class Fnv1a
+{
+  public:
+    void
+    u64(std::uint64_t value)
+    {
+        for (int i = 0; i < 8; ++i) {
+            hash_ ^= (value >> (8 * i)) & 0xffu;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    void f64(double value) { u64(std::bit_cast<std::uint64_t>(value)); }
+
+    void
+    str(const std::string& s)
+    {
+        u64(s.size());
+        for (const unsigned char c : s) {
+            hash_ ^= c;
+            hash_ *= 0x100000001b3ull;
+        }
+    }
+
+    std::uint64_t value() const { return hash_; }
+
+  private:
+    std::uint64_t hash_ = 0xcbf29ce484222325ull;
+};
+
+/** Digest of `model` lowered for every registered dataset: the model's
+ *  name and time steps, then every field operator==(LayerSpec)
+ *  compares. */
+std::uint64_t
+zooDigest(const std::string& model)
+{
+    Fnv1a h;
+    for (const std::string& dataset : DatasetRegistry::instance().names()) {
+        const ModelSpec m = ModelRegistry::instance().build(
+            model, defaultInputConfig(dataset));
+        h.str(m.name);
+        h.u64(m.time_steps);
+        for (const LayerSpec& l : m.layers) {
+            h.str(l.name);
+            h.u64(static_cast<std::uint64_t>(l.type));
+            h.u64(l.time_steps);
+            h.u64(l.gemm.m);
+            h.u64(l.gemm.k);
+            h.u64(l.gemm.n);
+            h.u64(l.gemm.input_reuse);
+            h.f64(l.sfu_ops);
+            h.u64(l.spiking ? 1 : 0);
+            h.u64(l.profile_override ? 1 : 0);
+            if (const auto& p = l.profile_override) {
+                h.f64(p->bit_density);
+                h.f64(p->cluster_fraction);
+                h.u64(p->bank_size);
+                h.f64(p->subset_drop_prob);
+                h.f64(p->temporal_repeat);
+                h.f64(p->union_prob);
+                h.f64(p->noise_insert_prob);
+            }
+        }
+    }
+    return h.value();
+}
+
+std::string
+hex(std::uint64_t value)
+{
+    std::ostringstream os;
+    os << "0x" << std::hex << std::setw(16) << std::setfill('0') << value;
+    return os.str();
+}
 
 struct ZooPin
 {
@@ -50,6 +134,27 @@ TEST(ModelZoo, LayerCountsAndOpTotalsArePinned)
         EXPECT_EQ(m.totalDenseOps(), pin.total_dense_ops) << pin.model;
         EXPECT_EQ(m.spikingGemmOps(), pin.spiking_gemm_ops) << pin.model;
     }
+}
+
+TEST(ModelZoo, LoweringDigestsArePinnedOnEveryDataset)
+{
+    // Generated through ModelRegistry::build while the zoo was still
+    // written as C++ builders, so the models/*.json definitions must
+    // lower to exactly what those builders produced, field for field.
+    const std::pair<const char*, std::uint64_t> kDigests[] = {
+        {"VGG16", 0x0d23b1108b2b5e18ull},
+        {"VGG9", 0x3854dea078099c89ull},
+        {"ResNet18", 0x9b56e56484f51774ull},
+        {"LeNet5", 0x3c01db6d60c2e3ceull},
+        {"Spikformer", 0x1e2549d64d487f69ull},
+        {"SDT", 0xfbdd5ba413420623ull},
+        {"SpikeBERT", 0x38b236a989136e6aull},
+        {"SpikingBERT", 0x1b028151e9c3b56full},
+        {"AlexNet", 0x2c6703ac428d4d42ull},
+        {"ResNet19", 0x2356dfcc5845a755ull},
+    };
+    for (const auto& [model, digest] : kDigests)
+        EXPECT_EQ(hex(zooDigest(model)), hex(digest)) << model;
 }
 
 TEST(ModelZoo, LeNet5ShapesArePinnedLayerByLayer)

@@ -5,10 +5,16 @@
 
 #include <gtest/gtest.h>
 
-#include "snn/models.h"
+#include "snn/model_registry.h"
 
 namespace prosperity {
 namespace {
+
+ModelSpec
+build(const std::string& model, const InputConfig& input)
+{
+    return ModelRegistry::instance().build(model, input);
+}
 
 InputConfig
 cifarInput(std::size_t classes = 10)
@@ -20,7 +26,7 @@ cifarInput(std::size_t classes = 10)
 
 TEST(Models, Vgg16HasThirteenConvsAndTwoFcs)
 {
-    const ModelSpec m = buildVgg16(cifarInput(100));
+    const ModelSpec m = build("VGG16", cifarInput(100));
     std::size_t convs = 0, linears = 0;
     for (const auto& layer : m.layers) {
         convs += layer.type == LayerType::kConv ? 1 : 0;
@@ -33,7 +39,7 @@ TEST(Models, Vgg16HasThirteenConvsAndTwoFcs)
 
 TEST(Models, Vgg16FirstConvGeometry)
 {
-    const ModelSpec m = buildVgg16(cifarInput());
+    const ModelSpec m = build("VGG16", cifarInput());
     const LayerSpec& conv1 = m.layers.front();
     // T=4 x 32 x 32 rows, 3 channels x 3x3 kernel cols, 64 outputs.
     EXPECT_EQ(conv1.gemm.m, 4u * 32u * 32u);
@@ -45,7 +51,7 @@ TEST(Models, Vgg16FirstConvGeometry)
 
 TEST(Models, Vgg16SpatialReductionReachesFc)
 {
-    const ModelSpec m = buildVgg16(cifarInput(100));
+    const ModelSpec m = build("VGG16", cifarInput(100));
     // After 5 pools 32 -> 1; fc1 takes 512 features.
     const LayerSpec* fc1 = nullptr;
     for (const auto& layer : m.layers)
@@ -61,8 +67,8 @@ TEST(Models, SpikingGemmDominatesOps)
 {
     // Sec. II-A: >98% of SNN operations are spiking GeMM. With the
     // direct-coded first conv excluded, spiking GeMMs still dominate.
-    for (const ModelSpec& m :
-         {buildVgg16(cifarInput(100)), buildResNet18(cifarInput())}) {
+    for (const ModelSpec& m : {build("VGG16", cifarInput(100)),
+                               build("ResNet18", cifarInput())}) {
         EXPECT_GT(m.spikingGemmOps() / m.totalDenseOps(), 0.9)
             << m.name;
     }
@@ -70,7 +76,7 @@ TEST(Models, SpikingGemmDominatesOps)
 
 TEST(Models, ResNet18HasTwentyConvs)
 {
-    const ModelSpec m = buildResNet18(cifarInput());
+    const ModelSpec m = build("ResNet18", cifarInput());
     std::size_t convs = 0, shortcuts = 0;
     for (const auto& layer : m.layers) {
         if (layer.type == LayerType::kConv) {
@@ -90,7 +96,7 @@ TEST(Models, LeNet5Geometry)
     in.channels = 1;
     in.height = 28;
     in.width = 28;
-    const ModelSpec m = buildLeNet5(in);
+    const ModelSpec m = build("LeNet5", in);
     // Geometry checks for the spiking LeNet-5 variant used here.
     const LayerSpec* conv2 = nullptr;
     const LayerSpec* fc1 = nullptr;
@@ -113,7 +119,7 @@ TEST(Models, LeNet5Geometry)
 
 TEST(Models, SpikformerTokensAndBlocks)
 {
-    const ModelSpec m = buildSpikformer(cifarInput());
+    const ModelSpec m = build("Spikformer", cifarInput());
     // 32x32 with two stem pools => 8x8 = 64 tokens; QK is (T*L, d, L).
     const LayerSpec* qk = nullptr;
     std::size_t qk_count = 0;
@@ -131,7 +137,7 @@ TEST(Models, SpikformerTokensAndBlocks)
 
 TEST(Models, SpikformerHasNoSoftmax)
 {
-    const ModelSpec m = buildSpikformer(cifarInput());
+    const ModelSpec m = build("Spikformer", cifarInput());
     for (const auto& layer : m.layers)
         EXPECT_NE(layer.type, LayerType::kSoftmax)
             << "Spikformer's SSA is softmax-free";
@@ -142,7 +148,7 @@ TEST(Models, SpikeBertTwelveBlocksWithSfu)
     InputConfig in;
     in.seq_len = 64;
     in.num_classes = 2;
-    const ModelSpec m = buildSpikeBert(in);
+    const ModelSpec m = build("SpikeBERT", in);
     std::size_t softmax = 0, layernorm = 0, qk = 0;
     for (const auto& layer : m.layers) {
         softmax += layer.type == LayerType::kSoftmax ? 1 : 0;
@@ -158,7 +164,7 @@ TEST(Models, SpikingBertFourBlocks)
 {
     InputConfig in;
     in.seq_len = 128;
-    const ModelSpec m = buildSpikingBert(in);
+    const ModelSpec m = build("SpikingBERT", in);
     std::size_t qk = 0;
     for (const auto& layer : m.layers)
         qk += layer.type == LayerType::kAttentionQK ? 1 : 0;
@@ -173,7 +179,7 @@ TEST(Models, SpikingBertFourBlocks)
 
 TEST(Models, AttentionLayersAreSpikingGemms)
 {
-    const ModelSpec m = buildSdt(cifarInput());
+    const ModelSpec m = build("SDT", cifarInput());
     for (const auto& layer : m.layers) {
         if (layer.type == LayerType::kAttentionQK ||
             layer.type == LayerType::kAttentionSV) {
@@ -187,7 +193,7 @@ TEST(Models, AttentionLayersAreSpikingGemms)
 
 TEST(Models, AlexNetGeometry)
 {
-    const ModelSpec m = buildAlexNet(cifarInput());
+    const ModelSpec m = build("AlexNet", cifarInput());
     EXPECT_EQ(m.name, "AlexNet");
     std::size_t convs = 0, linears = 0;
     for (const auto& layer : m.layers) {
@@ -206,7 +212,7 @@ TEST(Models, AlexNetGeometry)
 
 TEST(Models, ResNet19Geometry)
 {
-    const ModelSpec m = buildResNet19(cifarInput());
+    const ModelSpec m = build("ResNet19", cifarInput());
     EXPECT_EQ(m.name, "ResNet19");
     std::size_t convs = 0, shortcuts = 0;
     for (const auto& layer : m.layers) {
@@ -219,14 +225,14 @@ TEST(Models, ResNet19Geometry)
     // conv1 + (3+3+2) blocks x 2 convs + 2 downsample shortcuts = 19.
     EXPECT_EQ(convs, 19u);
     EXPECT_EQ(shortcuts, 2u);
-    EXPECT_GT(m.totalDenseOps(), buildResNet18(cifarInput())
+    EXPECT_GT(m.totalDenseOps(), build("ResNet18", cifarInput())
                                      .totalDenseOps())
         << "ResNet-19 is the widened variant";
 }
 
 TEST(Models, ConvLayersRecordInputReuse)
 {
-    const ModelSpec m = buildVgg16(cifarInput());
+    const ModelSpec m = build("VGG16", cifarInput());
     for (const auto& layer : m.layers) {
         if (layer.type == LayerType::kConv &&
             layer.name.find("shortcut") == std::string::npos) {
@@ -241,9 +247,9 @@ TEST(Models, ConvLayersRecordInputReuse)
 TEST(Models, DenseOpCountsArePositiveAndConsistent)
 {
     for (const ModelSpec& m :
-         {buildVgg16(cifarInput()), buildVgg9(cifarInput()),
-          buildResNet18(cifarInput()), buildSpikformer(cifarInput()),
-          buildSdt(cifarInput())}) {
+         {build("VGG16", cifarInput()), build("VGG9", cifarInput()),
+          build("ResNet18", cifarInput()),
+          build("Spikformer", cifarInput()), build("SDT", cifarInput())}) {
         EXPECT_GT(m.totalDenseOps(), 0.0) << m.name;
         EXPECT_GE(m.totalDenseOps(), m.spikingGemmOps()) << m.name;
         EXPECT_GT(m.numSpikingGemms(), 0u) << m.name;

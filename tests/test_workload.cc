@@ -176,7 +176,7 @@ TEST(Workload, TransformerWorkloadsAreSparserThanCnns)
 
 TEST(Workload, RegisteredDescModelRunsAsWorkload)
 {
-    // A model registered only as data (no C++ builder) is a
+    // A model registered at run time from a programmatic desc is a
     // first-class workload citizen.
     ModelDesc desc;
     desc.name = "UnitDescModel";
