@@ -5,13 +5,12 @@
  * `BENCH_hotpath.json` trajectory (schema: docs/BENCHMARKS.md).
  *
  * Stages timed:
- *  - frontend: the all-pairs selectPrefixesNaive reference on
- *    BitMatrix tiles vs the popcount-sorted, signature-prefiltered
- *    selectPrefixes on the same tiles pre-extracted as TileWords, over
- *    a 256x16 tile sweep across densities (checksums must agree —
- *    verified here);
+ *  - frontend: the all-pairs selectPrefixesNaive reference vs the
+ *    popcount-sorted, signature-prefiltered selectPrefixes on the same
+ *    256x16 tiles, over a sweep across densities (checksums must
+ *    agree — verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
- *    BitVector::randomize, plus a full SpikeGenerator layer;
+ *    BitMatrix::randomize, plus a full SpikeGenerator layer;
  *  - gemm: the functional ProductGemm multiply;
  *  - engine: LeNet5/MNIST and SpikeBERT/SST-2 end-to-end runs of the
  *    prosperity design through SimulationEngine.
@@ -52,21 +51,29 @@ checksumSelection(const PrefixSelection& s)
     return h;
 }
 
+/** XOR-fold of each row's FNV-1a word hash plus its index. */
 std::uint64_t
 checksumMatrix(const BitMatrix& m)
 {
     std::uint64_t h = 0;
-    for (std::size_t r = 0; r < m.rows(); ++r)
-        h ^= m.row(r).hash() + r;
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        std::uint64_t fnv = 0xcbf29ce484222325ULL;
+        for (const std::uint64_t word : m.row(r)) {
+            fnv ^= word;
+            fnv *= 0x100000001b3ULL;
+        }
+        h ^= fnv + r;
+    }
     return h;
 }
 
 /** The pre-word-parallel Bernoulli fill, retained as the bench baseline. */
 void
-bitwiseRandomize(BitVector& v, Rng& rng, double density)
+bitwiseRandomize(BitMatrix& m, Rng& rng, double density)
 {
-    for (std::size_t pos = 0; pos < v.size(); ++pos)
-        v.set(pos, rng.nextBool(density));
+    for (std::size_t r = 0; r < m.rows(); ++r)
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            m.set(r, c, rng.nextBool(density));
 }
 
 ActivationProfile
@@ -148,11 +155,9 @@ main(int argc, char** argv)
     for (double d : densities) {
         const SpikeGenerator gen(benchProfile(d), 7);
         std::vector<BitMatrix> tiles;
-        std::vector<TileWords> tile_words(tiles_per_density);
-        for (std::size_t t = 0; t < tiles_per_density; ++t) {
+        tiles.reserve(tiles_per_density);
+        for (std::size_t t = 0; t < tiles_per_density; ++t)
             tiles.push_back(gen.generate(256, 16, 4, t));
-            extractTile(tiles[t], 0, 0, 256, 16, tile_words[t]);
-        }
 
         bench::CaseOptions opts;
         opts.reps = reps(30);
@@ -174,7 +179,7 @@ main(int argc, char** argv)
             "frontend/select_prefixes/d=" + fmt(d), "frontend", params,
             opts, [&] {
                 std::uint64_t c = 0;
-                for (const TileWords& tile : tile_words)
+                for (const BitMatrix& tile : tiles)
                     c ^= checksumSelection(selectPrefixes(tile));
                 return c;
             });
@@ -206,8 +211,7 @@ main(int argc, char** argv)
               [&] {
                   Rng rng(11);
                   BitMatrix m(rows, cols);
-                  for (std::size_t r = 0; r < rows; ++r)
-                      bitwiseRandomize(m.row(r), rng, 0.2);
+                  bitwiseRandomize(m, rng, 0.2);
                   return checksumMatrix(m);
               });
         h.run("spikegen/word_batched", "spikegen", params, opts, [&] {

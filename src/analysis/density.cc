@@ -26,15 +26,15 @@ namespace {
 
 /** Analyze one cropped tile, optionally selecting a second prefix. */
 DensityReport
-analyzeTile(const TileWords& tile, bool two_prefix)
+analyzeTile(const BitMatrix& tile, bool two_prefix)
 {
     const PrefixSelection sel = selectPrefixes(tile);
     DensityReport report;
-    const std::size_t m = tile.rows;
-    const std::size_t nwords = tile.row_words;
+    const std::size_t m = tile.rows();
+    const std::size_t nwords = tile.rowWords();
     report.rows = static_cast<double>(m);
     report.bits_total =
-        static_cast<double>(m) * static_cast<double>(tile.cols);
+        static_cast<double>(m) * static_cast<double>(tile.cols());
     std::vector<std::uint64_t> residual(nwords);
 
     for (std::size_t i = 0; i < m; ++i) {
@@ -92,10 +92,10 @@ analyzeMatrix(const BitMatrix& spikes, const DensityOptions& options)
     const double scale = sample.scale;
 
     DensityReport total;
-    TileWords words; // one buffer, refilled for every tile
+    BitMatrix buffer; // one tile buffer, refilled for every tile
     for (const auto& [r0, c0] : sample.origins) {
-        extractTile(spikes, r0, c0, tile.m, tile.k, words);
-        DensityReport tile_report = analyzeTile(words, options.two_prefix);
+        extractTile(spikes, r0, c0, tile.m, tile.k, buffer);
+        DensityReport tile_report = analyzeTile(buffer, options.two_prefix);
         tile_report.bits_total *= scale;
         tile_report.bits_set *= scale;
         tile_report.pattern_bits_one *= scale;
@@ -123,14 +123,8 @@ analyzeWorkload(const Workload& workload, const DensityOptions& options,
         ++layer_index;
         if (!layer.isSpikingGemm())
             continue;
-        // Honor a per-layer profile override (declarative models),
-        // matching the runner's generation exactly.
-        const BitMatrix spikes =
-            layer.profile_override
-                ? SpikeGenerator(*layer.profile_override, seed)
-                      .generateLayer(layer, layer_index)
-                : gen.generateLayer(layer, layer_index);
-        total.merge(analyzeMatrix(spikes, options));
+        total.merge(
+            analyzeMatrix(gen.generateLayer(layer, layer_index), options));
     }
     return total;
 }

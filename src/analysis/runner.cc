@@ -19,22 +19,6 @@ hintsFor(const ModelSpec& model)
     return hints;
 }
 
-/**
- * Generate one layer's spike matrix, honoring a per-layer
- * ActivationProfile override (declarative models may pin one). The
- * override generator shares the run seed, so draws stay per-(seed,
- * layer) streams and layer order cannot affect any matrix.
- */
-BitMatrix
-generateLayerSpikes(const SpikeGenerator& gen, const LayerSpec& layer,
-                    std::size_t layer_index, std::uint64_t seed)
-{
-    if (layer.profile_override)
-        return SpikeGenerator(*layer.profile_override, seed)
-            .generateLayer(layer, layer_index);
-    return gen.generateLayer(layer, layer_index);
-}
-
 /** Run one layer on one accelerator and fold it into `result`. */
 void
 accumulateLayer(Accelerator& accel, const LayerSpec& layer,
@@ -102,8 +86,7 @@ runWorkloadOnAll(const std::vector<Accelerator*>& accels,
         const bool is_spiking = layer.isSpikingGemm();
         if (is_spiking) {
             obs::ScopedSpan span("spikegen", layer.name);
-            spikes = generateLayerSpikes(gen, layer, layer_index,
-                                         options.seed);
+            spikes = gen.generateLayer(layer, layer_index);
         }
 
         // The designs that tile these spikes alike share one front-end

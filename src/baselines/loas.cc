@@ -4,6 +4,8 @@
 
 #include "arch/registry.h"
 #include "baselines/calibration.h"
+#include "bitmatrix/simd_dispatch.h"
+#include "bitmatrix/word_kernels.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -42,15 +44,14 @@ Loas::dualSideOps(const BitMatrix& spikes, const BitMatrix& weight_mask)
     // row r (spike column r), every surviving weight in that row meets
     // popcount(spike column r) spikes.
     std::vector<std::size_t> spikes_per_col(spikes.cols(), 0);
-    for (std::size_t i = 0; i < spikes.rows(); ++i) {
-        const BitVector& row = spikes.row(i);
-        for (std::size_t c = row.findFirst(); c < spikes.cols();
-             c = row.findNext(c))
-            ++spikes_per_col[c];
-    }
+    for (std::size_t i = 0; i < spikes.rows(); ++i)
+        forEachSetBit(spikes.row(i).data(), spikes.rowWords(),
+                      [&](std::size_t c) { ++spikes_per_col[c]; });
+    const SimdOps& simd = simdOps();
     double ops = 0.0;
     for (std::size_t r = 0; r < weight_mask.rows(); ++r)
-        ops += static_cast<double>(weight_mask.row(r).popcount()) *
+        ops += static_cast<double>(simd.popcountWords(
+                   weight_mask.row(r).data(), weight_mask.rowWords())) *
                static_cast<double>(spikes_per_col[r]);
     return ops;
 }

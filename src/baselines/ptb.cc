@@ -1,9 +1,11 @@
 #include "ptb.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "arch/registry.h"
 #include "baselines/calibration.h"
+#include "bitmatrix/simd_dispatch.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -30,21 +32,28 @@ PtbAccelerator::structuredOps(const BitMatrix& spikes,
     const std::size_t window = std::min(t, calibration::kPtbTimeWindow);
     const std::size_t windows = (t + window - 1) / window;
 
+    const SimdOps& ops = simdOps();
+    const std::size_t nwords = spikes.rowWords();
+    std::vector<std::uint64_t> live(nwords); // one window's OR
     double live_window_bits = 0.0;
     for (std::size_t i = 0; i < positions; ++i) {
         for (std::size_t w = 0; w < windows; ++w) {
             // OR the window's rows: a set bit marks a live window slot.
-            BitVector live(spikes.cols());
+            std::fill(live.begin(), live.end(), 0);
             std::size_t steps_in_window = 0;
             for (std::size_t dt = 0; dt < window; ++dt) {
                 const std::size_t step = w * window + dt;
                 if (step >= t)
                     break;
-                live |= spikes.row(step * positions + i);
+                const std::span<const std::uint64_t> row =
+                    spikes.row(step * positions + i);
+                for (std::size_t x = 0; x < nwords; ++x)
+                    live[x] |= row[x];
                 ++steps_in_window;
             }
-            live_window_bits += static_cast<double>(live.popcount()) *
-                                static_cast<double>(steps_in_window);
+            live_window_bits +=
+                static_cast<double>(ops.popcountWords(live.data(), nwords)) *
+                static_cast<double>(steps_in_window);
         }
     }
     return live_window_bits * static_cast<double>(n);

@@ -5,6 +5,7 @@
 
 #include "arch/registry.h"
 #include "baselines/calibration.h"
+#include "bitmatrix/simd_dispatch.h"
 
 namespace prosperity {
 
@@ -30,8 +31,9 @@ SatoAccelerator::paddedOps(const BitMatrix& spikes, std::size_t batch_rows,
     // consecutive (sorted) rows to its maximum.
     const std::size_t m = spikes.rows();
     std::vector<std::size_t> pops(m);
+    const SimdOps& ops = simdOps();
     for (std::size_t r = 0; r < m; ++r)
-        pops[r] = spikes.row(r).popcount();
+        pops[r] = ops.popcountWords(spikes.row(r).data(), spikes.rowWords());
     std::sort(pops.begin(), pops.end(), std::greater<>());
 
     double padded = 0.0;

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 
+#include "bitmatrix/simd_dispatch.h"
+#include "bitmatrix/word_kernels.h"
 #include "sim/logging.h"
 
 namespace prosperity {
 
 BitMatrix::BitMatrix(std::size_t rows, std::size_t cols)
-    : cols_(cols), rows_(rows, BitVector(cols))
+    : rows_(rows), cols_(cols), row_words_((cols + 63) / 64),
+      words_(rows * row_words_, 0)
 {
 }
 
@@ -20,32 +23,48 @@ BitMatrix::fromStrings(const std::vector<std::string>& rows)
     for (std::size_t r = 0; r < rows.size(); ++r) {
         PROSPERITY_ASSERT(rows[r].size() == m.cols_,
                           "ragged bit matrix literal");
-        m.rows_[r] = BitVector::fromString(rows[r]);
+        m.setRow(r, BitVector::fromString(rows[r]));
     }
     return m;
 }
 
-BitVector&
-BitMatrix::row(std::size_t r)
+void
+BitMatrix::copyRow(std::size_t dst, std::size_t src)
 {
-    PROSPERITY_ASSERT(r < rows_.size(), "row index out of range");
-    return rows_[r];
+    const std::span<const std::uint64_t> from = row(src);
+    std::uint64_t* to = rowData(dst);
+    if (to != from.data()) // std::copy may not write over its source
+        std::copy(from.begin(), from.end(), to);
 }
 
-const BitVector&
-BitMatrix::row(std::size_t r) const
+void
+BitMatrix::setRow(std::size_t r, const BitVector& bits)
 {
-    PROSPERITY_ASSERT(r < rows_.size(), "row index out of range");
-    return rows_[r];
+    PROSPERITY_ASSERT(bits.size() == cols_, "row width mismatch");
+    std::copy(bits.words().begin(), bits.words().end(), rowData(r));
+}
+
+void
+BitMatrix::randomizeRow(std::size_t r, Rng& rng, double density)
+{
+    if (row_words_ == 0)
+        return;
+    std::uint64_t* words = rowData(r);
+    rng.nextBernoulliWords(words, row_words_, density);
+    words[row_words_ - 1] &= lastWordMask(cols_);
+}
+
+void
+BitMatrix::randomize(Rng& rng, double density)
+{
+    for (std::size_t r = 0; r < rows_; ++r)
+        randomizeRow(r, rng, density);
 }
 
 std::size_t
 BitMatrix::popcount() const
 {
-    std::size_t count = 0;
-    for (const auto& r : rows_)
-        count += r.popcount();
-    return count;
+    return simdOps().popcountWords(words_.data(), words_.size());
 }
 
 double
@@ -57,23 +76,16 @@ BitMatrix::density() const
 }
 
 void
-BitMatrix::randomize(Rng& rng, double density)
-{
-    for (auto& r : rows_)
-        r.randomize(rng, density);
-}
-
-void
 extractTile(const BitMatrix& matrix, std::size_t row0, std::size_t col0,
-            std::size_t tile_rows, std::size_t tile_cols, TileWords& out)
+            std::size_t tile_rows, std::size_t tile_cols, BitMatrix& out)
 {
     PROSPERITY_ASSERT(row0 <= matrix.rows() && col0 <= matrix.cols(),
                       "tile origin out of range");
-    out.rows = std::min(matrix.rows() - row0, tile_rows);
-    out.cols = std::min(matrix.cols() - col0, tile_cols);
-    out.row_words = (out.cols + 63) / 64;
-    out.words.resize(out.rows * out.row_words);
-    if (out.row_words == 0)
+    out.rows_ = std::min(matrix.rows() - row0, tile_rows);
+    out.cols_ = std::min(matrix.cols() - col0, tile_cols);
+    out.row_words_ = (out.cols_ + 63) / 64;
+    out.words_.resize(out.rows_ * out.row_words_);
+    if (out.row_words_ == 0)
         return;
 
     // Output word w holds source bits [col0 + 64w, col0 + 64w + 64):
@@ -83,21 +95,19 @@ extractTile(const BitMatrix& matrix, std::size_t row0, std::size_t col0,
     // belong to the tiles to the right.
     const std::size_t first = col0 / 64;
     const std::size_t shift = col0 % 64;
-    const std::size_t tail = out.cols % 64;
-    const std::uint64_t last_mask = tail == 0 ? ~0ULL : (1ULL << tail) - 1;
-    std::uint64_t* dst = out.words.data();
-    for (std::size_t r = 0; r < out.rows; ++r) {
-        const std::span<const std::uint64_t> src =
-            matrix.row(row0 + r).words();
-        for (std::size_t w = 0; w < out.row_words; ++w) {
+    const std::uint64_t last_mask = lastWordMask(out.cols_);
+    std::uint64_t* dst = out.words_.data();
+    for (std::size_t r = 0; r < out.rows_; ++r) {
+        const std::span<const std::uint64_t> src = matrix.row(row0 + r);
+        for (std::size_t w = 0; w < out.row_words_; ++w) {
             const std::size_t s = first + w;
             std::uint64_t word = src[s] >> shift;
             if (shift != 0 && s + 1 < src.size())
                 word |= src[s + 1] << (64 - shift);
             dst[w] = word;
         }
-        dst[out.row_words - 1] &= last_mask;
-        dst += out.row_words;
+        dst[out.row_words_ - 1] &= last_mask;
+        dst += out.row_words_;
     }
 }
 

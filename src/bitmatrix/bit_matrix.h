@@ -6,8 +6,8 @@
  * per-time-step spike matrices are concatenated along the row dimension
  * (Sec. II-A of the paper), giving a single (T*L) x K binary matrix that
  * multiplies a shared K x N weight matrix. Tiling (Sec. V-A) slices this
- * into m x k sub-matrices for the PPU, each extracted as contiguous row
- * words (TileWords).
+ * into m x k sub-matrices for the PPU; a tile is itself a BitMatrix
+ * whose rows are the detector's k-bit TCAM words, filled by extractTile.
  */
 
 #ifndef PROSPERITY_BITMATRIX_BIT_MATRIX_H
@@ -20,25 +20,27 @@
 #include <vector>
 
 #include "bitmatrix/bit_vector.h"
+#include "sim/logging.h"
 #include "sim/rng.h"
 
 namespace prosperity {
 
 /**
- * A dense row-major matrix of bits; rows are BitVectors.
+ * A dense row-major matrix of bits in one contiguous word array.
  *
  * @par Word layout and tail invariant
- * Each row is an independent BitVector of cols() bits: bit (r, c) lives
- * in `row(r).words()[c / 64]` at bit `c % 64`, and every row upholds
- * the BitVector tail-masking invariant (padding bits beyond cols() are
- * zero). Word-level kernels may therefore stream any row's words()
- * span directly.
+ * The matrix holds rows() x rowWords() 64-bit words, row-major, with
+ * rowWords() = ceil(cols() / 64): bit (r, c) is bit c % 64 of
+ * `row(r)[c / 64]`. Bits past cols() in each row's last word are zero.
+ * row() hands out read-only spans, and every write goes through a
+ * mutator that keeps the tail zero (set, copyRow, setRow,
+ * randomizeRow, randomize, extractTile), so the word kernels may
+ * stream any row, and equal bit content means equal words.
  *
  * @par Determinism
- * randomize() consumes a shape-dependent but fixed number of draws per
- * row (see BitVector::randomize), so matrices are reproducible per
- * (rng state, shape, density) and equality / hashing over rows is
- * canonical.
+ * randomizeRow() consumes a shape-dependent but fixed number of draws
+ * (exactly what BitVector::randomize draws for a cols()-bit vector), so
+ * matrices are reproducible per (rng state, shape, density).
  */
 class BitMatrix
 {
@@ -54,18 +56,56 @@ class BitMatrix
      */
     static BitMatrix fromStrings(const std::vector<std::string>& rows);
 
-    std::size_t rows() const { return rows_.size(); }
+    std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }
 
-    /** Mutable row access. */
-    BitVector& row(std::size_t r);
-    const BitVector& row(std::size_t r) const;
+    /** Words per row, ceil(cols() / 64). */
+    std::size_t rowWords() const { return row_words_; }
 
-    bool test(std::size_t r, std::size_t c) const { return row(r).test(c); }
+    /**
+     * Row `r`'s words, low bits first, tail zero-padded. The span is
+     * returned const so that `m.row(r) = …` does not compile: rows are
+     * written through copyRow and setRow.
+     */
+    const std::span<const std::uint64_t> row(std::size_t r) const
+    {
+        PROSPERITY_ASSERT(r < rows_, "row index out of range");
+        return {words_.data() + r * row_words_, row_words_};
+    }
+
+    bool test(std::size_t r, std::size_t c) const
+    {
+        PROSPERITY_ASSERT(c < cols_, "column index out of range");
+        return (row(r)[c / 64] >> (c % 64)) & 1ULL;
+    }
+
+    /**
+     * Set bit (r, c) to `v`. Inline: the spike generator sets each
+     * clustered row's spikes bit by bit, so this sits in a hot loop.
+     */
     void set(std::size_t r, std::size_t c, bool v = true)
     {
-        row(r).set(c, v);
+        PROSPERITY_ASSERT(c < cols_, "column index out of range");
+        std::uint64_t& word = rowData(r)[c / 64];
+        const std::uint64_t mask = 1ULL << (c % 64);
+        word = v ? word | mask : word & ~mask;
     }
+
+    /** Overwrite row `dst` with row `src`. */
+    void copyRow(std::size_t dst, std::size_t src);
+
+    /** Overwrite row `r` with `bits`, which must be cols() wide. */
+    void setRow(std::size_t r, const BitVector& bits);
+
+    /**
+     * Fill row `r` with Bernoulli(density) bits: one
+     * Rng::nextBernoulliWords call over the row, then the tail mask —
+     * the draws BitVector::randomize makes.
+     */
+    void randomizeRow(std::size_t r, Rng& rng, double density);
+
+    /** Fill every row with Bernoulli(density) bits, row by row. */
+    void randomize(Rng& rng, double density);
 
     /** Total number of set bits. */
     std::size_t popcount() const;
@@ -73,46 +113,34 @@ class BitMatrix
     /** Fraction of bits set (the paper's bit density). */
     double density() const;
 
-    /** Fill with Bernoulli(p) bits. */
-    void randomize(Rng& rng, double density);
-
     bool operator==(const BitMatrix& other) const = default;
 
   private:
-    std::size_t cols_ = 0;
-    std::vector<BitVector> rows_;
-};
-
-/**
- * One cropped m x k tile as contiguous row words: the layout the
- * detector searches, one k-bit TCAM word per row (Secs. V-A, V-B).
- *
- * Tile bit (r, c) is bit c % 64 of `row(r)[c / 64]`. Bits past `cols`
- * in each row's last word are zero, so the word kernels may stream any
- * row, and equal rows have equal words.
- */
-struct TileWords
-{
-    std::size_t rows = 0;
-    std::size_t cols = 0;
-    std::size_t row_words = 0;        ///< ceil(cols / 64)
-    std::vector<std::uint64_t> words; ///< rows * row_words, row-major
-
-    std::span<const std::uint64_t> row(std::size_t r) const
+    std::uint64_t* rowData(std::size_t r)
     {
-        return {words.data() + r * row_words, row_words};
+        PROSPERITY_ASSERT(r < rows_, "row index out of range");
+        return words_.data() + r * row_words_;
     }
+
+    friend void extractTile(const BitMatrix& matrix, std::size_t row0,
+                            std::size_t col0, std::size_t tile_rows,
+                            std::size_t tile_cols, BitMatrix& out);
+
+    std::size_t rows_ = 0;
+    std::size_t cols_ = 0;
+    std::size_t row_words_ = 0;        ///< ceil(cols_ / 64)
+    std::vector<std::uint64_t> words_; ///< rows_ * row_words_, row-major
 };
 
 /**
  * Extract the tile of `matrix` starting at (row0, col0) with at most
- * `tile_rows` x `tile_cols` bits into `out`, reusing its buffer. Edge
+ * `tile_rows` x `tile_cols` bits into `out`, refilling its buffer. Edge
  * tiles are cropped, not padded, so tile ops never see phantom bits.
  * Each output word shifts and merges at most two source words.
  */
 void extractTile(const BitMatrix& matrix, std::size_t row0,
                  std::size_t col0, std::size_t tile_rows,
-                 std::size_t tile_cols, TileWords& out);
+                 std::size_t tile_cols, BitMatrix& out);
 
 /** Geometry of one spiking GeMM: (M x K) spikes times (K x N) weights. */
 struct GemmShape

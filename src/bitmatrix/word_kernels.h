@@ -4,24 +4,25 @@
  *
  * These are the innermost loops of the simulator: every hot path that
  * touches spike bits (prefix selection's TCAM model, the residual XOR,
- * the density analyses) bottoms out here, operating on whole 64-bit words
- * instead of individual bits. The functions are deliberately free of
- * class state so they can run over raw `BitVector::words()` and tile
- * row spans.
+ * the density analyses, the baselines' row reads) bottoms out here,
+ * operating on whole 64-bit words instead of individual bits. The
+ * functions are deliberately free of class state so they can run over
+ * raw `BitMatrix::row()` and `BitVector::words()` spans.
  *
  * All kernels assume canonical operands: unused tail bits beyond the
- * logical width are zero. `BitVector` maintains that invariant through
- * its single masked-write path (see BitVector::storeWord), and
- * extractTile masks every tile row's last word, so spans obtained from
- * `BitVector::words()` and `TileWords::row()` are always safe inputs.
+ * logical width are zero. Every BitMatrix and BitVector mutator keeps
+ * that invariant (the word-granularity ones mask with lastWordMask),
+ * and extractTile masks every tile row's last word, so spans obtained
+ * from `BitMatrix::row()` and `BitVector::words()` are always safe
+ * inputs.
  *
  * `popcountWords` and `signatureScanWords` are also the *scalar
  * reference tier* of the runtime SIMD dispatch (bitmatrix/
  * simd_dispatch.h), which adds AVX2 and AVX-512 specializations that
  * must be bit-identical to these loops on every input — the
  * differential suite in tests/test_simd_kernels.cc enforces it. Hot
- * paths call those two through the dispatched table; the subset, any
- * and signature loops are called directly.
+ * paths call those two through the dispatched table; the other loops
+ * are called directly.
  */
 
 #ifndef PROSPERITY_BITMATRIX_WORD_KERNELS_H
@@ -32,6 +33,14 @@
 #include <cstdint>
 
 namespace prosperity {
+
+/** Valid-bit mask of the last word of a `bits`-bit row. */
+inline std::uint64_t
+lastWordMask(std::size_t bits)
+{
+    const std::size_t tail = bits % 64;
+    return tail == 0 ? ~0ULL : (1ULL << tail) - 1;
+}
 
 /** Total set bits across `n` words. */
 inline std::size_t
@@ -56,6 +65,19 @@ isSubsetOfWords(const std::uint64_t* sub, const std::uint64_t* super,
         if (sub[i] & ~super[i])
             return false;
     return true;
+}
+
+/**
+ * Call `fn(pos)` for every set bit of `n` words, in ascending position
+ * order (the Processor's address decode, one bit-scan per spike).
+ */
+template <typename Fn>
+inline void
+forEachSetBit(const std::uint64_t* words, std::size_t n, Fn&& fn)
+{
+    for (std::size_t w = 0; w < n; ++w)
+        for (std::uint64_t word = words[w]; word != 0; word &= word - 1)
+            fn(w * 64 + static_cast<std::size_t>(std::countr_zero(word)));
 }
 
 /** Whether any of `n` words is non-zero. */

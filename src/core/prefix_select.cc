@@ -9,9 +9,9 @@
 namespace prosperity {
 
 PrefixSelection
-selectPrefixes(const TileWords& tile)
+selectPrefixes(const BitMatrix& tile)
 {
-    const std::size_t m = tile.rows;
+    const std::size_t m = tile.rows();
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);
@@ -22,7 +22,7 @@ selectPrefixes(const TileWords& tile)
     // and the signature scan below go through the dispatched SIMD
     // table.
     const SimdOps& ops = simdOps();
-    const std::size_t nwords = tile.row_words;
+    const std::size_t nwords = tile.rowWords();
     std::vector<std::uint64_t> sig(m);
     std::size_t max_pc = 0;
     for (std::size_t i = 0; i < m; ++i) {
@@ -96,8 +96,9 @@ selectPrefixesNaive(const BitMatrix& tile)
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);
+    const std::size_t nwords = tile.rowWords();
     for (std::size_t i = 0; i < m; ++i) {
-        sel.popcounts[i] = tile.row(i).popcount();
+        sel.popcounts[i] = popcountWords(tile.row(i).data(), nwords);
         if (sel.popcounts[i] > 0)
             sel.order.push_back(static_cast<std::uint32_t>(i));
     }
@@ -116,7 +117,8 @@ selectPrefixesNaive(const BitMatrix& tile)
             // Empty rows carry no reusable result; an exact-match peer
             // with a larger index issues after row i (rule 1).
             if (j == i || no_j == 0 || (no_j == no_i && j > i) ||
-                !tile.row(j).isSubsetOf(tile.row(i)))
+                !isSubsetOfWords(tile.row(j).data(), tile.row(i).data(),
+                                 nwords))
                 continue;
             // Argmax on NO; ascending j hands ties to the largest
             // index (rules 2 and 3).

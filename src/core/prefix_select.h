@@ -21,7 +21,8 @@
  *
  * selectPrefixes() is the one routine that models both stages: the
  * timing path (summarizeTile), the density analyses and the functional
- * ProductGemm all read its result.
+ * ProductGemm all read its result. A tile is a BitMatrix (extractTile
+ * refills one per tile), so each row is one k-bit TCAM word span.
  */
 
 #ifndef PROSPERITY_CORE_PREFIX_SELECT_H
@@ -59,13 +60,14 @@ struct PrefixSelection
  * select nor serve as a prefix (the TCAM's valid bit masks them out).
  * The result equals selectPrefixesNaive() on every tile.
  */
-PrefixSelection selectPrefixes(const TileWords& tile);
+PrefixSelection selectPrefixes(const BitMatrix& tile);
 
 /**
  * All-pairs reference: every subset candidate of every row, pruned by
- * the three rules above. The test oracle and bench baseline for
- * selectPrefixes(); it reads a BitMatrix, so it checks the tile
- * extraction too.
+ * the three rules above, with the scalar popcount and subset loops.
+ * The test oracle and bench baseline for selectPrefixes(); the tests
+ * hand it the original matrix and selectPrefixes() its extractTile
+ * copy, so the oracle checks the extraction too.
  */
 PrefixSelection selectPrefixesNaive(const BitMatrix& tile);
 

@@ -1,6 +1,5 @@
 #include "product_gemm.h"
 
-#include <bit>
 #include <vector>
 
 #include "bitmatrix/word_kernels.h"
@@ -24,13 +23,13 @@ ProductGemm::multiply(const BitMatrix& spikes,
     result.dense_ops = static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
 
-    TileWords tile;                      // refilled for every tile
+    BitMatrix tile;                     // refilled for every tile
     std::vector<std::uint64_t> pattern; // one row's residual words
     for (std::size_t r0 = 0; r0 < M; r0 += tile_.m) {
         for (std::size_t c0 = 0; c0 < K; c0 += tile_.k) {
             extractTile(spikes, r0, c0, tile_.m, tile_.k, tile);
             const PrefixSelection sel = selectPrefixes(tile);
-            const std::size_t rows = tile.rows;
+            const std::size_t rows = tile.rows();
 
             // Tile-local output rows: the Processor's output buffer.
             std::vector<std::vector<std::int32_t>> local(
@@ -58,18 +57,13 @@ ProductGemm::multiply(const BitMatrix& spikes,
                         ++result.exact_matches;
                 }
                 // Steps 10-11: accumulate the residual pattern's weights.
-                for (std::size_t w = 0; w < pattern.size(); ++w) {
-                    for (std::uint64_t word = pattern[w]; word != 0;
-                         word &= word - 1) {
-                        const std::size_t bit =
-                            w * 64 +
-                            static_cast<std::size_t>(std::countr_zero(word));
+                forEachSetBit(
+                    pattern.data(), pattern.size(), [&](std::size_t bit) {
                         const std::int32_t* wrow = weights.rowPtr(c0 + bit);
                         for (std::size_t col = 0; col < N; ++col)
                             acc[col] += wrow[col];
                         result.product_ops += static_cast<double>(N);
-                    }
-                }
+                    });
                 result.bit_ops +=
                     static_cast<double>(sel.popcounts[row]) *
                     static_cast<double>(N);
@@ -96,14 +90,13 @@ ProductGemm::referenceMultiply(const BitMatrix& spikes,
     const std::size_t N = weights.cols();
     OutputMatrix out(M, N, 0);
     for (std::size_t r = 0; r < M; ++r) {
-        const BitVector& row = spikes.row(r);
         std::int32_t* acc = out.rowPtr(r);
-        for (std::size_t bit = row.findFirst(); bit < spikes.cols();
-             bit = row.findNext(bit)) {
-            const std::int32_t* w = weights.rowPtr(bit);
-            for (std::size_t col = 0; col < N; ++col)
-                acc[col] += w[col];
-        }
+        forEachSetBit(spikes.row(r).data(), spikes.rowWords(),
+                      [&](std::size_t bit) {
+                          const std::int32_t* w = weights.rowPtr(bit);
+                          for (std::size_t col = 0; col < N; ++col)
+                              acc[col] += w[col];
+                      });
     }
     return out;
 }

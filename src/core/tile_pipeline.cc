@@ -23,12 +23,12 @@ bitonicCompares(std::size_t m)
 } // namespace
 
 TileSummary
-summarizeTile(const TileWords& tile)
+summarizeTile(const BitMatrix& tile)
 {
     TileSummary summary;
-    summary.rows = tile.rows;
-    summary.cols = tile.cols;
-    if (tile.rows == 0 || tile.cols == 0)
+    summary.rows = tile.rows();
+    summary.cols = tile.cols();
+    if (summary.rows == 0 || summary.cols == 0)
         return summary;
 
     const PrefixSelection sel = selectPrefixes(tile);
@@ -36,8 +36,8 @@ summarizeTile(const TileWords& tile)
     // Rows go in issue order, so a prefix's count is known before its
     // rows need it, and the walk total costs O(m), not O(m x chain
     // depth). Empty rows are roots: one hop each.
-    std::vector<std::size_t> hops(tile.rows, 1);
-    summary.walk = tile.rows - sel.order.size();
+    std::vector<std::size_t> hops(summary.rows, 1);
+    summary.walk = summary.rows - sel.order.size();
     for (const std::uint32_t r : sel.order) {
         const std::size_t pops = sel.popcounts[r];
         std::size_t pattern_pops = pops;
@@ -77,10 +77,10 @@ TileSummaryCache::summaries(const TileConfig& tile,
     TileSummarySet set;
     set.scale = sample.scale;
     set.tiles.reserve(sample.origins.size());
-    TileWords words; // one buffer, refilled for every tile
+    BitMatrix buffer; // one tile buffer, refilled for every tile
     for (const auto& [r0, c0] : sample.origins) {
-        extractTile(spikes_, r0, c0, tile.m, tile.k, words);
-        set.tiles.push_back(summarizeTile(words));
+        extractTile(spikes_, r0, c0, tile.m, tile.k, buffer);
+        set.tiles.push_back(summarizeTile(buffer));
     }
     return sets_.emplace(key, std::move(set)).first->second;
 }

@@ -3,8 +3,9 @@
  * Per-tile PPU processing: prefix selection -> summary -> cost.
  *
  * The front end is split in two. summarizeTile() runs one tile's
- * prefix selection (core/prefix_select.h) and reduces it to a few
- * design-independent sums (TileSummary). TilePipeline::cost() folds a
+ * prefix selection (core/prefix_select.h) — the tile a BitMatrix that
+ * extractTile refilled — and reduces it to a few design-independent
+ * sums (TileSummary). TilePipeline::cost() folds a
  * summary with one design's formulas into the per-tile schedule the
  * pipeline model (ppu.h) consumes, and counts the architectural
  * activity the energy model charges: the ProSparsity phase's cycles
@@ -112,7 +113,7 @@ struct TileSummary
 };
 
 /** Select every row's prefix in `tile` and sum the result. */
-TileSummary summarizeTile(const TileWords& tile);
+TileSummary summarizeTile(const BitMatrix& tile);
 
 /** Summaries of one spike matrix's analyzed tiles, in sampleTiles
  *  order, and how many of the matrix's tiles each stands for. */
@@ -125,9 +126,9 @@ struct TileSummarySet
 /**
  * One layer's tile summaries, shared by every design of a lineup.
  * Keyed by (tile.m, tile.k, max_sampled_tiles): the first design that
- * asks for a key extracts and summarizes the sampled tiles, and later
- * designs with the same tiling reuse them. Each computation is one
- * `frontend` span. Returned references stay valid as keys are added.
+ * asks for a key extracts the sampled tiles into one reused BitMatrix
+ * buffer and summarizes them, and later designs with the same tiling
+ * reuse them. Each computation is one `frontend` span. Returned references stay valid as keys are added.
  * Single-threaded: a lineup runs on one worker.
  */
 class TileSummaryCache

@@ -74,11 +74,10 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
         // Exact-match structure across time steps: re-emit the previous
         // step's row for the same spatial position.
         if (t > 0 && rng.nextBool(profile_.temporal_repeat)) {
-            out.row(r) = out.row(r - positions);
+            out.copyRow(r, r - positions);
             continue;
         }
         if (rng.nextBool(profile_.cluster_fraction)) {
-            BitVector& row = out.row(r);
             // Union rows span two banks (both halves shortened so the
             // density target holds); single-bank rows take one prefix.
             const bool is_union = rng.nextBool(profile_.union_prob);
@@ -92,7 +91,7 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
                 const std::size_t keep =
                     rng.nextBinomial(order.size(), keep_prob);
                 for (std::size_t i = 0; i < keep; ++i)
-                    row.set(order[i]);
+                    out.set(r, order[i]);
             }
             // Stray spikes: rare uncorrelated firings that perturb the
             // cluster structure (and limit how wide a TCAM window can
@@ -105,10 +104,10 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
                 if (rng.nextBool(expected - std::floor(expected)))
                     ++strays;
                 for (std::size_t i = 0; i < strays; ++i)
-                    row.set(rng.nextBelow(cols));
+                    out.set(r, rng.nextBelow(cols));
             }
         } else {
-            out.row(r).randomize(rng, density);
+            out.randomizeRow(r, rng, density);
         }
     }
     return out;
@@ -118,6 +117,10 @@ BitMatrix
 SpikeGenerator::generateLayer(const LayerSpec& layer,
                               std::size_t layer_index) const
 {
+    if (layer.profile_override)
+        return SpikeGenerator(*layer.profile_override, seed_)
+            .generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
+                      layer_index);
     return generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
                     layer_index);
 }

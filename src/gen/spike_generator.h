@@ -18,9 +18,12 @@
  * All draws are made from per-(seed, layer) streams so a layer's matrix
  * is identical regardless of the order layers are simulated in. Draws
  * are word-batched: i.i.d. rows and bank base patterns are filled 64
- * bits per batch (BitVector::randomize / Rng::nextBernoulliWord) and
- * clustered keep-lengths come from word-parallel binomial draws
+ * bits per batch (BitMatrix::randomizeRow and BitVector::randomize,
+ * one Rng::nextBernoulliWords call per row), and clustered
+ * keep-lengths come from word-parallel binomial draws
  * (Rng::nextBinomial), so generation cost scales with words, not bits.
+ * Rows are written in place in the matrix's one word array: clustered
+ * rows bit by bit (BitMatrix::set), temporal repeats with copyRow.
  * The batched draw sequence is still a pure function of
  * (seed, layer_index, shape, profile) — the determinism contract tested
  * by the fixed-hash pins in tests/test_spike_generator.cc.
@@ -55,7 +58,12 @@ class SpikeGenerator
                        std::size_t time_steps,
                        std::size_t layer_index) const;
 
-    /** Generate the activation of one lowered layer. */
+    /**
+     * Generate the activation of one lowered layer. A layer with a
+     * profile_override (declarative models may pin one) is drawn with
+     * that profile instead of this generator's, under the same seed,
+     * so draws stay per-(seed, layer) streams either way.
+     */
     BitMatrix generateLayer(const LayerSpec& layer,
                             std::size_t layer_index) const;
 

@@ -46,7 +46,7 @@ LifArray::run(const OutputMatrix& currents)
                       "current matrix width mismatch");
     BitMatrix spikes(currents.rows(), currents.cols());
     for (std::size_t t = 0; t < currents.rows(); ++t)
-        spikes.row(t) = step(currents.rowPtr(t), currents.cols());
+        spikes.setRow(t, step(currents.rowPtr(t), currents.cols()));
     return spikes;
 }
 

@@ -79,11 +79,11 @@ TEST(Ptb, TemporalCorrelationReducesStructuredOverhead)
     uncorrelated.randomize(rng, 0.3);
 
     BitMatrix correlated(T * L, K);
-    BitMatrix base(L, K);
-    base.randomize(rng, 0.3);
-    for (std::size_t t = 0; t < T; ++t)
+    for (std::size_t i = 0; i < L; ++i)
+        correlated.randomizeRow(i, rng, 0.3);
+    for (std::size_t t = 1; t < T; ++t)
         for (std::size_t i = 0; i < L; ++i)
-            correlated.row(t * L + i) = base.row(i);
+            correlated.copyRow(t * L + i, i);
 
     const double f_unc =
         PtbAccelerator::structuredOps(uncorrelated, T, 1) /

@@ -13,28 +13,85 @@
 
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/dense_matrix.h"
-#include "bitmatrix/word_kernels.h"
 #include "sim/rng.h"
 
 namespace prosperity {
 namespace {
 
-/** Tile bit (r, c), read straight from the row words. */
+/** Bit (r, c) read straight from the row words. */
 bool
-tileBit(const TileWords& t, std::size_t r, std::size_t c)
+wordBit(const BitMatrix& m, std::size_t r, std::size_t c)
 {
-    return (t.row(r)[c / 64] >> (c % 64)) & 1ULL;
+    return (m.row(r)[c / 64] >> (c % 64)) & 1ULL;
 }
 
-/** Row r of a tile as a "1001"-style string, column 0 first. */
+/** Row r as a "1001"-style string, column 0 first. */
 std::string
-rowString(const TileWords& t, std::size_t r)
+rowString(const BitMatrix& m, std::size_t r)
 {
-    std::string out(t.cols, '0');
-    for (std::size_t c = 0; c < t.cols; ++c)
-        if (tileBit(t, r, c))
+    std::string out(m.cols(), '0');
+    for (std::size_t c = 0; c < m.cols(); ++c)
+        if (wordBit(m, r, c))
             out[c] = '1';
     return out;
+}
+
+/** A bit-per-cell model of a matrix, row-major. */
+using Model = std::vector<std::vector<bool>>;
+
+std::vector<bool>
+bitsOf(const BitVector& v)
+{
+    std::vector<bool> bits(v.size());
+    for (std::size_t c = 0; c < v.size(); ++c)
+        bits[c] = v.test(c);
+    return bits;
+}
+
+/** The cols-bit row BitVector::randomize draws from `rng`. */
+std::vector<bool>
+randomRow(Rng& rng, std::size_t cols, double density)
+{
+    BitVector v(cols);
+    v.randomize(rng, density);
+    return bitsOf(v);
+}
+
+/** A matrix built bit by bit from `model`, which has `cols` columns. */
+BitMatrix
+fromModel(const Model& model, std::size_t cols)
+{
+    BitMatrix m(model.size(), cols);
+    for (std::size_t r = 0; r < model.size(); ++r)
+        for (std::size_t c = 0; c < cols; ++c)
+            m.set(r, c, model[r][c]);
+    return m;
+}
+
+/**
+ * The layout contract: every row spans rowWords() = ceil(cols / 64)
+ * words whose bits past cols() are zero, and row(r) agrees with
+ * test(r, c) and with `model` bit for bit.
+ */
+void
+expectLayout(const BitMatrix& m, const Model& model, const char* step)
+{
+    SCOPED_TRACE(step);
+    ASSERT_EQ(m.rows(), model.size());
+    ASSERT_EQ(m.rowWords(), (m.cols() + 63) / 64);
+    const std::size_t tail = m.cols() % 64;
+    for (std::size_t r = 0; r < m.rows(); ++r) {
+        ASSERT_EQ(m.row(r).size(), m.rowWords()) << "row " << r;
+        if (tail != 0) {
+            EXPECT_EQ(m.row(r).back() >> tail, 0u)
+                << "tail bits set in row " << r;
+        }
+        std::size_t wrong = 0;
+        for (std::size_t c = 0; c < m.cols(); ++c)
+            wrong += wordBit(m, r, c) != m.test(r, c) ||
+                     wordBit(m, r, c) != model[r][c];
+        EXPECT_EQ(wrong, 0u) << "row " << r;
+    }
 }
 
 BitMatrix
@@ -68,14 +125,82 @@ TEST(BitMatrix, DensityMatchesPopcount)
     EXPECT_DOUBLE_EQ(m.density(), 14.0 / 24.0);
 }
 
+TEST(BitMatrix, ContiguousLayoutContract)
+{
+    // Every mutator keeps the rows' tails zero and the words in step
+    // with test(), across word boundaries; randomize and randomizeRow
+    // draw exactly what BitVector::randomize draws.
+    for (const std::size_t cols :
+         {1UL, 15UL, 16UL, 17UL, 63UL, 64UL, 65UL, 130UL, 300UL}) {
+        SCOPED_TRACE(::testing::Message() << "cols=" << cols);
+        const std::size_t rows = 6;
+        BitMatrix m(rows, cols);
+        Model model(rows, std::vector<bool>(cols, false));
+        expectLayout(m, model, "fresh");
+
+        Rng rng(cols);
+        Rng reference = rng;
+        m.randomize(rng, 0.5);
+        for (auto& row : model)
+            row = randomRow(reference, cols, 0.5);
+        expectLayout(m, model, "randomize");
+
+        m.randomizeRow(2, rng, 0.8);
+        model[2] = randomRow(reference, cols, 0.8);
+        expectLayout(m, model, "randomizeRow");
+
+        for (const std::size_t c : {std::size_t{0}, cols / 2, cols - 1}) {
+            m.set(0, c, true);
+            model[0][c] = true;
+        }
+        expectLayout(m, model, "set true");
+        m.set(0, cols - 1, false);
+        model[0][cols - 1] = false;
+        m.set(1, 0, false);
+        model[1][0] = false;
+        expectLayout(m, model, "set false");
+
+        m.copyRow(4, 2);
+        model[4] = model[2];
+        m.copyRow(3, 3);
+        expectLayout(m, model, "copyRow");
+
+        BitVector v(cols);
+        v.randomize(rng, 0.3);
+        m.setRow(5, v);
+        model[5] = bitsOf(v);
+        expectLayout(m, model, "setRow");
+
+        // Refill a buffer that last held a wider and taller tile of
+        // ones: no stale word may survive in it.
+        BitMatrix ones(rows + 4, cols + 70);
+        for (std::size_t r = 0; r < ones.rows(); ++r)
+            for (std::size_t c = 0; c < ones.cols(); ++c)
+                ones.set(r, c);
+        BitMatrix buffer(ones.rows(), ones.cols());
+        extractTile(ones, 0, 0, ones.rows(), ones.cols(), buffer);
+        const std::size_t r0 = 1;
+        const std::size_t c0 = cols / 3;
+        extractTile(m, r0, c0, rows, cols, buffer);
+        Model crop;
+        crop.reserve(rows - r0);
+        for (std::size_t r = r0; r < rows; ++r)
+            crop.emplace_back(model[r].begin() + static_cast<long>(c0),
+                              model[r].end());
+        ASSERT_EQ(buffer.cols(), cols - c0);
+        expectLayout(buffer, crop, "extractTile");
+        EXPECT_EQ(buffer, fromModel(crop, cols - c0));
+    }
+}
+
 TEST(BitMatrix, TileExtractsSubmatrix)
 {
     const BitMatrix m = paperFig1Matrix();
-    TileWords t;
+    BitMatrix t;
     extractTile(m, 1, 1, 3, 2, t);
-    EXPECT_EQ(t.rows, 3u);
-    EXPECT_EQ(t.cols, 2u);
-    EXPECT_EQ(t.row_words, 1u);
+    EXPECT_EQ(t.rows(), 3u);
+    EXPECT_EQ(t.cols(), 2u);
+    EXPECT_EQ(t.rowWords(), 1u);
     // Rows 1..3, cols 1..2: "00", "01", "01".
     EXPECT_EQ(rowString(t, 0), "00");
     EXPECT_EQ(rowString(t, 1), "01");
@@ -85,11 +210,11 @@ TEST(BitMatrix, TileExtractsSubmatrix)
 TEST(BitMatrix, TileCropsAtEdges)
 {
     const BitMatrix m = paperFig1Matrix();
-    TileWords t;
+    BitMatrix t;
     extractTile(m, 4, 2, 256, 16, t);
-    EXPECT_EQ(t.rows, 2u);
-    EXPECT_EQ(t.cols, 2u);
-    EXPECT_EQ(t.words.size(), 2u);
+    EXPECT_EQ(t.rows(), 2u);
+    EXPECT_EQ(t.cols(), 2u);
+    EXPECT_EQ(t.rowWords(), 1u);
     EXPECT_EQ(rowString(t, 0), "01");
     EXPECT_EQ(rowString(t, 1), "01");
 }
@@ -97,14 +222,10 @@ TEST(BitMatrix, TileCropsAtEdges)
 TEST(BitMatrix, FullTileIsIdentity)
 {
     const BitMatrix m = paperFig1Matrix();
-    TileWords t;
+    BitMatrix t;
     for (const std::size_t size : {6UL, 100UL}) {
         extractTile(m, 0, 0, size, size, t);
-        ASSERT_EQ(t.rows, m.rows());
-        ASSERT_EQ(t.cols, m.cols());
-        for (std::size_t r = 0; r < m.rows(); ++r)
-            EXPECT_TRUE(std::ranges::equal(t.row(r), m.row(r).words()))
-                << "size " << size << " row " << r;
+        EXPECT_EQ(t, m) << "size " << size;
     }
 }
 
@@ -113,14 +234,14 @@ TEST(BitMatrix, TilePreservesBitsAcrossWordBoundaries)
     Rng rng(3);
     BitMatrix m(40, 300);
     m.randomize(rng, 0.3);
-    TileWords t;
+    BitMatrix t;
     extractTile(m, 10, 60, 20, 70, t);
-    ASSERT_EQ(t.rows, 20u);
-    ASSERT_EQ(t.cols, 70u);
-    ASSERT_EQ(t.row_words, 2u);
-    for (std::size_t r = 0; r < t.rows; ++r)
-        for (std::size_t c = 0; c < t.cols; ++c)
-            EXPECT_EQ(tileBit(t, r, c), m.test(10 + r, 60 + c));
+    ASSERT_EQ(t.rows(), 20u);
+    ASSERT_EQ(t.cols(), 70u);
+    ASSERT_EQ(t.rowWords(), 2u);
+    for (std::size_t r = 0; r < t.rows(); ++r)
+        for (std::size_t c = 0; c < t.cols(); ++c)
+            EXPECT_EQ(wordBit(t, r, c), m.test(10 + r, 60 + c));
 }
 
 TEST(BitMatrix, ExtractTileMatchesBitwiseReadsOnRandomMatrices)
@@ -133,15 +254,15 @@ TEST(BitMatrix, ExtractTileMatchesBitwiseReadsOnRandomMatrices)
     // beyond the tile. One buffer is refilled throughout, growing and
     // shrinking, as the hot loops reuse theirs.
     Rng rng(41);
-    TileWords t;
+    BitMatrix t;
     for (const std::size_t cols :
          {1UL, 15UL, 16UL, 17UL, 63UL, 64UL, 65UL, 130UL, 300UL}) {
         BitMatrix random(37, cols);
         random.randomize(rng, 0.5);
         BitMatrix ones(37, cols);
         for (std::size_t r = 0; r < ones.rows(); ++r)
-            for (std::size_t w = 0; w < ones.row(r).wordCount(); ++w)
-                ones.row(r).setWord(w, ~0ULL);
+            for (std::size_t c = 0; c < cols; ++c)
+                ones.set(r, c);
         for (const BitMatrix* m : {&random, &ones}) {
             for (const std::size_t c0 :
                  {0UL, 1UL, 7UL, 16UL, 33UL, 63UL, 64UL, 65UL, 127UL,
@@ -159,18 +280,18 @@ TEST(BitMatrix, ExtractTileMatchesBitwiseReadsOnRandomMatrices)
                                      << tile_rows << "x" << tile_cols
                                      << (m == &ones ? " ones" : ""));
                         extractTile(*m, r0, c0, tile_rows, tile_cols, t);
-                        ASSERT_EQ(t.rows, std::min(37 - r0, tile_rows));
-                        ASSERT_EQ(t.cols, std::min(cols - c0, tile_cols));
-                        ASSERT_EQ(t.row_words, (t.cols + 63) / 64);
-                        ASSERT_EQ(t.words.size(), t.rows * t.row_words);
+                        ASSERT_EQ(t.rows(), std::min(37 - r0, tile_rows));
+                        ASSERT_EQ(t.cols(),
+                                  std::min(cols - c0, tile_cols));
+                        ASSERT_EQ(t.rowWords(), (t.cols() + 63) / 64);
                         std::size_t wrong = 0;
-                        for (std::size_t r = 0; r < t.rows; ++r)
-                            for (std::size_t c = 0; c < t.cols; ++c)
-                                wrong += tileBit(t, r, c) !=
+                        for (std::size_t r = 0; r < t.rows(); ++r)
+                            for (std::size_t c = 0; c < t.cols(); ++c)
+                                wrong += wordBit(t, r, c) !=
                                          m->test(r0 + r, c0 + c);
                         EXPECT_EQ(wrong, 0u);
-                        const std::size_t tail = t.cols % 64;
-                        for (std::size_t r = 0; r < t.rows; ++r)
+                        const std::size_t tail = t.cols() % 64;
+                        for (std::size_t r = 0; r < t.rows(); ++r)
                             EXPECT_TRUE(tail == 0 ||
                                         (t.row(r).back() >> tail) == 0)
                                 << "tail bits set in row " << r;
@@ -203,15 +324,15 @@ TEST(BitMatrix, SampleTilesVisitsEveryTileRowMajor)
 
     // Edge tiles are cropped, so the tiles cover every bit once.
     std::size_t bits = 0;
-    TileWords t;
+    BitMatrix t;
     for (const auto& [r0, c0] : sampleTiles(70, 45, tile, 0).origins) {
         extractTile(m, r0, c0, tile.m, tile.k, t);
-        bits += popcountWords(t.words.data(), t.words.size());
+        bits += t.popcount();
     }
     EXPECT_EQ(bits, m.popcount());
     extractTile(m, 64, 32, tile.m, tile.k, t);
-    EXPECT_EQ(t.rows, 6u);
-    EXPECT_EQ(t.cols, 13u);
+    EXPECT_EQ(t.rows(), 6u);
+    EXPECT_EQ(t.cols(), 13u);
 }
 
 TEST(BitMatrix, SampleTilesStridesAndScales)

@@ -13,7 +13,6 @@
 
 #include "core/prefix_select.h"
 #include "sim/rng.h"
-#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -33,19 +32,23 @@ expectIdentical(const PrefixSelection& fast, const PrefixSelection& naive)
     EXPECT_EQ(fast.order, naive.order);
 }
 
+/**
+ * selectPrefixes on an extractTile copy of `matrix` against the oracle
+ * on `matrix` itself, so the comparison checks the extraction too.
+ */
 void
-expectMatchesNaive(const BitMatrix& tile)
+expectMatchesNaive(const BitMatrix& matrix)
 {
-    expectIdentical(selectPrefixes(wholeTile(tile)),
-                    selectPrefixesNaive(tile));
+    BitMatrix tile;
+    extractTile(matrix, 0, 0, matrix.rows(), matrix.cols(), tile);
+    expectIdentical(selectPrefixes(tile), selectPrefixesNaive(matrix));
 }
 
 TEST(Detection, PopcountsMatchRows)
 {
     // Fig. 5 (a): the 6-row tile the paper walks through.
-    const PrefixSelection sel =
-        selectPrefixes(wholeTile(BitMatrix::fromStrings(
-            {"1010", "1001", "1011", "0010", "1101", "1101"})));
+    const PrefixSelection sel = selectPrefixes(BitMatrix::fromStrings(
+        {"1010", "1001", "1011", "0010", "1101", "1101"}));
     ASSERT_EQ(sel.rows(), 6u);
     const std::size_t expected[] = {2, 2, 3, 1, 3, 3};
     for (std::size_t i = 0; i < 6; ++i)
@@ -56,8 +59,8 @@ TEST(Detection, EmptyRowsNeverMatch)
 {
     // Empty rows are trivially subsets but carry no reusable result,
     // and they have nothing to compute.
-    const PrefixSelection sel = selectPrefixes(wholeTile(
-        BitMatrix::fromStrings({"0000", "1010", "0000", "0000"})));
+    const PrefixSelection sel = selectPrefixes(
+        BitMatrix::fromStrings({"0000", "1010", "0000", "0000"}));
     for (std::size_t i = 0; i < sel.rows(); ++i)
         EXPECT_EQ(sel.prefix[i], kNone) << "row " << i;
 }
@@ -90,9 +93,9 @@ TEST(DetectionGolden, OptimizedMatchesNaiveWithEmptyRows)
     tile.randomize(rng, 0.2);
     // A band of all-zero rows plus some exact duplicates.
     for (std::size_t r = 40; r < 60; ++r)
-        tile.row(r).clear();
+        tile.setRow(r, BitVector(tile.cols()));
     for (std::size_t r = 100; r < 110; ++r)
-        tile.row(r) = tile.row(r - 100);
+        tile.copyRow(r, r - 100);
     expectMatchesNaive(tile);
 }
 
@@ -110,7 +113,8 @@ TEST(DetectionGolden, OptimizedMatchesNaiveOnClusteredTiles)
             for (std::size_t r = 0; r < tile.rows(); ++r) {
                 BitVector drop(cols);
                 drop.randomize(rng, 0.4);
-                tile.row(r) = base.andNot(drop);
+                for (std::size_t c = 0; c < cols; ++c)
+                    tile.set(r, c, base.test(c) && !drop.test(c));
             }
             SCOPED_TRACE(::testing::Message()
                          << "cols=" << cols << " trial " << trial);
@@ -126,7 +130,7 @@ TEST(DetectionGolden, DegenerateTiles)
     BitMatrix one_row(1, 16);
     one_row.set(0, 3);
     expectMatchesNaive(one_row);
-    const PrefixSelection sel = selectPrefixes(wholeTile(one_row));
+    const PrefixSelection sel = selectPrefixes(one_row);
     EXPECT_EQ(sel.popcounts[0], 1u);
     EXPECT_EQ(sel.prefix[0], kNone);
 }

@@ -14,7 +14,6 @@
 #include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
-#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -23,7 +22,7 @@ TileStats
 tileStats(DispatchMode dispatch, const BitMatrix& tile)
 {
     return TilePipeline(SparsityMode::kProductSparsity, dispatch)
-        .cost(summarizeTile(wholeTile(tile)));
+        .cost(summarizeTile(tile));
 }
 
 /** Every row's leaf-to-root hop count, each chain followed in full. */
@@ -114,7 +113,7 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
                     }
                     pattern_ones += pattern;
                 }
-                const TileSummary summary = summarizeTile(wholeTile(*tile));
+                const TileSummary summary = summarizeTile(*tile);
                 EXPECT_EQ(summary.rows, rows);
                 EXPECT_EQ(summary.cols, cols);
                 EXPECT_EQ(summary.ones, ones);
@@ -144,7 +143,8 @@ TEST(Dispatch, AllOnesTileWalksOneFullChain)
     // 32,896 hops, on top of the 512 table writes and reads.
     BitMatrix tile(256, 16);
     for (std::size_t r = 0; r < tile.rows(); ++r)
-        tile.row(r).setWord(0, ~0ULL);
+        for (std::size_t c = 0; c < tile.cols(); ++c)
+            tile.set(r, c);
     const TileStats walked = tileStats(DispatchMode::kTreeTraversal, tile);
     EXPECT_DOUBLE_EQ(walked.table_accesses, 512.0 + 32896.0);
     EXPECT_EQ(walked.prosparsity_cycles, 256u + 4u + 16448u);
@@ -167,7 +167,7 @@ TEST(Dispatch, EmptyTable)
          {DispatchMode::kOverheadFree, DispatchMode::kTreeTraversal}) {
         const TileStats stats =
             TilePipeline(SparsityMode::kProductSparsity, mode)
-                .cost(summarizeTile(TileWords{}));
+                .cost(summarizeTile(BitMatrix{}));
         EXPECT_EQ(stats.prosparsity_cycles, 0u);
         EXPECT_DOUBLE_EQ(stats.sorter_compares, 0.0);
         EXPECT_DOUBLE_EQ(stats.table_accesses, 0.0);

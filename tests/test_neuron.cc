@@ -103,7 +103,7 @@ TEST(FsNeuron, EmitsAtMostMaxSpikes)
     const FsNeuron fs(8, 2);
     for (double a : {0.05, 0.3, 0.55, 0.8, 0.99}) {
         const BitVector train = fs.encode(a);
-        EXPECT_LE(train.popcount(), 2u) << "activation " << a;
+        EXPECT_LE(train.setBits().size(), 2u) << "activation " << a;
     }
 }
 
@@ -135,7 +135,7 @@ TEST(FsNeuron, SparserThanRateCoding)
     const FsNeuron fs(8, 2);
     std::size_t fs_spikes = 0;
     for (double a = 0.05; a < 1.0; a += 0.05)
-        fs_spikes += fs.encode(a).popcount();
+        fs_spikes += fs.encode(a).setBits().size();
     // 19 activations * 8 steps = 152 slots; FS uses at most 38.
     EXPECT_LE(fs_spikes, 38u);
 }
@@ -143,7 +143,7 @@ TEST(FsNeuron, SparserThanRateCoding)
 TEST(FsNeuron, ZeroActivationSilent)
 {
     const FsNeuron fs(6, 2);
-    EXPECT_EQ(fs.encode(0.0).popcount(), 0u);
+    EXPECT_EQ(fs.encode(0.0).setBits().size(), 0u);
 }
 
 } // namespace

@@ -7,10 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <string>
+#include <vector>
+
 #include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "sim/rng.h"
-#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -31,26 +34,40 @@ fig5Matrix()
     });
 }
 
-/** Residual pattern of row i, row XOR prefix word by word: the bits
- *  its prefix does not cover. */
-BitVector
+/** Residual pattern words of row i, row XOR prefix word by word: the
+ *  bits its prefix does not cover. */
+std::vector<std::uint64_t>
 pattern(const BitMatrix& tile, const PrefixSelection& sel, std::size_t i)
 {
-    BitVector out = tile.row(i);
+    const std::span<const std::uint64_t> row = tile.row(i);
+    std::vector<std::uint64_t> out(row.begin(), row.end());
     if (sel.prefix[i] == kNone)
         return out;
-    const BitVector& prefix =
+    const std::span<const std::uint64_t> prefix =
         tile.row(static_cast<std::size_t>(sel.prefix[i]));
-    for (std::size_t w = 0; w < out.wordCount(); ++w)
-        out.setWord(w, out.words()[w] ^ prefix.words()[w]);
+    for (std::size_t w = 0; w < out.size(); ++w)
+        out[w] ^= prefix[w];
     return out;
 }
 
-/** Whether `v` has no set bit, through the word-level helper. */
-bool
-noneSet(const BitVector& v)
+/** Row i's residual pattern as a "0010"-style string, column 0 first. */
+std::string
+patternString(const BitMatrix& tile, const PrefixSelection& sel,
+              std::size_t i)
 {
-    return !anyWord(v.words().data(), v.wordCount());
+    const std::vector<std::uint64_t> words = pattern(tile, sel, i);
+    std::string out(tile.cols(), '0');
+    for (std::size_t c = 0; c < tile.cols(); ++c)
+        if ((words[c / 64] >> (c % 64)) & 1ULL)
+            out[c] = '1';
+    return out;
+}
+
+/** Whether `words` has no set bit, through the word-level helper. */
+bool
+noneSet(const std::vector<std::uint64_t>& words)
+{
+    return !anyWord(words.data(), words.size());
 }
 
 // ---- Fig. 5 walkthrough -----------------------------------------------
@@ -61,16 +78,16 @@ TEST(Pruning, PaperRow2SelectsRow1)
     // (1010) and 1 (1001) both have 2 ones; the largest-index rule
     // picks Row 1, matching the paper's walkthrough.
     const BitMatrix tile = fig5Matrix();
-    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+    const PrefixSelection sel = selectPrefixes(tile);
     EXPECT_EQ(sel.prefix[2], 1);
     EXPECT_LT(sel.popcounts[1], sel.popcounts[2]); // a partial match
-    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
+    EXPECT_EQ(patternString(tile, sel, 2), "0010");
 }
 
 TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
 {
     const BitMatrix tile = fig5Matrix();
-    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+    const PrefixSelection sel = selectPrefixes(tile);
     // Row 5 reuses Row 4 entirely (EM), pattern all-zero.
     EXPECT_EQ(sel.prefix[5], 4);
     EXPECT_EQ(sel.popcounts[4], sel.popcounts[5]);
@@ -78,13 +95,13 @@ TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
     // Row 4 must NOT pick Row 5 (larger-index EM is a violation); its
     // best legal prefix is Row 1 (1001, subset with 2 ones).
     EXPECT_EQ(sel.prefix[4], 1);
-    EXPECT_EQ(pattern(tile, sel, 4).toString(), "0100");
+    EXPECT_EQ(patternString(tile, sel, 4), "0100");
 }
 
 TEST(Pruning, EmChainLinksThroughLargestIndex)
 {
-    const PrefixSelection sel = selectPrefixes(
-        wholeTile(BitMatrix::fromStrings({"1100", "1100", "1100"})));
+    const PrefixSelection sel =
+        selectPrefixes(BitMatrix::fromStrings({"1100", "1100", "1100"}));
     EXPECT_EQ(sel.prefix[0], kNone);
     EXPECT_EQ(sel.prefix[1], 0);
     // Row 2 ties between Row 0 and Row 1; largest index wins.
@@ -98,9 +115,9 @@ TEST(Pruning, ArgmaxPrefersLargestSubset)
         "1100", // 1: subset of 2, 2 ones  <- best
         "1110", // 2
     });
-    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+    const PrefixSelection sel = selectPrefixes(tile);
     EXPECT_EQ(sel.prefix[2], 1);
-    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0010");
+    EXPECT_EQ(patternString(tile, sel, 2), "0010");
 }
 
 TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
@@ -111,12 +128,12 @@ TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
         "0100", // different 1-spike row: no candidate
         "0000", // empty: nothing to reuse
     });
-    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+    const PrefixSelection sel = selectPrefixes(tile);
     EXPECT_EQ(sel.prefix[1], 0);
     EXPECT_TRUE(noneSet(pattern(tile, sel, 1)));
     EXPECT_EQ(sel.prefix[2], kNone);
     EXPECT_EQ(sel.prefix[3], kNone);
-    EXPECT_EQ(pattern(tile, sel, 2).toString(), "0100");
+    EXPECT_EQ(patternString(tile, sel, 2), "0100");
 }
 
 // ---- properties -------------------------------------------------------
@@ -127,18 +144,23 @@ TEST(Pruning, PatternPlusPrefixReconstructsRow)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(48, trial % 2 == 0 ? 16 : 80);
         tile.randomize(rng, 0.35);
-        const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+        const PrefixSelection sel = selectPrefixes(tile);
         for (std::size_t i = 0; i < tile.rows(); ++i) {
-            EXPECT_EQ(sel.popcounts[i], tile.row(i).popcount());
+            const std::span<const std::uint64_t> row = tile.row(i);
+            EXPECT_EQ(sel.popcounts[i],
+                      popcountWords(row.data(), row.size()));
             if (sel.prefix[i] == kNone)
                 continue;
-            const BitVector& prefix_row =
+            const std::span<const std::uint64_t> prefix_row =
                 tile.row(static_cast<std::size_t>(sel.prefix[i]));
-            const BitVector residual = pattern(tile, sel, i);
-            // Disjointness: pattern AND prefix == 0.
-            EXPECT_TRUE(noneSet(residual & prefix_row));
-            // Reconstruction: pattern OR prefix == row.
-            EXPECT_EQ(residual | prefix_row, tile.row(i));
+            const std::vector<std::uint64_t> residual =
+                pattern(tile, sel, i);
+            for (std::size_t w = 0; w < row.size(); ++w) {
+                // Disjointness: pattern AND prefix == 0.
+                EXPECT_EQ(residual[w] & prefix_row[w], 0u);
+                // Reconstruction: pattern OR prefix == row.
+                EXPECT_EQ(residual[w] | prefix_row[w], row[w]);
+            }
         }
     }
 }
@@ -151,7 +173,7 @@ TEST(Pruning, PrefixRespectsPartialOrdering)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(64, 16);
         tile.randomize(rng, 0.15 + 0.02 * trial);
-        const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+        const PrefixSelection sel = selectPrefixes(tile);
         for (std::size_t i = 0; i < tile.rows(); ++i) {
             if (sel.prefix[i] == kNone)
                 continue;
@@ -169,7 +191,7 @@ TEST(Pruning, ExactMatchIffEqualPopcounts)
     Rng rng(14);
     BitMatrix tile(96, 16);
     tile.randomize(rng, 0.2);
-    const PrefixSelection sel = selectPrefixes(wholeTile(tile));
+    const PrefixSelection sel = selectPrefixes(tile);
     for (std::size_t i = 0; i < tile.rows(); ++i) {
         if (sel.prefix[i] == kNone)
             continue;

@@ -57,10 +57,10 @@ TEST(IntraPpu, HelpsEmHeavyWorkloadsMost)
     const GemmShape shape{1024, 16, 128};
     BitMatrix em_heavy(1024, 16);
     Rng rng(3);
-    BitMatrix base(8, 16);
-    base.randomize(rng, 0.5);
-    for (std::size_t r = 0; r < 1024; ++r)
-        em_heavy.row(r) = base.row(r % 8);
+    for (std::size_t r = 0; r < 8; ++r)
+        em_heavy.randomizeRow(r, rng, 0.5);
+    for (std::size_t r = 8; r < 1024; ++r)
+        em_heavy.copyRow(r, r % 8);
 
     BitMatrix iid(1024, 16);
     iid.randomize(rng, 0.5);

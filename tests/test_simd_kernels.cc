@@ -25,7 +25,6 @@
 #include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
 #include "sim/rng.h"
-#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
@@ -139,36 +138,43 @@ TEST_P(SimdKernels, AllZeroAndAllOneExtremes)
     }
 }
 
-TEST_P(SimdKernels, BitVectorOpsAgreeWithScalarLoops)
+TEST_P(SimdKernels, BitMatrixQueriesAgreeWithBitwiseRecounts)
 {
-    // End-to-end through BitVector's word spans, across the inline /
-    // heap storage boundary (kInlineWords): every query must equal a
+    // End-to-end through BitMatrix's one word buffer and its row
+    // spans: the dispatched popcount and the word kernels must equal a
     // bit-by-bit recount.
     Rng rng(106);
-    for (const std::size_t bits : {1UL, 63UL, 64UL, 65UL, 511UL, 512UL,
+    for (const std::size_t cols : {1UL, 63UL, 64UL, 65UL, 511UL, 512UL,
                                    513UL, 1000UL}) {
-        BitVector v(bits);
-        v.randomize(rng, 0.37);
+        BitMatrix m(3, cols);
+        m.randomize(rng, 0.37);
+        // Row 1 becomes row 0 minus row 2's bits: a subset of row 0.
+        for (std::size_t c = 0; c < cols; ++c)
+            m.set(1, c, m.test(0, c) && !m.test(2, c));
         std::size_t expected = 0;
-        for (std::size_t pos = 0; pos < bits; ++pos)
-            expected += v.test(pos) ? 1 : 0;
-        EXPECT_EQ(v.popcount(), expected)
-            << "tier " << tier() << " bits=" << bits;
-        EXPECT_EQ(anyWord(v.words().data(), v.wordCount()), expected > 0)
-            << "tier " << tier() << " bits=" << bits;
+        std::size_t expected_row0 = 0;
+        for (std::size_t r = 0; r < m.rows(); ++r)
+            for (std::size_t c = 0; c < cols; ++c) {
+                expected += m.test(r, c) ? 1 : 0;
+                expected_row0 += r == 0 && m.test(r, c) ? 1 : 0;
+            }
+        EXPECT_EQ(m.popcount(), expected)
+            << "tier " << tier() << " cols=" << cols;
+        EXPECT_EQ(anyWord(m.row(0).data(), m.rowWords()),
+                  expected_row0 > 0)
+            << "tier " << tier() << " cols=" << cols;
 
-        // Dropping bits keeps a subset; one bit outside breaks it.
-        BitVector drop(bits);
-        drop.randomize(rng, 0.5);
-        BitVector sub = v.andNot(drop);
-        EXPECT_TRUE(sub.isSubsetOf(v))
-            << "tier " << tier() << " bits=" << bits;
-        for (std::size_t pos = bits; pos-- > 0;) {
-            if (!v.test(pos)) {
-                sub.set(pos);
-                EXPECT_FALSE(sub.isSubsetOf(v))
-                    << "tier " << tier() << " bits=" << bits
-                    << " outside bit " << pos;
+        // The dropped-bits row is a subset; one bit outside breaks it.
+        EXPECT_TRUE(isSubsetOfWords(m.row(1).data(), m.row(0).data(),
+                                    m.rowWords()))
+            << "tier " << tier() << " cols=" << cols;
+        for (std::size_t c = cols; c-- > 0;) {
+            if (!m.test(0, c)) {
+                m.set(1, c);
+                EXPECT_FALSE(isSubsetOfWords(m.row(1).data(),
+                                             m.row(0).data(), m.rowWords()))
+                    << "tier " << tier() << " cols=" << cols
+                    << " outside bit " << c;
                 break;
             }
         }
@@ -181,19 +187,24 @@ TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
     for (const std::size_t cols : {16UL, 64UL, 200UL}) {
         // Half i.i.d. rows, half subsets of one base row: the clustered
         // half gives the wide tiles' subset confirmation real work.
-        BitMatrix tile(96, cols);
+        BitMatrix matrix(96, cols);
         BitVector base(cols);
         base.randomize(rng, 0.6);
-        for (std::size_t r = 0; r < tile.rows(); ++r) {
-            tile.row(r).randomize(rng, r % 2 == 0 ? 0.15 : 0.4);
+        for (std::size_t r = 0; r < matrix.rows(); ++r) {
+            matrix.randomizeRow(r, rng, r % 2 == 0 ? 0.15 : 0.4);
             if (r % 2 == 1)
-                tile.row(r) = base.andNot(tile.row(r));
+                for (std::size_t c = 0; c < cols; ++c)
+                    matrix.set(r, c, base.test(c) && !matrix.test(r, c));
         }
-        const PrefixSelection fast = selectPrefixes(wholeTile(tile));
-        const PrefixSelection naive = selectPrefixesNaive(tile);
+        // The fast path reads an extractTile copy, the oracle the
+        // matrix itself, so the comparison checks the extraction too.
+        BitMatrix tile;
+        extractTile(matrix, 0, 0, matrix.rows(), cols, tile);
+        const PrefixSelection fast = selectPrefixes(tile);
+        const PrefixSelection naive = selectPrefixesNaive(matrix);
         ASSERT_EQ(fast.popcounts, naive.popcounts)
             << "tier " << tier() << " cols=" << cols;
-        for (std::size_t r = 0; r < tile.rows(); ++r)
+        for (std::size_t r = 0; r < matrix.rows(); ++r)
             EXPECT_EQ(fast.prefix[r], naive.prefix[r])
                 << "tier " << tier() << " cols=" << cols << " row " << r;
         EXPECT_EQ(fast.order, naive.order)

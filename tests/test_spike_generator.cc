@@ -6,8 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "bitmatrix/simd_dispatch.h"
+#include "bitmatrix/word_kernels.h"
 #include "gen/spike_generator.h"
+#include "snn/model_desc.h"
+#include "snn/model_registry.h"
 
 namespace prosperity {
 namespace {
@@ -32,13 +37,19 @@ TEST(SpikeGenerator, Deterministic)
     EXPECT_EQ(a, b);
 }
 
-/** FNV-1a fold over row hashes — canonical thanks to tail masking. */
+/** FNV-1a fold over per-row FNV-1a word hashes — canonical thanks to
+ *  tail masking. */
 std::uint64_t
 matrixHash(const BitMatrix& m)
 {
     std::uint64_t h = 0xcbf29ce484222325ULL;
     for (std::size_t r = 0; r < m.rows(); ++r) {
-        h ^= m.row(r).hash();
+        std::uint64_t row_hash = 0xcbf29ce484222325ULL;
+        for (const std::uint64_t word : m.row(r)) {
+            row_hash ^= word;
+            row_hash *= 0x100000001b3ULL;
+        }
+        h ^= row_hash;
         h *= 0x100000001b3ULL;
     }
     return h;
@@ -48,7 +59,7 @@ TEST(SpikeGenerator, WordBatchedOutputMatchesPinnedHashes)
 {
     // Pins the exact bit stream of the word-batched generator per
     // (seed, layer). Any change to the draw order — Rng batching,
-    // BitVector::randomize, the binomial keep-length draw — shows up
+    // BitMatrix::randomizeRow, the binomial keep-length draw — shows up
     // here before it silently shifts the calibration anchors.
     const struct
     {
@@ -147,7 +158,8 @@ TEST(SpikeGenerator, TemporalRepeatCreatesExactCopies)
     const BitMatrix m = gen.generate(positions * t_steps, 48, t_steps, 0);
     for (std::size_t t = 1; t < t_steps; ++t)
         for (std::size_t i = 0; i < positions; ++i)
-            EXPECT_EQ(m.row(t * positions + i), m.row(i))
+            EXPECT_TRUE(std::ranges::equal(m.row(t * positions + i),
+                                           m.row(i)))
                 << "t=" << t << " i=" << i;
 }
 
@@ -166,8 +178,9 @@ TEST(SpikeGenerator, ClusteredRowsAreSubsetsOfBankPatterns)
     std::size_t subset_pairs = 0;
     for (std::size_t i = 0; i < m.rows(); ++i)
         for (std::size_t j = 0; j < m.rows(); ++j)
-            if (i != j && m.row(j).popcount() > 0 &&
-                m.row(j).isSubsetOf(m.row(i)))
+            if (i != j && anyWord(m.row(j).data(), m.rowWords()) &&
+                isSubsetOfWords(m.row(j).data(), m.row(i).data(),
+                                m.rowWords()))
                 ++subset_pairs;
     // Far more subset pairs than an iid matrix of the same density.
     EXPECT_GT(subset_pairs, m.rows());
@@ -182,6 +195,38 @@ TEST(SpikeGenerator, GenerateLayerUsesGemmShape)
     const BitMatrix m = gen.generateLayer(layer, 0);
     EXPECT_EQ(m.rows(), 96u);
     EXPECT_EQ(m.cols(), 48u);
+}
+
+TEST(SpikeGenerator, LayerOverrideUsesItsOwnProfile)
+{
+    // models/example_custom.json pins conv2's profile: generateLayer
+    // draws that layer with the override under the generator's seed,
+    // and every other layer with the generator's own profile.
+    const ModelDesc desc =
+        ModelDesc::load(defaultModelDir() + "/example_custom.json");
+    const ModelSpec model = desc.lower(desc.defaultInput());
+    const std::uint64_t seed = 11;
+    const SpikeGenerator gen(*desc.profile, seed);
+    std::size_t overrides = 0;
+    for (std::size_t index = 0; index < model.layers.size(); ++index) {
+        const LayerSpec& layer = model.layers[index];
+        if (!layer.isSpikingGemm())
+            continue;
+        const BitMatrix own = gen.generate(layer.gemm.m, layer.gemm.k,
+                                           layer.time_steps, index);
+        if (!layer.profile_override) {
+            EXPECT_EQ(gen.generateLayer(layer, index), own) << layer.name;
+            continue;
+        }
+        ++overrides;
+        const BitMatrix expected =
+            SpikeGenerator(*layer.profile_override, seed)
+                .generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
+                          index);
+        EXPECT_EQ(gen.generateLayer(layer, index), expected) << layer.name;
+        EXPECT_NE(expected, own) << layer.name;
+    }
+    EXPECT_EQ(overrides, 1u);
 }
 
 TEST(SpikeGenerator, EmptyShapesAreHandled)

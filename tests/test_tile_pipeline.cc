@@ -8,16 +8,15 @@
 
 #include "core/tile_pipeline.h"
 #include "sim/rng.h"
-#include "whole_tile.h"
 
 namespace prosperity {
 namespace {
 
-TileWords
+BitMatrix
 paperTile()
 {
-    return wholeTile(BitMatrix::fromStrings({
-        "1010", "1001", "1011", "0010", "1101", "1101"}));
+    return BitMatrix::fromStrings({
+        "1010", "1001", "1011", "0010", "1101", "1101"});
 }
 
 TEST(TilePipeline, BitSparsityCountsRawSpikes)
@@ -54,8 +53,8 @@ TEST(TilePipeline, ProsparsityPhaseCycles)
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 6.0 * 6.0 * 4.0);
 
     // A one-row tile still pays the five-stage pipeline.
-    const TileStats one = pipeline.cost(
-        summarizeTile(wholeTile(BitMatrix::fromStrings({"0110"}))));
+    const TileStats one =
+        pipeline.cost(summarizeTile(BitMatrix::fromStrings({"0110"})));
     EXPECT_EQ(one.prosparsity_cycles, 5u);
 }
 
@@ -70,7 +69,7 @@ TEST(TilePipeline, PhaseCostsAtPaperTileSize)
     const TileStats stats =
         TilePipeline(SparsityMode::kProductSparsity,
                      DispatchMode::kOverheadFree)
-            .cost(summarizeTile(wholeTile(tile)));
+            .cost(summarizeTile(tile));
     EXPECT_EQ(stats.prosparsity_cycles, 260u);
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 256.0 * 256.0 * 16.0);
     EXPECT_DOUBLE_EQ(stats.popcount_ops, 256.0);
@@ -85,8 +84,7 @@ TEST(TilePipeline, EmRowsStillCostOneCycle)
         "1111", "1111", "1111", "1111"});
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats =
-        pipeline.cost(summarizeTile(wholeTile(tile)));
+    const TileStats stats = pipeline.cost(summarizeTile(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 4.0); // row 0 pays 4 adds
     EXPECT_EQ(stats.exact_matches, 3u);
     // 4 fill + ceil((4 row-0 adds + 3 EM copies) / 0.65) = 4 + 11.
@@ -101,8 +99,7 @@ TEST(TilePipeline, ProductOpsNeverExceedBitOps)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(128, 16);
         tile.randomize(rng, 0.05 + 0.04 * trial);
-        const TileStats stats =
-            pipeline.cost(summarizeTile(wholeTile(tile)));
+        const TileStats stats = pipeline.cost(summarizeTile(tile));
         EXPECT_LE(stats.accum_row_ops, stats.bit_row_ops);
     }
 }
@@ -111,7 +108,7 @@ TEST(TilePipeline, EmptyTile)
 {
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(TileWords{}));
+    const TileStats stats = pipeline.cost(summarizeTile(BitMatrix{}));
     EXPECT_EQ(stats.compute_cycles, 0u);
     EXPECT_EQ(stats.prosparsity_cycles, 0u);
 }
@@ -121,8 +118,7 @@ TEST(TilePipeline, AllZeroRowsAreSqueezedOut)
     const BitMatrix tile(8, 16);
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats =
-        pipeline.cost(summarizeTile(wholeTile(tile)));
+    const TileStats stats = pipeline.cost(summarizeTile(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 0.0);
     EXPECT_EQ(stats.compute_cycles, 4u); // pipeline fill only
 }
