@@ -32,8 +32,7 @@ namespace {
 
 /** Scalar reference table: always available, the ground truth every
  *  vector tier is differentially tested against. */
-const SimdOps kScalarOps = {SimdTier::kScalar, "scalar", popcountWords,
-                            signatureScanWords};
+const SimdOps kScalarOps = {SimdTier::kScalar, "scalar", popcountWords};
 
 #ifdef PROSPERITY_X86
 

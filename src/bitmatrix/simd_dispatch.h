@@ -1,17 +1,17 @@
 /**
  * @file
- * Runtime-dispatched SIMD tiers for the two word-level bit kernels
- * that carry measurable time: popcount and prefix selection's
- * signature scan.
+ * Runtime-dispatched SIMD tiers for popcount, the one word-level bit
+ * kernel whose vector forms carry measurable time.
  *
- * Both have one scalar reference implementation (bitmatrix/
+ * It has one scalar reference implementation (bitmatrix/
  * word_kernels.h) and two vector specializations (AVX2 / AVX-512),
  * each compiled in its own translation unit with that tier's `-m`
  * flags so the rest of the library stays portable baseline code. At
  * startup the best tier the CPU supports is selected once; every call
  * after that goes through a table of function pointers (`simdOps()`).
- * The other word kernels (subset, any, signature) are short scalar
- * loops that callers use directly.
+ * The other word kernels (subset, any, signature, prefix selection's
+ * backward signature search) are short scalar loops that callers use
+ * directly.
  *
  * @par Equivalence contract
  * Every tier computes bit-identical results to the scalar reference in
@@ -52,7 +52,7 @@ enum class SimdTier : int
 };
 
 /**
- * One tier's kernel table. Both functions read exactly `n` words
+ * One tier's kernel table. `popcountWords` reads exactly `n` words
  * (vector main loop plus scalar tail), so any word span is a legal
  * input.
  */
@@ -64,20 +64,6 @@ struct SimdOps
     /** Total set bits across `n` words. */
     std::size_t (*popcountWords)(const std::uint64_t* words,
                                  std::size_t n);
-
-    /**
-     * Signature-prefilter scan over a contiguous array of candidate
-     * signatures: appends to `out` every index t in [0, n) with
-     * (sigs[t] & ~query_sig) == 0, ascending, and returns how many it
-     * wrote. `out` must have room for n entries; entries past the
-     * returned count are unspecified (the vector tiers compress-store
-     * survivors branchlessly). This is prefix selection's inner loop: one
-     * query row tested against every sorted candidate signature.
-     */
-    std::size_t (*signatureScanWords)(const std::uint64_t* sigs,
-                                      std::size_t n,
-                                      std::uint64_t query_sig,
-                                      std::uint32_t* out);
 };
 
 /**

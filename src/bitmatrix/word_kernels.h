@@ -16,13 +16,12 @@
  * from `BitMatrix::row()` and `BitVector::words()` are always safe
  * inputs.
  *
- * `popcountWords` and `signatureScanWords` are also the *scalar
- * reference tier* of the runtime SIMD dispatch (bitmatrix/
- * simd_dispatch.h), which adds AVX2 and AVX-512 specializations that
- * must be bit-identical to these loops on every input — the
- * differential suite in tests/test_simd_kernels.cc enforces it. Hot
- * paths call those two through the dispatched table; the other loops
- * are called directly.
+ * `popcountWords` is also the *scalar reference tier* of the runtime
+ * SIMD dispatch (bitmatrix/simd_dispatch.h), which adds AVX2 and
+ * AVX-512 specializations that must be bit-identical to this loop on
+ * every input — the differential suite in tests/test_simd_kernels.cc
+ * enforces it. Hot paths call popcount through the dispatched table;
+ * the other loops are called directly.
  */
 
 #ifndef PROSPERITY_BITMATRIX_WORD_KERNELS_H
@@ -121,30 +120,26 @@ signatureWords(const std::uint64_t* words, std::size_t n)
 }
 
 /**
- * Signature-prefilter scan: append to `out` every index t in [0, n)
- * whose candidate signature passes the subset prefilter against
- * `query_sig` — (sigs[t] & ~query_sig) == 0 — in ascending order, and
- * return the number written. This is prefix selection's candidate sweep
- * hoisted over a contiguous array so the SIMD tiers can test several
- * candidates per instruction.
+ * Backward signature-prefilter search: the largest index t < n whose
+ * candidate signature passes the subset prefilter against `query_sig`
+ * — (sigs[t] & ~query_sig) == 0 — or n when none passes. Reads at most
+ * n words, from the end down.
  *
- * Contract: `out` must have room for n entries, and entries past the
- * returned count are unspecified — the vector tiers extract survivors
- * branchlessly (compress stores), scribbling up to one vector of
- * losers past the live prefix before the next batch overwrites them.
- * Match masks are inherently unpredictable, so a per-bit extraction
- * loop would mispredict away the gain of the vector compare.
+ * This is prefix selection's candidate search. Candidates are sorted by
+ * (popcount, index), so the pruner's argmax is the last one that is a
+ * subset: searching from the end stops at it instead of sweeping every
+ * candidate. A caller whose signature is only a necessary condition
+ * resumes below a false hit by passing that hit's index as the new n.
  */
 inline std::size_t
-signatureScanWords(const std::uint64_t* sigs, std::size_t n,
-                   std::uint64_t query_sig, std::uint32_t* out)
+lastSignatureMatch(const std::uint64_t* sigs, std::size_t n,
+                   std::uint64_t query_sig)
 {
     const std::uint64_t not_query = ~query_sig;
-    std::size_t count = 0;
-    for (std::size_t t = 0; t < n; ++t)
+    for (std::size_t t = n; t-- > 0;)
         if ((sigs[t] & not_query) == 0)
-            out[count++] = static_cast<std::uint32_t>(t);
-    return count;
+            return t;
+    return n;
 }
 
 } // namespace prosperity

@@ -18,9 +18,8 @@ selectPrefixes(const BitMatrix& tile)
     if (m == 0)
         return sel;
 
-    // Per-row popcounts and one-word occupancy signatures. Popcount
-    // and the signature scan below go through the dispatched SIMD
-    // table.
+    // Per-row popcounts (through the dispatched SIMD table) and
+    // one-word occupancy signatures.
     const SimdOps& ops = simdOps();
     const std::size_t nwords = tile.rowWords();
     std::vector<std::uint64_t> sig(m);
@@ -57,33 +56,36 @@ selectPrefixes(const BitMatrix& tile)
         order[rank[i]] = static_cast<std::uint32_t>(i);
     }
 
-    // Signatures gathered in sorted order: each query scans one
-    // contiguous array with the vectorized signatureScanWords kernel
-    // (4 candidates per compare on AVX2, 8 on AVX-512) instead of
-    // chasing order[] indirections word by word.
+    // Signatures gathered in sorted order, so each query searches one
+    // contiguous array instead of chasing order[] indirections.
     std::vector<std::uint64_t> sig_sorted(order.size());
     for (std::size_t t = 0; t < order.size(); ++t)
         sig_sorted[t] = sig[order[t]];
-    std::vector<std::uint32_t> survivors(order.size());
 
-    // Survivors come out ascending in (popcount, index), so the last
-    // true subset is the argmax with ties to the largest index. For
+    // Candidates ascend in (popcount, index), so the last true subset
+    // is the argmax with ties to the largest index: search backward
+    // from the row's own slot and stop at the first hit. For
     // single-word rows (every k <= 64 tile, including the paper's
-    // 256x16 ones) the signature IS the row and the scan is exact.
+    // 256x16 ones) the signature IS the row, so the first signature
+    // hit is the prefix; wider rows confirm it word by word and resume
+    // the search below a false hit.
     const bool signature_is_exact = nwords == 1;
     for (std::size_t i = 0; i < m; ++i) {
         if (sel.popcounts[i] == 0)
             continue;
-        const std::size_t kept = ops.signatureScanWords(
-            sig_sorted.data(), rank[i], sig[i], survivors.data());
-        for (std::size_t s = kept; s-- > 0;) {
-            const std::uint32_t j = order[survivors[s]];
+        for (std::size_t end = rank[i];;) {
+            const std::size_t t =
+                lastSignatureMatch(sig_sorted.data(), end, sig[i]);
+            if (t == end)
+                break;
+            const std::uint32_t j = order[t];
             if (signature_is_exact ||
                 isSubsetOfWords(tile.row(j).data(), tile.row(i).data(),
                                 nwords)) {
                 sel.prefix[i] = static_cast<std::int32_t>(j);
                 break;
             }
+            end = t;
         }
     }
     return sel;

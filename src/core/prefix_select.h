@@ -50,15 +50,16 @@ struct PrefixSelection
 };
 
 /**
- * Select every row's prefix. Rows are counting-sorted by popcount; for
- * each query row a vectorized sweep (SimdOps::signatureScanWords) keeps
- * the candidates ordered before it whose one-word occupancy signature
- * passes the subset prefilter, and the survivors are walked from the
- * end. The first survivor that is a true subset — the signature is
- * the row itself when k <= 64, so only wider tiles run the word
- * comparison — is the argmax of the pruning rules. Empty rows neither
- * select nor serve as a prefix (the TCAM's valid bit masks them out).
- * The result equals selectPrefixesNaive() on every tile.
+ * Select every row's prefix. Rows are counting-sorted by popcount; each
+ * query row searches the candidates ordered before it backward from
+ * its own slot (lastSignatureMatch) for the last one whose one-word
+ * occupancy signature passes the subset prefilter. The first hit that
+ * is a true subset — the signature is the row itself when k <= 64, so
+ * only wider tiles run the word comparison and resume below a false
+ * hit — is the argmax of the pruning rules, so the search stops there.
+ * Empty rows neither select nor serve as a prefix (the TCAM's valid
+ * bit masks them out). The result equals selectPrefixesNaive() on
+ * every tile.
  */
 PrefixSelection selectPrefixes(const BitMatrix& tile);
 

@@ -102,8 +102,8 @@ TEST(DetectionGolden, OptimizedMatchesNaiveWithEmptyRows)
 TEST(DetectionGolden, OptimizedMatchesNaiveOnClusteredTiles)
 {
     // Subset-heavy tiles (the structure ProSparsity targets) exercise
-    // the popcount buckets and the backward survivor walk much harder
-    // than i.i.d. noise does.
+    // the popcount buckets and the backward candidate search much
+    // harder than i.i.d. noise does.
     Rng rng(77);
     for (const std::size_t cols : {16UL, 96UL}) {
         for (int trial = 0; trial < 5; ++trial) {

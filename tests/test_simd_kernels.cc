@@ -78,39 +78,6 @@ TEST_P(SimdKernels, PopcountMatchesScalarReference)
     }
 }
 
-TEST_P(SimdKernels, SignatureScanMatchesScalarReference)
-{
-    Rng rng(105);
-    const SimdOps& ops = simdOps();
-    for (const std::size_t n : kWidths) {
-        for (const double density : {0.0, 0.3, 0.9}) {
-            const auto sigs = randomWords(rng, n, density);
-            const std::uint64_t query = rng.next() | rng.next();
-            // One slot of slack past the contract's n-entry buffer:
-            // the sentinel at out[n] must survive even the vector
-            // tiers' branchless compress stores (which may scribble
-            // within out[0, n) past the returned count, but never
-            // beyond n).
-            std::vector<std::uint32_t> got(n + 1, 0xdeadbeef);
-            std::vector<std::uint32_t> want(n + 1, 0xdeadbeef);
-            const std::size_t ngot =
-                ops.signatureScanWords(sigs.data(), n, query, got.data());
-            const std::size_t nwant =
-                signatureScanWords(sigs.data(), n, query, want.data());
-            ASSERT_EQ(ngot, nwant)
-                << "tier " << tier() << " n=" << n
-                << " density=" << density;
-            for (std::size_t i = 0; i < nwant; ++i)
-                ASSERT_EQ(got[i], want[i])
-                    << "tier " << tier() << " n=" << n
-                    << " survivor index " << i;
-            EXPECT_EQ(got[n], 0xdeadbeefu)
-                << "tier " << tier() << " n=" << n
-                << " wrote past the n-entry buffer";
-        }
-    }
-}
-
 TEST_P(SimdKernels, AllZeroAndAllOneExtremes)
 {
     const SimdOps& ops = simdOps();
@@ -120,20 +87,6 @@ TEST_P(SimdKernels, AllZeroAndAllOneExtremes)
         EXPECT_EQ(ops.popcountWords(ones.data(), n), 64 * n)
             << "tier " << tier() << " n=" << n;
         EXPECT_EQ(ops.popcountWords(zeros.data(), n), 0u)
-            << "tier " << tier() << " n=" << n;
-        // Empty signatures pass every query, full ones only a full
-        // query: the scan keeps all n candidates or none.
-        std::vector<std::uint32_t> out(n + 1);
-        EXPECT_EQ(ops.signatureScanWords(zeros.data(), n, 0, out.data()),
-                  n)
-            << "tier " << tier() << " n=" << n;
-        EXPECT_EQ(ops.signatureScanWords(ones.data(), n, ~0ULL,
-                                         out.data()),
-                  n)
-            << "tier " << tier() << " n=" << n;
-        EXPECT_EQ(ops.signatureScanWords(ones.data(), n, ~1ULL,
-                                         out.data()),
-                  0u)
             << "tier " << tier() << " n=" << n;
     }
 }

@@ -104,6 +104,55 @@ TEST(WordKernels, SignatureRejectsDisjointOccupancy)
         isSubsetOfWords(lo.words().data(), hi.words().data(), 4));
 }
 
+TEST(WordKernels, LastSignatureMatchReturnsTheLastPassingCandidate)
+{
+    // Random spans, about a third of the candidates forced into the
+    // query so most spans hold several passing ones: every prefix
+    // [0, end) must return its last passing index, or end when none
+    // passes.
+    Rng rng(105);
+    for (const std::size_t n : {0UL, 1UL, 7UL, 8UL, 9UL, 33UL, 100UL}) {
+        for (const double density : {0.0, 0.3, 0.9}) {
+            std::vector<std::uint64_t> sigs(n);
+            if (n > 0)
+                rng.nextBernoulliWords(sigs.data(), n, density);
+            const std::uint64_t query = rng.next() | rng.next();
+            for (std::uint64_t& sig : sigs)
+                if (rng.nextBool(0.35))
+                    sig &= query;
+            for (std::size_t end = 0; end <= n; ++end) {
+                std::size_t want = end;
+                for (std::size_t t = 0; t < end; ++t)
+                    if ((sigs[t] & ~query) == 0)
+                        want = t;
+                ASSERT_EQ(lastSignatureMatch(sigs.data(), end, query), want)
+                    << "n=" << n << " end=" << end << " density=" << density;
+            }
+        }
+    }
+
+    // One passing candidate among failing ones, planted at every
+    // position: the search must return exactly that position.
+    const std::uint64_t query = 0x00ff00ff00ff00ffULL;
+    const std::uint64_t fails = query | (1ULL << 8);
+    const std::uint64_t passes = query & 0x0f0f0f0f0f0f0f0fULL;
+    std::vector<std::uint64_t> sigs(33, fails);
+    for (std::size_t p = 0; p < sigs.size(); ++p) {
+        sigs[p] = passes;
+        EXPECT_EQ(lastSignatureMatch(sigs.data(), sigs.size(), query), p)
+            << "planted at " << p;
+        sigs[p] = fails;
+    }
+
+    // Empty signatures pass every query, full ones only a full query:
+    // the search returns the last candidate or, when none passes, n.
+    const std::vector<std::uint64_t> zeros(9, 0), ones(9, ~0ULL);
+    EXPECT_EQ(lastSignatureMatch(zeros.data(), 9, 0), 8u);
+    EXPECT_EQ(lastSignatureMatch(ones.data(), 9, ~0ULL), 8u);
+    EXPECT_EQ(lastSignatureMatch(ones.data(), 9, ~1ULL), 9u);
+    EXPECT_EQ(lastSignatureMatch(zeros.data(), 0, 0), 0u);
+}
+
 TEST(WordKernels, ForEachSetBitWalksAscending)
 {
     const std::uint64_t words[] = {0x9ULL, 0x0ULL, 0x8000000000000001ULL};
