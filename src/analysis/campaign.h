@@ -260,8 +260,9 @@ struct CampaignReport
 /**
  * Assemble a CampaignReport from a spec, its expansion, and the
  * per-job results (results[i] belongs to expansion.jobs[i]). Shared by
- * CampaignRunner and the serving layer, which collects the results
- * through its own futures.
+ * CampaignRunner's fixed-seed and adaptive paths and perfbench's
+ * traced replay, which re-assembles each report from the results it
+ * replays job by job.
  */
 CampaignReport assembleCampaignReport(
     const CampaignSpec& spec,

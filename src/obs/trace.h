@@ -32,7 +32,7 @@
  * Context propagation is cooperative: code that hops threads captures
  * `currentTraceContext()` on the submitting thread and installs it on
  * the executing thread with a ScopedTraceContext (the engine's worker
- * pool and the service's adaptive-campaign task both do this), so
+ * pool and the service's record workers both do this), so
  * child spans land in the right trace with the right parent regardless
  * of which worker ran them.
  */

@@ -330,36 +330,20 @@ SimulationService::route(const HttpRequest& request)
 SimulationService::RecordStatus
 SimulationService::statusOf(const JobRecord& record)
 {
+    // The runner stores jobs_done in job order, so until the worker
+    // returns it counts the jobs that finished without error. An
+    // adaptive campaign's stays 0: its cells finish together when the
+    // last stopping rule fires.
     RecordStatus status;
-    if (record.adaptive()) {
-        // Cells all finish together (the runner returns when the last
-        // stopping rule fires), so completion is all-or-nothing; the
-        // live signal meanwhile is seeds_drawn.
-        status.total = record.expansion.jobs.size();
-        if (record.adaptive_seeds)
-            status.seeds_drawn = record.adaptive_seeds->load(
-                std::memory_order_relaxed);
-        if (isReady(record.adaptive_report)) {
-            try {
-                (void)record.adaptive_report.get();
-                status.completed = status.total;
-            } catch (const std::exception& e) {
-                status.error = e.what();
-                status.failed = true;
-            }
-        }
-        return status;
-    }
-    status.total = record.futures.size();
-    for (const std::shared_future<RunResult>& future : record.futures) {
-        if (!isReady(future))
-            continue;
+    status.total = record.jobs;
+    status.completed = record.progress->jobs_done.load();
+    status.seeds_drawn = record.progress->seeds_drawn.load();
+    if (isReady(record.report)) {
         try {
-            (void)future.get();
-            ++status.completed;
+            (void)record.report.get();
+            status.completed = status.total;
         } catch (const std::exception& e) {
-            if (!status.failed)
-                status.error = e.what();
+            status.error = e.what();
             status.failed = true;
         }
     }
@@ -376,7 +360,7 @@ SimulationService::statusJson(const JobRecord& record,
     root.set("status", status.name());
     root.set("jobs", status.total);
     root.set("completed", status.completed);
-    if (record.adaptive())
+    if (record.adaptive)
         root.set("seeds_drawn", status.seeds_drawn);
     if (status.failed)
         root.set("error", status.error);
@@ -388,21 +372,13 @@ SimulationService::statusJson(const JobRecord& record,
 std::size_t
 SimulationService::pendingLocked() const
 {
+    // An unfinished adaptive campaign's true job count is decided by
+    // its stopping rule; its jobs_done stays 0, so it counts its cells
+    // (the floor) and admission stays bounded.
     std::size_t pending = 0;
-    for (const auto& [id, record] : records_) {
-        // An unfinished adaptive campaign's true job count is decided
-        // by its stopping rule; count its cells (the floor) so
-        // admission stays bounded without double-charging convergence.
-        if (record.adaptive()) {
-            if (!isReady(record.adaptive_report))
-                pending += record.expansion.jobs.size();
-            continue;
-        }
-        for (const std::shared_future<RunResult>& future :
-             record.futures)
-            if (!isReady(future))
-                ++pending;
-    }
+    for (const auto& [id, record] : records_)
+        if (!isReady(record.report))
+            pending += record.jobs - record.progress->jobs_done.load();
     return pending;
 }
 
@@ -426,9 +402,64 @@ HttpResponse
 SimulationService::submitRun(const HttpRequest& request)
 {
     const json::Value body = json::Value::parse(request.body);
-    SimulationJob job = simulationJobFromJson(body, "run request");
-    const std::string id = runId(job);
+    const SimulationJob job = simulationJobFromJson(body, "run request");
 
+    JobRecord record;
+    record.id = runId(job);
+    record.kind = "run";
+    record.jobs = 1;
+    return admitAndStart(std::move(record), [this, job] {
+        const RunResult result = engine_.run(job);
+        std::ostringstream csv;
+        exportRunResults(csv, {result});
+        return ReportBytes{
+            HttpResponse::json(200, runResultToJson(result)).body,
+            csv.str()};
+    });
+}
+
+HttpResponse
+SimulationService::submitCampaign(const HttpRequest& request)
+{
+    const json::Value body = json::Value::parse(request.body);
+    CampaignSpec spec = CampaignSpec::fromJson(body);
+    const CampaignSpec::CampaignExpansion expansion = spec.expand();
+
+    JobRecord record;
+    record.id = campaignId(spec);
+    record.kind = "campaign";
+    record.adaptive = spec.sampling.has_value();
+    record.jobs = expansion.jobs.size();
+    record.cell_jobs.reserve(expansion.cells.size());
+    for (const CampaignSpec::Cell& cell : expansion.cells)
+        record.cell_jobs.push_back(cell.job_index);
+    const std::shared_ptr<JobProgress> progress = record.progress;
+    return admitAndStart(
+        std::move(record), [this, spec = std::move(spec), progress] {
+            obs::ScopedSpan span("campaign", spec.name);
+            // The CLI's code path, so served reports stay
+            // byte-identical to the offline report files.
+            const CampaignReport report = CampaignRunner(engine_).run(
+                spec, [&progress](const CampaignProgress& p) {
+                    // An adaptive campaign's total is 0: it counts
+                    // seeds, a fixed-seed one counts jobs.
+                    (p.total > 0 ? progress->jobs_done
+                                 : progress->seeds_drawn)
+                        .store(p.completed);
+                });
+            std::ostringstream csv;
+            report.writeCsv(csv);
+            return ReportBytes{
+                HttpResponse::json(200, report.toJson()).body,
+                csv.str()};
+        });
+}
+
+HttpResponse
+SimulationService::admitAndStart(JobRecord record,
+                                 std::function<ReportBytes()> work)
+{
+    const std::string id = record.id;
     util::MutexLock lock(mutex_);
     auto it = records_.find(id);
     if (it != records_.end()) {
@@ -442,89 +473,25 @@ SimulationService::submitRun(const HttpRequest& request)
     }
 
     HttpResponse rejection;
-    if (!admitLocked(1, &rejection)) {
+    if (!admitLocked(record.jobs, &rejection)) {
         ++rejected_submits_;
         serviceMetrics().admission_rejected.add();
         return rejection;
     }
 
-    JobRecord record;
-    record.id = id;
-    record.kind = "run";
-    record.job = job;
+    ++(record.kind == "run" ? runs_submitted_ : campaigns_submitted_);
     record.start_ns = obs::monotonicNanos();
-    record.futures.push_back(engine_.submit(job).share());
-    ++runs_submitted_;
-    const auto [inserted, ok] = records_.emplace(id, std::move(record));
-    (void)ok;
-    return HttpResponse::json(
-        202, withTraceLink(statusJson(inserted->second,
-                                      statusOf(inserted->second))));
-}
-
-HttpResponse
-SimulationService::submitCampaign(const HttpRequest& request)
-{
-    const json::Value body = json::Value::parse(request.body);
-    CampaignSpec spec = CampaignSpec::fromJson(body);
-    CampaignSpec::CampaignExpansion expansion = spec.expand();
-    const std::string id = campaignId(spec);
-
-    util::MutexLock lock(mutex_);
-    auto it = records_.find(id);
-    if (it != records_.end()) {
-        const RecordStatus status = statusOf(it->second);
-        if (!status.failed)
-            return HttpResponse::json(200,
-                                      statusJson(it->second, status));
-        records_.erase(it);
-    }
-
-    HttpResponse rejection;
-    if (!admitLocked(expansion.jobs.size(), &rejection)) {
-        ++rejected_submits_;
-        serviceMetrics().admission_rejected.add();
-        return rejection;
-    }
-
-    JobRecord record;
-    record.id = id;
-    record.kind = "campaign";
-    record.spec = std::move(spec);
-    record.start_ns = obs::monotonicNanos();
-    if (record.spec.sampling) {
-        record.adaptive_seeds =
-            std::make_shared<std::atomic<std::size_t>>(0);
-        // The async worker inherits the submitting request's trace
-        // context so the whole adaptive campaign — every cell's
-        // queue/simulate/store spans — lands in the submit's trace.
-        record.adaptive_report =
-            std::async(std::launch::async,
-                       [this, spec_copy = record.spec,
-                        seeds = record.adaptive_seeds,
-                        trace_context = obs::currentTraceContext()]() {
-                           obs::ScopedTraceContext trace_scope(
-                               trace_context);
-                           obs::ScopedSpan span("campaign",
-                                                spec_copy.name);
-                           CampaignRunner runner(engine_);
-                           return runner.run(
-                               spec_copy,
-                               [&seeds](const CampaignProgress& p) {
-                                   seeds->store(
-                                       p.completed,
-                                       std::memory_order_relaxed);
-                               });
-                       })
-                .share();
-    } else {
-        record.futures.reserve(expansion.jobs.size());
-        for (std::future<RunResult>& future :
-             engine_.submit(expansion.jobs))
-            record.futures.push_back(future.share());
-    }
-    record.expansion = std::move(expansion);
-    ++campaigns_submitted_;
+    // The worker inherits the submitting request's trace context, so
+    // every span of the job (queue, simulate, store) lands in the
+    // submit's trace.
+    record.report =
+        std::async(std::launch::async,
+                   [work = std::move(work),
+                    trace_context = obs::currentTraceContext()] {
+                       obs::ScopedTraceContext trace_scope(trace_context);
+                       return work();
+                   })
+            .share();
     const auto [inserted, ok] = records_.emplace(id, std::move(record));
     (void)ok;
     return HttpResponse::json(
@@ -553,24 +520,17 @@ SimulationService::report(const std::string& id,
             400, "unknown format \"" + format +
                      "\" (accepted: json, csv)");
 
-    // Copy the record's futures out so report assembly (which may
-    // serialize large campaigns) runs outside the service lock.
-    JobRecord record;
-    {
-        util::MutexLock lock(mutex_);
-        const auto it = records_.find(id);
-        if (it == records_.end())
-            return HttpResponse::error(404, "unknown job id \"" + id +
-                                                '"');
-        record = it->second;
-    }
-
+    util::MutexLock lock(mutex_);
+    const auto it = records_.find(id);
+    if (it == records_.end())
+        return HttpResponse::error(404, "unknown job id \"" + id + '"');
+    const JobRecord& record = it->second;
     const RecordStatus status = statusOf(record);
     if (status.failed)
         return HttpResponse::error(500, record.kind + ' ' + id +
                                             " failed: " + status.error);
     if (!status.done()) {
-        if (record.adaptive())
+        if (record.adaptive)
             return HttpResponse::error(
                 409, record.kind + ' ' + id +
                          " is still sampling adaptively (" +
@@ -583,43 +543,12 @@ SimulationService::report(const std::string& id,
                      " jobs finished); poll /v1/jobs/" + id);
     }
 
-    if (record.adaptive()) {
-        const CampaignReport& campaign_report =
-            record.adaptive_report.get();
-        if (format == "csv") {
-            std::ostringstream os;
-            campaign_report.writeCsv(os);
-            return HttpResponse::text(200, os.str(), "text/csv");
-        }
-        // Same assembly path as the CLI: adaptive reports served over
-        // HTTP are byte-identical to the offline report file.
-        return HttpResponse::json(200, campaign_report.toJson());
-    }
-
-    if (record.kind == "run") {
-        const RunResult& result = record.futures.front().get();
-        if (format == "csv") {
-            std::ostringstream os;
-            exportRunResults(os, {result});
-            return HttpResponse::text(200, os.str(), "text/csv");
-        }
-        return HttpResponse::json(200, runResultToJson(result));
-    }
-
-    std::vector<RunResult> results;
-    results.reserve(record.futures.size());
-    for (const std::shared_future<RunResult>& future : record.futures)
-        results.push_back(future.get());
-    const CampaignReport campaign_report = assembleCampaignReport(
-        record.spec, record.expansion, std::move(results));
-    if (format == "csv") {
-        std::ostringstream os;
-        campaign_report.writeCsv(os);
-        return HttpResponse::text(200, os.str(), "text/csv");
-    }
-    // Byte-identical to CampaignReport::writeJsonFile — a warm fetch
-    // of a campaign equals the offline CLI's report file exactly.
-    return HttpResponse::json(200, campaign_report.toJson());
+    // The worker rendered both bodies once; a campaign's JSON equals
+    // the offline CLI's report file byte for byte.
+    const ReportBytes& bytes = record.report.get();
+    if (format == "csv")
+        return HttpResponse::text(200, bytes.csv, "text/csv");
+    return HttpResponse::text(200, bytes.json, "application/json");
 }
 
 HttpResponse
@@ -720,15 +649,11 @@ SimulationService::statsDocument() const
 HttpResponse
 SimulationService::campaignProgress(const std::string& id) const
 {
-    JobRecord record;
-    {
-        util::MutexLock lock(mutex_);
-        const auto it = records_.find(id);
-        if (it == records_.end())
-            return HttpResponse::error(404, "unknown job id \"" + id +
-                                                '"');
-        record = it->second;
-    }
+    util::MutexLock lock(mutex_);
+    const auto it = records_.find(id);
+    if (it == records_.end())
+        return HttpResponse::error(404, "unknown job id \"" + id + '"');
+    const JobRecord& record = it->second;
     if (record.kind != "campaign")
         return HttpResponse::error(
             404, '"' + id + "\" is a single run, not a campaign; "
@@ -738,42 +663,33 @@ SimulationService::campaignProgress(const std::string& id) const
     const double elapsed =
         obs::elapsedSeconds(record.start_ns, obs::monotonicNanos());
 
-    // A cell is done when its (possibly shared) job has finished.
-    // Adaptive campaigns finish all cells together when the stopping
-    // rule fires; until then seeds_drawn is the live signal.
-    const std::size_t cells_total = record.expansion.cells.size();
+    // A cell is done when its (possibly shared) job finished without
+    // error. An adaptive campaign's cells finish together when the
+    // stopping rule fires; until then seeds_drawn is the live signal.
     std::size_t cells_done = 0;
-    if (record.adaptive()) {
-        cells_done = status.done() ? cells_total : 0;
-    } else {
-        std::vector<bool> job_done(record.futures.size(), false);
-        for (std::size_t i = 0; i < record.futures.size(); ++i)
-            job_done[i] = isReady(record.futures[i]);
-        for (const CampaignSpec::Cell& cell : record.expansion.cells)
-            if (cell.job_index < job_done.size() &&
-                job_done[cell.job_index])
-                ++cells_done;
-    }
+    for (const std::size_t job_index : record.cell_jobs)
+        if (job_index < status.completed)
+            ++cells_done;
 
     json::Value root = json::Value::object();
     root.set("id", record.id);
     root.set("status", status.name());
-    root.set("cells_total", cells_total);
+    root.set("cells_total", record.cell_jobs.size());
     root.set("cells_done", cells_done);
     root.set("jobs_total", status.total);
     root.set("jobs_done", status.completed);
     // Engine-wide async backlog (all records, not just this campaign):
     // the live signal for "are my jobs waiting behind someone else".
     root.set("queue_depth", engine_.queueDepth());
-    if (record.adaptive())
+    if (record.adaptive)
         root.set("seeds_drawn", status.seeds_drawn);
     root.set("elapsed_seconds", elapsed);
     // ETA by linear extrapolation over finished jobs; omitted while
-    // nothing has finished and for adaptive campaigns (the stopping
-    // rule decides the total, so extrapolation would be fiction).
+    // nothing has finished (always, for an adaptive campaign: the
+    // stopping rule decides the total) and once the campaign failed.
     if (status.done())
         root.set("eta_seconds", 0.0);
-    else if (!record.adaptive() && status.completed > 0)
+    else if (!status.failed && status.completed > 0)
         root.set("eta_seconds",
                  elapsed *
                      static_cast<double>(status.total - status.completed) /

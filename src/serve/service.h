@@ -2,7 +2,9 @@
  * @file
  * SimulationService: the paper's evaluation pipeline as a JSON API.
  *
- * Maps HTTP requests onto the async SimulationEngine:
+ * Maps HTTP requests onto SimulationEngine work. Every admitted run or
+ * campaign runs on one worker, the way the CLI runs it, and its
+ * record keeps the finished report's bytes:
  *
  * | Route                     | Meaning                                 |
  * |---------------------------|-----------------------------------------|
@@ -47,6 +49,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <future>
 #include <map>
 #include <memory>
@@ -108,33 +111,41 @@ class SimulationService
     static std::string campaignId(const CampaignSpec& spec);
 
   private:
+    /** A finished job's two served bodies, rendered once by its worker. */
+    struct ReportBytes
+    {
+        std::string json; ///< exactly as HttpResponse::json renders it
+        std::string csv;
+    };
+
+    /** Live counters a campaign worker's progress callback stores. */
+    struct JobProgress
+    {
+        std::atomic<std::size_t> jobs_done{0};   ///< fixed-seed campaigns
+        std::atomic<std::size_t> seeds_drawn{0}; ///< adaptive campaigns
+    };
+
     /**
-     * One submitted run or campaign and its in-flight futures.
-     * Adaptive campaigns (spec.sampling set) have no per-job futures —
-     * the stopping rule decides the job count — so a worker launched
-     * with std::async runs the whole campaign through CampaignRunner
-     * (the exact CLI code path, keeping reports byte-identical) and
-     * `adaptive_report` carries the outcome; `adaptive_seeds` streams
-     * seeds-drawn progress to status polls. Destroying the last copy
-     * of an async shared_future joins the worker, so the service
-     * destructor (which destroys records_ before engine_) never leaves
-     * an adaptive campaign running against a dead engine.
+     * One submitted run or campaign. Its std::async worker runs the job
+     * the way the CLI does (SimulationEngine::run for a run,
+     * CampaignRunner::run for any campaign, fixed or adaptive) and
+     * returns the report's bytes, so reads never re-serialise. The
+     * worker starts only after dedup and admission, and destroying the
+     * record (the last copy of its async shared_future) joins it.
      */
     struct JobRecord
     {
         std::string id;
-        std::string kind; ///< "run" or "campaign"
-        SimulationJob job;                            ///< runs
-        CampaignSpec spec;                            ///< campaigns
-        CampaignSpec::CampaignExpansion expansion;    ///< campaigns
-        std::vector<std::shared_future<RunResult>> futures;
-        std::shared_future<CampaignReport> adaptive_report;
-        std::shared_ptr<std::atomic<std::size_t>> adaptive_seeds;
+        std::string kind;      ///< "run" or "campaign"
+        bool adaptive = false; ///< a campaign with a sampling plan
+        std::size_t jobs = 0;  ///< unique jobs
+        std::vector<std::size_t> cell_jobs; ///< each cell's job index
+        std::shared_ptr<JobProgress> progress =
+            std::make_shared<JobProgress>();
+        std::shared_future<ReportBytes> report;
         /** obs::monotonicNanos() at submit; feeds the progress route's
          *  elapsed/ETA fields only, never any report byte. */
         std::uint64_t start_ns = 0;
-
-        bool adaptive() const { return adaptive_report.valid(); }
     };
 
     /** Poll snapshot of a record (no blocking). */
@@ -159,6 +170,17 @@ class SimulationService
 
     HttpResponse submitRun(const HttpRequest& request);
     HttpResponse submitCampaign(const HttpRequest& request);
+
+    /**
+     * The submit path both routes share, under the lock: a live record
+     * with the same id answers 200 (a failed one is replaced), a full
+     * admission queue 429, and neither starts a worker. Otherwise
+     * `work` starts on the record's worker, inheriting the submit's
+     * trace context, and the new record answers 202.
+     */
+    HttpResponse admitAndStart(JobRecord record,
+                               std::function<ReportBytes()> work);
+
     HttpResponse jobStatus(const std::string& id) const;
     HttpResponse report(const std::string& id,
                         const std::string& format) const;
@@ -187,6 +209,8 @@ class SimulationService
     obs::Stopwatch uptime_; ///< daemon age for /v1/stats + /metrics
 
     mutable util::Mutex mutex_;
+    /** Declared after engine_, so destroyed first: destroying a record
+     *  joins its worker, which waits on the engine. */
     std::map<std::string, JobRecord> records_ GUARDED_BY(mutex_);
     std::size_t runs_submitted_ GUARDED_BY(mutex_) = 0;
     std::size_t campaigns_submitted_ GUARDED_BY(mutex_) = 0;

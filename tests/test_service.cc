@@ -20,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "analysis/export.h"
 #include "obs/trace.h"
 #include "serve/service.h"
 
@@ -163,6 +164,15 @@ TEST_F(ServiceTest, RunSubmitPollFetchMatchesOfflineEngine)
     EXPECT_EQ(body.at("cycles").asNumber(), expected.cycles);
     EXPECT_EQ(body.at("accelerator").asString(), expected.accelerator);
 
+    // The CSV view is the one-row CSV of `run --csv`.
+    const HttpResponse csv =
+        http.get("/v1/reports/" + id + "?format=csv");
+    ASSERT_EQ(csv.status, 200) << csv.body;
+    EXPECT_EQ(csv.content_type, "text/csv");
+    std::ostringstream expected_csv;
+    exportRunResults(expected_csv, {expected});
+    EXPECT_EQ(csv.body, expected_csv.str());
+
     // Deterministic ids: the same job submitted again is the same
     // record, answered instantly (200, not 202).
     const HttpResponse again = http.post("/v1/runs", kRunBody);
@@ -252,6 +262,14 @@ TEST_F(ServiceTest, AdaptiveCampaignMatchesOfflineRunnerBytewise)
     const json::Value doc = json::Value::parse(report.body);
     const json::Value& first = doc.at("cells").asArray().front();
     EXPECT_GE(first.at("sampling").at("n_seeds").asNumber(), 4.0);
+
+    // The CSV view, sampling columns included, is the offline one too.
+    const HttpResponse csv =
+        http.get("/v1/reports/" + id + "?format=csv");
+    ASSERT_EQ(csv.status, 200) << csv.body;
+    std::ostringstream expected_csv;
+    offline.writeCsv(expected_csv);
+    EXPECT_EQ(csv.body, expected_csv.str());
 
     // Idempotent resubmission: same spec, same record.
     const HttpResponse again = http.post("/v1/campaigns", spec_text);
@@ -384,6 +402,78 @@ TEST_F(ServiceTest, AdmissionIsBounded)
                                     .at("message")
                                     .asString();
     EXPECT_NE(message.find("admission"), std::string::npos) << message;
+}
+
+TEST_F(ServiceTest, FailedCampaignIsReportedAndRetryable)
+{
+    // Eyeriss (job 0) simulates; the zero-PPU Prosperity design (job 1)
+    // fails inside the engine, after admission.
+    const std::string spec_text = R"({
+      "name": "bad",
+      "accelerators": [{"name": "eyeriss"},
+                       {"name": "prosperity", "params": {"num_ppus": 0}}],
+      "workloads": [{"model": "LeNet5", "dataset": "MNIST"}]
+    })";
+    startService();
+    HttpClient http = client();
+    const auto submitAndFail = [&] {
+        const HttpResponse submitted = http.post("/v1/campaigns", spec_text);
+        EXPECT_EQ(submitted.status, 202) << submitted.body;
+        const std::string id =
+            json::Value::parse(submitted.body).at("id").asString();
+        for (int i = 0; i < 600; ++i) {
+            const json::Value polled =
+                json::Value::parse(http.get("/v1/jobs/" + id).body);
+            if (polled.at("status").asString() != "pending") {
+                EXPECT_EQ(polled.at("status").asString(), "failed");
+                EXPECT_NE(polled.at("error").asString().find("num_ppus"),
+                          std::string::npos)
+                    << polled.at("error").asString();
+                return id;
+            }
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        ADD_FAILURE() << "campaign " << id << " never settled";
+        return id;
+    };
+    const std::string id = submitAndFail();
+
+    const HttpResponse report = http.get("/v1/reports/" + id);
+    EXPECT_EQ(report.status, 500);
+    EXPECT_NE(report.body.find("num_ppus"), std::string::npos)
+        << report.body;
+
+    // The failed job's cell is not done, and nothing is extrapolated
+    // for work that will never finish.
+    const HttpResponse progress =
+        http.get("/v1/campaigns/" + id + "/progress");
+    ASSERT_EQ(progress.status, 200) << progress.body;
+    const json::Value doc = json::Value::parse(progress.body);
+    EXPECT_EQ(doc.at("status").asString(), "failed");
+    EXPECT_LT(doc.at("cells_done").asNumber(),
+              doc.at("cells_total").asNumber());
+    EXPECT_EQ(doc.find("eta_seconds"), nullptr) << progress.body;
+
+    // An identical resubmit replaces the failed record with a fresh
+    // one under the same id, and nothing stays pending.
+    EXPECT_EQ(submitAndFail(), id);
+    const json::Value stats =
+        json::Value::parse(http.get("/v1/stats").body);
+    EXPECT_EQ(stats.at("service").at("campaigns_submitted").asNumber(),
+              2.0);
+    EXPECT_EQ(stats.at("service").at("pending").asNumber(), 0.0);
+}
+
+TEST_F(ServiceTest, StoppingWithWorkInFlightJoinsTheWorkers)
+{
+    // Destroying the service with a campaign and a run still on their
+    // workers must join them against a live engine: stopService()
+    // returns, without a hang or a sanitizer report.
+    startService();
+    HttpClient http = client();
+    EXPECT_EQ(http.post("/v1/campaigns", smokeSpecText()).status, 202);
+    EXPECT_EQ(http.post("/v1/runs", kRunBody).status, 202);
+    stopService();
 }
 
 TEST_F(ServiceTest, StatsDocumentTracksTheTraffic)
@@ -544,8 +634,39 @@ TEST_F(ServiceTest, CampaignProgressTracksLifecycle)
 {
     startService();
     HttpClient http = client();
+
+    // Polled while the campaign runs, the counts stay within their
+    // totals and never go backwards.
+    const HttpResponse submitted =
+        http.post("/v1/campaigns", smokeSpecText());
+    ASSERT_EQ(submitted.status, 202) << submitted.body;
+    const std::string live_id =
+        json::Value::parse(submitted.body).at("id").asString();
+    double jobs_seen = 0.0;
+    double cells_seen = 0.0;
+    std::string live_status;
+    for (int i = 0; i < 3000 && live_status != "done"; ++i) {
+        const HttpResponse polled =
+            http.get("/v1/campaigns/" + live_id + "/progress");
+        ASSERT_EQ(polled.status, 200) << polled.body;
+        const json::Value live = json::Value::parse(polled.body);
+        live_status = live.at("status").asString();
+        ASSERT_NE(live_status, "failed") << polled.body;
+        const double jobs_done = live.at("jobs_done").asNumber();
+        const double cells_done = live.at("cells_done").asNumber();
+        EXPECT_LE(jobs_done, live.at("jobs_total").asNumber());
+        EXPECT_LE(cells_done, live.at("cells_total").asNumber());
+        EXPECT_GE(jobs_done, jobs_seen);
+        EXPECT_GE(cells_done, cells_seen);
+        jobs_seen = jobs_done;
+        cells_seen = cells_done;
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+    ASSERT_EQ(live_status, "done");
+
     const std::string id =
         submitAndWait(http, "/v1/campaigns", smokeSpecText());
+    EXPECT_EQ(id, live_id);
 
     const HttpResponse response =
         http.get("/v1/campaigns/" + id + "/progress");
