@@ -186,8 +186,7 @@ parseAccelerator(const json::Value& value, const std::string& context)
             if (v.isString())
                 accel.spec.params.set(key, v.asString());
             else if (v.isNumber())
-                accel.spec.params.set(
-                    key, json::formatDouble(v.asNumber()));
+                accel.spec.params.set(key, v.asNumber());
             else
                 json::schemaError(
                     context + ".params",
@@ -536,24 +535,6 @@ CampaignReport::cell(std::size_t accelerator_index,
     return nullptr;
 }
 
-const RunResult*
-CampaignReport::find(const std::string& accelerator_label,
-                     const std::string& workload_name,
-                     std::size_t option_index) const
-{
-    for (const CampaignCell& c : cells) {
-        if (c.option_index != option_index)
-            continue;
-        if (spec.accelerators[c.accelerator_index].label !=
-            accelerator_label)
-            continue;
-        if (spec.workloads[c.workload_index].name() != workload_name)
-            continue;
-        return &c.result;
-    }
-    return nullptr;
-}
-
 namespace {
 
 DerivedTable
@@ -616,17 +597,12 @@ deriveTable(const CampaignReport& report, const std::string& metric,
 
     table.geomean.assign(table.columns.size(), std::nan(""));
     for (std::size_t a = 0; a < table.columns.size(); ++a) {
-        double log_sum = 0.0;
-        std::size_t count = 0;
-        for (const std::vector<double>& row : table.values) {
-            if (std::isnan(row[a]) || row[a] <= 0.0)
-                continue;
-            log_sum += std::log(row[a]);
-            ++count;
-        }
-        if (count)
-            table.geomean[a] =
-                std::exp(log_sum / static_cast<double>(count));
+        std::vector<double> cells;
+        for (const std::vector<double>& row : table.values)
+            if (std::isfinite(row[a]) && row[a] > 0.0)
+                cells.push_back(row[a]);
+        if (!cells.empty())
+            table.geomean[a] = geometricMean(cells);
     }
     return table;
 }

@@ -13,10 +13,11 @@
  * RunResult plus derived speedup / energy-efficiency tables normalized
  * to the spec's baseline accelerator, serializable to JSON and CSV.
  *
- * The paper's figure/table benches (Fig. 8, Fig. 9, Table I, Table IV,
- * scalability) are thin wrappers: load a checked-in spec, run it
- * through the shared runner, print the derived tables. Adding a
- * scenario means writing a JSON file, not a C++ binary:
+ * The paper's figures and tables (Fig. 8, Fig. 9, Table I, Table IV,
+ * scalability) are checked-in specs; `prosperity_cli campaign <name>`
+ * prints their derived tables, and tests/golden/FIDELITY.json scores
+ * the golden reports against the paper's numbers (tests/test_fidelity.cc).
+ * Adding a scenario means writing a JSON file, not a C++ binary:
  *
  * @code
  *   SimulationEngine engine;
@@ -235,11 +236,6 @@ struct CampaignReport
     const CampaignCell* cell(std::size_t accelerator_index,
                              std::size_t workload_index,
                              std::size_t option_index = 0) const;
-
-    /** Result by accelerator label + workload display name. */
-    const RunResult* find(const std::string& accelerator_label,
-                          const std::string& workload_name,
-                          std::size_t option_index = 0) const;
 
     /** seconds(baseline) / seconds(cell), normalized latency wins. */
     DerivedTable speedupTable() const;

@@ -13,7 +13,7 @@
  * state — results are bitwise identical whatever the thread count, and
  * batch order in equals result order out.
  *
- * The Fig. 8 / Fig. 9 / Table IV benches and the CLI are thin loops
+ * Campaigns (CampaignRunner), the CLI and the daemon are thin loops
  * over this engine.
  */
 

@@ -2,10 +2,10 @@
 
 #include <algorithm>
 #include <cctype>
-#include <sstream>
 #include <stdexcept>
 
 #include "sim/logging.h"
+#include "util/json.h"
 
 namespace prosperity {
 
@@ -26,10 +26,7 @@ AcceleratorParams::set(const std::string& key, const std::string& value)
 AcceleratorParams&
 AcceleratorParams::set(const std::string& key, double value)
 {
-    std::ostringstream os;
-    os.precision(17);
-    os << value;
-    entries_[key] = os.str();
+    entries_[key] = json::formatDouble(value);
     return *this;
 }
 

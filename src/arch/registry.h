@@ -41,6 +41,8 @@ class AcceleratorParams
         std::initializer_list<std::pair<std::string, std::string>> entries);
 
     AcceleratorParams& set(const std::string& key, const std::string& value);
+    /** Stores json::formatDouble(value), the spelling a campaign spec's
+     *  numeric parameter gets, so both fingerprint alike. */
     AcceleratorParams& set(const std::string& key, double value);
     AcceleratorParams& set(const std::string& key, std::size_t value);
 

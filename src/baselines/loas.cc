@@ -1,6 +1,7 @@
 #include "loas.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "arch/registry.h"
 #include "baselines/calibration.h"
@@ -142,10 +143,17 @@ registerLoasAccelerator(AcceleratorRegistry& registry)
                  "params: weight_density",
                  [](const AcceleratorParams& params) {
                      params.expectOnly({"weight_density"});
+                     const double weight_density = params.getDouble(
+                         "weight_density",
+                         calibration::kLoasDefaultWeightDensity);
+                     // Written so that NaN fails it too.
+                     if (!(weight_density > 0.0 && weight_density <= 1.0))
+                         throw std::invalid_argument(
+                             "loas: weight_density must lie in (0, 1], "
+                             "got " +
+                             params.getString("weight_density", ""));
                      return std::make_unique<LoasAccelerator>(
-                         params.getDouble(
-                             "weight_density",
-                             calibration::kLoasDefaultWeightDensity));
+                         weight_density);
                  });
 }
 

@@ -87,11 +87,10 @@ registerPtbAccelerator(AcceleratorRegistry& registry)
 {
     registry.add("ptb",
                  "parallel time batching on a systolic array (Lee et "
-                 "al., HPCA 2022); params: time_steps",
+                 "al., HPCA 2022)",
                  [](const AcceleratorParams& params) {
-                     params.expectOnly({"time_steps"});
-                     return std::make_unique<PtbAccelerator>(
-                         params.getSize("time_steps", 4));
+                     params.expectOnly({});
+                     return std::make_unique<PtbAccelerator>();
                  });
 }
 

@@ -3,8 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
-#include <iomanip>
-#include <locale>
 #include <sstream>
 
 namespace prosperity::json {
@@ -14,20 +12,12 @@ namespace {
 /**
  * Locale-independent string -> double. Returns false for magnitudes
  * outside double range (subnormals are fine); the caller guarantees
- * `s` is a syntactically valid JSON number.
+ * [first, last) is a syntactically valid JSON number.
  */
 bool
-parseDoubleClassic(const std::string& s, double& out)
+parseDoubleClassic(const char* first, const char* last, double& out)
 {
-#if defined(__cpp_lib_to_chars)
-    return std::from_chars(s.data(), s.data() + s.size(), out).ec ==
-           std::errc();
-#else
-    std::istringstream is(s);
-    is.imbue(std::locale::classic());
-    is >> out;
-    return !is.fail();
-#endif
+    return std::from_chars(first, last, out).ec == std::errc();
 }
 
 } // namespace
@@ -46,22 +36,20 @@ formatDouble(double v)
             return std::signbit(v) ? "-0" : "0";
         return std::to_string(static_cast<long long>(v));
     }
-    std::string repr;
-    for (int precision = 15; precision <= 17; ++precision) {
-        std::ostringstream os;
-        os.imbue(std::locale::classic());
-        // lint:allow(double-format) this IS formatDouble, the impl
-        os.precision(precision);
-        os << v;
-        repr = os.str();
+    // std::to_chars in general format at precision p is printf's %.*g
+    // in the C locale. The shortest p of 15, 16, 17 whose parse-back is
+    // bitwise v wins; 17 significant digits always round-trip.
+    char buf[32];
+    for (int precision = 15;; ++precision) {
+        char* const end = std::to_chars(buf, buf + sizeof buf, v,
+                                        std::chars_format::general,
+                                        precision)
+                              .ptr;
         double back = 0.0;
-        if (parseDoubleClassic(repr, back) &&
-            std::memcmp(&back, &v, sizeof v) == 0)
-            break; // shortest round-tripping form found
-        // 17 significant digits always round-trip; the loop cannot
-        // fall through with a lossy repr.
+        if (precision == 17 || (parseDoubleClassic(buf, end, back) &&
+                                std::memcmp(&back, &v, sizeof v) == 0))
+            return std::string(buf, end);
     }
-    return repr;
 }
 
 ParseError::ParseError(const std::string& message, std::size_t line,
@@ -470,7 +458,8 @@ class Parser
         }
         // Convert the validated slice locale-independently.
         double v = 0.0;
-        if (!parseDoubleClassic(text_.substr(start, pos_ - start), v)) {
+        if (!parseDoubleClassic(text_.data() + start, text_.data() + pos_,
+                                v)) {
             pos_ = start;
             fail("number out of range");
         }
@@ -508,10 +497,9 @@ escape(const std::string& s)
           case '\t': out += "\\t"; break;
           default:
             if (static_cast<unsigned char>(c) < 0x20) {
-                std::ostringstream esc;
-                esc << "\\u" << std::hex << std::setw(4)
-                    << std::setfill('0') << static_cast<int>(c);
-                out += esc.str();
+                out += "\\u00";
+                out += "0123456789abcdef"[c >> 4];
+                out += "0123456789abcdef"[c & 0xf];
             } else {
                 out += c;
             }

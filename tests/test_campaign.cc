@@ -29,9 +29,7 @@ smallSpec()
     spec.name = "unit";
     spec.accelerators.push_back(
         {"eyeriss", AcceleratorSpec{"eyeriss"}});
-    spec.accelerators.push_back(
-        {"ptb8", AcceleratorSpec{"ptb", AcceleratorParams{
-                                            {"time_steps", "8"}}}});
+    spec.accelerators.push_back({"ptb", AcceleratorSpec{"ptb"}});
     spec.workloads.push_back(
         makeWorkload("LeNet5", "MNIST"));
     spec.workloads.push_back(
@@ -101,7 +99,7 @@ TEST(CampaignSpec, ExpansionIsDuplicateFree)
 
     const auto expansion = spec.expand();
     EXPECT_EQ(expansion.cells.size(), 4u);
-    EXPECT_EQ(expansion.jobs.size(), 2u); // eyeriss deduped, ptb8 kept
+    EXPECT_EQ(expansion.jobs.size(), 2u); // eyeriss deduped, ptb kept
     EXPECT_EQ(expansion.cells[0].job_index,
               expansion.cells[2].job_index);
     EXPECT_EQ(expansion.cells[0].job_index,
@@ -172,7 +170,7 @@ TEST(CampaignSpec, JsonRoundTripIsExact)
 {
     CampaignSpec spec = smallSpec();
     spec.description = "unit-test spec";
-    spec.baseline = "ptb8";
+    spec.baseline = "ptb";
     spec.expansion = CampaignSpec::Expansion::kZip;
     RunOptions opts;
     opts.seed = 12345;
@@ -362,7 +360,7 @@ TEST(CampaignSpec, MalformedSpecsProduceActionableErrors)
     }
 }
 
-/** The pre-redesign bench_fig8_endtoend hand-built this exact job
+/** The pre-redesign Fig. 8 bench hand-built this exact job
  *  list: the seven-design lineup (Fig. 8 column order) crossed with
  *  fig8Suite() in SimulationEngine::runGrid order. The checked-in
  *  spec must expand to it verbatim. */
@@ -453,15 +451,11 @@ TEST(CampaignReport, DerivedTablesAndLookups)
     EXPECT_GT(speedup.values[0][2], 1.0); // prosperity beats dense
     EXPECT_EQ(speedup.geomean[0], 1.0);
 
-    const RunResult* pros = report.find("prosperity", "LeNet5/MNIST");
-    ASSERT_NE(pros, nullptr);
-    EXPECT_EQ(pros->accelerator, "Prosperity");
-    EXPECT_EQ(report.find("prosperity", "VGG16/CIFAR10"), nullptr);
-    EXPECT_EQ(report.find("tpu", "LeNet5/MNIST"), nullptr);
-
     const CampaignCell* cell = report.cell(2, 0, 0);
     ASSERT_NE(cell, nullptr);
-    EXPECT_EQ(&cell->result, pros);
+    EXPECT_EQ(cell->result.accelerator, "Prosperity");
+    EXPECT_EQ(report.cell(2, 1, 0), nullptr);
+    EXPECT_EQ(report.cell(3, 0, 0), nullptr);
 }
 
 TEST(CampaignReport, JsonAndCsvSerialization)

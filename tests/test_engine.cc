@@ -323,20 +323,17 @@ TEST(Engine, SubmitErrorsSurfaceFromTheFuture)
 
 TEST(Engine, ModelHintsReachTimeBatchingDesigns)
 {
-    // The engine creates PTB from the registry with a deliberately
-    // wrong constructor T; beginModel must overwrite it with the
-    // model's real T before any layer runs, exactly as the legacy
-    // runner path does with a directly constructed instance.
+    // A directly constructed PTB with a deliberately wrong T must
+    // match the engine's registry-built one: beginModel overwrites T
+    // with the model's real T before any layer runs.
     const Workload w = makeWorkload("LeNet5", "MNIST");
 
     PtbAccelerator direct(/*time_steps=*/1);
     const RunResult legacy = runWorkload(direct, w);
 
     SimulationEngine engine;
-    const RunResult engined = engine.run(SimulationJob{
-        AcceleratorSpec{"ptb", AcceleratorParams{{"time_steps", "1"}}},
-        w,
-        {}});
+    const RunResult engined =
+        engine.run(SimulationJob{AcceleratorSpec{"ptb"}, w, {}});
     expectIdentical(legacy, engined);
 
     // And the hint really did change the simulation: with beginModel

@@ -8,11 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <locale>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "util/json.h"
 
@@ -194,6 +199,70 @@ TEST(Json, NumbersRoundTripBitwise)
             Value::parse(doc.dump()).at("v").asNumber();
         EXPECT_EQ(std::memcmp(&back2, &v, sizeof v), 0);
     }
+}
+
+/** formatDouble's contract spelled with printf: integers below 2^53
+ *  in plain digits, otherwise the shortest of %.15g, %.16g and %.17g
+ *  that strtod reads back bitwise. */
+std::string
+printfReference(double v)
+{
+    char buf[64];
+    if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+        if (v == 0.0)
+            return std::signbit(v) ? "-0" : "0";
+        std::snprintf(buf, sizeof buf, "%.0f", v);
+        return buf;
+    }
+    for (int precision = 15; precision <= 17; ++precision) {
+        std::snprintf(buf, sizeof buf, "%.*g", precision, v);
+        const double back = std::strtod(buf, nullptr);
+        if (std::memcmp(&back, &v, sizeof v) == 0)
+            break;
+    }
+    return buf;
+}
+
+TEST(Json, FormatDoubleMatchesShortestRoundTripPrintf)
+{
+    std::vector<double> values = {0.0, -0.0,
+                                  std::numeric_limits<double>::min(),
+                                  std::numeric_limits<double>::max(),
+                                  std::numeric_limits<double>::lowest()};
+    // Integers around 2^53, where the integral fast path hands over.
+    for (double k = -2048.0; k <= 2048.0; k += 1.0) {
+        values.push_back(9007199254740992.0 + 2.0 * k);
+        values.push_back(-9007199254740992.0 + 2.0 * k);
+    }
+    std::mt19937_64 rng(20261018);
+    std::uniform_real_distribution<double> unit(0.0, 1.0);
+    std::uniform_int_distribution<int> decade(-20, 20);
+    for (int i = 0; i < 300000; ++i) {
+        values.push_back(unit(rng));
+        values.push_back(-unit(rng) * std::pow(10.0, decade(rng)));
+    }
+    for (int i = 0; i < 300000; ++i) {
+        // Random bit patterns; NaN and infinity are not numbers here.
+        const double v = std::bit_cast<double>(rng());
+        if (std::isfinite(v))
+            values.push_back(v);
+        // Subnormals: exponent field zero, random mantissa and sign.
+        values.push_back(std::bit_cast<double>(
+            rng() & 0x800fffffffffffffULL));
+    }
+    ASSERT_GE(values.size(), 1000000u);
+
+    std::size_t mismatches = 0;
+    for (const double v : values) {
+        const std::string got = formatDouble(v);
+        const std::string want = printfReference(v);
+        if (got == want)
+            continue;
+        if (mismatches++ < 5)
+            ADD_FAILURE() << "formatDouble gave " << got << ", printf "
+                          << want;
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull)

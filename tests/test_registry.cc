@@ -89,15 +89,6 @@ TEST(Registry, UnknownNameThrowsWithRoster)
     }
 }
 
-TEST(Registry, PtbTimeStepsParameterReachesTheDesign)
-{
-    const auto accel = AcceleratorRegistry::instance().create(
-        "ptb", AcceleratorParams{{"time_steps", "8"}});
-    const auto* ptb = dynamic_cast<PtbAccelerator*>(accel.get());
-    ASSERT_NE(ptb, nullptr);
-    EXPECT_EQ(ptb->timeSteps(), 8u);
-}
-
 TEST(Registry, ProsperityAblationParams)
 {
     AcceleratorRegistry& registry = AcceleratorRegistry::instance();
@@ -142,15 +133,34 @@ TEST(Registry, UnknownParameterKeysAreRejected)
     stray.set("time_steps", std::size_t{4});
     EXPECT_THROW(registry.create("eyeriss", stray),
                  std::invalid_argument);
+    // PTB takes its T from the model (beginModel), not a parameter.
+    EXPECT_THROW(registry.create("ptb", stray), std::invalid_argument);
 }
 
 TEST(Registry, LoasWeightDensityParameterReachesTheDesign)
 {
-    const auto accel = AcceleratorRegistry::instance().create(
+    AcceleratorRegistry& registry = AcceleratorRegistry::instance();
+    const auto accel = registry.create(
         "loas", AcceleratorParams{{"weight_density", "0.04"}});
     const auto* loas = dynamic_cast<LoasAccelerator*>(accel.get());
     ASSERT_NE(loas, nullptr);
     EXPECT_DOUBLE_EQ(loas->weightDensity(), 0.04);
+
+    // The design asserts (0, 1]; the factory must turn a bad value
+    // into an exception before the constructor can abort the process.
+    EXPECT_NO_THROW(registry.create(
+        "loas", AcceleratorParams{{"weight_density", "1"}}));
+    for (const char* bad : {"5", "0", "-0.5", "nan", "inf"}) {
+        try {
+            registry.create("loas", AcceleratorParams{{"weight_density", bad}});
+            FAIL() << "weight_density=" << bad << " accepted";
+        } catch (const std::invalid_argument& e) {
+            const std::string message = e.what();
+            EXPECT_NE(message.find("weight_density"), std::string::npos)
+                << message;
+            EXPECT_NE(message.find("(0, 1]"), std::string::npos) << message;
+        }
+    }
 }
 
 TEST(Registry, DuplicateRegistrationIsRejected)
@@ -170,6 +180,9 @@ TEST(AcceleratorParams, TypedGettersAndFingerprint)
     EXPECT_EQ(params.getSize("alpha", 0), 4u);
     EXPECT_EQ(params.getString("missing", "fallback"), "fallback");
     EXPECT_EQ(params.fingerprint(), "alpha=4;beta=2.5");
+    // A campaign spec's {"x": 0.1} is stored as json::formatDouble's
+    // "0.1"; set() must store the same text, not 0.10000000000000001.
+    EXPECT_EQ(AcceleratorParams{}.set("x", 0.1).fingerprint(), "x=0.1");
     const AcceleratorParams bad{{"x", "not-a-number"}};
     EXPECT_THROW(bad.getDouble("x", 0.0), std::invalid_argument);
 }
