@@ -38,6 +38,16 @@ BitMatrix::copyRow(std::size_t dst, std::size_t src)
 }
 
 void
+BitMatrix::orRow(std::size_t r, const BitMatrix& src, std::size_t src_row)
+{
+    PROSPERITY_ASSERT(src.cols_ == cols_, "row width mismatch");
+    const std::span<const std::uint64_t> from = src.row(src_row);
+    std::uint64_t* to = rowData(r);
+    for (std::size_t w = 0; w < row_words_; ++w)
+        to[w] |= from[w];
+}
+
+void
 BitMatrix::setRow(std::size_t r, const BitVector& bits)
 {
     PROSPERITY_ASSERT(bits.size() == cols_, "row width mismatch");

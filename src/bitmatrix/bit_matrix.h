@@ -33,7 +33,7 @@ namespace prosperity {
  * rowWords() = ceil(cols() / 64): bit (r, c) is bit c % 64 of
  * `row(r)[c / 64]`. Bits past cols() in each row's last word are zero.
  * row() hands out read-only spans, and every write goes through a
- * mutator that keeps the tail zero (set, copyRow, setRow,
+ * mutator that keeps the tail zero (set, copyRow, orRow, setRow,
  * randomizeRow, randomize, extractTile), so the word kernels may
  * stream any row, and equal bit content means equal words.
  *
@@ -80,8 +80,9 @@ class BitMatrix
     }
 
     /**
-     * Set bit (r, c) to `v`. Inline: the spike generator sets each
-     * clustered row's spikes bit by bit, so this sits in a hot loop.
+     * Set bit (r, c) to `v`. Inline: the spike generator sets the
+     * spikes a bank-prefix snapshot does not cover (at most 63 per
+     * prefix) and every stray spike with it.
      */
     void set(std::size_t r, std::size_t c, bool v = true)
     {
@@ -93,6 +94,13 @@ class BitMatrix
 
     /** Overwrite row `dst` with row `src`. */
     void copyRow(std::size_t dst, std::size_t src);
+
+    /**
+     * OR row `src_row` of `src`, which must be cols() wide, into row
+     * `r`, a word at a time. Equal widths mean equal tail masks, so
+     * the tail stays zero.
+     */
+    void orRow(std::size_t r, const BitMatrix& src, std::size_t src_row);
 
     /** Overwrite row `r` with `bits`, which must be cols() wide. */
     void setRow(std::size_t r, const BitVector& bits);

@@ -57,13 +57,32 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
     const std::size_t bank_size =
         std::max<std::size_t>(1, profile_.bank_size);
     std::vector<std::vector<std::size_t>> bank_order(bank_size);
-    for (auto& order : bank_order) {
+    // Entry e's prefix snapshots are rows first_snapshot[e] + j of
+    // `snapshots`, j = 0 .. |order| / 64: row j holds the order's first
+    // 64 * j spikes, so a prefix of `keep` spikes is one word-level OR
+    // of snapshot keep / 64 plus at most 63 single-bit sets.
+    std::vector<std::size_t> first_snapshot(bank_size);
+    std::size_t snapshot_rows = 0;
+    for (std::size_t e = 0; e < bank_size; ++e) {
+        auto& order = bank_order[e];
         BitVector base(cols);
         base.randomize(rng, base_density);
         order = base.setBits();
         // Fisher-Yates shuffle so chain prefixes are spatially spread.
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.nextBelow(i)]);
+        first_snapshot[e] = snapshot_rows;
+        snapshot_rows += order.size() / 64 + 1;
+    }
+    BitMatrix snapshots(snapshot_rows, cols);
+    for (std::size_t e = 0; e < bank_size; ++e) {
+        const auto& order = bank_order[e];
+        std::size_t row = first_snapshot[e];
+        for (std::size_t i = 0; i + 64 <= order.size(); i += 64, ++row) {
+            snapshots.copyRow(row + 1, row);
+            for (std::size_t k = i; k < i + 64; ++k)
+                snapshots.set(row + 1, order[k]);
+        }
     }
 
     const std::size_t positions =
@@ -83,14 +102,17 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
             const bool is_union = rng.nextBool(profile_.union_prob);
             const int parts = is_union ? 2 : 1;
             for (int part = 0; part < parts; ++part) {
-                const auto& order = bank_order[rng.nextBelow(bank_size)];
+                const std::size_t entry = rng.nextBelow(bank_size);
+                const auto& order = bank_order[entry];
                 // Keep-length ~ Binomial(|order|, (1 - drop) / parts),
                 // drawn word-parallel: popcounts of Bernoulli words
                 // instead of |order| scalar coin flips.
                 const double keep_prob = (1.0 - drop) / parts;
                 const std::size_t keep =
                     rng.nextBinomial(order.size(), keep_prob);
-                for (std::size_t i = 0; i < keep; ++i)
+                const std::size_t whole = keep / 64;
+                out.orRow(r, snapshots, first_snapshot[entry] + whole);
+                for (std::size_t i = whole * 64; i < keep; ++i)
                     out.set(r, order[i]);
             }
             // Stray spikes: rare uncorrelated firings that perturb the

@@ -22,9 +22,12 @@
  * one Rng::nextBernoulliWords call per row), and clustered
  * keep-lengths come from word-parallel binomial draws
  * (Rng::nextBinomial), so generation cost scales with words, not bits.
- * Rows are written in place in the matrix's one word array: clustered
- * rows bit by bit (BitMatrix::set), temporal repeats with copyRow.
- * The batched draw sequence is still a pure function of
+ * Rows are written in place in the matrix's one word array, a word at
+ * a time: each bank entry keeps prefix snapshots of its spike order
+ * (snapshot j holds the first 64 * j spikes), so a clustered row ORs
+ * one snapshot in (BitMatrix::orRow) and sets at most 63 more bits
+ * per prefix; temporal repeats use copyRow. The snapshots make no
+ * draws. The batched draw sequence is still a pure function of
  * (seed, layer_index, shape, profile) — the determinism contract tested
  * by the fixed-hash pins in tests/test_spike_generator.cc.
  */

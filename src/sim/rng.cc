@@ -1,5 +1,6 @@
 #include "rng.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 
@@ -54,11 +55,13 @@ Rng::nextBelow(std::uint64_t bound)
 {
     if (bound == 0)
         return 0;
-    // Lemire-style rejection to avoid modulo bias.
-    const std::uint64_t threshold = -bound % bound;
+    // Rejection to avoid modulo bias: draws below 2^64 mod bound
+    // (-bound % bound) are redrawn. That threshold is below bound, so
+    // it only needs computing, with a second division, for a draw
+    // below bound.
     for (;;) {
         const std::uint64_t r = next();
-        if (r >= threshold)
+        if (r >= bound || r >= -bound % bound)
             return r % bound;
     }
 }
@@ -75,70 +78,33 @@ Rng::nextBool(double p)
     return nextDouble() < p;
 }
 
-std::uint64_t
-Rng::nextBernoulliWord(double p)
+void
+Rng::nextBernoulliWords(std::uint64_t* dst, std::size_t nwords,
+                        double p)
 {
+    // p <= 0 (or NaN) and p >= 1 make no draws, and neither does a p
+    // that quantizes to 0 or to 2^kBernoulliBits.
     constexpr std::uint64_t kOne = 1ULL << kBernoulliBits;
-    if (!(p > 0.0))
-        return 0;
-    if (p >= 1.0)
-        return ~0ULL;
-    const auto q = static_cast<std::uint64_t>(
-        p * static_cast<double>(kOne) + 0.5);
-    if (q == 0)
-        return 0;
-    if (q >= kOne)
-        return ~0ULL;
+    const std::uint64_t q =
+        p > 0.0 && p < 1.0
+            ? static_cast<std::uint64_t>(p * static_cast<double>(kOne) +
+                                         0.5)
+            : (p >= 1.0 ? kOne : 0);
+    if (q == 0 || q >= kOne) {
+        std::fill_n(dst, nwords, q == 0 ? 0 : ~0ULL);
+        return;
+    }
 
     // Synthesize Bernoulli(q / 2^kBernoulliBits) per bit lane from the
     // binary expansion of q, least significant digit first: a set digit
     // ORs in a fresh uniform word (adding 1/2 of the remaining mass), a
     // clear digit ANDs one (halving it). Trailing zero digits leave the
-    // accumulator all-zero, so the loop starts at the lowest set digit.
-    std::uint64_t acc = next();
-    for (int b = std::countr_zero(q) + 1; b < kBernoulliBits; ++b) {
-        const std::uint64_t r = next();
-        acc = (q & (1ULL << b)) ? (r | acc) : (r & acc);
-    }
-    return acc;
-}
-
-void
-Rng::nextBernoulliWords(std::uint64_t* dst, std::size_t nwords,
-                        double p)
-{
-    constexpr std::uint64_t kOne = 1ULL << kBernoulliBits;
-    if (nwords == 0)
-        return;
-    if (!(p > 0.0)) {
-        for (std::size_t w = 0; w < nwords; ++w)
-            dst[w] = 0;
-        return;
-    }
-    if (p >= 1.0) {
-        for (std::size_t w = 0; w < nwords; ++w)
-            dst[w] = ~0ULL;
-        return;
-    }
-    const auto q = static_cast<std::uint64_t>(
-        p * static_cast<double>(kOne) + 0.5);
-    if (q == 0) {
-        for (std::size_t w = 0; w < nwords; ++w)
-            dst[w] = 0;
-        return;
-    }
-    if (q >= kOne) {
-        for (std::size_t w = 0; w < nwords; ++w)
-            dst[w] = ~0ULL;
-        return;
-    }
-
-    // Same digit-synthesis loop as nextBernoulliWord, with p quantized
-    // once for the whole batch and the xoshiro state held in locals so
-    // the per-draw state round-trips through registers instead of the
+    // accumulator all-zero, so each word starts at the lowest set digit.
+    // p is quantized once for the whole batch, and the xoshiro state is
+    // held in locals so it round-trips through registers instead of the
     // member array. The draw order is word-major — all draws for
-    // dst[0], then dst[1], ... — exactly matching `nwords` separate
-    // nextBernoulliWord(p) calls, so pinned spike hashes are unchanged.
+    // dst[0], then dst[1], ... — so a batch makes the same draws as
+    // `nwords` one-word batches.
     std::uint64_t s0 = state_[0], s1 = state_[1];
     std::uint64_t s2 = state_[2], s3 = state_[3];
     const auto draw = [&]() {
@@ -170,16 +136,18 @@ Rng::nextBernoulliWords(std::uint64_t* dst, std::size_t nwords,
 std::size_t
 Rng::nextBinomial(std::size_t n, double p)
 {
+    // n trials are ceil(n / 64) Bernoulli words, drawn in chunks of
+    // one stack buffer; the bits past n in the last word are masked off.
+    std::array<std::uint64_t, 16> words;
     std::size_t count = 0;
-    while (n >= 64) {
-        count += static_cast<std::size_t>(
-            std::popcount(nextBernoulliWord(p)));
-        n -= 64;
-    }
-    if (n > 0) {
-        const std::uint64_t mask = (1ULL << n) - 1;
-        count += static_cast<std::size_t>(
-            std::popcount(nextBernoulliWord(p) & mask));
+    while (n > 0) {
+        const std::size_t nwords = std::min(words.size(), (n + 63) / 64);
+        nextBernoulliWords(words.data(), nwords, p);
+        if (n < nwords * 64)
+            words[nwords - 1] &= (1ULL << (n % 64)) - 1;
+        for (std::size_t w = 0; w < nwords; ++w)
+            count += static_cast<std::size_t>(std::popcount(words[w]));
+        n -= std::min(n, nwords * 64);
     }
     return count;
 }

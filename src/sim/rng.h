@@ -45,39 +45,29 @@ class Rng
     bool nextBool(double p);
 
     /**
-     * 64 independent Bernoulli(p) bits in one word — the word-parallel
-     * replacement for 64 nextBool(p) calls in the spike-generation hot
-     * path.
+     * Fill `dst[0..nwords)` with words of 64 independent Bernoulli(p)
+     * bits — the word-parallel replacement for 64 nextBool(p) calls
+     * per word in the spike-generation hot path.
      *
      * `p` is quantized to kBernoulliBits binary digits and synthesized
      * from the binary expansion: one raw draw per significant digit
-     * (at most kBernoulliBits draws per 64 bits, versus 64 for the
-     * bit-by-bit path). The draw sequence depends only on the quantized
-     * p, so outputs are deterministic per (seed, p) like every other
-     * draw.
-     */
-    std::uint64_t nextBernoulliWord(double p);
-
-    /**
-     * Fill `dst[0..nwords)` with Bernoulli(p) words — bit-for-bit the
-     * same output (and the same number of raw draws, leaving the
-     * stream in the same state) as `nwords` successive
-     * nextBernoulliWord(p) calls. The batched form quantizes p once
-     * and keeps the generator state in registers for the whole row,
-     * which is what makes whole-row spike generation cheap; the
-     * equivalence is pinned by tests/test_simd_kernels.cc.
+     * (at most kBernoulliBits draws per word, versus 64 for bit by
+     * bit). The draws are word-major, so an n-word batch leaves the
+     * same words and stream state as n one-word batches (pinned by
+     * tests/test_simd_kernels.cc), and they depend only on the
+     * quantized p, so outputs are deterministic per (seed, p).
      */
     void nextBernoulliWords(std::uint64_t* dst, std::size_t nwords,
                             double p);
 
     /**
-     * Binomial(n, p) draw via popcounts of nextBernoulliWord batches:
+     * Binomial(n, p) draw via popcounts of nextBernoulliWords batches:
      * exactly the number of successes in n Bernoulli(p) trials, at
      * ~kBernoulliBits/64 raw draws per trial word.
      */
     std::size_t nextBinomial(std::size_t n, double p);
 
-    /** Probability resolution of nextBernoulliWord / nextBinomial. */
+    /** Probability resolution of nextBernoulliWords / nextBinomial. */
     static constexpr int kBernoulliBits = 24;
 
     /** Gaussian draw (Box-Muller), mean 0 / stddev 1. */

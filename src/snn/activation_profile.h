@@ -21,7 +21,10 @@ namespace prosperity {
  * - `cluster_fraction`: fraction of rows drawn near a shared base
  *   pattern (models the combinatorial similarity real SNN activations
  *   exhibit; the remainder is i.i.d. Bernoulli).
- * - `bank_size`: number of distinct base patterns per 256-row window.
+ * - `bank_size`: number of distinct base patterns per 256-row window,
+ *   at most kMaxBankSize (a parsed profile is checked against it). The
+ *   generator allocates every entry's spike order and prefix snapshots
+ *   before its first row, so the bound also bounds that memory.
  * - `subset_drop_prob`: probability each 1-bit of a base pattern is
  *   dropped when a clustered row is emitted (creates proper-subset /
  *   partial-match structure).
@@ -38,6 +41,10 @@ namespace prosperity {
  */
 struct ActivationProfile
 {
+    /** Largest bank_size a parsed profile may carry: one per row of a
+     *  256-row window. */
+    static constexpr std::size_t kMaxBankSize = 256;
+
     double bit_density = 0.2;
     double cluster_fraction = 0.6;
     std::size_t bank_size = 24;

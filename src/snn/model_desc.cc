@@ -242,7 +242,16 @@ profileFromJson(const json::Value& value, ActivationProfile profile,
     for (const auto& [key, v] : value.asObject()) {
         const std::string field_context = context + "." + key;
         if (key == "bank_size") {
+            // The generator allocates per bank entry before its first
+            // draw, so an unbounded size is unbounded memory.
             profile.bank_size = requireSizeValue(v, field_context);
+            if (profile.bank_size > ActivationProfile::kMaxBankSize)
+                schemaError(field_context,
+                            "must lie in [0, " +
+                                std::to_string(
+                                    ActivationProfile::kMaxBankSize) +
+                                "], got " +
+                                std::to_string(profile.bank_size));
             continue;
         }
         const double number = requireNumberValue(v, field_context);

@@ -165,6 +165,14 @@ TEST(BitMatrix, ContiguousLayoutContract)
         m.copyRow(3, 3);
         expectLayout(m, model, "copyRow");
 
+        BitMatrix other(1, cols);
+        other.randomizeRow(0, rng, 0.4);
+        m.orRow(3, other, 0);
+        for (std::size_t c = 0; c < cols; ++c)
+            model[3][c] = model[3][c] || other.test(0, c);
+        m.orRow(4, m, 4);
+        expectLayout(m, model, "orRow");
+
         BitVector v(cols);
         v.randomize(rng, 0.3);
         m.setRow(5, v);

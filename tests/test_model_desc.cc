@@ -242,9 +242,10 @@ TEST(ModelDesc, MalformedDefinitionsFailWithKeyPaths)
 
 TEST(ModelDesc, OutOfRangeProfileValuesFailWithKeyPaths)
 {
-    // The spike generator needs bit_density in (0, 1) and every
-    // probability in [0, 1]; anything else must fail at parse time
-    // with the key path, not abort (or never finish) a simulation.
+    // The spike generator needs bit_density in (0, 1), every
+    // probability in [0, 1] and bank_size in [0, 256]; anything else
+    // must fail at parse time with the key path, not abort (or never
+    // finish, or exhaust memory in) a simulation.
     const auto parseProfile = [](const std::string& profile) {
         ModelDesc::fromJson(json::Value::parse(
             R"({"name": "x", "layers": [{"kind": "pool", "name": "p",
@@ -284,6 +285,12 @@ TEST(ModelDesc, OutOfRangeProfileValuesFailWithKeyPaths)
                                      "\": 1}"))
             << key;
     }
+    // The generator allocates per bank entry before its first draw:
+    // bank_size is bounded by one entry per row of a 256-row window.
+    expectRejected("bank_size", "257");
+    expectRejected("bank_size", "1e15");
+    EXPECT_NO_THROW(parseProfile(R"({"bank_size": 0})"));
+    EXPECT_NO_THROW(parseProfile(R"({"bank_size": 256})"));
 }
 
 TEST(ModelDesc, RegisterModelFileIsIdempotentAndConflictChecked)

@@ -52,6 +52,33 @@ TEST(Rng, NextBelowIsRoughlyUniform)
     }
 }
 
+TEST(Rng, NextBelowMatchesTheTwoDivisionLoop)
+{
+    // nextBelow computes its rejection threshold only for a draw below
+    // the bound. This loop computes it before every draw, as nextBelow
+    // once did; both must return the same values and consume the same
+    // draws. The two largest bounds reject a quarter and about a half
+    // of all draws, so the rejection path runs too.
+    const auto twoDivisionNextBelow = [](Rng& rng, std::uint64_t bound) {
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = rng.next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    };
+    for (const std::uint64_t bound :
+         {1ULL, 3ULL, 24ULL, 1000ULL, (1ULL << 32) + 1, 3ULL << 62,
+          (1ULL << 63) + 1}) {
+        Rng library(99), reference(99);
+        for (int i = 0; i < 2000; ++i)
+            ASSERT_EQ(library.nextBelow(bound),
+                      twoDivisionNextBelow(reference, bound))
+                << "bound=" << bound << " draw " << i;
+        EXPECT_EQ(library.next(), reference.next()) << "bound=" << bound;
+    }
+}
+
 TEST(Rng, NextDoubleInUnitInterval)
 {
     Rng rng(3);

@@ -18,6 +18,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/export.h"
@@ -340,23 +341,31 @@ TEST_F(ServiceTest, UnknownAcceleratorIs400WithKeyPathAndRoster)
 TEST_F(ServiceTest, OutOfRangeProfileIs400AndServiceKeepsServing)
 {
     // Admitted, bit_density 0 would abort the daemon inside the spike
-    // generator: it must be a key-path 400, and the service must keep
-    // answering.
+    // generator, and a bank_size past 256 lets one request grow it by
+    // the generator's per-entry allocations: each must be a key-path
+    // 400, and the service must keep answering. 257 is the smallest
+    // size past the bound; nothing larger is sent to a live service.
     startService();
     HttpClient http = client();
-    const HttpResponse response = http.post(
-        "/v1/runs",
-        R"({"accelerator": {"name": "eyeriss"},
-            "workload": {"model": "LeNet5", "dataset": "MNIST",
-                         "profile": {"bit_density": 0}}})");
-    EXPECT_EQ(response.status, 400);
-    const std::string message = json::Value::parse(response.body)
-                                    .at("error")
-                                    .at("message")
-                                    .asString();
-    EXPECT_NE(message.find("profile.bit_density"), std::string::npos)
-        << message;
-    EXPECT_EQ(http.get("/v1/stats").status, 200);
+    for (const auto& [field, value] :
+         {std::pair{"bit_density", "0"}, std::pair{"bank_size", "257"}}) {
+        const HttpResponse response = http.post(
+            "/v1/runs",
+            std::string(R"({"accelerator": {"name": "eyeriss"},
+                            "workload": {"model": "LeNet5",
+                                         "dataset": "MNIST",
+                                         "profile": {")") +
+                field + "\": " + value + "}}}");
+        EXPECT_EQ(response.status, 400) << field;
+        const std::string message = json::Value::parse(response.body)
+                                        .at("error")
+                                        .at("message")
+                                        .asString();
+        EXPECT_NE(message.find(std::string("profile.") + field),
+                  std::string::npos)
+            << message;
+        EXPECT_EQ(http.get("/v1/stats").status, 200) << field;
+    }
 }
 
 TEST_F(ServiceTest, OutOfRangeAcceleratorParamFailsTheRunAndServiceKeepsServing)

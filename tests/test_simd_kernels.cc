@@ -205,15 +205,17 @@ TEST(SimdDispatch, ScalarAlwaysAvailableAndForcible)
 
 TEST(BatchedBernoulli, MatchesPerWordDrawsAndStreamState)
 {
-    // The batched fill must consume the identical draw sequence: same
-    // words out, and the *next* raw draw afterwards identical too.
+    // An n-word batch must consume the same draw sequence as n one-word
+    // batches: same words out, and the *next* raw draw afterwards
+    // identical too.
     for (const double p : {0.0, 0.001, 0.15, 0.25, 0.5, 0.93, 1.0}) {
         for (const std::size_t n : {0UL, 1UL, 2UL, 7UL, 8UL, 33UL}) {
             Rng batched(555), serial(555);
             std::vector<std::uint64_t> got(n + 1, 0xabadcafe);
             batched.nextBernoulliWords(got.data(), n, p);
             for (std::size_t w = 0; w < n; ++w) {
-                const std::uint64_t want = serial.nextBernoulliWord(p);
+                std::uint64_t want = 0;
+                serial.nextBernoulliWords(&want, 1, p);
                 ASSERT_EQ(got[w], want)
                     << "p=" << p << " n=" << n << " word " << w;
             }

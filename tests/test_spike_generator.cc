@@ -55,57 +55,57 @@ matrixHash(const BitMatrix& m)
     return h;
 }
 
+/** Generator output hashes per (seed, layer, shape), defaultProfile(). */
+const struct
+{
+    std::uint64_t seed;
+    std::size_t layer;
+    std::size_t rows, cols, time_steps;
+    std::uint64_t hash;
+} kPins[] = {
+    {42ULL, 0, 128, 64, 4, 0x9e0597ee4dfceaedULL},
+    {42ULL, 3, 128, 64, 4, 0x0d5d70cbce924d92ULL},
+    {7ULL, 1, 128, 64, 4, 0x5109284548edce31ULL},
+    {1234567ULL, 9, 128, 64, 4, 0x11a6941fdc2e989eULL},
+    // Eight words per row: bank orders of ~160 spikes, so clustered
+    // rows OR in bank-prefix snapshots past the empty one.
+    {42ULL, 1, 1024, 512, 4, 0x9457d5d5732fc691ULL},
+};
+
 TEST(SpikeGenerator, WordBatchedOutputMatchesPinnedHashes)
 {
     // Pins the exact bit stream of the word-batched generator per
-    // (seed, layer). Any change to the draw order — Rng batching,
-    // BitMatrix::randomizeRow, the binomial keep-length draw — shows up
-    // here before it silently shifts the calibration anchors.
-    const struct
-    {
-        std::uint64_t seed;
-        std::size_t layer;
-        std::uint64_t hash;
-    } pins[] = {
-        {42ULL, 0, 0x9e0597ee4dfceaedULL},
-        {42ULL, 3, 0x0d5d70cbce924d92ULL},
-        {7ULL, 1, 0x5109284548edce31ULL},
-        {1234567ULL, 9, 0x11a6941fdc2e989eULL},
-    };
-    for (const auto& pin : pins) {
+    // (seed, layer, shape). Any change to the draw order — Rng
+    // batching, BitMatrix::randomizeRow, the binomial keep-length draw
+    // — or to how a clustered row's prefix is written shows up here
+    // before it silently shifts the calibration anchors.
+    for (const auto& pin : kPins) {
         const SpikeGenerator gen(defaultProfile(), pin.seed);
-        const BitMatrix m = gen.generate(128, 64, 4, pin.layer);
+        const BitMatrix m =
+            gen.generate(pin.rows, pin.cols, pin.time_steps, pin.layer);
         EXPECT_EQ(matrixHash(m), pin.hash)
-            << "seed=" << pin.seed << " layer=" << pin.layer;
+            << "seed=" << pin.seed << " layer=" << pin.layer
+            << " shape=" << pin.rows << "x" << pin.cols;
     }
 }
 
 TEST(SpikeGenerator, PinnedHashesHoldUnderEveryForcedSimdTier)
 {
-    // The SIMD tier must never change a generated bit: the same pins
-    // as above, re-checked with the dispatch forced to each tier the
-    // host supports (scalar included). A divergence here means a
-    // vector kernel or the batched RNG broke the equivalence contract
-    // of bitmatrix/simd_dispatch.h.
-    const struct
-    {
-        std::uint64_t seed;
-        std::size_t layer;
-        std::uint64_t hash;
-    } pins[] = {
-        {42ULL, 0, 0x9e0597ee4dfceaedULL},
-        {42ULL, 3, 0x0d5d70cbce924d92ULL},
-        {7ULL, 1, 0x5109284548edce31ULL},
-        {1234567ULL, 9, 0x11a6941fdc2e989eULL},
-    };
+    // The SIMD tier must never change a generated bit: the same pins,
+    // re-checked with the dispatch forced to each tier the host
+    // supports (scalar included). A divergence here means a vector
+    // kernel or the batched RNG broke the equivalence contract of
+    // bitmatrix/simd_dispatch.h.
     for (const SimdTier tier : availableSimdTiers()) {
         ASSERT_TRUE(setSimdTier(tier)) << simdTierName(tier);
-        for (const auto& pin : pins) {
+        for (const auto& pin : kPins) {
             const SpikeGenerator gen(defaultProfile(), pin.seed);
-            const BitMatrix m = gen.generate(128, 64, 4, pin.layer);
+            const BitMatrix m = gen.generate(pin.rows, pin.cols,
+                                             pin.time_steps, pin.layer);
             EXPECT_EQ(matrixHash(m), pin.hash)
                 << "tier=" << simdTierName(tier) << " seed=" << pin.seed
-                << " layer=" << pin.layer;
+                << " layer=" << pin.layer << " shape=" << pin.rows << "x"
+                << pin.cols;
         }
     }
     resetSimdTier();

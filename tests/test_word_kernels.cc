@@ -171,13 +171,22 @@ TEST(WordKernels, LastWordMaskCoversTheTail)
     EXPECT_EQ(lastWordMask(130), 0x3ULL);
 }
 
+/** One Bernoulli(p) word: a one-word nextBernoulliWords batch. */
+std::uint64_t
+bernoulliWord(Rng& rng, double p)
+{
+    std::uint64_t word = 0;
+    rng.nextBernoulliWords(&word, 1, p);
+    return word;
+}
+
 TEST(BernoulliWord, EdgeProbabilities)
 {
     Rng rng(1);
-    EXPECT_EQ(rng.nextBernoulliWord(0.0), 0u);
-    EXPECT_EQ(rng.nextBernoulliWord(-1.0), 0u);
-    EXPECT_EQ(rng.nextBernoulliWord(1.0), ~0ULL);
-    EXPECT_EQ(rng.nextBernoulliWord(1.5), ~0ULL);
+    EXPECT_EQ(bernoulliWord(rng, 0.0), 0u);
+    EXPECT_EQ(bernoulliWord(rng, -1.0), 0u);
+    EXPECT_EQ(bernoulliWord(rng, 1.0), ~0ULL);
+    EXPECT_EQ(bernoulliWord(rng, 1.5), ~0ULL);
 }
 
 TEST(BernoulliWord, MeanTracksProbability)
@@ -188,7 +197,7 @@ TEST(BernoulliWord, MeanTracksProbability)
         const int words = 4000;
         for (int i = 0; i < words; ++i)
             ones += static_cast<std::size_t>(
-                std::popcount(rng.nextBernoulliWord(p)));
+                std::popcount(bernoulliWord(rng, p)));
         const double measured =
             static_cast<double>(ones) / (64.0 * words);
         EXPECT_NEAR(measured, p, 0.01) << "p=" << p;
@@ -199,15 +208,15 @@ TEST(BernoulliWord, DeterministicPerSeed)
 {
     Rng a(99), b(99);
     for (int i = 0; i < 10; ++i)
-        EXPECT_EQ(a.nextBernoulliWord(0.3), b.nextBernoulliWord(0.3));
+        EXPECT_EQ(bernoulliWord(a, 0.3), bernoulliWord(b, 0.3));
 }
 
 TEST(BernoulliWord, LanesAreIndependentAcrossDraws)
 {
     // Adjacent draws must not repeat (catches accumulator reuse bugs).
     Rng rng(2);
-    const std::uint64_t w1 = rng.nextBernoulliWord(0.5);
-    const std::uint64_t w2 = rng.nextBernoulliWord(0.5);
+    const std::uint64_t w1 = bernoulliWord(rng, 0.5);
+    const std::uint64_t w2 = bernoulliWord(rng, 0.5);
     EXPECT_NE(w1, w2);
 }
 
@@ -221,6 +230,26 @@ TEST(Binomial, ExactBounds)
     EXPECT_EQ(rng.nextBinomial(0, 0.7), 0u);
     EXPECT_EQ(rng.nextBinomial(77, 0.0), 0u);
     EXPECT_EQ(rng.nextBinomial(77, 1.0), 77u);
+}
+
+TEST(Binomial, CountsTheMaskedWordsOfOneWordBatches)
+{
+    // nextBinomial draws in chunks of a fixed buffer: across chunk
+    // boundaries it must still make the draws of ceil(n / 64)
+    // one-word batches, count the first n bits, and leave the stream
+    // where they leave it.
+    for (const std::size_t n :
+         {1UL, 63UL, 64UL, 65UL, 1023UL, 1024UL, 1025UL, 3000UL}) {
+        Rng batched(31), serial(31);
+        std::size_t want = 0;
+        for (std::size_t bits = 0; bits < n; bits += 64) {
+            const std::uint64_t word = bernoulliWord(serial, 0.35);
+            want += static_cast<std::size_t>(std::popcount(
+                n - bits >= 64 ? word : word & lastWordMask(n - bits)));
+        }
+        EXPECT_EQ(batched.nextBinomial(n, 0.35), want) << "n=" << n;
+        EXPECT_EQ(batched.next(), serial.next()) << "n=" << n;
+    }
 }
 
 TEST(Binomial, MeanTracksNP)
