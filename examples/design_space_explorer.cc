@@ -14,6 +14,7 @@
  */
 
 #include <cstdlib>
+#include <exception>
 #include <iostream>
 #include <string>
 
@@ -104,12 +105,18 @@ main(int argc, char** argv)
     CampaignRunner runner(engine);
     // job_index counts *unique* jobs (a repeated design point shares
     // one), so report progress by job rather than accelerator label.
-    const CampaignReport report =
-        runner.run(spec, [](const CampaignProgress& p) {
+    // The registry rejects a tile size outside its bounds.
+    CampaignReport report;
+    try {
+        report = runner.run(spec, [](const CampaignProgress& p) {
             std::cout << "  seed " << p.completed << " (design point "
                       << (p.job_index + 1) << ", n=" << p.seeds_drawn
                       << ")\n";
         });
+    } catch (const std::exception& e) {
+        std::cerr << "design_space_explorer: " << e.what() << '\n';
+        return 1;
+    }
     std::cout << "\n";
 
     Table table("Design points (latency on " + w.name() + ")");

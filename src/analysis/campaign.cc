@@ -434,17 +434,6 @@ CampaignSpec::toJson() const
     return root;
 }
 
-bool
-CampaignSpec::save(const std::string& path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    toJson().write(os, 2);
-    os << '\n';
-    return static_cast<bool>(os.flush());
-}
-
 SimulationJob
 simulationJobFromJson(const json::Value& value,
                       const std::string& context)

@@ -6,12 +6,13 @@
  * A CampaignSpec names sweep axes — accelerator design points,
  * workloads, run options — and how to combine them (cross product or
  * zip). It expands deterministically into duplicate-free
- * SimulationJobs, loads from / saves to JSON (campaigns/<name>.json), and
- * compares equal after a serialize/parse round trip. A CampaignRunner
- * executes a spec through SimulationEngine::submit so long campaigns
- * stream per-job progress, and produces a CampaignReport: every cell's
- * RunResult plus derived speedup / energy-efficiency tables normalized
- * to the spec's baseline accelerator, serializable to JSON and CSV.
+ * SimulationJobs, loads from JSON (campaigns/<name>.json), serializes
+ * back to it with toJson(), and compares equal after a serialize/parse
+ * round trip. A CampaignRunner executes a spec through
+ * SimulationEngine::submit so long campaigns stream per-job progress,
+ * and produces a CampaignReport: every cell's RunResult plus derived
+ * speedup / energy-efficiency tables normalized to the spec's baseline
+ * accelerator, serializable to JSON and CSV.
  *
  * The paper's figures and tables (Fig. 8, Fig. 9, Table I, Table IV,
  * scalability) are checked-in specs; `prosperity_cli campaign <name>`
@@ -150,9 +151,6 @@ struct CampaignSpec
     static CampaignSpec load(const std::string& path);
 
     json::Value toJson() const;
-
-    /** toJson() pretty-printed to `path`; false on I/O failure. */
-    bool save(const std::string& path) const;
 };
 
 bool operator==(const CampaignSpec& a, const CampaignSpec& b);

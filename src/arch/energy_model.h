@@ -41,7 +41,7 @@ struct EnergyParams
     double spike_buffer_per_byte_pj = 0.45;
     double weight_buffer_per_byte_pj = 0.55;
     double output_buffer_per_byte_pj = 0.70;
-    double dram_per_byte_pj = 170.0;
+    double dram_per_byte_pj = 170.0; ///< DDR4 access+IO+refresh share
 
     // Idle/control overheads charged per active cycle.
     double other_per_cycle_pj = 32.6;

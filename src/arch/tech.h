@@ -29,7 +29,6 @@ struct Tech
 struct DramConfig
 {
     double bandwidth_bytes_per_s = 64e9;
-    double energy_pj_per_byte = 170.0; ///< DDR4 access+IO+refresh share
 
     /** Cycles at `tech` frequency to transfer `bytes`. */
     double

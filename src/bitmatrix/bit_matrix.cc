@@ -23,7 +23,13 @@ BitMatrix::fromStrings(const std::vector<std::string>& rows)
     for (std::size_t r = 0; r < rows.size(); ++r) {
         PROSPERITY_ASSERT(rows[r].size() == m.cols_,
                           "ragged bit matrix literal");
-        m.setRow(r, BitVector::fromString(rows[r]));
+        for (std::size_t c = 0; c < m.cols_; ++c) {
+            const char bit = rows[r][c];
+            PROSPERITY_ASSERT(bit == '0' || bit == '1',
+                              "bit pattern must contain only 0/1");
+            if (bit == '1')
+                m.set(r, c);
+        }
     }
     return m;
 }
@@ -45,13 +51,6 @@ BitMatrix::orRow(std::size_t r, const BitMatrix& src, std::size_t src_row)
     std::uint64_t* to = rowData(r);
     for (std::size_t w = 0; w < row_words_; ++w)
         to[w] |= from[w];
-}
-
-void
-BitMatrix::setRow(std::size_t r, const BitVector& bits)
-{
-    PROSPERITY_ASSERT(bits.size() == cols_, "row width mismatch");
-    std::copy(bits.words().begin(), bits.words().end(), rowData(r));
 }
 
 void

@@ -19,28 +19,32 @@
 #include <utility>
 #include <vector>
 
-#include "bitmatrix/bit_vector.h"
 #include "sim/logging.h"
 #include "sim/rng.h"
 
 namespace prosperity {
 
 /**
- * A dense row-major matrix of bits in one contiguous word array.
+ * A dense row-major matrix of bits in one contiguous word array. It is
+ * the only packed-bit type: a free-standing row (a spike-generator bank
+ * base, a test fixture) is a 1 x cols BitMatrix.
  *
  * @par Word layout and tail invariant
  * The matrix holds rows() x rowWords() 64-bit words, row-major, with
  * rowWords() = ceil(cols() / 64): bit (r, c) is bit c % 64 of
  * `row(r)[c / 64]`. Bits past cols() in each row's last word are zero.
  * row() hands out read-only spans, and every write goes through a
- * mutator that keeps the tail zero (set, copyRow, orRow, setRow,
- * randomizeRow, randomize, extractTile), so the word kernels may
- * stream any row, and equal bit content means equal words.
+ * mutator that keeps the tail zero (set, copyRow, orRow, randomizeRow,
+ * randomize, extractTile), so the word kernels may stream any row, and
+ * equal bit content means equal words.
  *
  * @par Determinism
- * randomizeRow() consumes a shape-dependent but fixed number of draws
- * (exactly what BitVector::randomize draws for a cols()-bit vector), so
- * matrices are reproducible per (rng state, shape, density).
+ * randomizeRow() makes one Rng::nextBernoulliWords call over the row's
+ * rowWords() words and masks the tail. It consumes rowWords() times
+ * (Rng::kBernoulliBits minus the trailing zero digits of the quantized
+ * density) draws, a number fixed per (density, cols()), so matrices
+ * and every draw after them are reproducible per (rng state, shape,
+ * density), and a 1 x cols matrix draws what any cols-wide row does.
  */
 class BitMatrix
 {
@@ -52,7 +56,9 @@ class BitMatrix
 
     /**
      * Construct from row strings, e.g. {"1010", "1001"}; all rows must
-     * have equal length. Mirrors the figures in the paper.
+     * have equal length and hold only '0' and '1'. Character c is
+     * column c, so "1001" sets columns 0 and 3, as the paper's figures
+     * read.
      */
     static BitMatrix fromStrings(const std::vector<std::string>& rows);
 
@@ -65,7 +71,7 @@ class BitMatrix
     /**
      * Row `r`'s words, low bits first, tail zero-padded. The span is
      * returned const so that `m.row(r) = …` does not compile: rows are
-     * written through copyRow and setRow.
+     * written through the mutators.
      */
     const std::span<const std::uint64_t> row(std::size_t r) const
     {
@@ -102,13 +108,10 @@ class BitMatrix
      */
     void orRow(std::size_t r, const BitMatrix& src, std::size_t src_row);
 
-    /** Overwrite row `r` with `bits`, which must be cols() wide. */
-    void setRow(std::size_t r, const BitVector& bits);
-
     /**
      * Fill row `r` with Bernoulli(density) bits: one
-     * Rng::nextBernoulliWords call over the row, then the tail mask —
-     * the draws BitVector::randomize makes.
+     * Rng::nextBernoulliWords call over the row, then the tail mask.
+     * Every word is overwritten, so a reused row needs no clearing.
      */
     void randomizeRow(std::size_t r, Rng& rng, double density);
 

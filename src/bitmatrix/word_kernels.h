@@ -7,14 +7,13 @@
  * the density analyses, the baselines' row reads) bottoms out here,
  * operating on whole 64-bit words instead of individual bits. The
  * functions are deliberately free of class state so they can run over
- * raw `BitMatrix::row()` and `BitVector::words()` spans.
+ * raw `BitMatrix::row()` spans.
  *
  * All kernels assume canonical operands: unused tail bits beyond the
- * logical width are zero. Every BitMatrix and BitVector mutator keeps
- * that invariant (the word-granularity ones mask with lastWordMask),
- * and extractTile masks every tile row's last word, so spans obtained
- * from `BitMatrix::row()` and `BitVector::words()` are always safe
- * inputs.
+ * logical width are zero. Every BitMatrix mutator keeps that invariant
+ * (the word-granularity ones mask with lastWordMask), and extractTile
+ * masks every tile row's last word, so spans obtained from
+ * `BitMatrix::row()` are always safe inputs.
  *
  * `popcountWords` is also the *scalar reference tier* of the runtime
  * SIMD dispatch (bitmatrix/simd_dispatch.h), which adds AVX2 and

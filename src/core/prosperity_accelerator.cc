@@ -59,9 +59,17 @@ registerProsperityAccelerator(AcceleratorRegistry& registry)
             config.num_ppus = params.getSize("num_ppus", config.num_ppus);
             config.tile.m = params.getSize("tile_m", config.tile.m);
             config.tile.k = params.getSize("tile_k", config.tile.k);
-            if (config.tile.m == 0 || config.tile.k == 0)
+            // The spike buffer's word is tile_k / 8 bytes, so a tile
+            // narrower than 8 columns has none. The cap keeps the
+            // buffer sizes (2·m·k, 2048·k and 384·m bytes) far inside
+            // size_t.
+            constexpr std::size_t kMaxTileDim = 65536;
+            if (config.tile.m == 0 || config.tile.m > kMaxTileDim)
                 throw std::invalid_argument(
-                    "prosperity: tile_m and tile_k must be at least 1");
+                    "prosperity: tile_m must lie in [1, 65536]");
+            if (config.tile.k < 8 || config.tile.k > kMaxTileDim)
+                throw std::invalid_argument(
+                    "prosperity: tile_k must lie in [8, 65536]");
             if (config.num_ppus == 0)
                 throw std::invalid_argument(
                     "prosperity: num_ppus must be at least 1");

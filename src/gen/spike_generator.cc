@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 #include <vector>
 
+#include "bitmatrix/word_kernels.h"
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -63,11 +65,16 @@ SpikeGenerator::generate(std::size_t rows, std::size_t cols,
     // of snapshot keep / 64 plus at most 63 single-bit sets.
     std::vector<std::size_t> first_snapshot(bank_size);
     std::size_t snapshot_rows = 0;
+    // Each entry's base is drawn into one reused row (randomizeRow
+    // overwrites every word) and walked into its order.
+    BitMatrix base(1, cols);
     for (std::size_t e = 0; e < bank_size; ++e) {
         auto& order = bank_order[e];
-        BitVector base(cols);
-        base.randomize(rng, base_density);
-        order = base.setBits();
+        base.randomizeRow(0, rng, base_density);
+        const std::span<const std::uint64_t> words = base.row(0);
+        order.reserve(popcountWords(words.data(), words.size()));
+        forEachSetBit(words.data(), words.size(),
+                      [&](std::size_t pos) { order.push_back(pos); });
         // Fisher-Yates shuffle so chain prefixes are spatially spread.
         for (std::size_t i = order.size(); i > 1; --i)
             std::swap(order[i - 1], order[rng.nextBelow(i)]);

@@ -18,8 +18,9 @@
  * All draws are made from per-(seed, layer) streams so a layer's matrix
  * is identical regardless of the order layers are simulated in. Draws
  * are word-batched: i.i.d. rows and bank base patterns are filled 64
- * bits per batch (BitMatrix::randomizeRow and BitVector::randomize,
- * one Rng::nextBernoulliWords call per row), and clustered
+ * bits per batch (BitMatrix::randomizeRow, one Rng::nextBernoulliWords
+ * call per row; every bank base is drawn into one reused 1 x cols row
+ * and walked into its spike order with forEachSetBit), and clustered
  * keep-lengths come from word-parallel binomial draws
  * (Rng::nextBinomial), so generation cost scales with words, not bits.
  * Rows are written in place in the matrix's one word array, a word at

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cmath>
 
 namespace prosperity {
 
@@ -150,25 +149,6 @@ Rng::nextBinomial(std::size_t n, double p)
         n -= std::min(n, nwords * 64);
     }
     return count;
-}
-
-double
-Rng::nextGaussian()
-{
-    if (has_spare_gaussian_) {
-        has_spare_gaussian_ = false;
-        return spare_gaussian_;
-    }
-    double u, v, s;
-    do {
-        u = 2.0 * nextDouble() - 1.0;
-        v = 2.0 * nextDouble() - 1.0;
-        s = u * u + v * v;
-    } while (s >= 1.0 || s == 0.0);
-    const double factor = std::sqrt(-2.0 * std::log(s) / s);
-    spare_gaussian_ = v * factor;
-    has_spare_gaussian_ = true;
-    return u * factor;
 }
 
 Rng

@@ -70,9 +70,6 @@ class Rng
     /** Probability resolution of nextBernoulliWords / nextBinomial. */
     static constexpr int kBernoulliBits = 24;
 
-    /** Gaussian draw (Box-Muller), mean 0 / stddev 1. */
-    double nextGaussian();
-
     /**
      * Derive an independent child stream. Used to give each layer and
      * tile its own stream so results do not depend on evaluation order.
@@ -81,8 +78,6 @@ class Rng
 
   private:
     std::array<std::uint64_t, 4> state_;
-    bool has_spare_gaussian_ = false;
-    double spare_gaussian_ = 0.0;
 };
 
 } // namespace prosperity

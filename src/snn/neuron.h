@@ -5,10 +5,7 @@
  * The functional inference path uses the leaky integrate-and-fire (LIF)
  * neuron (Sec. II-A): each time step integrates the input current into
  * the membrane potential, applies leak, and fires a spike when the
- * potential crosses the threshold. The FS ("few spikes") neuron of
- * Stellar (Stoeckl & Maass) is modeled for the Fig. 11 density
- * comparison: it re-codes an activation into at most `max_spikes`
- * spikes using binary-weighted temporal coding.
+ * potential crosses the threshold.
  */
 
 #ifndef PROSPERITY_SNN_NEURON_H
@@ -35,7 +32,7 @@ struct LifParams
  *
  * Currents arrive as an integer matrix of shape (T, N): row t holds the
  * accumulated input current of every neuron at time step t (the output
- * of one spiking GeMM). step()/run() produce the binary spike outputs.
+ * of one spiking GeMM). run() produces the binary spike outputs.
  */
 class LifArray
 {
@@ -49,14 +46,9 @@ class LifArray
     void reset();
 
     /**
-     * Advance one time step with per-neuron currents; returns the spike
-     * vector fired this step.
-     */
-    BitVector step(const std::int32_t* currents, std::size_t count);
-
-    /**
      * Run all T time steps of `currents` (T x N) and return the (T x N)
-     * spike matrix.
+     * spike matrix: row t holds the spikes fired at step t. The
+     * membrane potentials carry over to the next call until reset().
      */
     BitMatrix run(const OutputMatrix& currents);
 
@@ -66,39 +58,6 @@ class LifArray
   private:
     LifParams params_;
     std::vector<double> potentials_;
-};
-
-/**
- * FS (few-spikes) neuron re-coder used by Stellar's algorithm-hardware
- * co-design. Given a non-negative activation value, the neuron emits at
- * most `max_spikes` spikes over `time_steps` steps, choosing the
- * binary-weighted steps that best approximate the activation (greedy
- * residual coding, as in the FS-conversion literature). This captures
- * the mechanism that makes Stellar's activations sparser than LIF's,
- * without re-training any model.
- */
-class FsNeuron
-{
-  public:
-    FsNeuron(std::size_t time_steps, std::size_t max_spikes = 2,
-             double value_range = 1.0);
-
-    /**
-     * Encode one activation into a spike train of `time_steps` bits.
-     * Step t carries weight value_range / 2^(t+1).
-     */
-    BitVector encode(double activation) const;
-
-    /** Decoded value of a spike train (for error tests). */
-    double decode(const BitVector& train) const;
-
-    std::size_t timeSteps() const { return time_steps_; }
-    std::size_t maxSpikes() const { return max_spikes_; }
-
-  private:
-    std::size_t time_steps_;
-    std::size_t max_spikes_;
-    double value_range_;
 };
 
 } // namespace prosperity

@@ -7,12 +7,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/dense_matrix.h"
+#include "bitmatrix/word_kernels.h"
 #include "sim/rng.h"
 
 namespace prosperity {
@@ -39,22 +41,28 @@ rowString(const BitMatrix& m, std::size_t r)
 /** A bit-per-cell model of a matrix, row-major. */
 using Model = std::vector<std::vector<bool>>;
 
-std::vector<bool>
-bitsOf(const BitVector& v)
+/**
+ * The words randomizeRow must leave in a cols-bit row drawn from
+ * `rng`: one nextBernoulliWords call over ceil(cols / 64) words, then
+ * the tail mask.
+ */
+std::vector<std::uint64_t>
+referenceRow(Rng& rng, std::size_t cols, double density)
 {
-    std::vector<bool> bits(v.size());
-    for (std::size_t c = 0; c < v.size(); ++c)
-        bits[c] = v.test(c);
-    return bits;
+    std::vector<std::uint64_t> words((cols + 63) / 64);
+    rng.nextBernoulliWords(words.data(), words.size(), density);
+    words.back() &= lastWordMask(cols);
+    return words;
 }
 
-/** The cols-bit row BitVector::randomize draws from `rng`. */
+/** The first `cols` bits of `words`, column 0 first. */
 std::vector<bool>
-randomRow(Rng& rng, std::size_t cols, double density)
+bitsOf(const std::vector<std::uint64_t>& words, std::size_t cols)
 {
-    BitVector v(cols);
-    v.randomize(rng, density);
-    return bitsOf(v);
+    std::vector<bool> bits(cols);
+    for (std::size_t c = 0; c < cols; ++c)
+        bits[c] = (words[c / 64] >> (c % 64)) & 1ULL;
+    return bits;
 }
 
 /** A matrix built bit by bit from `model`, which has `cols` columns. */
@@ -117,6 +125,33 @@ TEST(BitMatrix, FromStringsShapeAndBits)
     EXPECT_FALSE(m.test(0, 1));
     EXPECT_TRUE(m.test(5, 3));
     EXPECT_EQ(m.popcount(), 14u); // 14 spikes = 14 bit-sparse OPs (Fig. 1)
+
+    // Row 1, "1001", is the spike set {0, 3}.
+    std::vector<std::size_t> spikes;
+    forEachSetBit(m.row(1).data(), m.rowWords(),
+                  [&](std::size_t c) { spikes.push_back(c); });
+    EXPECT_EQ(spikes, (std::vector<std::size_t>{0, 3}));
+
+    // Fig. 2 (c): Row 1 (1001) is a proper subset of Row 4 (1101); a
+    // row is a subset of itself, and the empty row of every row.
+    const auto subset = [](std::span<const std::uint64_t> a,
+                           std::span<const std::uint64_t> b) {
+        return isSubsetOfWords(a.data(), b.data(), a.size());
+    };
+    EXPECT_TRUE(subset(m.row(1), m.row(4)));
+    EXPECT_FALSE(subset(m.row(4), m.row(1)));
+    EXPECT_TRUE(subset(m.row(2), m.row(2)));
+    const BitMatrix empty(1, 4);
+    EXPECT_TRUE(subset(empty.row(0), m.row(2)));
+    EXPECT_FALSE(subset(m.row(2), empty.row(0)));
+
+    // Fig. 5 (b) step 6: Row 2 (1011) XOR its prefix Row 1 (1001) is
+    // the pattern 0010, which is Row 3.
+    EXPECT_EQ(m.row(2)[0] ^ m.row(1)[0], m.row(3)[0]);
+
+    // Equal content needs equal widths; a zero-width row has no words.
+    EXPECT_NE(BitMatrix(1, 8), BitMatrix(1, 9));
+    EXPECT_EQ(BitMatrix(1, 0).rowWords(), 0u);
 }
 
 TEST(BitMatrix, DensityMatchesPopcount)
@@ -129,9 +164,10 @@ TEST(BitMatrix, ContiguousLayoutContract)
 {
     // Every mutator keeps the rows' tails zero and the words in step
     // with test(), across word boundaries; randomize and randomizeRow
-    // draw exactly what BitVector::randomize draws.
-    for (const std::size_t cols :
-         {1UL, 15UL, 16UL, 17UL, 63UL, 64UL, 65UL, 130UL, 300UL}) {
+    // leave exactly the words of one nextBernoulliWords call per row,
+    // tail masked.
+    for (const std::size_t cols : {1UL, 15UL, 16UL, 17UL, 63UL, 64UL,
+                                   65UL, 130UL, 300UL, 513UL, 1000UL}) {
         SCOPED_TRACE(::testing::Message() << "cols=" << cols);
         const std::size_t rows = 6;
         BitMatrix m(rows, cols);
@@ -141,15 +177,26 @@ TEST(BitMatrix, ContiguousLayoutContract)
         Rng rng(cols);
         Rng reference = rng;
         m.randomize(rng, 0.5);
-        for (auto& row : model)
-            row = randomRow(reference, cols, 0.5);
+        for (std::size_t r = 0; r < rows; ++r) {
+            const std::vector<std::uint64_t> want =
+                referenceRow(reference, cols, 0.5);
+            EXPECT_TRUE(std::ranges::equal(m.row(r), want)) << "row " << r;
+            model[r] = bitsOf(want, cols);
+        }
         expectLayout(m, model, "randomize");
 
+        const std::vector<std::uint64_t> want =
+            referenceRow(reference, cols, 0.8);
         m.randomizeRow(2, rng, 0.8);
-        model[2] = randomRow(reference, cols, 0.8);
+        EXPECT_TRUE(std::ranges::equal(m.row(2), want));
+        model[2] = bitsOf(want, cols);
         expectLayout(m, model, "randomizeRow");
 
-        for (const std::size_t c : {std::size_t{0}, cols / 2, cols - 1}) {
+        // Bits 63 and 64 sit on either side of a word boundary.
+        for (const std::size_t c : {std::size_t{0}, std::size_t{63},
+                                    std::size_t{64}, cols / 2, cols - 1}) {
+            if (c >= cols)
+                continue;
             m.set(0, c, true);
             model[0][c] = true;
         }
@@ -158,6 +205,10 @@ TEST(BitMatrix, ContiguousLayoutContract)
         model[0][cols - 1] = false;
         m.set(1, 0, false);
         model[1][0] = false;
+        if (cols > 64) {
+            m.set(0, 63, false);
+            model[0][63] = false;
+        }
         expectLayout(m, model, "set false");
 
         m.copyRow(4, 2);
@@ -173,11 +224,11 @@ TEST(BitMatrix, ContiguousLayoutContract)
         m.orRow(4, m, 4);
         expectLayout(m, model, "orRow");
 
-        BitVector v(cols);
-        v.randomize(rng, 0.3);
-        m.setRow(5, v);
-        model[5] = bitsOf(v);
-        expectLayout(m, model, "setRow");
+        // A full-density fill sets every bit below cols() and none
+        // past it.
+        m.randomizeRow(5, rng, 1.0);
+        model[5].assign(cols, true);
+        expectLayout(m, model, "randomizeRow at density 1");
 
         // Refill a buffer that last held a wider and taller tile of
         // ones: no stale word may survive in it.

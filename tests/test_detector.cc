@@ -93,7 +93,8 @@ TEST(DetectionGolden, OptimizedMatchesNaiveWithEmptyRows)
     tile.randomize(rng, 0.2);
     // A band of all-zero rows plus some exact duplicates.
     for (std::size_t r = 40; r < 60; ++r)
-        tile.setRow(r, BitVector(tile.cols()));
+        for (std::size_t c = 0; c < tile.cols(); ++c)
+            tile.set(r, c, false);
     for (std::size_t r = 100; r < 110; ++r)
         tile.copyRow(r, r - 100);
     expectMatchesNaive(tile);
@@ -108,13 +109,13 @@ TEST(DetectionGolden, OptimizedMatchesNaiveOnClusteredTiles)
     for (const std::size_t cols : {16UL, 96UL}) {
         for (int trial = 0; trial < 5; ++trial) {
             BitMatrix tile(96, cols);
-            BitVector base(cols);
-            base.randomize(rng, 0.6);
+            BitMatrix base(1, cols);
+            base.randomizeRow(0, rng, 0.6);
+            BitMatrix drop(1, cols);
             for (std::size_t r = 0; r < tile.rows(); ++r) {
-                BitVector drop(cols);
-                drop.randomize(rng, 0.4);
+                drop.randomizeRow(0, rng, 0.4);
                 for (std::size_t c = 0; c < cols; ++c)
-                    tile.set(r, c, base.test(c) && !drop.test(c));
+                    tile.set(r, c, base.test(0, c) && !drop.test(0, c));
             }
             SCOPED_TRACE(::testing::Message()
                          << "cols=" << cols << " trial " << trial);

@@ -1,16 +1,31 @@
 /**
  * @file
- * Unit tests for the LIF and FS neuron models.
+ * Unit tests for the LIF neuron array.
  */
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <vector>
 
 #include "snn/neuron.h"
 
 namespace prosperity {
 namespace {
+
+/** A (T x N) current matrix, one inner list per time step. */
+OutputMatrix
+currentsOf(std::initializer_list<std::vector<std::int32_t>> steps)
+{
+    OutputMatrix currents(steps.size(), steps.begin()->size(), 0);
+    std::size_t t = 0;
+    for (const std::vector<std::int32_t>& step : steps) {
+        for (std::size_t i = 0; i < step.size(); ++i)
+            currents.at(t, i) = step[i];
+        ++t;
+    }
+    return currents;
+}
 
 TEST(LifArray, FiresWhenThresholdCrossed)
 {
@@ -19,15 +34,11 @@ TEST(LifArray, FiresWhenThresholdCrossed)
     params.threshold = 10.0;
     LifArray lif(2, params);
 
-    const std::int32_t step1[] = {6, 12};
-    const BitVector s1 = lif.step(step1, 2);
-    EXPECT_FALSE(s1.test(0)); // 6 < 10
-    EXPECT_TRUE(s1.test(1));  // 12 >= 10
-
-    const std::int32_t step2[] = {6, 0};
-    const BitVector s2 = lif.step(step2, 2);
-    EXPECT_TRUE(s2.test(0)); // 6 + 6 = 12 >= 10
-    EXPECT_FALSE(s2.test(1));
+    const BitMatrix spikes = lif.run(currentsOf({{6, 12}, {6, 0}}));
+    EXPECT_FALSE(spikes.test(0, 0)); // 6 < 10
+    EXPECT_TRUE(spikes.test(0, 1));  // 12 >= 10
+    EXPECT_TRUE(spikes.test(1, 0));  // 6 + 6 = 12 >= 10
+    EXPECT_FALSE(spikes.test(1, 1));
 }
 
 TEST(LifArray, SoftResetSubtractsThreshold)
@@ -37,8 +48,7 @@ TEST(LifArray, SoftResetSubtractsThreshold)
     params.threshold = 10.0;
     params.soft_reset = true;
     LifArray lif(1, params);
-    const std::int32_t big[] = {25};
-    EXPECT_TRUE(lif.step(big, 1).test(0));
+    EXPECT_TRUE(lif.run(currentsOf({{25}})).test(0, 0));
     // 25 - 10 = 15 remains.
     EXPECT_DOUBLE_EQ(lif.potential(0), 15.0);
 }
@@ -50,8 +60,7 @@ TEST(LifArray, HardResetZeroesPotential)
     params.threshold = 10.0;
     params.soft_reset = false;
     LifArray lif(1, params);
-    const std::int32_t big[] = {25};
-    EXPECT_TRUE(lif.step(big, 1).test(0));
+    EXPECT_TRUE(lif.run(currentsOf({{25}})).test(0, 0));
     EXPECT_DOUBLE_EQ(lif.potential(0), 0.0);
 }
 
@@ -61,11 +70,10 @@ TEST(LifArray, LeakDecaysPotential)
     params.leak = 0.5;
     params.threshold = 100.0;
     LifArray lif(1, params);
-    const std::int32_t in[] = {40};
-    lif.step(in, 1);
+    // The potential carries over from one run to the next.
+    lif.run(currentsOf({{40}}));
     EXPECT_DOUBLE_EQ(lif.potential(0), 40.0);
-    const std::int32_t zero[] = {0};
-    lif.step(zero, 1);
+    lif.run(currentsOf({{0}}));
     EXPECT_DOUBLE_EQ(lif.potential(0), 20.0);
 }
 
@@ -92,58 +100,9 @@ TEST(LifArray, RunProcessesAllTimeSteps)
 TEST(LifArray, ResetClearsState)
 {
     LifArray lif(1);
-    const std::int32_t in[] = {30};
-    lif.step(in, 1);
+    lif.run(currentsOf({{30}}));
     lif.reset();
     EXPECT_DOUBLE_EQ(lif.potential(0), 0.0);
-}
-
-TEST(FsNeuron, EmitsAtMostMaxSpikes)
-{
-    const FsNeuron fs(8, 2);
-    for (double a : {0.05, 0.3, 0.55, 0.8, 0.99}) {
-        const BitVector train = fs.encode(a);
-        EXPECT_LE(train.setBits().size(), 2u) << "activation " << a;
-    }
-}
-
-TEST(FsNeuron, BinaryWeightedDecode)
-{
-    const FsNeuron fs(4, 4);
-    // 0.75 = 1/2 + 1/4 => spikes at steps 0 and 1.
-    const BitVector train = fs.encode(0.75);
-    EXPECT_TRUE(train.test(0));
-    EXPECT_TRUE(train.test(1));
-    EXPECT_DOUBLE_EQ(fs.decode(train), 0.75);
-}
-
-TEST(FsNeuron, CodingErrorBounded)
-{
-    const FsNeuron fs(8, 2);
-    // With 2 spikes over 8 binary-weighted steps the residual error is
-    // bounded by the smallest unchosen weight sum.
-    for (double a = 0.0; a <= 1.0; a += 0.01) {
-        const double decoded = fs.decode(fs.encode(a));
-        EXPECT_NEAR(decoded, a, 0.27) << "activation " << a;
-    }
-}
-
-TEST(FsNeuron, SparserThanRateCoding)
-{
-    // The mechanism behind Stellar: total spikes stay <= 2 regardless of
-    // activation, while LIF rate coding scales with the activation.
-    const FsNeuron fs(8, 2);
-    std::size_t fs_spikes = 0;
-    for (double a = 0.05; a < 1.0; a += 0.05)
-        fs_spikes += fs.encode(a).setBits().size();
-    // 19 activations * 8 steps = 152 slots; FS uses at most 38.
-    EXPECT_LE(fs_spikes, 38u);
-}
-
-TEST(FsNeuron, ZeroActivationSilent)
-{
-    const FsNeuron fs(6, 2);
-    EXPECT_EQ(fs.encode(0.0).setBits().size(), 0u);
 }
 
 } // namespace

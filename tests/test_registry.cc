@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <utility>
 
 #include "arch/registry.h"
 #include "baselines/a100.h"
@@ -106,18 +108,29 @@ TEST(Registry, ProsperityAblationParams)
                      "prosperity",
                      AcceleratorParams{{"sparsity", "banana"}}),
                  std::invalid_argument);
-    // Zero widths and counts are rejected like tile_m / tile_k = 0,
-    // not silently run as 1.
-    for (const char* key :
-         {"issue_width", "num_ppus", "tile_m", "tile_k"}) {
+    // Zero widths and counts are rejected, not silently run as 1. A
+    // tile narrower than 8 columns has no spike-buffer word, and one
+    // past 65536 rows or columns could overflow a buffer size.
+    const std::pair<const char*, const char*> rejected[] = {
+        {"issue_width", "0"}, {"num_ppus", "0"},
+        {"tile_m", "0"},      {"tile_k", "0"},
+        {"tile_k", "4"},      {"tile_k", "7"},
+        {"tile_k", "65537"},  {"tile_k", "4611686018427387904"},
+        {"tile_m", "65537"},  {"tile_m", "4611686018427387904"}};
+    for (const auto& [key, value] : rejected) {
         try {
-            registry.create("prosperity", AcceleratorParams{{key, "0"}});
-            FAIL() << key << "=0 accepted";
+            registry.create("prosperity", AcceleratorParams{{key, value}});
+            FAIL() << key << "=" << value << " accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
                 << e.what();
         }
     }
+    for (const char* key : {"tile_m", "tile_k"})
+        for (const char* value : {"8", "65536"})
+            EXPECT_NO_THROW(registry.create(
+                "prosperity", AcceleratorParams{{key, value}}))
+                << key << "=" << value;
 }
 
 TEST(Registry, UnknownParameterKeysAreRejected)

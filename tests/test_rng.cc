@@ -102,20 +102,6 @@ TEST(Rng, BernoulliMatchesProbability)
     EXPECT_NEAR(static_cast<double>(hits) / draws, 0.2, 0.015);
 }
 
-TEST(Rng, GaussianMoments)
-{
-    Rng rng(13);
-    double sum = 0.0, sq = 0.0;
-    const int draws = 20000;
-    for (int i = 0; i < draws; ++i) {
-        const double g = rng.nextGaussian();
-        sum += g;
-        sq += g * g;
-    }
-    EXPECT_NEAR(sum / draws, 0.0, 0.03);
-    EXPECT_NEAR(sq / draws, 1.0, 0.05);
-}
-
 TEST(Rng, SplitStreamsAreIndependentAndStable)
 {
     const Rng parent(77);

@@ -370,31 +370,44 @@ TEST_F(ServiceTest, OutOfRangeProfileIs400AndServiceKeepsServing)
 
 TEST_F(ServiceTest, OutOfRangeAcceleratorParamFailsTheRunAndServiceKeepsServing)
 {
-    // weight_density 5 once reached LoAS's range assert on the engine
-    // worker and aborted the daemon: the run must fail with an error
-    // naming the parameter, and the service must keep answering.
+    // LoAS's weight_density 5 once reached its range assert on the
+    // engine worker, and prosperity's tile_k 4 the spike buffer's, and
+    // both aborted the daemon: each run must fail with an error naming
+    // the parameter, and the service must keep answering.
     startService();
     HttpClient http = client();
-    const HttpResponse submitted = http.post(
-        "/v1/runs",
-        R"({"accelerator": {"name": "loas",
-                            "params": {"weight_density": 5}},
-            "workload": {"model": "LeNet5", "dataset": "MNIST"}})");
-    ASSERT_EQ(submitted.status, 202) << submitted.body;
-    const std::string id =
-        json::Value::parse(submitted.body).at("id").asString();
-    json::Value polled;
-    for (int i = 0; i < 600; ++i) {
-        polled = json::Value::parse(http.get("/v1/jobs/" + id).body);
-        if (polled.at("status").asString() != "pending")
-            break;
-        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    struct BadParam
+    {
+        const char* key;
+        const char* accelerator;
+    };
+    const BadParam cases[] = {
+        {"weight_density", R"({"name": "loas",
+                               "params": {"weight_density": 5}})"},
+        {"tile_k", R"({"name": "prosperity",
+                       "params": {"tile_k": "4"}})"}};
+    for (const BadParam& bad : cases) {
+        const HttpResponse submitted = http.post(
+            "/v1/runs",
+            std::string(R"({"accelerator": )") + bad.accelerator +
+                R"(, "workload": {"model": "LeNet5", "dataset": "MNIST"}})");
+        ASSERT_EQ(submitted.status, 202) << submitted.body;
+        const std::string id =
+            json::Value::parse(submitted.body).at("id").asString();
+        json::Value polled;
+        for (int i = 0; i < 600; ++i) {
+            polled = json::Value::parse(http.get("/v1/jobs/" + id).body);
+            if (polled.at("status").asString() != "pending")
+                break;
+            std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        }
+        ASSERT_EQ(polled.at("status").asString(), "failed")
+            << polled.dump();
+        EXPECT_NE(polled.at("error").asString().find(bad.key),
+                  std::string::npos)
+            << polled.dump();
+        EXPECT_EQ(http.get("/v1/stats").status, 200);
     }
-    ASSERT_EQ(polled.at("status").asString(), "failed") << polled.dump();
-    EXPECT_NE(polled.at("error").asString().find("weight_density"),
-              std::string::npos)
-        << polled.dump();
-    EXPECT_EQ(http.get("/v1/stats").status, 200);
 }
 
 TEST_F(ServiceTest, DeeplyNestedBodyIs400AndServiceKeepsServing)

@@ -141,13 +141,14 @@ TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
         // Half i.i.d. rows, half subsets of one base row: the clustered
         // half gives the wide tiles' subset confirmation real work.
         BitMatrix matrix(96, cols);
-        BitVector base(cols);
-        base.randomize(rng, 0.6);
+        BitMatrix base(1, cols);
+        base.randomizeRow(0, rng, 0.6);
         for (std::size_t r = 0; r < matrix.rows(); ++r) {
             matrix.randomizeRow(r, rng, r % 2 == 0 ? 0.15 : 0.4);
             if (r % 2 == 1)
                 for (std::size_t c = 0; c < cols; ++c)
-                    matrix.set(r, c, base.test(c) && !matrix.test(r, c));
+                    matrix.set(r, c,
+                               base.test(0, c) && !matrix.test(r, c));
         }
         // The fast path reads an extractTile copy, the oracle the
         // matrix itself, so the comparison checks the extraction too.

@@ -10,7 +10,7 @@
 #include <span>
 #include <vector>
 
-#include "bitmatrix/bit_vector.h"
+#include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/word_kernels.h"
 #include "sim/rng.h"
 
@@ -23,13 +23,23 @@ signatureOf(std::span<const std::uint64_t> words)
     return signatureWords(words.data(), words.size());
 }
 
+/** A 1 x cols row of Bernoulli(density) bits drawn from `rng`. */
+BitMatrix
+randomRow(Rng& rng, std::size_t cols, double density)
+{
+    BitMatrix row(1, cols);
+    row.randomizeRow(0, rng, density);
+    return row;
+}
+
 /** The words of a & ~b: a subset of `a`. */
 std::vector<std::uint64_t>
-withoutBits(const BitVector& a, const BitVector& b)
+withoutBits(std::span<const std::uint64_t> a,
+            std::span<const std::uint64_t> b)
 {
-    std::vector<std::uint64_t> out(a.words().begin(), a.words().end());
+    std::vector<std::uint64_t> out(a.begin(), a.end());
     for (std::size_t w = 0; w < out.size(); ++w)
-        out[w] &= ~b.words()[w];
+        out[w] &= ~b[w];
     return out;
 }
 
@@ -45,34 +55,54 @@ TEST(WordKernels, SubsetDetectsDroppedAndAddedBits)
 {
     Rng rng(9);
     for (int trial = 0; trial < 50; ++trial) {
-        BitVector super(200);
-        super.randomize(rng, 0.5);
+        const BitMatrix super = randomRow(rng, 200, 0.5);
         // Dropping bits yields a subset; setting a bit outside breaks it.
-        BitVector drop(200);
-        drop.randomize(rng, 0.3);
-        const std::vector<std::uint64_t> sub = withoutBits(super, drop);
-        EXPECT_TRUE(isSubsetOfWords(sub.data(), super.words().data(),
+        const BitMatrix drop = randomRow(rng, 200, 0.3);
+        const std::vector<std::uint64_t> sub =
+            withoutBits(super.row(0), drop.row(0));
+        EXPECT_TRUE(isSubsetOfWords(sub.data(), super.row(0).data(),
                                     sub.size()));
         std::vector<std::uint64_t> outside = sub;
         // Find a position where super is 0 and set it.
-        for (std::size_t pos = 0; pos < super.size(); ++pos) {
-            if (!super.test(pos)) {
+        for (std::size_t pos = 0; pos < super.cols(); ++pos) {
+            if (!super.test(0, pos)) {
                 outside[pos / 64] |= 1ULL << (pos % 64);
                 EXPECT_FALSE(isSubsetOfWords(outside.data(),
-                                             super.words().data(),
+                                             super.row(0).data(),
                                              outside.size()));
                 break;
             }
         }
     }
+
+    // Each row is a subset of the union of two rows, and their
+    // intersection a subset of each, at every width regime.
+    for (const std::size_t width :
+         {1UL, 7UL, 16UL, 63UL, 64UL, 65UL, 127UL, 128UL, 200UL, 576UL}) {
+        Rng pair(42 + width);
+        const BitMatrix a = randomRow(pair, width, 0.4);
+        const BitMatrix b = randomRow(pair, width, 0.4);
+        const std::size_t n = a.rowWords();
+        std::vector<std::uint64_t> both(n), either(n);
+        for (std::size_t w = 0; w < n; ++w) {
+            both[w] = a.row(0)[w] & b.row(0)[w];
+            either[w] = a.row(0)[w] | b.row(0)[w];
+        }
+        EXPECT_TRUE(isSubsetOfWords(a.row(0).data(), either.data(), n))
+            << "width " << width;
+        EXPECT_TRUE(isSubsetOfWords(b.row(0).data(), either.data(), n))
+            << "width " << width;
+        EXPECT_TRUE(isSubsetOfWords(both.data(), a.row(0).data(), n))
+            << "width " << width;
+    }
 }
 
 TEST(WordKernels, SignatureIsExactForOneWord)
 {
-    BitVector v(48);
-    v.set(0);
-    v.set(47);
-    EXPECT_EQ(signatureOf(v.words()), v.words()[0]);
+    BitMatrix v(1, 48);
+    v.set(0, 0);
+    v.set(0, 47);
+    EXPECT_EQ(signatureOf(v.row(0)), v.row(0)[0]);
 }
 
 TEST(WordKernels, SignaturePreservesSubsetOrder)
@@ -82,12 +112,11 @@ TEST(WordKernels, SignaturePreservesSubsetOrder)
     Rng rng(17);
     for (std::size_t width : {40UL, 320UL, 64UL * 70UL}) {
         for (int trial = 0; trial < 20; ++trial) {
-            BitVector b(width);
-            b.randomize(rng, 0.1);
-            BitVector drop(width);
-            drop.randomize(rng, 0.5);
-            const std::vector<std::uint64_t> a = withoutBits(b, drop);
-            EXPECT_EQ(signatureOf(a) & ~signatureOf(b.words()), 0u)
+            const BitMatrix b = randomRow(rng, width, 0.1);
+            const BitMatrix drop = randomRow(rng, width, 0.5);
+            const std::vector<std::uint64_t> a =
+                withoutBits(b.row(0), drop.row(0));
+            EXPECT_EQ(signatureOf(a) & ~signatureOf(b.row(0)), 0u)
                 << "width " << width;
         }
     }
@@ -96,12 +125,11 @@ TEST(WordKernels, SignaturePreservesSubsetOrder)
 TEST(WordKernels, SignatureRejectsDisjointOccupancy)
 {
     // Rows occupying different words must fail the signature filter.
-    BitVector lo(256), hi(256);
-    lo.set(3);
-    hi.set(200);
-    EXPECT_NE(signatureOf(lo.words()) & ~signatureOf(hi.words()), 0u);
-    EXPECT_FALSE(
-        isSubsetOfWords(lo.words().data(), hi.words().data(), 4));
+    BitMatrix lo(1, 256), hi(1, 256);
+    lo.set(0, 3);
+    hi.set(0, 200);
+    EXPECT_NE(signatureOf(lo.row(0)) & ~signatureOf(hi.row(0)), 0u);
+    EXPECT_FALSE(isSubsetOfWords(lo.row(0).data(), hi.row(0).data(), 4));
 }
 
 TEST(WordKernels, LastSignatureMatchReturnsTheLastPassingCandidate)
@@ -160,6 +188,18 @@ TEST(WordKernels, ForEachSetBitWalksAscending)
     forEachSetBit(words, 3, [&](std::size_t pos) { seen.push_back(pos); });
     EXPECT_EQ(seen, (std::vector<std::size_t>{0, 3, 128, 191}));
     forEachSetBit(words, 0, [&](std::size_t) { ADD_FAILURE(); });
+
+    // A 130-bit row: a fresh one walks nothing, and set bits come back
+    // in order across its three words.
+    BitMatrix row(1, 130);
+    forEachSetBit(row.row(0).data(), row.rowWords(),
+                  [&](std::size_t) { ADD_FAILURE(); });
+    for (const std::size_t c : {129UL, 3UL, 64UL})
+        row.set(0, c);
+    seen.clear();
+    forEachSetBit(row.row(0).data(), row.rowWords(),
+                  [&](std::size_t pos) { seen.push_back(pos); });
+    EXPECT_EQ(seen, (std::vector<std::size_t>{3, 64, 129}));
 }
 
 TEST(WordKernels, LastWordMaskCoversTheTail)
@@ -262,18 +302,43 @@ TEST(Binomial, MeanTracksNP)
     EXPECT_NEAR(total / trials, 150.0 * 0.2, 1.0);
 }
 
-TEST(BitVectorRandomize, WordBatchedHitsDensity)
+TEST(RandomizeRow, WordBatchedHitsDensity)
 {
     Rng rng(21);
-    BitVector v(64 * 500 + 17); // non-aligned tail included
-    v.randomize(rng, 0.15);
+    const BitMatrix v = randomRow(rng, 64 * 500 + 17, 0.15); // ragged tail
     const double measured =
-        static_cast<double>(popcountWords(v.words().data(),
-                                          v.words().size())) /
-        static_cast<double>(v.size());
+        static_cast<double>(popcountWords(v.row(0).data(), v.rowWords())) /
+        static_cast<double>(v.cols());
     EXPECT_NEAR(measured, 0.15, 0.01);
     // Tail invariant survives the bulk fill.
-    EXPECT_EQ(v.words().back() >> 17, 0u);
+    EXPECT_EQ(v.row(0).back() >> 17, 0u);
+
+    // Width sweep across word boundaries: the mean density holds, the
+    // tail stays zero even at density 0.9, and the set-bit walk
+    // rebuilds the row bit for bit.
+    for (const std::size_t width :
+         {1UL, 7UL, 16UL, 63UL, 64UL, 65UL, 70UL, 127UL, 128UL, 200UL,
+          576UL}) {
+        Rng sweep(99);
+        double total = 0.0;
+        const int trials = 50;
+        for (int i = 0; i < trials; ++i)
+            total += static_cast<double>(
+                randomRow(sweep, width, 0.3).popcount());
+        EXPECT_NEAR(total / (trials * static_cast<double>(width)), 0.3,
+                    0.06)
+            << "width " << width;
+
+        const BitMatrix dense = randomRow(sweep, width, 0.9);
+        if (width % 64 != 0) {
+            EXPECT_EQ(dense.row(0).back() >> (width % 64), 0u)
+                << "width " << width;
+        }
+        BitMatrix rebuilt(1, width);
+        forEachSetBit(dense.row(0).data(), dense.rowWords(),
+                      [&](std::size_t pos) { rebuilt.set(0, pos); });
+        EXPECT_EQ(rebuilt, dense) << "width " << width;
+    }
 }
 
 } // namespace
