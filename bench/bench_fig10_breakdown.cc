@@ -41,23 +41,30 @@ main()
     const RunResult r = runWorkload(prosperity, w);
 
     const double seconds = r.seconds();
-    auto mw = [&](const std::string& component) {
+    auto mw = [&](EnergyComponent component) {
         return r.energy.componentPj(component) * 1e-12 / seconds * 1e3;
     };
 
     Table power_table(
         "Fig. 10 (b) — power breakdown on Spikformer/CIFAR10 (mW)");
     power_table.setHeader({"component", "mW", "(paper)"});
-    power_table.addRow({"detector", Table::num(mw("detector"), 1),
+    power_table.addRow({"detector",
+                        Table::num(mw(EnergyComponent::kDetector), 1),
                         "268.6"});
-    power_table.addRow({"pruner", Table::num(mw("pruner"), 1), "3.1"});
-    power_table.addRow({"dispatcher", Table::num(mw("dispatcher"), 1),
+    power_table.addRow({"pruner",
+                        Table::num(mw(EnergyComponent::kPruner), 1), "3.1"});
+    power_table.addRow({"dispatcher",
+                        Table::num(mw(EnergyComponent::kDispatcher), 1),
                         "24.1"});
-    power_table.addRow({"processor", Table::num(mw("processor"), 1),
+    power_table.addRow({"processor",
+                        Table::num(mw(EnergyComponent::kProcessor), 1),
                         "55.0"});
-    power_table.addRow({"other", Table::num(mw("other"), 1), "16.3"});
-    power_table.addRow({"buffer", Table::num(mw("buffer"), 1), "80.4"});
-    power_table.addRow({"DRAM", Table::num(mw("dram"), 1), "467.5"});
+    power_table.addRow({"other",
+                        Table::num(mw(EnergyComponent::kOther), 1), "16.3"});
+    power_table.addRow({"buffer",
+                        Table::num(mw(EnergyComponent::kBuffer), 1), "80.4"});
+    power_table.addRow({"DRAM",
+                        Table::num(mw(EnergyComponent::kDram), 1), "467.5"});
     power_table.addRow({"TOTAL",
                         Table::num(r.averagePowerW() * 1e3, 1), "915"});
     power_table.print(std::cout);

@@ -11,6 +11,7 @@
 #include <tuple>
 
 #include "analysis/export.h"
+#include "analysis/result_json.h"
 #include "snn/model_desc.h"
 #include "snn/model_registry.h"
 #include "stats/adaptive_runner.h"
@@ -468,28 +469,6 @@ simulationJobFromJson(const json::Value& value,
     return job;
 }
 
-json::Value
-simulationJobToJson(const SimulationJob& job)
-{
-    json::Value root = json::Value::object();
-    json::Value accelerator = json::Value::object();
-    accelerator.set("name", job.accelerator.name);
-    if (!job.accelerator.params.empty()) {
-        json::Value params = json::Value::object();
-        for (const auto& [key, v] : job.accelerator.params.entries())
-            params.set(key, v);
-        accelerator.set("params", std::move(params));
-    }
-    root.set("accelerator", std::move(accelerator));
-    root.set("workload", workloadToJson(job.workload));
-
-    json::Value options = json::Value::object();
-    options.set("seed", static_cast<double>(job.options.seed));
-    options.set("keep_layer_records", job.options.keep_layer_records);
-    root.set("options", std::move(options));
-    return root;
-}
-
 std::string
 defaultCampaignDir()
 {
@@ -698,21 +677,7 @@ CampaignReport::toJson() const
         entry.set("gops", r.gops());
         entry.set("gopj", r.gopj());
         entry.set("avg_power_w", r.averagePowerW());
-        json::Value breakdown = json::Value::object();
-        for (const auto& [component, pj] : r.energy.breakdown())
-            breakdown.set(component, pj);
-        entry.set("energy_breakdown", std::move(breakdown));
-        if (!r.layers.empty()) {
-            json::Value layers = json::Value::array();
-            for (const LayerRunRecord& layer : r.layers) {
-                json::Value l = json::Value::object();
-                l.set("layer", layer.layer_name);
-                l.set("cycles", layer.cycles);
-                l.set("dense_macs", layer.dense_macs);
-                layers.push(std::move(l));
-            }
-            entry.set("layers", std::move(layers));
-        }
+        setBreakdownAndLayers(entry, r);
         if (c.sampling)
             entry.set("sampling", c.sampling->toJson());
         cells_json.push(std::move(entry));

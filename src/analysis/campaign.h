@@ -171,10 +171,6 @@ inline bool operator!=(const CampaignSpec& a, const CampaignSpec& b)
 SimulationJob simulationJobFromJson(const json::Value& value,
                                     const std::string& context);
 
-/** Inverse of simulationJobFromJson (file-registered models serialize
- *  back to their "file:" reference). */
-json::Value simulationJobToJson(const SimulationJob& job);
-
 /** One simulated cell of a campaign: where it sits in the spec's
  *  axes, the job that produced it, and the result. */
 struct CampaignCell

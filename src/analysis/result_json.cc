@@ -33,24 +33,30 @@ runResultToJson(const RunResult& result)
     tech.set("frequency_hz", result.tech.frequency_hz);
     tech.set("node_nm", result.tech.node_nm);
     root.set("tech", std::move(tech));
+    setBreakdownAndLayers(root, result);
+    return root;
+}
 
+void
+setBreakdownAndLayers(json::Value& entry, const RunResult& result)
+{
     json::Value breakdown = json::Value::object();
-    for (const auto& [component, pj] : result.energy.breakdown())
-        breakdown.set(component, pj);
-    root.set("energy_breakdown", std::move(breakdown));
+    result.energy.forEachCharged([&](EnergyComponent component, double pj) {
+        breakdown.set(std::string(energyComponentName(component)), pj);
+    });
+    entry.set("energy_breakdown", std::move(breakdown));
 
     if (!result.layers.empty()) {
         json::Value layers = json::Value::array();
         for (const LayerRunRecord& layer : result.layers) {
-            json::Value entry = json::Value::object();
-            entry.set("layer", layer.layer_name);
-            entry.set("cycles", layer.cycles);
-            entry.set("dense_macs", layer.dense_macs);
-            layers.push(std::move(entry));
+            json::Value record = json::Value::object();
+            record.set("layer", layer.layer_name);
+            record.set("cycles", layer.cycles);
+            record.set("dense_macs", layer.dense_macs);
+            layers.push(std::move(record));
         }
-        root.set("layers", std::move(layers));
+        entry.set("layers", std::move(layers));
     }
-    return root;
 }
 
 RunResult
@@ -87,14 +93,17 @@ runResultFromJson(const json::Value& value)
         json::schemaError(top,
                           "missing required key \"energy_breakdown\"");
     json::requireObject(*breakdown, top + ".energy_breakdown");
-    for (const auto& [component, pj] : breakdown->asObject()) {
-        const double each = json::requireNumberValue(
-            pj, top + ".energy_breakdown." + component);
+    for (const auto& [name, pj] : breakdown->asObject()) {
+        const std::string context = top + ".energy_breakdown." + name;
+        const std::optional<EnergyComponent> component =
+            energyComponentFromName(name);
+        if (!component)
+            json::schemaError(context, "unknown energy component");
+        const double each = json::requireNumberValue(pj, context);
         if (each < 0.0)
-            json::schemaError(top + ".energy_breakdown." + component,
-                              "energy must be non-negative, got " +
-                                  json::formatDouble(each));
-        result.energy.charge(component, each, 1.0);
+            json::schemaError(context, "energy must be non-negative, got " +
+                                           json::formatDouble(each));
+        result.energy.charge(*component, each, 1.0);
     }
 
     if (const json::Value* layers = value.find("layers")) {

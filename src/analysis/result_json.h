@@ -7,13 +7,10 @@
  * `runResultFromJson(runResultToJson(r))` reproduces every field
  * bitwise: numbers go through json::formatDouble (shortest
  * round-trip-exact representation) and the energy breakdown is
- * re-charged component by component. The one deliberate exception is
- * EnergyModel's *parameter table* (per-event energies): it only
- * matters while a simulation is charging events, never when a finished
- * result is read, so stored results carry the default-constructed
- * table. Everything a report serializes — totals, breakdown, derived
- * throughput/power — survives exactly, which is what makes disk-warm
- * reports byte-identical to freshly computed ones.
+ * re-charged component by component. So everything a report
+ * serializes — totals, breakdown, derived throughput/power — survives
+ * exactly, which is what makes disk-warm reports byte-identical to
+ * freshly computed ones.
  */
 
 #ifndef PROSPERITY_ANALYSIS_RESULT_JSON_H
@@ -26,6 +23,13 @@ namespace prosperity {
 
 /** Serialize a finished result (schema: docs/SERVING.md). */
 json::Value runResultToJson(const RunResult& result);
+
+/**
+ * Set `entry`'s "energy_breakdown" (the charged components in report
+ * order) and, when `result` kept layer records, its "layers": the
+ * members a stored result and a campaign report cell share.
+ */
+void setBreakdownAndLayers(json::Value& entry, const RunResult& result);
 
 /**
  * Rebuild a RunResult from runResultToJson output. Throws

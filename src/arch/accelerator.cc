@@ -36,16 +36,6 @@ LayerRequest::sfu(double ops)
     return request;
 }
 
-LayerResult&
-LayerResult::operator+=(const LayerResult& other)
-{
-    cycles += other.cycles;
-    dense_macs += other.dense_macs;
-    dram_bytes += other.dram_bytes;
-    energy.merge(other.energy);
-    return *this;
-}
-
 LayerResult
 Accelerator::runLayer(const LayerRequest& request)
 {
@@ -85,7 +75,8 @@ Accelerator::runLayer(const LayerRequest& request)
         result.cycles += simulateSfu(request.sfu_ops, energy);
     }
 
-    energy.charge("static", staticPjPerCycle(), result.cycles);
+    energy.charge(EnergyComponent::kStatic, staticPjPerCycle(),
+                  result.cycles);
     // Bytes noted by the hooks (chargeDramTraffic or designs' own
     // traffic models); designs that fold memory into another budget
     // (the A100's board power) report 0 here.
@@ -97,7 +88,8 @@ double
 Accelerator::simulateDenseGemm(const GemmShape& shape, EnergyModel& energy)
 {
     const double macs = shape.denseOps();
-    energy.charge("processor", energy.params().pe_mac8_pj, macs);
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_mac8_pj,
+                  macs);
     chargeDramTraffic(shape, 256, energy);
     return macs / static_cast<double>(std::max<std::size_t>(1, numPes()));
 }
@@ -105,14 +97,15 @@ Accelerator::simulateDenseGemm(const GemmShape& shape, EnergyModel& energy)
 double
 Accelerator::simulateSfu(double ops, EnergyModel& energy)
 {
-    energy.charge("other", energy.params().sfu_op_pj, ops);
+    energy.charge(EnergyComponent::kOther, kEnergyParams.sfu_op_pj, ops);
     return ops / 32.0;
 }
 
 void
 Accelerator::simulateLif(double neuron_updates, EnergyModel& energy)
 {
-    energy.charge("other", energy.params().lif_update_pj, neuron_updates);
+    energy.charge(EnergyComponent::kOther, kEnergyParams.lif_update_pj,
+                  neuron_updates);
 }
 
 double
@@ -139,7 +132,8 @@ Accelerator::chargeDramTraffic(const GemmShape& shape, std::size_t row_tile,
 
     const double bytes = spikes_in * spike_passes + weight_bytes +
                          spikes_out;
-    energy.charge("dram", energy.params().dram_per_byte_pj, bytes);
+    energy.charge(EnergyComponent::kDram, kEnergyParams.dram_per_byte_pj,
+                  bytes);
     noteDramBytes(bytes);
     return bytes;
 }

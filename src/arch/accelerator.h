@@ -79,8 +79,8 @@ struct LayerRequest
 };
 
 /**
- * Value-typed result of simulating one LayerRequest. Accumulate layers
- * with operator+= to form whole-model totals.
+ * Value-typed result of simulating one LayerRequest. The workload
+ * runner folds a model's layers into its RunResult field by field.
  */
 struct LayerResult
 {
@@ -91,9 +91,6 @@ struct LayerResult
 
     /** Total energy in picojoules. */
     double totalPj() const { return energy.totalPj(); }
-
-    /** Accumulate another layer's cycles/MACs/bytes and merge energy. */
-    LayerResult& operator+=(const LayerResult& other);
 };
 
 /** Abstract accelerator cost model. */

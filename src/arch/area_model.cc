@@ -22,16 +22,6 @@ ProsperityConfig::tableEntryBits() const
     return 2 * log2ceil(tile.m) + tile.k + log2ceil(tile.k + 1) + 11;
 }
 
-std::map<std::string, double>
-AreaBreakdown::asMap() const
-{
-    return {
-        {"detector", detector},   {"pruner", pruner},
-        {"dispatcher", dispatcher}, {"processor", processor},
-        {"other", other},         {"buffer", buffer},
-    };
-}
-
 namespace {
 
 // Coefficients anchored at the default config (Fig. 10 (a)); see the
@@ -84,9 +74,10 @@ AreaModel::area() const
 }
 
 double
-AreaModel::peakOnChipPowerW(const EnergyParams& e) const
+AreaModel::peakOnChipPowerW() const
 {
     const auto& c = config_;
+    const EnergyParams& e = kEnergyParams;
     const double m = static_cast<double>(c.tile.m);
     const double k = static_cast<double>(c.tile.k);
     const double n = static_cast<double>(c.tile.n);

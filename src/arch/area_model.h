@@ -15,9 +15,6 @@
 #ifndef PROSPERITY_ARCH_AREA_MODEL_H
 #define PROSPERITY_ARCH_AREA_MODEL_H
 
-#include <map>
-#include <string>
-
 #include "arch/energy_model.h"
 #include "arch/prosperity_config.h"
 
@@ -37,9 +34,6 @@ struct AreaBreakdown
     {
         return detector + pruner + dispatcher + processor + other + buffer;
     }
-
-    /** Named view used by report printers. */
-    std::map<std::string, double> asMap() const;
 };
 
 /** Area/power estimator parametric in the Prosperity configuration. */
@@ -57,7 +51,7 @@ class AreaModel
      * stream one weight row and one output row. Used for the Fig. 7
      * power-vs-tile-size curves.
      */
-    double peakOnChipPowerW(const EnergyParams& energy = {}) const;
+    double peakOnChipPowerW() const;
 
     const ProsperityConfig& config() const { return config_; }
 

@@ -1,32 +1,22 @@
 #include "energy_model.h"
 
-#include "sim/logging.h"
-
 namespace prosperity {
 
-void
-EnergyModel::charge(const std::string& component, double pj_each,
-                    double count)
+std::optional<EnergyComponent>
+energyComponentFromName(std::string_view name)
 {
-    PROSPERITY_ASSERT(pj_each >= 0.0 && count >= 0.0,
-                      "negative energy charge");
-    breakdown_[component] += pj_each * count;
+    for (std::size_t i = 0; i < kEnergyComponentCount; ++i)
+        if (kEnergyComponentNames[i] == name)
+            return static_cast<EnergyComponent>(i);
+    return std::nullopt;
 }
 
 double
 EnergyModel::totalPj() const
 {
     double total = 0.0;
-    for (const auto& [component, pj] : breakdown_)
-        total += pj;
+    forEachCharged([&](EnergyComponent, double pj) { total += pj; });
     return total;
-}
-
-double
-EnergyModel::componentPj(const std::string& component) const
-{
-    auto it = breakdown_.find(component);
-    return it == breakdown_.end() ? 0.0 : it->second;
 }
 
 double
@@ -40,8 +30,10 @@ EnergyModel::averagePowerW(double cycles, const Tech& tech) const
 void
 EnergyModel::merge(const EnergyModel& other)
 {
-    for (const auto& [component, pj] : other.breakdown_)
-        breakdown_[component] += pj;
+    other.forEachCharged([&](EnergyComponent component, double pj) {
+        pj_[static_cast<std::size_t>(component)] += pj;
+    });
+    charged_ |= other.charged_;
 }
 
 } // namespace prosperity

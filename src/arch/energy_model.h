@@ -2,6 +2,15 @@
  * @file
  * Activity-based energy accounting.
  *
+ * A design charges each event's energy to one of nine components. Seven
+ * are Fig. 10 (b)'s Prosperity categories (DRAM, detector, buffer,
+ * processor, dispatcher, other, pruner); the ASIC baselines add
+ * `static` (per-cycle leakage and control) and the A100 `gpu` (board
+ * power). The enum is declared in report order: a report lists the
+ * charged components in enum order, and the golden reports list them
+ * by ascending name, so the two orders must agree (test_energy_model
+ * pins it). A component a result never charged is absent from it.
+ *
  * Component event energies are calibrated so that the default Prosperity
  * configuration reproduces the paper's Fig. 10 power breakdown (915 mW on
  * Spikformer/CIFAR10: DRAM 467.5, detector 268.6, buffer 80.4, processor
@@ -14,10 +23,14 @@
 #ifndef PROSPERITY_ARCH_ENERGY_MODEL_H
 #define PROSPERITY_ARCH_ENERGY_MODEL_H
 
-#include <map>
-#include <string>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <string_view>
 
 #include "arch/tech.h"
+#include "sim/logging.h"
 
 namespace prosperity {
 
@@ -47,43 +60,100 @@ struct EnergyParams
     double other_per_cycle_pj = 32.6;
 };
 
+/** The one table of per-event energies every design charges from. */
+inline constexpr EnergyParams kEnergyParams{};
+
+/** A component of the energy breakdown, in report order. */
+enum class EnergyComponent : std::uint8_t {
+    kBuffer,
+    kDetector,
+    kDispatcher,
+    kDram,
+    kGpu,
+    kOther,
+    kProcessor,
+    kPruner,
+    kStatic,
+};
+
+/** Report names, indexed by EnergyComponent. */
+inline constexpr auto kEnergyComponentNames =
+    std::to_array<std::string_view>({"buffer", "detector", "dispatcher",
+                                     "dram", "gpu", "other", "processor",
+                                     "pruner", "static"});
+
+inline constexpr std::size_t kEnergyComponentCount =
+    kEnergyComponentNames.size();
+static_assert(static_cast<std::size_t>(EnergyComponent::kStatic) + 1 ==
+                  kEnergyComponentCount,
+              "one report name per energy component");
+
+inline std::string_view
+energyComponentName(EnergyComponent component)
+{
+    return kEnergyComponentNames[static_cast<std::size_t>(component)];
+}
+
+/** The component reported as `name`, or nullopt for any other name. */
+std::optional<EnergyComponent> energyComponentFromName(std::string_view name);
+
 /**
- * Accumulates component energies from named events. Components mirror
- * Fig. 10's breakdown categories.
+ * A ledger of component energies. A component is present once it has
+ * been charged, even with zero energy, and absent until then.
  */
 class EnergyModel
 {
   public:
-    explicit EnergyModel(EnergyParams params = {}) : params_(params) {}
-
-    const EnergyParams& params() const { return params_; }
-
     /** Charge `count` events of energy `pj_each` to `component`. */
-    void charge(const std::string& component, double pj_each, double count);
+    void
+    charge(EnergyComponent component, double pj_each, double count)
+    {
+        PROSPERITY_ASSERT(pj_each >= 0.0 && count >= 0.0,
+                          "negative energy charge");
+        const auto i = static_cast<std::size_t>(component);
+        pj_[i] += pj_each * count;
+        charged_ |= static_cast<std::uint16_t>(1u << i);
+    }
+
+    /** Whether `component` has been charged. */
+    bool
+    charged(EnergyComponent component) const
+    {
+        return (charged_ >> static_cast<std::size_t>(component)) & 1u;
+    }
+
+    /** Energy of one component in picojoules (0 if absent). */
+    double
+    componentPj(EnergyComponent component) const
+    {
+        return pj_[static_cast<std::size_t>(component)];
+    }
+
+    /** Call `visit(component, pj)` for each charged component, in
+     *  report order. */
+    template <typename Visit>
+    void
+    forEachCharged(Visit&& visit) const
+    {
+        for (std::size_t i = 0; i < kEnergyComponentCount; ++i) {
+            const auto component = static_cast<EnergyComponent>(i);
+            if (charged(component))
+                visit(component, pj_[i]);
+        }
+    }
 
     /** Total energy in picojoules. */
     double totalPj() const;
 
-    /** Energy of one component in picojoules (0 if absent). */
-    double componentPj(const std::string& component) const;
-
-    /** All component energies. */
-    const std::map<std::string, double>& breakdown() const
-    {
-        return breakdown_;
-    }
-
     /** Average power in watts given elapsed cycles at `tech`'s clock. */
     double averagePowerW(double cycles, const Tech& tech) const;
 
-    void reset() { breakdown_.clear(); }
-
-    /** Merge another model's charges into this one. */
+    /** Add another ledger's charges into this one. */
     void merge(const EnergyModel& other);
 
   private:
-    EnergyParams params_;
-    std::map<std::string, double> breakdown_;
+    std::array<double, kEnergyComponentCount> pj_{};
+    std::uint16_t charged_ = 0; ///< bit i: component i was charged
 };
 
 } // namespace prosperity

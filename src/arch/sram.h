@@ -30,8 +30,6 @@ class SramBuffer
                std::size_t word_bytes);
 
     const std::string& name() const { return name_; }
-    std::size_t capacityBytes() const { return capacity_bytes_; }
-    std::size_t wordBytes() const { return word_bytes_; }
 
     /**
      * Silicon area in mm^2 at 28 nm. CACTI-like fit: a fixed periphery

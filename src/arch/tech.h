@@ -18,9 +18,6 @@ struct Tech
     double frequency_hz = 500e6; ///< 500 MHz (Table IV)
     int node_nm = 28;            ///< 28 nm commercial process
 
-    /** Seconds per cycle. */
-    double cyclePeriod() const { return 1.0 / frequency_hz; }
-
     /** Convert a cycle count to seconds. */
     double secondsFor(double cycles) const { return cycles / frequency_hz; }
 };

@@ -46,7 +46,8 @@ A100Accelerator::kernelCycles(const GemmShape& shape, EnergyModel& energy)
     const double total_s =
         std::max(compute_s, mem_s) + cal::kA100LaunchOverheadS;
 
-    energy.charge("gpu", cal::kA100AveragePowerW * 1e12, total_s);
+    energy.charge(EnergyComponent::kGpu, cal::kA100AveragePowerW * 1e12,
+                  total_s);
     // Report cycles in the common 500 MHz domain for comparability.
     return total_s * tech().frequency_hz;
 }
@@ -73,7 +74,8 @@ A100Accelerator::simulateSfu(double ops, EnergyModel& energy)
     // Elementwise kernels are bandwidth/launch bound on the GPU.
     const double total_s =
         ops / 1e12 + cal::kA100LaunchOverheadS;
-    energy.charge("gpu", cal::kA100AveragePowerW * 1e12, total_s);
+    energy.charge(EnergyComponent::kGpu, cal::kA100AveragePowerW * 1e12,
+                  total_s);
     return total_s * tech().frequency_hz;
 }
 

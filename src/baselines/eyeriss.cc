@@ -26,7 +26,8 @@ EyerissAccelerator::simulateSpikingGemm(const GemmShape& shape,
 {
     (void)spikes; // dense processing ignores the spike pattern
     const double macs = shape.denseOps();
-    energy.charge("processor", energy.params().pe_mac8_pj, macs);
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_mac8_pj,
+                  macs);
     // Dense designs stream full-width activations, not packed bits.
     const double act_bytes =
         static_cast<double>(shape.m) * static_cast<double>(shape.k) /
@@ -36,9 +37,11 @@ EyerissAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double out_bytes =
         static_cast<double>(shape.m) * static_cast<double>(shape.n);
     const double dram_bytes = act_bytes + weight_bytes + out_bytes;
-    energy.charge("dram", energy.params().dram_per_byte_pj, dram_bytes);
+    energy.charge(EnergyComponent::kDram, kEnergyParams.dram_per_byte_pj,
+                  dram_bytes);
     noteDramBytes(dram_bytes);
-    energy.charge("buffer", 0.6, macs); // operand staging per MAC
+    // Operand staging per MAC.
+    energy.charge(EnergyComponent::kBuffer, 0.6, macs);
 
     const double compute_cycles =
         macs / (static_cast<double>(numPes()) *

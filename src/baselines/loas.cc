@@ -108,8 +108,9 @@ LoasAccelerator::simulateSpikingGemm(const GemmShape& shape,
 {
     const BitMatrix& mask = maskFor(shape.k, shape.n);
     const double ops = Loas::dualSideOps(spikes, mask);
-    energy.charge("processor", energy.params().pe_add8_pj, ops);
-    energy.charge("buffer", 0.45, ops); // gated operand fetches
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_add8_pj, ops);
+    // Gated operand fetches.
+    energy.charge(EnergyComponent::kBuffer, 0.45, ops);
 
     // Packed spikes in, compressed sparse weights (index overhead on
     // top of the surviving values), packed spikes out.
@@ -124,7 +125,8 @@ LoasAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double out_bytes =
         static_cast<double>(shape.m) * static_cast<double>(shape.n) / 8.0;
     const double dram_bytes = spikes_in + weight_bytes + out_bytes;
-    energy.charge("dram", energy.params().dram_per_byte_pj, dram_bytes);
+    energy.charge(EnergyComponent::kDram, kEnergyParams.dram_per_byte_pj,
+                  dram_bytes);
     noteDramBytes(dram_bytes);
 
     const double compute_cycles =

@@ -20,8 +20,10 @@ MintAccelerator::simulateSpikingGemm(const GemmShape& shape,
 {
     const double bit_ops = static_cast<double>(spikes.popcount()) *
                            static_cast<double>(shape.n);
-    energy.charge("processor", energy.params().pe_add2_pj, bit_ops);
-    energy.charge("buffer", 0.25, bit_ops); // 2-bit operand fetches
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_add2_pj,
+                  bit_ops);
+    // 2-bit operand fetches.
+    energy.charge(EnergyComponent::kBuffer, 0.25, bit_ops);
 
     // 2-bit weights: a quarter of the 8-bit weight traffic.
     const double spikes_in =
@@ -34,7 +36,8 @@ MintAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double out_bytes =
         static_cast<double>(shape.m) * static_cast<double>(shape.n) / 8.0;
     const double dram_bytes = spikes_in + weight_bytes + out_bytes;
-    energy.charge("dram", energy.params().dram_per_byte_pj, dram_bytes);
+    energy.charge(EnergyComponent::kDram, kEnergyParams.dram_per_byte_pj,
+                  dram_bytes);
     noteDramBytes(dram_bytes);
 
     const double compute_cycles =

@@ -65,8 +65,9 @@ PtbAccelerator::simulateSpikingGemm(const GemmShape& shape,
                                     EnergyModel& energy)
 {
     const double ops = structuredOps(spikes, time_steps_, shape.n);
-    energy.charge("processor", energy.params().pe_add8_pj, ops);
-    energy.charge("buffer", 0.55, ops); // weight fetch per add
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_add8_pj, ops);
+    // Weight fetch per add.
+    energy.charge(EnergyComponent::kBuffer, 0.55, ops);
     const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =

@@ -49,9 +49,6 @@ class PtbAccelerator : public Accelerator
     static double structuredOps(const BitMatrix& spikes,
                                 std::size_t time_steps, std::size_t n);
 
-    void setTimeSteps(std::size_t t) { time_steps_ = t; }
-    std::size_t timeSteps() const { return time_steps_; }
-
   protected:
     double simulateSpikingGemm(const GemmShape& shape,
                                const BitMatrix& spikes,

@@ -58,8 +58,9 @@ SatoAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double padded =
         paddedOps(spikes, calibration::kSatoBatchRows, shape.n);
 
-    energy.charge("processor", energy.params().pe_add8_pj, bit_ops);
-    energy.charge("buffer", 0.55, bit_ops);
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_add8_pj,
+                  bit_ops);
+    energy.charge(EnergyComponent::kBuffer, 0.55, bit_ops);
     const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =

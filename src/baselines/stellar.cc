@@ -35,11 +35,13 @@ StellarAccelerator::simulateSpikingGemm(const GemmShape& shape,
     const double fs_ops = static_cast<double>(spikes.popcount()) /
                           calibration::kStellarFsDensityRatio *
                           static_cast<double>(shape.n);
-    energy.charge("processor", energy.params().pe_add12_pj, fs_ops);
-    energy.charge("buffer", 0.55, fs_ops);
+    energy.charge(EnergyComponent::kProcessor, kEnergyParams.pe_add12_pj,
+                  fs_ops);
+    energy.charge(EnergyComponent::kBuffer, 0.55, fs_ops);
     // Stellar's sparsity preprocessing is a large fixed share of its
     // energy (47% of total per its paper, Sec. VII-G here).
-    energy.charge("other", energy.params().pe_add12_pj, fs_ops * 0.9);
+    energy.charge(EnergyComponent::kOther, kEnergyParams.pe_add12_pj,
+                  fs_ops * 0.9);
     const double dram_bytes = chargeDramTraffic(shape, 128, energy);
 
     const double compute_cycles =

@@ -101,29 +101,33 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
         result.rows_processed += static_cast<double>(stats.rows);
 
         if (energy) {
-            const auto& e = energy->params();
-            energy->charge("detector", e.tcam_search_per_bit_pj,
+            const EnergyParams& e = kEnergyParams;
+            energy->charge(EnergyComponent::kDetector,
+                           e.tcam_search_per_bit_pj,
                            stats.tcam_bit_ops * scale);
-            energy->charge("detector", e.popcount_per_row_pj,
+            energy->charge(EnergyComponent::kDetector,
+                           e.popcount_per_row_pj,
                            stats.popcount_ops * scale);
-            energy->charge("pruner", e.pruner_per_row_pj,
+            energy->charge(EnergyComponent::kPruner, e.pruner_per_row_pj,
                            stats.pruner_ops * scale);
-            energy->charge("dispatcher", e.sorter_per_compare_pj,
+            energy->charge(EnergyComponent::kDispatcher,
+                           e.sorter_per_compare_pj,
                            stats.sorter_compares * scale);
-            energy->charge("dispatcher", e.table_access_per_entry_pj,
+            energy->charge(EnergyComponent::kDispatcher,
+                           e.table_access_per_entry_pj,
                            stats.table_accesses * scale);
-            energy->charge("processor", e.pe_add8_pj,
+            energy->charge(EnergyComponent::kProcessor, e.pe_add8_pj,
                            stats.accum_row_ops * n_total * scale);
 
             const double psum_bytes =
                 static_cast<double>(config_.psum_bits) / 8.0;
-            energy->charge("buffer", wgt_pj_per_byte,
+            energy->charge(EnergyComponent::kBuffer, wgt_pj_per_byte,
                            stats.accum_row_ops * n_total * scale);
-            energy->charge("buffer", out_pj_per_byte,
+            energy->charge(EnergyComponent::kBuffer, out_pj_per_byte,
                            (static_cast<double>(stats.rows) +
                             stats.prefix_loads) *
                                n_total * psum_bytes * scale);
-            energy->charge("buffer", spk_pj_per_byte,
+            energy->charge(EnergyComponent::kBuffer, spk_pj_per_byte,
                            2.0 * static_cast<double>(stats.rows) *
                                static_cast<double>(stats.cols) / 8.0 *
                                scale);
@@ -169,9 +173,10 @@ Ppu::runGemm(const GemmShape& shape, const BitMatrix& spikes,
     result.dram_cycles = config_.dram.cyclesFor(result.dram_bytes,
                                                 config_.tech);
     if (energy) {
-        energy->charge("dram", energy->params().dram_per_byte_pj,
-                       result.dram_bytes);
-        energy->charge("other", energy->params().other_per_cycle_pj,
+        energy->charge(EnergyComponent::kDram,
+                       kEnergyParams.dram_per_byte_pj, result.dram_bytes);
+        energy->charge(EnergyComponent::kOther,
+                       kEnergyParams.other_per_cycle_pj,
                        std::max(pipelined_cycles, result.dram_cycles));
     }
 

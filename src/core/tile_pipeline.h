@@ -173,8 +173,6 @@ class TilePipeline
     {
     }
 
-    SparsityMode sparsityMode() const { return sparsity_; }
-
     /** One tile's schedule/activity under this design. */
     TileStats cost(const TileSummary& tile) const;
 

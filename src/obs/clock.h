@@ -33,15 +33,11 @@ class Stopwatch
   public:
     Stopwatch() : start_ns_(monotonicNanos()) {}
 
-    /** Seconds since construction (or the last restart()). */
+    /** Seconds since construction. */
     double elapsed() const
     {
         return elapsedSeconds(start_ns_, monotonicNanos());
     }
-
-    void restart() { start_ns_ = monotonicNanos(); }
-
-    std::uint64_t startNanos() const { return start_ns_; }
 
   private:
     std::uint64_t start_ns_;

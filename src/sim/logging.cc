@@ -1,57 +1,16 @@
 #include "logging.h"
 
-#include <atomic>
 #include <cstdio>
+#include <cstdlib>
 
 namespace prosperity {
 
-namespace {
-
-std::atomic<bool> g_verbose{true};
-
-const char*
-levelName(LogLevel level)
-{
-    switch (level) {
-      case LogLevel::kInform: return "info";
-      case LogLevel::kWarn: return "warn";
-      case LogLevel::kFatal: return "fatal";
-      case LogLevel::kPanic: return "panic";
-    }
-    return "?";
-}
-
-} // namespace
-
 void
-setVerbose(bool verbose)
+assertionFailed(const char* condition, const char* message)
 {
-    g_verbose.store(verbose, std::memory_order_relaxed);
+    std::fprintf(stderr, "[panic] assertion failed: %s %s\n", condition,
+                 message);
+    std::abort();
 }
-
-bool
-verbose()
-{
-    return g_verbose.load(std::memory_order_relaxed);
-}
-
-namespace detail {
-
-void
-emit(LogLevel level, const std::string& msg)
-{
-    std::fprintf(stderr, "[%s] %s\n", levelName(level), msg.c_str());
-}
-
-void
-terminate(LogLevel level, const std::string& msg, const char*, int)
-{
-    emit(level, msg);
-    if (level == LogLevel::kPanic)
-        std::abort();
-    std::exit(1);
-}
-
-} // namespace detail
 
 } // namespace prosperity

@@ -1,109 +1,26 @@
 /**
  * @file
- * Status and error reporting for the Prosperity simulator.
- *
- * Follows the gem5 convention: fatal() for user errors (bad configuration,
- * invalid arguments) and panic() for internal invariant violations that
- * indicate a simulator bug. warn()/inform() report conditions without
- * stopping the simulation.
+ * Invariant checks for the Prosperity simulator.
  */
 
 #ifndef PROSPERITY_SIM_LOGGING_H
 #define PROSPERITY_SIM_LOGGING_H
 
-#include <cstdlib>
-#include <sstream>
-#include <string>
-
 namespace prosperity {
 
-/** Severity of a log message. */
-enum class LogLevel {
-    kInform,
-    kWarn,
-    kFatal,
-    kPanic,
-};
-
-namespace detail {
-
-/** Emit a formatted log record and, for kFatal/kPanic, terminate. */
-[[noreturn]] void terminate(LogLevel level, const std::string& msg,
-                            const char* file, int line);
-
-/** Emit a non-terminating log record. */
-void emit(LogLevel level, const std::string& msg);
-
-/** Fold a parameter pack into one string via operator<<. */
-template <typename... Args>
-std::string
-concat(Args&&... args)
-{
-    std::ostringstream os;
-    (os << ... << args);
-    return os.str();
-}
-
-} // namespace detail
-
-/** Whether inform() messages are printed (default true). */
-void setVerbose(bool verbose);
-bool verbose();
-
-/**
- * Report a condition that ends the simulation due to a user error
- * (bad configuration, impossible parameters). Exits with status 1.
- */
-template <typename... Args>
-[[noreturn]] void
-fatal(Args&&... args)
-{
-    detail::terminate(LogLevel::kFatal,
-                      detail::concat(std::forward<Args>(args)...),
-                      nullptr, 0);
-}
-
-/**
- * Report an internal invariant violation (a simulator bug). Aborts so a
- * core dump / debugger can capture the state.
- */
-template <typename... Args>
-[[noreturn]] void
-panic(Args&&... args)
-{
-    detail::terminate(LogLevel::kPanic,
-                      detail::concat(std::forward<Args>(args)...),
-                      nullptr, 0);
-}
-
-/** Report a suspicious but survivable condition. */
-template <typename... Args>
-void
-warn(Args&&... args)
-{
-    detail::emit(LogLevel::kWarn,
-                 detail::concat(std::forward<Args>(args)...));
-}
-
-/** Report normal operating status. Suppressed when verbose is off. */
-template <typename... Args>
-void
-inform(Args&&... args)
-{
-    if (verbose())
-        detail::emit(LogLevel::kInform,
-                     detail::concat(std::forward<Args>(args)...));
-}
+/** Print `[panic] assertion failed: <condition> <message>` to stderr
+ *  and abort, so a core dump or debugger captures the state. */
+[[noreturn]] void assertionFailed(const char* condition,
+                                  const char* message);
 
 } // namespace prosperity
 
-/** Assert a simulator invariant; panics with the condition text on failure. */
-#define PROSPERITY_ASSERT(cond, ...)                                        \
+/** Assert a simulator invariant; aborts with the condition text and
+ *  `message` (a string literal) on failure. */
+#define PROSPERITY_ASSERT(cond, message)                                    \
     do {                                                                    \
-        if (!(cond)) {                                                      \
-            ::prosperity::panic("assertion failed: ", #cond, " ",          \
-                                ##__VA_ARGS__);                            \
-        }                                                                   \
+        if (!(cond))                                                        \
+            ::prosperity::assertionFailed(#cond, message);                  \
     } while (0)
 
 #endif // PROSPERITY_SIM_LOGGING_H

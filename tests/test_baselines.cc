@@ -174,7 +174,8 @@ TEST(A100, EnergyFarAboveAsicForSameLayer)
     // workload level.
     const LayerResult ptb_result = ptb.runLayer(request);
     const double ptb_dynamic_pj =
-        ptb_result.totalPj() - ptb_result.energy.componentPj("static");
+        ptb_result.totalPj() -
+        ptb_result.energy.componentPj(EnergyComponent::kStatic);
     EXPECT_GT(gpu.runLayer(request).totalPj(), 10.0 * ptb_dynamic_pj);
 }
 
@@ -249,8 +250,9 @@ TEST(LoasAccelerator, DualSparsityBeatsActivationOnlyCompute)
     const LayerRequest request = LayerRequest::spikingGemm(shape, spikes);
     LoasAccelerator loas;
     MintAccelerator mint;
-    EXPECT_LT(loas.runLayer(request).energy.componentPj("processor"),
-              mint.runLayer(request).energy.componentPj("processor"));
+    constexpr EnergyComponent kProcessor = EnergyComponent::kProcessor;
+    EXPECT_LT(loas.runLayer(request).energy.componentPj(kProcessor),
+              mint.runLayer(request).energy.componentPj(kProcessor));
 }
 
 } // namespace

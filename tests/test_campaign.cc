@@ -45,9 +45,14 @@ expectIdentical(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.cycles, b.cycles);
     EXPECT_EQ(a.dense_macs, b.dense_macs);
     EXPECT_EQ(a.dram_bytes, b.dram_bytes);
-    ASSERT_EQ(a.energy.breakdown().size(), b.energy.breakdown().size());
-    for (const auto& [component, pj] : a.energy.breakdown())
-        EXPECT_EQ(pj, b.energy.componentPj(component)) << component;
+    for (std::size_t i = 0; i < kEnergyComponentCount; ++i) {
+        const auto component = static_cast<EnergyComponent>(i);
+        EXPECT_EQ(a.energy.charged(component), b.energy.charged(component))
+            << energyComponentName(component);
+        EXPECT_EQ(a.energy.componentPj(component),
+                  b.energy.componentPj(component))
+            << energyComponentName(component);
+    }
 }
 
 TEST(CampaignSpec, CrossExpansionIsDeterministicAndGridOrdered)

@@ -113,12 +113,12 @@ TEST(Ppu, EnergyChargesAllPpuComponents)
     const Ppu ppu(ProsperityConfig{}, noSampling());
     const BitMatrix spikes = randomSpikes(512, 32, 0.3, 6);
     ppu.runGemm(GemmShape{512, 32, 128}, spikes, &energy);
-    EXPECT_GT(energy.componentPj("detector"), 0.0);
-    EXPECT_GT(energy.componentPj("pruner"), 0.0);
-    EXPECT_GT(energy.componentPj("dispatcher"), 0.0);
-    EXPECT_GT(energy.componentPj("processor"), 0.0);
-    EXPECT_GT(energy.componentPj("buffer"), 0.0);
-    EXPECT_GT(energy.componentPj("dram"), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kDetector), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kPruner), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kDispatcher), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kProcessor), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kBuffer), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kDram), 0.0);
 }
 
 TEST(Ppu, BitModeChargesNoDetector)
@@ -128,8 +128,8 @@ TEST(Ppu, BitModeChargesNoDetector)
                   noSampling(SparsityMode::kBitSparsity));
     const BitMatrix spikes = randomSpikes(512, 32, 0.3, 6);
     ppu.runGemm(GemmShape{512, 32, 128}, spikes, &energy);
-    EXPECT_DOUBLE_EQ(energy.componentPj("detector"), 0.0);
-    EXPECT_GT(energy.componentPj("processor"), 0.0);
+    EXPECT_DOUBLE_EQ(energy.componentPj(EnergyComponent::kDetector), 0.0);
+    EXPECT_GT(energy.componentPj(EnergyComponent::kProcessor), 0.0);
 }
 
 TEST(Ppu, MemoryBoundLayerPacedByDram)

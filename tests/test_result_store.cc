@@ -2,9 +2,10 @@
  * @file
  * Tests for the persistent ResultStore and its engine integration:
  * exact round trips through the on-disk JSON format, every failure
- * mode the ISSUE names (truncated/corrupt entries skipped not fatal,
- * partial writes never visible, schema-version mismatch recomputes),
- * and a disk-warm engine serving a repeated job without re-simulating.
+ * mode the store handles (truncated/corrupt entries skipped not fatal,
+ * an entry that breaks the result schema counted corrupt, partial
+ * writes never visible, schema-version mismatch recomputes), and a
+ * disk-warm engine serving a repeated job without re-simulating.
  */
 
 #include <gtest/gtest.h>
@@ -180,6 +181,39 @@ TEST_F(ResultStoreTest, StructurallyCompleteGarbageCountsAsCorrupt)
     EXPECT_EQ(health.corrupt, 1u);
     EXPECT_EQ(health.truncated, 0u);
     EXPECT_EQ(health.version_mismatch, 0u);
+}
+
+TEST_F(ResultStoreTest, UnknownEnergyComponentCountsAsCorrupt)
+{
+    SimulationEngine engine;
+    const RunResult computed = engine.run(smokeJob());
+    const std::string key = SimulationEngine::jobKey(smokeJob());
+    ResultStore store(dir_);
+    store.publish(key, computed);
+
+    // Misspell one breakdown component: served, it would add a report
+    // row no design charges.
+    const std::string path = store.pathFor(key);
+    std::ifstream is(path);
+    std::stringstream text;
+    text << is.rdbuf();
+    is.close();
+    std::string edited = text.str();
+    const std::string name = "\"processor\"";
+    const std::size_t at = edited.find(name);
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(edited.find(name, at + 1), std::string::npos);
+    edited.replace(at, name.size(), "\"proccessor\"");
+    {
+        std::ofstream os(path, std::ios::trunc);
+        os << edited;
+    }
+
+    RunResult out;
+    EXPECT_FALSE(store.fetch(key, &out));
+    EXPECT_EQ(store.stats().hits, 0u);
+    EXPECT_EQ(store.stats().corrupt, 1u);
+    EXPECT_EQ(store.stats().truncated, 0u);
 }
 
 TEST_F(ResultStoreTest, SchemaVersionMismatchTriggersRecompute)

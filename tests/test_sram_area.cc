@@ -103,14 +103,6 @@ TEST(AreaModel, PeakPowerGrowsWithM)
     EXPECT_LT(powerFor(128), powerFor(256));
 }
 
-TEST(AreaModel, AsMapCoversAllComponents)
-{
-    const auto map = AreaModel().area().asMap();
-    EXPECT_EQ(map.size(), 6u);
-    EXPECT_TRUE(map.count("detector"));
-    EXPECT_TRUE(map.count("buffer"));
-}
-
 TEST(DramConfig, BandwidthCycles)
 {
     const DramConfig dram;
