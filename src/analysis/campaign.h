@@ -279,7 +279,7 @@ struct CampaignProgress
 /**
  * Executes CampaignSpecs through a shared SimulationEngine. Jobs are
  * submitted as one batch, so they spread across the engine's worker
- * pool in same-workload lineups, reuse its memoization cache, and
+ * pool in one lineup per spike stream, reuse its memoization cache, and
  * complete with a progress callback per job — long campaigns stream
  * status instead of going dark. Results are bitwise identical to a
  * runBatch of the same jobs.

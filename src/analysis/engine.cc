@@ -6,6 +6,7 @@
 #include <sstream>
 #include <thread>
 
+#include "gen/spike_generator.h"
 #include "obs/clock.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -107,9 +108,8 @@ SimulationEngine::~SimulationEngine()
 namespace {
 
 /**
- * Canonical identity of the (workload, options) half of a job. Jobs
- * sharing it can be simulated as one runWorkloadOnAll lineup, so each
- * layer's spike matrix is generated once for all of them.
+ * Canonical identity of the (workload, options) half of a job, the
+ * memoization key's tail.
  */
 std::string
 workloadKey(const SimulationJob& job)
@@ -127,17 +127,46 @@ workloadKey(const SimulationJob& job)
     return os.str();
 }
 
+/** The design half of a job's memoization key. */
+std::string
+designKey(const AcceleratorSpec& spec)
+{
+    // The registry resolves names case-insensitively; normalize so
+    // "PTB" and "ptb" dedupe and memoize as the same design.
+    return AcceleratorRegistry::canonicalName(spec.name) + '{' +
+           spec.params.fingerprint() + '}';
+}
+
+/**
+ * Which lineup a job may join: the spike stream its workload draws
+ * (spikeStreamKey) plus keep_layer_records, since a lineup runs one
+ * RunOptions. Jobs sharing it run as one runWorkloadOnAll lineup that
+ * generates each layer's spikes once, also across workloads (SpikeBERT
+ * on SST-2, MR and SST-5). A workload that cannot be lowered, such as
+ * an unregistered model or dataset, is keyed by its name instead: it
+ * runs in a lineup of its own, whose lowering throws the error into
+ * its own futures only.
+ */
+std::string
+lineupKey(const SimulationJob& job, const std::string& workload_key)
+{
+    ModelSpec model;
+    try {
+        model = job.workload.buildModel();
+    } catch (...) {
+        return "workload|" + workload_key;
+    }
+    return "stream|" + std::to_string(job.options.keep_layer_records) +
+           '|' +
+           spikeStreamKey(model, job.workload.profile, job.options.seed);
+}
+
 } // namespace
 
 std::string
 SimulationEngine::jobKey(const SimulationJob& job)
 {
-    // The registry resolves names case-insensitively; normalize so
-    // "PTB" and "ptb" dedupe and memoize as the same design.
-    return AcceleratorRegistry::canonicalName(job.accelerator.name) +
-           '{' +
-           job.accelerator.params.fingerprint() + '}' + '|' +
-           workloadKey(job);
+    return designKey(job.accelerator) + '|' + workloadKey(job);
 }
 
 RunResult
@@ -242,16 +271,30 @@ SimulationEngine::runLineup(std::vector<AsyncTask>& tasks)
         }
 
         if (!lineup.empty()) {
-            const SimulationJob& lead = tasks[simulated.front()].job;
+            std::vector<const Workload*> workloads;
+            for (const std::size_t i : simulated)
+                workloads.push_back(&tasks[i].job.workload);
             obs::GaugeGuard busy(metrics.in_flight);
             obs::ScopedSpan span("engine", "simulate");
-            if (span.active())
-                span.setDetail(lead.workload.name() + " x" +
+            if (span.active()) {
+                // Each workload of the lineup once, in lineup order.
+                std::vector<std::string> names;
+                std::string detail;
+                for (const Workload* workload : workloads) {
+                    const std::string name = workload->name();
+                    if (std::find(names.begin(), names.end(), name) !=
+                        names.end())
+                        continue;
+                    detail += names.empty() ? name : ", " + name;
+                    names.push_back(name);
+                }
+                span.setDetail(detail + " x" +
                                std::to_string(lineup.size()));
+            }
             const std::uint64_t start_ns = obs::monotonicNanos();
             try {
-                std::vector<RunResult> computed =
-                    runWorkloadOnAll(lineup, lead.workload, lead.options);
+                std::vector<RunResult> computed = runWorkloadOnAll(
+                    lineup, workloads, tasks[simulated.front()].job.options);
                 for (std::size_t k = 0; k < simulated.size(); ++k)
                     results[simulated[k]] = std::move(computed[k]);
                 metrics.simulate_seconds.observe(obs::elapsedSeconds(
@@ -314,17 +357,24 @@ SimulationEngine::submit(const SimulationJob& job)
 std::vector<std::future<RunResult>>
 SimulationEngine::submit(const std::vector<SimulationJob>& jobs)
 {
-    // The lineup key adds the submitter's trace id to the workload
-    // key, so traced requests never share a lineup.
+    // Keys are built before the lock, and each distinct (workload,
+    // options) of the batch is lowered once for its lineup key. The
+    // lineup key adds the submitter's trace id, so traced requests
+    // never share a lineup.
     const obs::TraceContext trace_context = obs::currentTraceContext();
     std::vector<std::string> keys;
     std::vector<std::string> lineup_keys;
     keys.reserve(jobs.size());
     lineup_keys.reserve(jobs.size());
+    std::map<std::string, std::string> lineup_of;
     for (const SimulationJob& job : jobs) {
-        keys.push_back(jobKey(job));
-        lineup_keys.push_back(workloadKey(job) + '#' +
-                              std::to_string(trace_context.trace_id));
+        const std::string workload_key = workloadKey(job);
+        keys.push_back(designKey(job.accelerator) + '|' + workload_key);
+        const auto [lineup, fresh] = lineup_of.try_emplace(workload_key);
+        if (fresh)
+            lineup->second = lineupKey(job, workload_key) + '#' +
+                             std::to_string(trace_context.trace_id);
+        lineup_keys.push_back(lineup->second);
     }
 
     EngineMetrics& metrics = engineMetrics();

@@ -6,8 +6,10 @@
  * A SimulationJob names an accelerator (registry name + params) and a
  * workload; the engine executes jobs on a persistent std::thread pool
  * and memoizes per-(accelerator config, workload, options) results.
- * Queued jobs sharing a (workload, options) pair run as one lineup, so
- * each layer's spike matrix is generated once for all of them. Because
+ * Queued jobs whose workloads draw the same spike stream (the same
+ * generator inputs at every layer, whatever their workload names) run
+ * as one lineup, so each layer's spike matrix is generated and
+ * tile-summarised once for all of them. Because
  * every job builds its own accelerator through the AcceleratorRegistry
  * and the layer API returns results by value, jobs share no mutable
  * state — results are bitwise identical whatever the thread count, and
@@ -158,10 +160,17 @@ struct EngineStats
  *
  * @par Lineups
  * A worker that dequeues a task also claims every queued task with
- * the same lineup key — the key's (workload, options) half plus the
- * submitter's trace id, so traced requests never share a lineup — and
- * runs the ones both cache levels miss as one runWorkloadOnAll
- * lineup. Factory errors, cache hits and results stay per task.
+ * the same lineup key and runs the ones both cache levels miss as one
+ * runWorkloadOnAll lineup. The lineup key is the spike stream the
+ * job's workload draws (spikeStreamKey: profile, seed, and each layer
+ * position's generator inputs), keep_layer_records, and the
+ * submitter's trace id, so traced requests never share a lineup.
+ * Workloads that lower to the same spiking layers, such as SpikeBERT
+ * on SST-2, MR and SST-5, therefore share one lineup while each design
+ * runs its own workload's layers. submit() lowers each distinct
+ * workload of a batch once to build the key; a workload that cannot
+ * be lowered gets a lineup of its own, keyed by its name. Factory and
+ * lowering errors, cache hits and results stay per task.
  *
  * @par Thread-count independence
  * Every job constructs its own Accelerator through the registry and
@@ -199,8 +208,8 @@ class SimulationEngine
      * queued or running piggybacks on that computation (simulated
      * once, not counted as a hit); freshly computed results are cached
      * for later calls. Errors — unknown accelerator names, bad
-     * parameters — surface from future::get(), not from submit()
-     * itself.
+     * parameters, unregistered models or datasets — surface from
+     * future::get(), not from submit() itself.
      */
     std::future<RunResult> submit(const SimulationJob& job);
 
@@ -261,7 +270,8 @@ class SimulationEngine
     {
         SimulationJob job;
         std::string key;
-        /** Tasks with equal lineup keys may run as one lineup. */
+        /** Tasks with equal lineup keys may run as one lineup (see
+         *  the class comment). */
         std::string lineup_key;
         std::promise<RunResult> promise;
         /** obs::monotonicNanos() at enqueue; feeds the queue-wait

@@ -65,35 +65,60 @@ layerRequestFor(const LayerSpec& layer, const BitMatrix* spikes)
 
 std::vector<RunResult>
 runWorkloadOnAll(const std::vector<Accelerator*>& accels,
-                 const Workload& workload, const RunOptions& options)
+                 const std::vector<const Workload*>& workloads,
+                 const RunOptions& options)
 {
-    const ModelSpec model = workload.buildModel();
-    const SpikeGenerator gen(workload.profile, options.seed);
+    PROSPERITY_ASSERT(!accels.empty() && workloads.size() == accels.size(),
+                      "a lineup runs one workload per design");
+    // Lower each distinct workload once; design a runs
+    // models[model_of[a]], and models[0] (the first design's) leads.
+    std::vector<const Workload*> lowered;
+    std::vector<ModelSpec> models;
+    std::vector<std::size_t> model_of(accels.size());
+    for (std::size_t a = 0; a < accels.size(); ++a) {
+        std::size_t m = 0;
+        while (m < lowered.size() && !(*lowered[m] == *workloads[a]))
+            ++m;
+        if (m == lowered.size()) {
+            lowered.push_back(workloads[a]);
+            models.push_back(workloads[a]->buildModel());
+            PROSPERITY_ASSERT(
+                workloads[a]->profile == lowered.front()->profile &&
+                    models.back().layers.size() ==
+                        models.front().layers.size(),
+                "a lineup's workloads must draw one spike stream");
+        }
+        model_of[a] = m;
+    }
+    const std::vector<LayerSpec>& lead = models.front().layers;
+    const SpikeGenerator gen(lowered.front()->profile, options.seed);
 
     std::vector<RunResult> results(accels.size());
-    const ModelHints hints = hintsFor(model);
     for (std::size_t a = 0; a < accels.size(); ++a) {
         results[a].accelerator = accels[a]->name();
-        results[a].workload = workload.name();
+        results[a].workload = workloads[a]->name();
         results[a].tech = accels[a]->tech();
-        accels[a]->beginModel(hints);
+        accels[a]->beginModel(hintsFor(models[model_of[a]]));
     }
 
-    std::size_t layer_index = 0;
-    for (const auto& layer : model.layers) {
-        ++layer_index;
+    for (std::size_t i = 0; i < lead.size(); ++i) {
+        const LayerSpec& layer = lead[i];
+        for (std::size_t m = 1; m < models.size(); ++m)
+            PROSPERITY_ASSERT(sameLayerSpikes(models[m].layers[i], layer),
+                              "a lineup's workloads must draw one spike "
+                              "stream");
         BitMatrix spikes;
         const bool is_spiking = layer.isSpikingGemm();
         if (is_spiking) {
             obs::ScopedSpan span("spikegen", layer.name);
-            spikes = gen.generateLayer(layer, layer_index);
+            spikes = gen.generateLayer(layer, i + 1);
         }
 
         // The designs that tile these spikes alike share one front-end
-        // pass over them.
+        // pass over them; each folds it with its own layer's n.
         TileSummaryCache summaries(spikes, layer.name);
         for (std::size_t a = 0; a < accels.size(); ++a)
-            accumulateLayer(*accels[a], layer,
+            accumulateLayer(*accels[a], models[model_of[a]].layers[i],
                             is_spiking ? &spikes : nullptr,
                             is_spiking ? &summaries : nullptr, options,
                             results[a]);
@@ -105,7 +130,8 @@ RunResult
 runWorkload(Accelerator& accel, const Workload& workload,
             const RunOptions& options)
 {
-    return std::move(runWorkloadOnAll({&accel}, workload, options).front());
+    return std::move(
+        runWorkloadOnAll({&accel}, {&workload}, options).front());
 }
 
 double

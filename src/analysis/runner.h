@@ -1,9 +1,10 @@
 /**
  * @file
- * Workload runner: drives a lineup of Accelerators through every layer
- * of a (model, dataset) workload with calibrated synthetic activations,
- * and aggregates latency / energy / throughput per design — the
- * machinery behind Table IV, Fig. 8 and Fig. 9.
+ * Workload runner: drives a lineup of Accelerators, each on its own
+ * (model, dataset) workload, through every layer of workloads that
+ * draw one stream of calibrated synthetic activations, and aggregates
+ * latency / energy / throughput per design — the machinery behind
+ * Table IV, Fig. 8 and Fig. 9.
  */
 
 #ifndef PROSPERITY_ANALYSIS_RUNNER_H
@@ -95,13 +96,19 @@ LayerRequest layerRequestFor(const LayerSpec& layer,
                              const BitMatrix* spikes);
 
 /**
- * Run one workload on several accelerators, generating each layer's
- * spike matrix once and feeding it to all of them. Accelerators share
- * nothing but the read-only matrices, so results[i] is what the
- * lineup {accels[i]} alone would produce.
+ * Run a lineup: accels[i] runs workloads[i]. The workloads must draw
+ * one spike stream (equal spikeStreamKey under options.seed; asserted
+ * layer by layer), e.g. one model on datasets that differ only in the
+ * classifier's n. The walk lowers each distinct workload once, then
+ * generates and tile-summarises each spiking layer once, from the
+ * first workload's layer, and every design folds it with its own
+ * layer. Accelerators share nothing but the read-only matrices and
+ * summaries, so results[i] is what runWorkload(*accels[i],
+ * *workloads[i]) alone would produce.
  */
 std::vector<RunResult> runWorkloadOnAll(
-    const std::vector<Accelerator*>& accels, const Workload& workload,
+    const std::vector<Accelerator*>& accels,
+    const std::vector<const Workload*>& workloads,
     const RunOptions& options = {});
 
 /** Run one workload end to end on `accel`: the one-design lineup. */

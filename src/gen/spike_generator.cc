@@ -1,6 +1,7 @@
 #include "spike_generator.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <span>
 #include <vector>
@@ -152,6 +153,75 @@ SpikeGenerator::generateLayer(const LayerSpec& layer,
                       layer_index);
     return generate(layer.gemm.m, layer.gemm.k, layer.time_steps,
                     layer_index);
+}
+
+bool
+sameLayerSpikes(const LayerSpec& a, const LayerSpec& b)
+{
+    if (a.isSpikingGemm() != b.isSpikingGemm())
+        return false;
+    return !a.isSpikingGemm() ||
+           (a.gemm.m == b.gemm.m && a.gemm.k == b.gemm.k &&
+            a.time_steps == b.time_steps &&
+            a.profile_override == b.profile_override);
+}
+
+namespace {
+
+/** Append `v` in its shortest round-trip form: exact, so canonical. */
+template <typename T>
+void
+appendNumber(std::string& out, T v)
+{
+    char buf[32];
+    out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+void
+appendProfile(std::string& out, const ActivationProfile& p)
+{
+    for (const double v : {p.bit_density, p.cluster_fraction,
+                           p.subset_drop_prob, p.temporal_repeat,
+                           p.union_prob, p.noise_insert_prob}) {
+        appendNumber(out, v);
+        out += ',';
+    }
+    appendNumber(out, p.bank_size);
+}
+
+} // namespace
+
+std::string
+spikeStreamKey(const ModelSpec& model, const ActivationProfile& profile,
+               std::uint64_t seed)
+{
+    // The seed first: it tells most unequal keys apart at once. Then
+    // one entry per layer position, since the position seeds the
+    // layer's stream: '-' for a layer the generator skips, else what
+    // generateLayer reads.
+    std::string key;
+    appendNumber(key, seed);
+    key += '|';
+    appendProfile(key, profile);
+    key += '|';
+    for (const LayerSpec& layer : model.layers) {
+        if (!layer.isSpikingGemm()) {
+            key += "-;";
+            continue;
+        }
+        appendNumber(key, layer.gemm.m);
+        key += ',';
+        appendNumber(key, layer.gemm.k);
+        key += ',';
+        appendNumber(key, layer.time_steps);
+        if (layer.profile_override) {
+            key += '{';
+            appendProfile(key, *layer.profile_override);
+            key += '}';
+        }
+        key += ';';
+    }
+    return key;
 }
 
 WeightMatrix

@@ -37,6 +37,7 @@
 #define PROSPERITY_GEN_SPIKE_GENERATOR_H
 
 #include <cstdint>
+#include <string>
 
 #include "bitmatrix/bit_matrix.h"
 #include "bitmatrix/dense_matrix.h"
@@ -80,6 +81,25 @@ class SpikeGenerator
     ActivationProfile profile_;
     std::uint64_t seed_;
 };
+
+/**
+ * Whether generateLayer draws the same matrix for `a` and `b` at one
+ * layer position: both or neither are spiking GeMMs, and spiking ones
+ * agree on m, k, time_steps and profile_override. Field by field, so
+ * it checks spikeStreamKey rather than trusting it.
+ */
+bool sameLayerSpikes(const LayerSpec& a, const LayerSpec& b);
+
+/**
+ * Canonical identity of the spike stream `model` draws under `profile`
+ * and `seed`: every input of generateLayer at every layer position.
+ * Two workloads with equal keys draw identical spike matrices, so one
+ * lineup can generate and tile-summarise them once. An exact string,
+ * not a digest.
+ */
+std::string spikeStreamKey(const ModelSpec& model,
+                           const ActivationProfile& profile,
+                           std::uint64_t seed);
 
 /** Uniform random int8 weight matrix in [-127, 127]. */
 WeightMatrix randomWeights(std::size_t k, std::size_t n,

@@ -36,9 +36,10 @@ class TableIv : public ::testing::Test
         static ProsperityAccelerator prosperity;
         const std::vector<Accelerator*> accels = {
             &eyeriss, &sato, &ptb, &mint, &stellar, &prosperity};
+        const Workload workload = makeWorkload("VGG16", "CIFAR100");
         results_ = new std::vector<RunResult>(runWorkloadOnAll(
             accels,
-            makeWorkload("VGG16", "CIFAR100")));
+            std::vector<const Workload*>(accels.size(), &workload)));
     }
 
     static void

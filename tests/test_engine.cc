@@ -4,7 +4,9 @@
  * bitwise-identical to single-threaded ones over the full
  * model x accelerator grid, a design run in a shared-spike lineup
  * matches the same design run alone (also when Prosperity variants
- * share tile summaries), result order matches job order,
+ * share tile summaries, and when workloads that draw one spike
+ * stream share a lineup), jobs on different spike streams never
+ * share one, result order matches job order,
  * memoization works, and ModelHints reach time-batching designs
  * exactly as on the legacy runner path.
  */
@@ -13,12 +15,17 @@
 
 #include <future>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "analysis/campaign.h"
 #include "analysis/engine.h"
 #include "baselines/ptb.h"
 #include "gen/spike_generator.h"
+#include "obs/trace.h"
+#include "snn/model_desc.h"
 
 namespace prosperity {
 namespace {
@@ -238,12 +245,173 @@ TEST(Engine, ProsperityVariantLineupMatchesLoneRunsBitwise)
                 owned.push_back(create(variants[v]));
                 lineup.push_back(owned.back().get());
             }
-            const std::vector<RunResult> shared =
-                runWorkloadOnAll(lineup, workload);
+            const std::vector<RunResult> shared = runWorkloadOnAll(
+                lineup,
+                std::vector<const Workload*>(lineup.size(), &workload));
             for (std::size_t i = 0; i < order.size(); ++i)
                 expectIdentical(shared[i], alone[order[i]]);
         }
     }
+}
+
+/** Spans of one trace that show how often a lineup's work ran. */
+struct SpanCounts
+{
+    std::size_t spikegen = 0;
+    std::size_t frontend = 0;
+    std::size_t simulate = 0;
+};
+
+SpanCounts
+countSpans(std::uint64_t trace_id)
+{
+    SpanCounts counts;
+    for (const obs::TraceSpan& span :
+         obs::TraceRecorder::global().collect(trace_id)) {
+        const std::string category = span.category;
+        counts.spikegen += category == "spikegen";
+        counts.frontend += category == "frontend";
+        counts.simulate += category == "engine" && span.name == "simulate";
+    }
+    return counts;
+}
+
+/** `job`'s design run alone on a fresh accelerator. */
+RunResult
+loneRun(const SimulationJob& job)
+{
+    const std::unique_ptr<Accelerator> alone =
+        AcceleratorRegistry::instance().create(job.accelerator.name,
+                                               job.accelerator.params);
+    return runWorkload(*alone, job.workload, job.options);
+}
+
+TEST(Engine, StreamSharingLineupMatchesLoneRuns)
+{
+    // SpikeBERT lowers to the same layers on SST-2, MR and SST-5, and
+    // SpikingBERT on QQP and MNLI; only the classifier's n differs. So
+    // each model's jobs draw one spike stream and run as one lineup
+    // that generates and summarises each spiking layer once (85
+    // SpikeBERT and 29 SpikingBERT GeMMs), while every cell keeps its
+    // own workload and equals its design run alone.
+    CampaignSpec spec;
+    spec.name = "stream-sharing";
+    AcceleratorSpec prosperity("prosperity");
+    prosperity.params.set("max_sampled_tiles", std::size_t{24});
+    spec.accelerators = {{"eyeriss", AcceleratorSpec("eyeriss")},
+                         {"ptb", AcceleratorSpec("ptb")},
+                         {"prosperity", prosperity}};
+    spec.workloads = {makeWorkload("SpikeBERT", "SST-2"),
+                      makeWorkload("SpikeBERT", "MR"),
+                      makeWorkload("SpikeBERT", "SST-5"),
+                      makeWorkload("SpikingBERT", "QQP"),
+                      makeWorkload("SpikingBERT", "MNLI")};
+    std::vector<RunResult> alone;
+    for (const SimulationJob& job : spec.expand().jobs)
+        alone.push_back(loneRun(job));
+
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    recorder.setEnabled(true);
+    for (const std::size_t threads : {1u, 4u}) {
+        SCOPED_TRACE(std::to_string(threads) + " threads");
+        const std::uint64_t trace_id = recorder.mintTraceId();
+        CampaignReport report;
+        {
+            obs::ScopedTraceContext scope(obs::TraceContext{trace_id, 0});
+            EngineOptions options;
+            options.threads = threads;
+            SimulationEngine engine(options);
+            report = CampaignRunner(engine).run(spec);
+        }
+        ASSERT_EQ(report.cells.size(), alone.size());
+        for (std::size_t i = 0; i < alone.size(); ++i) {
+            const CampaignCell& cell = report.cells[i];
+            EXPECT_EQ(cell.result.workload, cell.job.workload.name());
+            expectIdentical(cell.result, alone[i]);
+        }
+        const SpanCounts counts = countSpans(trace_id);
+        EXPECT_EQ(counts.spikegen, 114u);
+        EXPECT_EQ(counts.frontend, 114u);
+        EXPECT_EQ(counts.simulate, 2u);
+    }
+    recorder.setEnabled(false);
+    recorder.clear();
+}
+
+TEST(Engine, JobsOnDifferentSpikeStreamsRunInSeparateLineups)
+{
+    // Each pair differs in one generator input, so its two jobs draw
+    // different spikes and must not share a lineup.
+    const Workload lenet = makeWorkload("LeNet5", "MNIST");
+    Workload denser = lenet;
+    denser.profile.bit_density = 0.3;
+
+    // Two registered models that differ only in one layer's
+    // profile_override.
+    const auto registerDesc = [](const std::string& name,
+                                 std::optional<ActivationProfile> last) {
+        ModelDesc desc;
+        desc.name = name;
+        LinearDesc hidden;
+        hidden.name = "fc1";
+        hidden.in_features = 256;
+        hidden.out_features = 128;
+        LinearDesc classifier;
+        classifier.name = "fc2";
+        classifier.in_features = 128;
+        classifier.out_features = SymbolicSize(std::string("num_classes"));
+        desc.layers.push_back(LayerDesc{hidden, std::nullopt});
+        desc.layers.push_back(LayerDesc{classifier, last});
+        EXPECT_TRUE(ModelRegistry::instance().addDesc(desc));
+        return makeWorkload(name, "MNIST");
+    };
+    ActivationProfile pinned;
+    pinned.bit_density = 0.35;
+    const Workload plain = registerDesc("LineupPlainDesc", std::nullopt);
+    const Workload overridden = registerDesc("LineupOverrideDesc", pinned);
+    ASSERT_TRUE(overridden.buildModel().layers.back().isSpikingGemm());
+
+    RunOptions seed8;
+    seed8.seed = 8;
+    const AcceleratorSpec ptb("ptb");
+    AcceleratorSpec prosperity("prosperity");
+    prosperity.params.set("max_sampled_tiles", std::size_t{24});
+    struct Pair
+    {
+        std::string what;
+        SimulationJob a;
+        SimulationJob b;
+    };
+    const std::vector<Pair> pairs = {
+        {"m 256 against 512",
+         {prosperity, makeWorkload("SpikingBERT", "SST-2"), {}},
+         {prosperity, makeWorkload("SpikingBERT", "QQP"), {}}},
+        {"seeds 7 and 8", {ptb, lenet, {}}, {ptb, lenet, seed8}},
+        {"bit_density", {ptb, lenet, {}}, {ptb, denser, {}}},
+        {"profile_override", {ptb, plain, {}}, {ptb, overridden, {}}},
+    };
+
+    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+    recorder.setEnabled(true);
+    for (const Pair& pair : pairs) {
+        SCOPED_TRACE(pair.what);
+        const std::uint64_t trace_id = recorder.mintTraceId();
+        std::vector<RunResult> results;
+        {
+            obs::ScopedTraceContext scope(obs::TraceContext{trace_id, 0});
+            EngineOptions options;
+            options.threads = 1;
+            SimulationEngine engine(options);
+            for (std::future<RunResult>& future :
+                 engine.submit(std::vector<SimulationJob>{pair.a, pair.b}))
+                results.push_back(future.get());
+        }
+        EXPECT_EQ(countSpans(trace_id).simulate, 2u);
+        expectIdentical(results[0], loneRun(pair.a));
+        expectIdentical(results[1], loneRun(pair.b));
+    }
+    recorder.setEnabled(false);
+    recorder.clear();
 }
 
 TEST(Engine, SubmitSharesTheMemoizationCacheWithRunBatch)
@@ -324,6 +492,32 @@ TEST(Engine, SubmitErrorsSurfaceFromTheFuture)
             SimulationJob{AcceleratorSpec{"eyeriss"}, w, {}}});
     EXPECT_THROW(batch[0].get(), std::invalid_argument);
     expectIdentical(batch[1].get(), ok);
+
+    // A workload that cannot be lowered (an unregistered model or
+    // dataset) fails its own job only: submit() returns every future,
+    // and the valid batch mate still runs.
+    const auto expectError = [](std::future<RunResult>& future,
+                                const std::string& what) {
+        try {
+            future.get();
+            ADD_FAILURE() << "expected \"" << what << "\"";
+        } catch (const std::invalid_argument& e) {
+            EXPECT_NE(std::string(e.what()).find(what), std::string::npos)
+                << e.what();
+        }
+    };
+    SimulationEngine lowering;
+    std::vector<std::future<RunResult>> unlowerable =
+        lowering.submit(std::vector<SimulationJob>{
+            SimulationJob{AcceleratorSpec{"eyeriss"},
+                          Workload{"nosuch", "mnist", {}}, {}},
+            SimulationJob{AcceleratorSpec{"eyeriss"},
+                          Workload{"lenet5", "nosuchdata", {}}, {}},
+            SimulationJob{AcceleratorSpec{"eyeriss"}, w, {}}});
+    ASSERT_EQ(unlowerable.size(), 3u);
+    expectError(unlowerable[0], "unknown model");
+    expectError(unlowerable[1], "unknown dataset");
+    expectIdentical(unlowerable[2].get(), ok);
 }
 
 TEST(Engine, ModelHintsReachTimeBatchingDesigns)
