@@ -5,8 +5,9 @@
  * `BENCH_hotpath.json` trajectory (schema: docs/BENCHMARKS.md).
  *
  * Stages timed:
- *  - frontend: the all-pairs selectPrefixesNaive reference vs the
- *    popcount-sorted, signature-prefiltered selectPrefixes on the same
+ *  - frontend: the all-pairs selectPrefixesNaive reference vs
+ *    selectPrefixes (repeats from a hash table of row values, one
+ *    signature-prefiltered search per distinct value) on the same
  *    256x16 tiles, over a sweep across densities (checksums must
  *    agree — verified here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched

@@ -124,23 +124,25 @@ TileSample
 sampleTiles(std::size_t rows, std::size_t cols, const TileConfig& tile,
             std::size_t max_tiles)
 {
+    // Tile f in row-major order (col0 fastest) has origin
+    // (f / per_row * m, f % per_row * k), so each kept origin comes
+    // from its flat index without listing the tiles in between.
+    const std::size_t per_row = (cols + tile.k - 1) / tile.k;
+    const std::size_t all = (rows + tile.m - 1) / tile.m * per_row;
     TileSample sample;
-    for (std::size_t r = 0; r < rows; r += tile.m)
-        for (std::size_t c = 0; c < cols; c += tile.k)
-            sample.origins.emplace_back(r, c);
-    if (max_tiles == 0 || sample.origins.size() <= max_tiles)
-        return sample;
-
-    std::vector<std::pair<std::size_t, std::size_t>> sampled;
-    sampled.reserve(max_tiles);
-    const double stride = static_cast<double>(sample.origins.size()) /
-                          static_cast<double>(max_tiles);
-    for (std::size_t i = 0; i < max_tiles; ++i)
-        sampled.push_back(
-            sample.origins[static_cast<std::size_t>(i * stride)]);
-    sample.scale = static_cast<double>(sample.origins.size()) /
-                   static_cast<double>(sampled.size());
-    sample.origins = std::move(sampled);
+    std::size_t kept = all;
+    double stride = 1.0;
+    if (max_tiles != 0 && all > max_tiles) {
+        kept = max_tiles;
+        stride = static_cast<double>(all) / static_cast<double>(max_tiles);
+        sample.scale = stride;
+    }
+    sample.origins.reserve(kept);
+    for (std::size_t i = 0; i < kept; ++i) {
+        const auto f = static_cast<std::size_t>(i * stride);
+        sample.origins.emplace_back(f / per_row * tile.m,
+                                    f % per_row * tile.k);
+    }
     return sample;
 }
 

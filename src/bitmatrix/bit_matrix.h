@@ -206,7 +206,9 @@ struct TileSample
  * extractTile. When there are more than `max_tiles` tiles (and
  * max_tiles > 0), keeps the max_tiles origins at multiples of the
  * stride all/max_tiles, and sets `scale` to all/max_tiles so summed
- * per-tile counts extrapolate to the whole matrix.
+ * per-tile counts extrapolate to the whole matrix. Each kept origin is
+ * computed from its flat index, so memory grows with the kept tiles,
+ * not with all of them.
  */
 TileSample sampleTiles(std::size_t rows, std::size_t cols,
                        const TileConfig& tile, std::size_t max_tiles);

@@ -1,12 +1,29 @@
 #include "prefix_select.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 
 #include "bitmatrix/simd_dispatch.h"
 #include "bitmatrix/word_kernels.h"
 
 namespace prosperity {
+
+namespace {
+
+constexpr std::uint64_t kGoldenRatio = 0x9E3779B97F4A7C15ULL;
+
+/** Multiplicative hash of `n` words: a wide row's copy-table key. */
+std::uint64_t
+hashWords(const std::uint64_t* words, std::size_t n)
+{
+    std::uint64_t key = 0;
+    for (std::size_t w = 0; w < n; ++w)
+        key = (key ^ words[w]) * kGoldenRatio;
+    return key;
+}
+
+} // namespace
 
 PrefixSelection
 selectPrefixes(const BitMatrix& tile)
@@ -18,68 +35,117 @@ selectPrefixes(const BitMatrix& tile)
     if (m == 0)
         return sel;
 
-    // Per-row popcounts (through the dispatched SIMD table) and
-    // one-word occupancy signatures.
+    // Copies, in one pass in index order. An equal-popcount candidate
+    // is a subset only if it is identical, and the argmax takes the
+    // most ones with ties to the largest index, so a row with an
+    // earlier copy selects that value's most recent earlier copy (and
+    // shares its popcount). An open-addressing table (linear probing,
+    // a power of two of at least 2m slots, so at most half full) holds
+    // each value's latest row + 1. For one-word rows (every k <= 64
+    // tile, including the paper's 256x16 ones) the signature is the
+    // row, so it is the key and equal keys are equal rows; wider rows
+    // key by a hash and compare their words. A zero signature is an
+    // empty row, which neither selects nor serves as a prefix (the
+    // TCAM's valid bit masks it out). Only a value's first copy counts
+    // its ones, through the dispatched SIMD table, and is left to
+    // search; `last` marks each value's last copy.
     const SimdOps& ops = simdOps();
     const std::size_t nwords = tile.rowWords();
+    const bool one_word = nwords == 1;
     std::vector<std::uint64_t> sig(m);
+    std::vector<std::uint64_t> wide_keys(one_word ? 0 : m);
+    const std::uint64_t* keys = one_word ? sig.data() : wide_keys.data();
+    const std::size_t slots = std::bit_ceil(2 * m);
+    const int shift = 64 - std::countr_zero(slots);
+    std::vector<std::uint32_t> table(slots, 0);
+    std::vector<std::uint8_t> last(m, 0);
+    std::vector<std::uint32_t> firsts;
+    firsts.reserve(m);
     std::size_t max_pc = 0;
     for (std::size_t i = 0; i < m; ++i) {
         const std::uint64_t* row = tile.row(i).data();
-        sel.popcounts[i] = ops.popcountWords(row, nwords);
         sig[i] = signatureWords(row, nwords);
-        max_pc = std::max(max_pc, sel.popcounts[i]);
+        if (sig[i] == 0)
+            continue;
+        if (!one_word)
+            wide_keys[i] = hashWords(row, nwords);
+        const std::uint64_t key = keys[i];
+        std::size_t s =
+            static_cast<std::size_t>((key * kGoldenRatio) >> shift);
+        for (;; s = (s + 1) & (slots - 1)) {
+            if (table[s] == 0) {
+                sel.popcounts[i] = ops.popcountWords(row, nwords);
+                max_pc = std::max(max_pc, sel.popcounts[i]);
+                firsts.push_back(static_cast<std::uint32_t>(i));
+                break;
+            }
+            const std::size_t j = table[s] - 1;
+            if (keys[j] == key &&
+                (one_word || std::ranges::equal(tile.row(j), tile.row(i)))) {
+                sel.popcounts[i] = sel.popcounts[j];
+                sel.prefix[i] = static_cast<std::int32_t>(j);
+                last[j] = 0;
+                break;
+            }
+        }
+        table[s] = static_cast<std::uint32_t>(i + 1);
+        last[i] = 1;
     }
-    if (max_pc == 0)
+    if (firsts.empty())
         return sel; // all rows empty: no queries, no candidates
 
-    // Counting-sort the non-empty rows by (popcount, index); rank[i] is
-    // row i's slot in `order`. The rows sorted before row i are exactly
-    // its legal prefix candidates: rows with fewer ones, and rows with
-    // as many ones and a smaller index. Rows sorted after it have more
-    // ones (never a subset) or are the larger-index exact-match peers
-    // that pruning rule 1 forbids. next[p] starts at popcount p's first
-    // slot.
+    // Counting-sort the non-empty rows by (popcount, index): the issue
+    // order, in which every prefix precedes its rows. next[p] starts at
+    // popcount p's first slot, and distinct_start[p] at its first
+    // distinct value's.
     std::vector<std::size_t> next(max_pc + 2, 0);
+    std::vector<std::size_t> distinct_start(max_pc + 2, 0);
     for (std::size_t i = 0; i < m; ++i)
-        if (sel.popcounts[i] > 0)
-            ++next[sel.popcounts[i] + 1];
-    for (std::size_t p = 1; p <= max_pc + 1; ++p)
+        ++next[sel.popcounts[i] + 1];
+    for (const std::uint32_t i : firsts)
+        ++distinct_start[sel.popcounts[i] + 1];
+    next[1] = 0; // empty rows are not issued
+    for (std::size_t p = 1; p <= max_pc + 1; ++p) {
         next[p] += next[p - 1];
+        distinct_start[p] += distinct_start[p - 1];
+    }
     std::vector<std::uint32_t>& order = sel.order;
     order.resize(next[max_pc + 1]);
-    std::vector<std::size_t> rank(m, 0);
-    for (std::size_t i = 0; i < m; ++i) {
-        if (sel.popcounts[i] == 0)
-            continue;
-        rank[i] = next[sel.popcounts[i]]++;
-        order[rank[i]] = static_cast<std::uint32_t>(i);
+    for (std::size_t i = 0; i < m; ++i)
+        if (sel.popcounts[i] > 0)
+            order[next[sel.popcounts[i]]++] = static_cast<std::uint32_t>(i);
+
+    // The distinct values: `order` filtered to each value's last copy,
+    // so they ascend in (popcount, last index), with their signatures
+    // gathered into one contiguous array. Every row is written and
+    // only last copies advance the cursor, so the filter has no
+    // branch.
+    std::vector<std::uint64_t> distinct_sig(order.size());
+    std::vector<std::uint32_t> distinct_row(order.size());
+    std::size_t d = 0;
+    for (const std::uint32_t r : order) {
+        distinct_sig[d] = sig[r];
+        distinct_row[d] = r;
+        d += last[r];
     }
 
-    // Signatures gathered in sorted order, so each query searches one
-    // contiguous array instead of chasing order[] indirections.
-    std::vector<std::uint64_t> sig_sorted(order.size());
-    for (std::size_t t = 0; t < order.size(); ++t)
-        sig_sorted[t] = sig[order[t]];
-
-    // Candidates ascend in (popcount, index), so the last true subset
-    // is the argmax with ties to the largest index: search backward
-    // from the row's own slot and stop at the first hit. For
-    // single-word rows (every k <= 64 tile, including the paper's
-    // 256x16 ones) the signature IS the row, so the first signature
-    // hit is the prefix; wider rows confirm it word by word and resume
-    // the search below a false hit.
-    const bool signature_is_exact = nwords == 1;
-    for (std::size_t i = 0; i < m; ++i) {
-        if (sel.popcounts[i] == 0)
-            continue;
-        for (std::size_t end = rank[i];;) {
+    // First copies. No equal-popcount row is a subset of a first copy
+    // (it would be an earlier copy), and among the rows of fewer ones
+    // a value's last copy beats its other copies, so a first copy's
+    // candidates are the distinct values of lower popcount. They
+    // ascend in (popcount, index), so the last true subset is the
+    // argmax with ties to the largest index: search backward from the
+    // row's popcount bucket and stop at the first hit. One-word rows
+    // take the first signature hit; wider rows confirm it word by word
+    // and resume the search below a false hit.
+    for (const std::uint32_t i : firsts) {
+        for (std::size_t end = distinct_start[sel.popcounts[i]];;) {
             const std::size_t t =
-                lastSignatureMatch(sig_sorted.data(), end, sig[i]);
+                lastSignatureMatch(distinct_sig.data(), end, sig[i]);
             if (t == end)
                 break;
-            const std::uint32_t j = order[t];
-            if (signature_is_exact ||
+            const std::uint32_t j = distinct_row[t];
+            if (one_word ||
                 isSubsetOfWords(tile.row(j).data(), tile.row(i).data(),
                                 nwords)) {
                 sel.prefix[i] = static_cast<std::int32_t>(j);

@@ -19,6 +19,10 @@
  * in (popcount, index) order — the bitonic sorter's output (Sec. V-D) —
  * always computes a prefix before its suffixes.
  *
+ * A row that repeats an earlier one reuses that copy's result whole
+ * (an exact match), so selectPrefixes() searches candidates only for
+ * the first copy of each distinct row value.
+ *
  * selectPrefixes() is the one routine that models both stages: the
  * timing path (summarizeTile), the density analyses and the functional
  * ProductGemm all read its result. A tile is a BitMatrix (extractTile
@@ -50,16 +54,21 @@ struct PrefixSelection
 };
 
 /**
- * Select every row's prefix. Rows are counting-sorted by popcount; each
- * query row searches the candidates ordered before it backward from
- * its own slot (lastSignatureMatch) for the last one whose one-word
- * occupancy signature passes the subset prefilter. The first hit that
- * is a true subset — the signature is the row itself when k <= 64, so
- * only wider tiles run the word comparison and resume below a false
- * hit — is the argmax of the pruning rules, so the search stops there.
- * Empty rows neither select nor serve as a prefix (the TCAM's valid
- * bit masks them out). The result equals selectPrefixesNaive() on
- * every tile.
+ * Select every row's prefix, searching once per distinct row value.
+ * A row equal to an earlier row takes the most recent such copy, found
+ * through a hash table of row values: an equal-popcount subset must be
+ * identical, so that copy is the argmax of the pruning rules. The
+ * first copy of each value searches only the distinct values of lower
+ * popcount, each represented by its last copy (the largest index, so
+ * it beats the value's other copies), in (popcount, last index) order:
+ * backward from its popcount bucket (lastSignatureMatch) for the last
+ * one whose one-word occupancy signature passes the subset prefilter.
+ * The first hit that is a true subset is the argmax, so the search
+ * stops there. The signature and the table key are the row itself
+ * when k <= 64; wider rows compare their words to confirm a copy and
+ * a subset, and resume the search below a false hit. Empty rows
+ * neither select nor serve as a prefix (the TCAM's valid bit masks
+ * them out). The result equals selectPrefixesNaive() on every tile.
  */
 PrefixSelection selectPrefixes(const BitMatrix& tile);
 

@@ -35,23 +35,23 @@ summarizeTile(const BitMatrix& tile)
     // A row's leaf-to-root walk is one hop longer than its prefix's.
     // Rows go in issue order, so a prefix's count is known before its
     // rows need it, and the walk total costs O(m), not O(m x chain
-    // depth). Empty rows are roots: one hop each.
+    // depth). Empty rows are roots: one hop each. Whether a row has a
+    // prefix is unpredictable, so the fold is branch-free: a root
+    // stands in as its own prefix, and `has` zeroes that term.
     std::vector<std::size_t> hops(summary.rows, 1);
     summary.walk = summary.rows - sel.order.size();
     for (const std::uint32_t r : sel.order) {
+        const std::int32_t prefix = sel.prefix[r];
+        const auto has =
+            static_cast<std::size_t>(prefix != PrefixSelection::kNoPrefix);
+        const std::size_t p = has ? static_cast<std::size_t>(prefix) : r;
         const std::size_t pops = sel.popcounts[r];
-        std::size_t pattern_pops = pops;
+        const std::size_t pattern_pops = pops - has * sel.popcounts[p];
         summary.ones += pops;
-        if (sel.prefix[r] != PrefixSelection::kNoPrefix) {
-            const auto p = static_cast<std::size_t>(sel.prefix[r]);
-            pattern_pops -= sel.popcounts[p];
-            if (pattern_pops == 0)
-                ++summary.exact;
-            else
-                ++summary.partial;
-            hops[r] = hops[p] + 1;
-        }
         summary.pattern_ones += pattern_pops;
+        summary.exact += has & static_cast<std::size_t>(pattern_pops == 0);
+        summary.partial += has & static_cast<std::size_t>(pattern_pops != 0);
+        hops[r] = has * hops[p] + 1;
         summary.walk += hops[r];
     }
     return summary;

@@ -410,6 +410,61 @@ TEST(BitMatrix, SampleTilesStridesAndScales)
     EXPECT_TRUE(sampleTiles(0, 16, tile, 4).origins.empty());
 }
 
+TEST(BitMatrix, SampleTilesMatchesListThenStride)
+{
+    // sampleTiles computes each kept origin from its flat index; the
+    // reference lists every origin first and then strides over the
+    // list, as the sampling was first written.
+    using Origins = std::vector<std::pair<std::size_t, std::size_t>>;
+    const auto reference = [](std::size_t rows, std::size_t cols,
+                              const TileConfig& tile,
+                              std::size_t max_tiles) {
+        TileSample sample;
+        for (std::size_t r = 0; r < rows; r += tile.m)
+            for (std::size_t c = 0; c < cols; c += tile.k)
+                sample.origins.emplace_back(r, c);
+        if (max_tiles == 0 || sample.origins.size() <= max_tiles)
+            return sample;
+        Origins kept;
+        const double stride = static_cast<double>(sample.origins.size()) /
+                              static_cast<double>(max_tiles);
+        for (std::size_t i = 0; i < max_tiles; ++i)
+            kept.push_back(
+                sample.origins[static_cast<std::size_t>(i * stride)]);
+        sample.scale = static_cast<double>(sample.origins.size()) /
+                       static_cast<double>(kept.size());
+        sample.origins = std::move(kept);
+        return sample;
+    };
+    // (rows, cols, tile m, tile k): edge-cropped on either side or
+    // both, exact multiples, a single cropped tile, 1-row tiles, and
+    // empty matrices.
+    const std::size_t shapes[][4] = {
+        {70, 45, 32, 16}, {20, 16, 4, 8},   {257, 130, 256, 16},
+        {5, 7, 8, 8},     {300, 576, 1, 8}, {1000, 33, 7, 16},
+        {0, 16, 4, 8},    {16, 0, 4, 8}};
+    for (const auto& shape : shapes) {
+        TileConfig tile;
+        tile.m = shape[2];
+        tile.k = shape[3];
+        // Uncapped, a single tile, strides that are not integers, and
+        // caps at or above the tile count.
+        for (const std::size_t max_tiles :
+             {0UL, 1UL, 3UL, 7UL, 96UL, 9000UL, 1000000UL}) {
+            SCOPED_TRACE(::testing::Message()
+                         << shape[0] << "x" << shape[1] << " tiles "
+                         << tile.m << "x" << tile.k
+                         << " max_tiles=" << max_tiles);
+            const TileSample want =
+                reference(shape[0], shape[1], tile, max_tiles);
+            const TileSample got =
+                sampleTiles(shape[0], shape[1], tile, max_tiles);
+            EXPECT_EQ(got.origins, want.origins);
+            EXPECT_EQ(got.scale, want.scale);
+        }
+    }
+}
+
 TEST(GemmShape, DenseOps)
 {
     const GemmShape shape{6, 4, 3};

@@ -2,15 +2,17 @@
  * @file
  * Tests for the detector stage of prefix selection (Sec. V-B) as
  * selectPrefixes() implements it: the number-of-ones count of every
- * row, the valid-bit masking of empty rows, and the fast counting-sort
- * and signature-scan search against the all-pairs selectPrefixesNaive()
- * oracle.
+ * row, the valid-bit masking of empty rows, and the copy table and the
+ * signature search over the distinct rows against the all-pairs
+ * selectPrefixesNaive() oracle.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
+#include "copy_path_tiles.h"
 #include "core/prefix_select.h"
 #include "sim/rng.h"
 
@@ -134,6 +136,56 @@ TEST(DetectionGolden, DegenerateTiles)
     const PrefixSelection sel = selectPrefixes(one_row);
     EXPECT_EQ(sel.popcounts[0], 1u);
     EXPECT_EQ(sel.prefix[0], kNone);
+}
+
+// ---- copies: repeats take their previous copy -------------------------
+
+TEST(DetectionCopies, SignatureTwinsAreNotCopies)
+{
+    // Rows with k > 64, equal popcounts and equal signatures but other
+    // words must not be merged as copies; true copies must.
+    const BitMatrix tile = copy_path_tiles::signatureTwins();
+    expectMatchesNaive(tile);
+    const PrefixSelection sel = selectPrefixes(tile);
+    const std::int32_t expected[] = {kNone, kNone, 0, kNone, 1, 6, 2, kNone};
+    ASSERT_EQ(sel.rows(), 8u);
+    for (std::size_t i = 0; i < sel.rows(); ++i)
+        EXPECT_EQ(sel.prefix[i], expected[i]) << "row " << i;
+}
+
+TEST(DetectionCopies, TallTileRepeatsFarApart)
+{
+    const BitMatrix tile = copy_path_tiles::tallRepeats();
+    expectMatchesNaive(tile);
+    // Every non-empty row past the first 500 has a copy above it, so
+    // its prefix is an earlier identical row.
+    const PrefixSelection sel = selectPrefixes(tile);
+    for (std::size_t i = 500; i < sel.rows(); ++i) {
+        if (sel.popcounts[i] == 0)
+            continue;
+        ASSERT_NE(sel.prefix[i], kNone) << "row " << i;
+        const auto p = static_cast<std::size_t>(sel.prefix[i]);
+        EXPECT_LT(p, i);
+        EXPECT_EQ(tile.row(p)[0], tile.row(i)[0]) << "row " << i;
+    }
+}
+
+TEST(DetectionCopies, RepeatsBetweenEmptyRows)
+{
+    const BitMatrix tile = copy_path_tiles::repeatsBetweenEmptyRows();
+    expectMatchesNaive(tile);
+    const PrefixSelection sel = selectPrefixes(tile);
+    for (std::size_t i = 1; i < sel.rows(); i += 3)
+        EXPECT_EQ(sel.prefix[i], kNone) << "empty row " << i;
+}
+
+TEST(DetectionCopies, EveryTileOfUpToFourRows)
+{
+    copy_path_tiles::forEachSmallTile(
+        [](const BitMatrix& tile, const std::string& label) {
+            SCOPED_TRACE(label);
+            expectMatchesNaive(tile);
+        });
 }
 
 } // namespace

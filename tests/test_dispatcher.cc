@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <utility>
 
+#include "copy_path_tiles.h"
 #include "core/prefix_select.h"
 #include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
@@ -39,6 +41,51 @@ naiveChainWalk(const PrefixSelection& sel)
         walk += hops;
     }
     return walk;
+}
+
+/**
+ * The naive fold: the sums of summarizeTile, taken row by row in index
+ * order over the oracle's prefixes, with every chain walked in full.
+ * For tiles with at least one column.
+ */
+TileSummary
+naiveSummary(const BitMatrix& tile)
+{
+    const PrefixSelection sel = selectPrefixesNaive(tile);
+    TileSummary summary;
+    summary.rows = tile.rows();
+    summary.cols = tile.cols();
+    summary.walk = naiveChainWalk(sel);
+    for (std::size_t i = 0; i < sel.rows(); ++i) {
+        std::size_t pattern = sel.popcounts[i];
+        summary.ones += pattern;
+        if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
+            pattern -=
+                sel.popcounts[static_cast<std::size_t>(sel.prefix[i])];
+            ++(pattern == 0 ? summary.exact : summary.partial);
+        }
+        summary.pattern_ones += pattern;
+    }
+    return summary;
+}
+
+/**
+ * summarizeTile(tile) equals the naive fold, field by field; returns
+ * the naive fold.
+ */
+TileSummary
+expectSummaryMatchesNaive(const BitMatrix& tile)
+{
+    const TileSummary want = naiveSummary(tile);
+    const TileSummary got = summarizeTile(tile);
+    EXPECT_EQ(got.rows, want.rows);
+    EXPECT_EQ(got.cols, want.cols);
+    EXPECT_EQ(got.ones, want.ones);
+    EXPECT_EQ(got.pattern_ones, want.pattern_ones);
+    EXPECT_EQ(got.exact, want.exact);
+    EXPECT_EQ(got.partial, want.partial);
+    EXPECT_EQ(got.walk, want.walk);
+    return want;
 }
 
 TEST(Dispatch, SorterCompareCountMatchesBitonicNetwork)
@@ -99,33 +146,15 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
                 SCOPED_TRACE(::testing::Message()
                              << rows << "x" << cols << " d=" << density
                              << (tile == &chained ? " clustered" : ""));
-                const PrefixSelection sel = selectPrefixesNaive(*tile);
-                const std::size_t walk = naiveChainWalk(sel);
-                std::size_t ones = 0, pattern_ones = 0;
-                std::size_t exact = 0, partial = 0;
-                for (std::size_t i = 0; i < sel.rows(); ++i) {
-                    std::size_t pattern = sel.popcounts[i];
-                    ones += pattern;
-                    if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
-                        pattern -= sel.popcounts[static_cast<std::size_t>(
-                            sel.prefix[i])];
-                        ++(pattern == 0 ? exact : partial);
-                    }
-                    pattern_ones += pattern;
-                }
-                const TileSummary summary = summarizeTile(*tile);
-                EXPECT_EQ(summary.rows, rows);
-                EXPECT_EQ(summary.cols, cols);
-                EXPECT_EQ(summary.ones, ones);
-                EXPECT_EQ(summary.pattern_ones, pattern_ones);
-                EXPECT_EQ(summary.exact, exact);
-                EXPECT_EQ(summary.partial, partial);
-                EXPECT_EQ(summary.walk, walk);
+                EXPECT_EQ(tile->rows(), rows);
+                EXPECT_EQ(tile->cols(), cols);
+                const std::size_t walk =
+                    expectSummaryMatchesNaive(*tile).walk;
 
                 const TileStats stats =
                     TilePipeline(SparsityMode::kProductSparsity,
                                  DispatchMode::kTreeTraversal)
-                        .cost(summary);
+                        .cost(summarizeTile(*tile));
                 EXPECT_DOUBLE_EQ(stats.table_accesses,
                                  2.0 * static_cast<double>(rows) +
                                      static_cast<double>(walk));
@@ -134,6 +163,30 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
             }
         }
     }
+}
+
+TEST(Dispatch, CopyPathTilesSumLikeTheNaiveFold)
+{
+    // The summary of tiles whose prefixes come from the copy table:
+    // far-apart repeats, repeats between empty rows, wide signature
+    // twins, and every tile of up to four rows.
+    {
+        SCOPED_TRACE("signature twins");
+        expectSummaryMatchesNaive(copy_path_tiles::signatureTwins());
+    }
+    {
+        SCOPED_TRACE("tall repeats");
+        expectSummaryMatchesNaive(copy_path_tiles::tallRepeats());
+    }
+    {
+        SCOPED_TRACE("repeats between empty rows");
+        expectSummaryMatchesNaive(copy_path_tiles::repeatsBetweenEmptyRows());
+    }
+    copy_path_tiles::forEachSmallTile(
+        [](const BitMatrix& tile, const std::string& label) {
+            SCOPED_TRACE(label);
+            expectSummaryMatchesNaive(tile);
+        });
 }
 
 TEST(Dispatch, AllOnesTileWalksOneFullChain)
