@@ -1,5 +1,6 @@
 #include "campaign.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -60,29 +61,62 @@ specError(const std::string& campaign, const std::string& message)
     throw std::invalid_argument(who + ": " + message);
 }
 
+/**
+ * The checks expand() makes before it builds any job, in its order:
+ * empty axes, duplicate labels, an unknown baseline and, for zip,
+ * axis lengths other than n or 1. fromJson runs them too, so a bad
+ * spec fails at load time without building a job or a key.
+ */
+void
+checkAxes(const CampaignSpec& spec)
+{
+    if (spec.accelerators.empty())
+        specError(spec.name,
+                  "the accelerator axis is empty — list at least "
+                  "one design point under \"accelerators\"");
+    if (spec.workloads.empty())
+        specError(spec.name,
+                  "the workload axis is empty — list at least one "
+                  "(model, dataset) pair under \"workloads\"");
+
+    std::set<std::string> labels;
+    for (const CampaignAccelerator& accel : spec.accelerators)
+        if (!labels.insert(accel.label).second)
+            specError(spec.name, "duplicate accelerator label \"" +
+                                     accel.label +
+                                     "\" — give each design point a "
+                                     "unique \"label\"");
+    if (!labels.count(spec.baselineLabel()))
+        specError(spec.name, "baseline \"" + spec.baselineLabel() +
+                                 "\" does not match any accelerator label");
+
+    if (spec.expansion != CampaignSpec::Expansion::kZip)
+        return;
+    const std::size_t options =
+        spec.options.empty() ? 1 : spec.options.size();
+    std::size_t n = 1;
+    for (const std::size_t len :
+         {spec.accelerators.size(), spec.workloads.size(), options}) {
+        if (len == 1)
+            continue;
+        if (n != 1 && len != n)
+            specError(spec.name,
+                      "zip expansion needs every axis to have the same "
+                      "length (or length 1): accelerators=" +
+                          std::to_string(spec.accelerators.size()) +
+                          ", workloads=" +
+                          std::to_string(spec.workloads.size()) +
+                          ", options=" + std::to_string(options));
+        n = len;
+    }
+}
+
 } // namespace
 
 CampaignSpec::CampaignExpansion
 CampaignSpec::expand() const
 {
-    if (accelerators.empty())
-        specError(name, "the accelerator axis is empty — list at least "
-                        "one design point under \"accelerators\"");
-    if (workloads.empty())
-        specError(name, "the workload axis is empty — list at least one "
-                        "(model, dataset) pair under \"workloads\"");
-
-    std::set<std::string> labels;
-    for (const CampaignAccelerator& accel : accelerators)
-        if (!labels.insert(accel.label).second)
-            specError(name, "duplicate accelerator label \"" +
-                                accel.label +
-                                "\" — give each design point a unique "
-                                "\"label\"");
-    if (!labels.count(baselineLabel()))
-        specError(name, "baseline \"" + baselineLabel() +
-                            "\" does not match any accelerator label");
-
+    checkAxes(*this);
     const std::vector<RunOptions> opts = effectiveOptions();
 
     CampaignExpansion out;
@@ -106,24 +140,11 @@ CampaignSpec::expand() const
         return out;
     }
 
-    // Zip: all axes of length n or 1 advance together.
-    std::size_t n = 1;
-    for (const std::size_t len :
-         {accelerators.size(), workloads.size(), opts.size()}) {
-        if (len == 1)
-            continue;
-        if (n != 1 && len != n)
-            specError(name,
-                      "zip expansion needs every axis to have the same "
-                      "length (or length 1): accelerators=" +
-                          std::to_string(accelerators.size()) +
-                          ", workloads=" +
-                          std::to_string(workloads.size()) + ", options=" +
-                          std::to_string(opts.size()));
-        n = len;
-    }
-    const auto pick = [n](std::size_t len, std::size_t i) {
-        (void)n;
+    // Zip: checkAxes made every axis length n or 1; length-1 axes
+    // broadcast.
+    const std::size_t n =
+        std::max({accelerators.size(), workloads.size(), opts.size()});
+    const auto pick = [](std::size_t len, std::size_t i) {
         return len == 1 ? std::size_t{0} : i;
     };
     for (std::size_t i = 0; i < n; ++i)
@@ -356,8 +377,9 @@ CampaignSpec::fromJson(const json::Value& value)
 
     spec.baseline = json::optionalString(value, "baseline", "", top);
     // Validate axes, labels and baseline now so load-time errors point
-    // at the spec instead of surfacing at run time.
-    (void)spec.expand();
+    // at the spec instead of surfacing at run time. No job is built:
+    // the daemon answers a resubmitted spec without expanding it.
+    checkAxes(spec);
     return spec;
 }
 

@@ -130,10 +130,11 @@ struct CampaignSpec
     };
 
     /**
-     * Expand the axes into jobs + cells. Validates the spec and
-     * throws std::invalid_argument with an actionable message on
-     * empty axes, zip length mismatches, duplicate accelerator
-     * labels, or an unknown baseline label.
+     * Expand the axes into jobs + cells. First runs the checks
+     * fromJson runs, and throws std::invalid_argument with an
+     * actionable message on empty axes, duplicate accelerator labels,
+     * an unknown baseline label or zip length mismatches (in that
+     * order).
      */
     CampaignExpansion expand() const;
 
@@ -143,7 +144,9 @@ struct CampaignSpec
     /**
      * Build a spec from its JSON form (schema: docs/CAMPAIGNS.md).
      * Throws std::invalid_argument with the offending key path on
-     * malformed input; parse(serialize(spec)) == spec.
+     * malformed input; parse(serialize(spec)) == spec. Also runs
+     * expand()'s checks, with the same messages, but builds no job or
+     * job key: loading a spec costs its parse, not its expansion.
      */
     static CampaignSpec fromJson(const json::Value& value);
 

@@ -1,9 +1,9 @@
 #include "engine.h"
 
 #include <algorithm>
+#include <charconv>
 #include <exception>
 #include <iterator>
-#include <sstream>
 #include <thread>
 
 #include "gen/spike_generator.h"
@@ -107,6 +107,17 @@ SimulationEngine::~SimulationEngine()
 
 namespace {
 
+/** Append `value` as printf's "%.17g" writes it, in any locale. */
+void
+appendDouble(std::string& out, double value)
+{
+    char text[32]; // "%.17g" needs at most 24
+    const std::to_chars_result end =
+        std::to_chars(text, text + sizeof text, value,
+                      std::chars_format::general, 17);
+    out.append(text, end.ptr);
+}
+
 /**
  * Canonical identity of the (workload, options) half of a job, the
  * memoization key's tail.
@@ -116,15 +127,21 @@ workloadKey(const SimulationJob& job)
 {
     // The workload name covers (model, dataset); the profile fields
     // cover user-customized activation statistics on top of it.
-    std::ostringstream os;
-    os.precision(17);
     const ActivationProfile& p = job.workload.profile;
-    os << job.workload.name() << '|' << p.bit_density << ','
-       << p.cluster_fraction << ',' << p.bank_size << ','
-       << p.subset_drop_prob << ',' << p.temporal_repeat << ','
-       << p.union_prob << ',' << p.noise_insert_prob << '|'
-       << job.options.seed << '|' << job.options.keep_layer_records;
-    return os.str();
+    std::string key = job.workload.name();
+    key += '|';
+    appendDouble(key, p.bit_density);
+    key += ',';
+    appendDouble(key, p.cluster_fraction);
+    key += ',' + std::to_string(p.bank_size);
+    for (const double value : {p.subset_drop_prob, p.temporal_repeat,
+                               p.union_prob, p.noise_insert_prob}) {
+        key += ',';
+        appendDouble(key, value);
+    }
+    key += '|' + std::to_string(job.options.seed) + '|';
+    key += job.options.keep_layer_records ? '1' : '0';
+    return key;
 }
 
 /** The design half of a job's memoization key. */

@@ -261,6 +261,13 @@ class SimulationEngine
      * Canonical memoization key of a job (see the class comment).
      * Public so campaign-level code can deduplicate jobs under exactly
      * the engine's notion of "the same simulation".
+     *
+     * Its bytes are frozen: they name ResultStore entries, make the
+     * daemon's run ids (contentAddress(jobKey)) and seed adaptive
+     * campaigns' substreams (stats::deriveSubstreamSeed), so a changed
+     * byte would orphan every store, move every run id and redraw
+     * every adaptive cell. Doubles are written as printf's "%.17g"
+     * (std::to_chars), whatever the process's global locale.
      */
     static std::string jobKey(const SimulationJob& job);
 

@@ -403,9 +403,12 @@ SimulationService::submitRun(const HttpRequest& request)
 {
     const json::Value body = json::Value::parse(request.body);
     const SimulationJob job = simulationJobFromJson(body, "run request");
+    const std::string id = runId(job);
+    if (std::optional<HttpResponse> live = liveRecordAnswer(id))
+        return std::move(*live);
 
     JobRecord record;
-    record.id = runId(job);
+    record.id = id;
     record.kind = "run";
     record.jobs = 1;
     return admitAndStart(std::move(record), [this, job] {
@@ -423,10 +426,15 @@ SimulationService::submitCampaign(const HttpRequest& request)
 {
     const json::Value body = json::Value::parse(request.body);
     CampaignSpec spec = CampaignSpec::fromJson(body);
+    const std::string id = campaignId(spec);
+    // fromJson ran the spec's checks; only a new or failed record
+    // needs its jobs.
+    if (std::optional<HttpResponse> live = liveRecordAnswer(id))
+        return std::move(*live);
     const CampaignSpec::CampaignExpansion expansion = spec.expand();
 
     JobRecord record;
-    record.id = campaignId(spec);
+    record.id = id;
     record.kind = "campaign";
     record.adaptive = spec.sampling.has_value();
     record.jobs = expansion.jobs.size();
@@ -455,22 +463,36 @@ SimulationService::submitCampaign(const HttpRequest& request)
         });
 }
 
+std::optional<HttpResponse>
+SimulationService::liveRecordAnswerLocked(const std::string& id) const
+{
+    const auto it = records_.find(id);
+    if (it == records_.end())
+        return std::nullopt;
+    const RecordStatus status = statusOf(it->second);
+    if (status.failed)
+        return std::nullopt;
+    return HttpResponse::json(200, statusJson(it->second, status));
+}
+
+std::optional<HttpResponse>
+SimulationService::liveRecordAnswer(const std::string& id) const
+{
+    util::MutexLock lock(mutex_);
+    return liveRecordAnswerLocked(id);
+}
+
 HttpResponse
 SimulationService::admitAndStart(JobRecord record,
                                  std::function<ReportBytes()> work)
 {
     const std::string id = record.id;
     util::MutexLock lock(mutex_);
-    auto it = records_.find(id);
-    if (it != records_.end()) {
-        const RecordStatus status = statusOf(it->second);
-        // Failed submissions may be retried; anything else is served
-        // from the existing record (idempotent resubmit).
-        if (!status.failed)
-            return HttpResponse::json(200,
-                                      statusJson(it->second, status));
-        records_.erase(it);
-    }
+    // A racing submit of the same work may have admitted it since the
+    // route's check; a failed record is replaced.
+    if (std::optional<HttpResponse> live = liveRecordAnswerLocked(id))
+        return std::move(*live);
+    records_.erase(id);
 
     HttpResponse rejection;
     if (!admitLocked(record.jobs, &rejection)) {

@@ -27,10 +27,13 @@
  * (runs) or the canonical spec serialization (campaigns): resubmitting
  * the same work yields the same id and reuses the existing record —
  * the submit path is idempotent, which is what makes repeated traffic
- * over a fixed accelerator x workload grid nearly free. Admission is
- * bounded: submits that would push the number of unfinished
- * simulations past ServiceOptions::max_pending get `429` and lose
- * nothing (the client retries the identical request later).
+ * over a fixed accelerator x workload grid nearly free. A submit looks
+ * its id up before it builds anything: a resubmitted campaign costs
+ * one parse, the spec's checks and one hash, and a campaign expands
+ * into its jobs only to create a record or to replace a failed one.
+ * Admission is bounded: submits that would push the number of
+ * unfinished simulations past ServiceOptions::max_pending get `429`
+ * and lose nothing (the client retries the identical request later).
  *
  * With ServiceOptions::store_dir set, a ResultStore backs the engine's
  * memo cache, so a restarted service answers previously computed
@@ -53,6 +56,7 @@
 #include <future>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -168,18 +172,36 @@ class SimulationService
      *  latency envelope). */
     HttpResponse route(const HttpRequest& request);
 
+    /**
+     * The two submit routes share one path: parse and check the body,
+     * derive the id, answer a live record from liveRecordAnswer, and
+     * only then build the record (a campaign expands here, outside the
+     * lock) and hand it to admitAndStart.
+     */
     HttpResponse submitRun(const HttpRequest& request);
     HttpResponse submitCampaign(const HttpRequest& request);
 
     /**
-     * The submit path both routes share, under the lock: a live record
-     * with the same id answers 200 (a failed one is replaced), a full
-     * admission queue 429, and neither starts a worker. Otherwise
-     * `work` starts on the record's worker, inheriting the submit's
-     * trace context, and the new record answers 202.
+     * The answer to a submit whose id names a live record, pending or
+     * done: 200 and the record's status. nullopt when there is no
+     * record, or when it failed, which the submit replaces.
+     */
+    std::optional<HttpResponse> liveRecordAnswerLocked(
+        const std::string& id) const REQUIRES(mutex_);
+    std::optional<HttpResponse> liveRecordAnswer(const std::string& id) const
+        EXCLUDES(mutex_);
+
+    /**
+     * Admission, under the lock: a live record with the same id (a
+     * racing submit admitted it since the route's check) answers 200,
+     * a failed one is replaced, and a full admission queue answers
+     * 429; neither answer starts a worker. Otherwise `work` starts on
+     * the record's worker, inheriting the submit's trace context, and
+     * the new record answers 202.
      */
     HttpResponse admitAndStart(JobRecord record,
-                               std::function<ReportBytes()> work);
+                               std::function<ReportBytes()> work)
+        EXCLUDES(mutex_);
 
     HttpResponse jobStatus(const std::string& id) const;
     HttpResponse report(const std::string& id,

@@ -355,6 +355,26 @@ TEST(CampaignSpec, MalformedSpecsProduceActionableErrors)
                     "workloads": [{"suite": "fig8"}]})",
                 "baseline \"tpu\"");
 
+    // The axis checks run at load time, though loading builds no job.
+    const char* zip_mismatch = R"({"name": "x", "expansion": "zip",
+        "accelerators": [{"name": "eyeriss"}, {"name": "ptb"}],
+        "workloads": [{"model": "LeNet5", "dataset": "MNIST"},
+                      {"model": "VGG16", "dataset": "CIFAR10"},
+                      {"model": "VGG16", "dataset": "CIFAR100"}]})";
+    expectError(zip_mismatch, "zip");
+    expectError(zip_mismatch, "workloads=3");
+    expectError(R"({"name": "x",
+                    "accelerators": [{"name": "eyeriss"},
+                                     {"name": "eyeriss"}],
+                    "workloads": [{"suite": "fig8"}]})",
+                "duplicate accelerator label \"eyeriss\"");
+    expectError(R"({"name": "x", "accelerators": [],
+                    "workloads": [{"suite": "fig8"}]})",
+                "the accelerator axis is empty");
+    expectError(R"({"name": "x", "accelerators": [{"name": "eyeriss"}],
+                    "workloads": []})",
+                "the workload axis is empty");
+
     // File-level errors mention the path.
     try {
         CampaignSpec::load("/nonexistent/spec.json");

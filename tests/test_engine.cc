@@ -7,12 +7,13 @@
  * share tile summaries, and when workloads that draw one spike
  * stream share a lineup), jobs on different spike streams never
  * share one, result order matches job order,
- * memoization works, and ModelHints reach time-batching designs
- * exactly as on the legacy runner path.
+ * memoization works, job key bytes are pinned, and ModelHints reach
+ * time-batching designs exactly as on the legacy runner path.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <future>
 #include <memory>
 #include <optional>
@@ -188,6 +189,41 @@ TEST(Engine, JobKeyIsCaseInsensitiveLikeTheRegistry)
     EXPECT_EQ(engine.stats().entries, 1u); // same design, same key
     EXPECT_EQ(engine.stats().hits, 1u);
     expectIdentical(lower, upper);
+}
+
+/** Job keys name ResultStore entries, make run ids and seed adaptive
+ *  substreams, so their bytes must never move: doubles as "%.17g",
+ *  integers in decimal, the bool as 0 or 1. */
+TEST(Engine, JobKeyBytesArePinned)
+{
+    SimulationJob job{AcceleratorSpec{"eyeriss"},
+                      makeWorkload("LeNet5", "MNIST"), {}};
+    job.options.seed = 7;
+    EXPECT_EQ(SimulationEngine::jobKey(job),
+              "eyeriss{}|LeNet5/MNIST|0.22,0.78000000000000003,12,"
+              "0.29999999999999999,0.34999999999999998,"
+              "0.10000000000000001,0.0030000000000000001|7|0");
+
+    // Signed zero, a subnormal, a large exponent, a repeating
+    // fraction, both bank_size bounds and the largest JSON seed.
+    job.accelerator = AcceleratorSpec{"prosperity"};
+    ActivationProfile& p = job.workload.profile;
+    p.bit_density = 1.0 / 3.0;
+    p.cluster_fraction = -0.0;
+    p.bank_size = 0;
+    p.subset_drop_prob = 5e-324;
+    p.temporal_repeat = 1e+20;
+    p.union_prob = 0.5;
+    p.noise_insert_prob = 1.0;
+    job.options.seed = (std::uint64_t{1} << 53) - 1;
+    job.options.keep_layer_records = true;
+    EXPECT_EQ(SimulationEngine::jobKey(job),
+              "prosperity{}|LeNet5/MNIST|0.33333333333333331,-0,0,"
+              "4.9406564584124654e-324,1e+20,0.5,1|9007199254740991|1");
+    p.bank_size = ActivationProfile::kMaxBankSize;
+    EXPECT_EQ(SimulationEngine::jobKey(job),
+              "prosperity{}|LeNet5/MNIST|0.33333333333333331,-0,256,"
+              "4.9406564584124654e-324,1e+20,0.5,1|9007199254740991|1");
 }
 
 TEST(Engine, LineupMatchesSingleDesignRunsBitwise)

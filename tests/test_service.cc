@@ -2,10 +2,11 @@
  * @file
  * Tests for the SimulationService JSON API over real loopback HTTP:
  * submit/poll/fetch round trips, campaign reports byte-identical to
- * the offline CampaignRunner, concurrent duplicate submits deduped to
- * one simulation, structured key-path errors for malformed requests,
- * bounded admission, disk-warm restarts that re-run nothing, and the
- * tracing routes (trace-id header round trip, span coverage of the
+ * the offline CampaignRunner, resubmits answered from their record,
+ * pinned ids, concurrent duplicate submits deduped to one simulation,
+ * structured key-path errors for malformed requests, bounded
+ * admission, disk-warm restarts that re-run nothing, and the tracing
+ * routes (trace-id header round trip, span coverage of the
  * whole submit → simulate → store pipeline, opt-in gating).
  */
 
@@ -207,6 +208,29 @@ TEST_F(ServiceTest, CampaignReportIsByteIdenticalToOfflineRunner)
     std::ostringstream expected_csv;
     offline.writeCsv(expected_csv);
     EXPECT_EQ(csv.body, expected_csv.str());
+
+    // The same spec posted again is answered from the finished record:
+    // 200 with the record's status, no second submit, no simulation.
+    const HttpResponse again = http.post("/v1/campaigns", smokeSpecText());
+    EXPECT_EQ(again.status, 200);
+    EXPECT_EQ(again.body, http.get("/v1/jobs/" + id).body);
+    const json::Value stats =
+        json::Value::parse(http.get("/v1/stats").body);
+    EXPECT_EQ(stats.at("service").at("campaigns_submitted").asNumber(),
+              1.0);
+    EXPECT_EQ(stats.at("engine").at("misses").asNumber(), 3.0);
+}
+
+/** Ids are content addresses of frozen bytes (a run's jobKey, a
+ *  campaign's canonical spec), so clients and stores may keep them. */
+TEST_F(ServiceTest, CampaignAndRunIdsArePinned)
+{
+    EXPECT_EQ(SimulationService::campaignId(CampaignSpec::fromJson(
+                  json::Value::parse(smokeSpecText()))),
+              "campaign-67d2e5523d7b614b4e34221f6bbebffb");
+    EXPECT_EQ(SimulationService::runId(simulationJobFromJson(
+                  json::Value::parse(kRunBody), "run request")),
+              "run-ea8aa28eb370e1f19773840f19d95081");
 }
 
 TEST_F(ServiceTest, AdaptiveCampaignMatchesOfflineRunnerBytewise)
