@@ -6,10 +6,12 @@
  *
  * Stages timed:
  *  - frontend: the all-pairs selectPrefixesNaive reference vs
- *    selectPrefixes (repeats from a hash table of row values, one
- *    signature-prefiltered search per distinct value) on the same
- *    256x16 tiles, over a sweep across densities (checksums must
- *    agree — verified here);
+ *    selectPrefixes (one signature-prefiltered search per distinct
+ *    row value, expanded row by row) on the same 256x16 tiles, over a
+ *    sweep across densities, and summarizeTile (the same search, its
+ *    sums folded per value, one workspace across the tiles) against
+ *    summarizeTileNaive's checksum (checksums must agree — verified
+ *    here);
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitMatrix::randomize, plus a full SpikeGenerator layer;
  *  - gemm: the functional ProductGemm multiply;
@@ -35,6 +37,7 @@
 #include "bitmatrix/simd_dispatch.h"
 #include "core/prefix_select.h"
 #include "core/product_gemm.h"
+#include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 
 using namespace prosperity;
@@ -49,6 +52,17 @@ checksumSelection(const PrefixSelection& s)
     for (std::size_t i = 0; i < s.rows(); ++i)
         h ^= (static_cast<std::uint64_t>(s.prefix[i] + 1) << 32) +
              0x9e3779b97f4a7c15ULL * i + s.popcounts[i];
+    return h;
+}
+
+/** Fold a TileSummary's sums into one word. */
+std::uint64_t
+checksumSummary(const TileSummary& s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const std::size_t v : {s.rows, s.cols, s.ones, s.pattern_ones,
+                                s.exact, s.partial, s.walk})
+        h = (h ^ v) * 0x100000001b3ULL;
     return h;
 }
 
@@ -192,6 +206,26 @@ main(int argc, char** argv)
         std::cout << "    speedup "
                   << fmt(reference.median_ns / fast.median_ns)
                   << "x (checksums identical)\n";
+
+        // The summary path the campaigns run: one workspace reused
+        // across the tiles, as TileSummaryCache does.
+        std::uint64_t naive = 0;
+        for (const BitMatrix& tile : tiles)
+            naive ^= checksumSummary(summarizeTileNaive(tile));
+        DistinctRows distinct;
+        const auto summary = h.run(
+            "frontend/summarize_tile/d=" + fmt(d), "frontend", params,
+            opts, [&] {
+                std::uint64_t c = 0;
+                for (const BitMatrix& tile : tiles)
+                    c ^= checksumSummary(summarizeTile(tile, distinct));
+                return c;
+            });
+        if (summary.checksum != naive) {
+            std::cerr << "FATAL: summarizeTile diverged from the naive "
+                         "fold at density " << d << "\n";
+            return 1;
+        }
     }
 
     // ---- spikegen: bit-by-bit vs word-batched Bernoulli fill ---------

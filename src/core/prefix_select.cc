@@ -25,134 +25,172 @@ hashWords(const std::uint64_t* words, std::size_t n)
 
 } // namespace
 
+void
+DistinctRows::select(const BitMatrix& tile)
+{
+    const std::size_t m = tile.rows();
+    empty_rows_ = 0;
+    row_ids_.resize(m);
+    values_.clear();
+    if (m == 0)
+        return;
+
+    // The copy pass, from the last row to the first, so each value is
+    // met first at its last copy and numbered then: numbers descend in
+    // last copy. A zero signature is an empty row. Only a value's last
+    // copy counts its ones, through the dispatched SIMD table.
+    const SimdOps& ops = simdOps();
+    const std::size_t nwords = tile.rowWords();
+    const bool one_word = nwords == 1;
+    const std::uint64_t* const words = tile.row(0).data();
+    const std::size_t slots = std::bit_ceil(2 * m);
+    const int shift = 64 - std::countr_zero(slots);
+    table_.assign(slots, 0);
+    keys_.resize(m);
+    found_.resize(m);
+    // Raw pointers and a local count keep the loop's state in
+    // registers; members would be reloaded after every 64-bit store
+    // and every call through the SIMD table.
+    std::uint32_t* const table = table_.data();
+    std::uint32_t* const row_ids = row_ids_.data();
+    std::uint64_t* const keys = keys_.data();
+    Value* const found = found_.data();
+    std::uint32_t n = 0;
+    std::uint32_t max_pc = 0;
+    std::size_t empty_rows = 0;
+    for (std::size_t i = m; i-- > 0;) {
+        const std::uint64_t* row = words + i * nwords;
+        const std::uint64_t sig = signatureWords(row, nwords);
+        if (sig == 0) {
+            row_ids[i] = kEmpty;
+            ++empty_rows;
+            continue;
+        }
+        const std::uint64_t key = one_word ? sig : hashWords(row, nwords);
+        for (std::size_t s =
+                 static_cast<std::size_t>((key * kGoldenRatio) >> shift);
+             ; s = (s + 1) & (slots - 1)) {
+            if (table[s] == 0) {
+                const auto pc = static_cast<std::uint32_t>(
+                    ops.popcountWords(row, nwords));
+                max_pc = std::max(max_pc, pc);
+                keys[n] = key;
+                found[n] = {1, pc, static_cast<std::uint32_t>(i),
+                            PrefixSelection::kNoPrefix, 1};
+                row_ids[i] = n;
+                table[s] = ++n;
+                break;
+            }
+            const std::uint32_t id = table[s] - 1;
+            if (keys[id] == key &&
+                (one_word ||
+                 std::equal(row, row + nwords,
+                            words + found[id].last * nwords))) {
+                ++found[id].copies;
+                row_ids[i] = id;
+                break;
+            }
+        }
+    }
+    empty_rows_ = empty_rows;
+    if (n == 0)
+        return; // all rows empty: no queries, no candidates
+
+    // A stable counting sort by popcount. Walking the numbers down
+    // visits the values in ascending last copy, so each bucket fills
+    // in (popcount, last copy) order with no second sort. Afterwards
+    // bucket_[p - 1] is popcount p's first position.
+    bucket_.assign(max_pc + 1, 0);
+    for (std::uint32_t id = 0; id < n; ++id)
+        ++bucket_[found_[id].popcount];
+    std::uint32_t start = 0;
+    for (std::uint32_t& b : bucket_) {
+        const std::uint32_t count = b;
+        b = start;
+        start += count;
+    }
+    values_.resize(n);
+    sigs_.resize(n);
+    positions_.resize(n);
+    for (std::uint32_t id = n; id-- > 0;) {
+        const std::uint32_t t = bucket_[found_[id].popcount]++;
+        values_[t] = found_[id];
+        sigs_[t] = signatureWords(words + found_[id].last * nwords, nwords);
+        positions_[id] = t;
+    }
+
+    // The search. No value of equal popcount is a subset of another,
+    // so a value's candidates are the values of lower popcount. They
+    // ascend in (popcount, last copy), so the last true subset is the
+    // argmax with ties to the largest index: search backward from the
+    // value's popcount bucket and stop at the first hit. One-word rows
+    // take the first signature hit; wider rows confirm it word by word
+    // and resume the search below a false hit. A prefix value comes
+    // first, so its depth is known when its values need it.
+    for (std::uint32_t t = 0; t < n; ++t) {
+        Value& value = values_[t];
+        const std::uint64_t* row = words + value.last * nwords;
+        for (std::size_t end = bucket_[value.popcount - 1];;) {
+            const std::size_t hit =
+                lastSignatureMatch(sigs_.data(), end, sigs_[t]);
+            if (hit == end)
+                break;
+            const Value& prefix = values_[hit];
+            if (one_word ||
+                isSubsetOfWords(words + prefix.last * nwords, row, nwords)) {
+                value.prefix = static_cast<std::int32_t>(hit);
+                value.depth = prefix.depth + prefix.copies;
+                break;
+            }
+            end = hit;
+        }
+    }
+}
+
 PrefixSelection
 selectPrefixes(const BitMatrix& tile)
 {
+    DistinctRows distinct;
+    distinct.select(tile);
+    const std::span<const DistinctRows::Value> values = distinct.values();
     const std::size_t m = tile.rows();
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);
-    if (m == 0)
-        return sel;
+    if (values.empty())
+        return sel; // no rows, or all empty
 
-    // Copies, in one pass in index order. An equal-popcount candidate
-    // is a subset only if it is identical, and the argmax takes the
-    // most ones with ties to the largest index, so a row with an
-    // earlier copy selects that value's most recent earlier copy (and
-    // shares its popcount). An open-addressing table (linear probing,
-    // a power of two of at least 2m slots, so at most half full) holds
-    // each value's latest row + 1. For one-word rows (every k <= 64
-    // tile, including the paper's 256x16 ones) the signature is the
-    // row, so it is the key and equal keys are equal rows; wider rows
-    // key by a hash and compare their words. A zero signature is an
-    // empty row, which neither selects nor serves as a prefix (the
-    // TCAM's valid bit masks it out). Only a value's first copy counts
-    // its ones, through the dispatched SIMD table, and is left to
-    // search; `last` marks each value's last copy.
-    const SimdOps& ops = simdOps();
-    const std::size_t nwords = tile.rowWords();
-    const bool one_word = nwords == 1;
-    std::vector<std::uint64_t> sig(m);
-    std::vector<std::uint64_t> wide_keys(one_word ? 0 : m);
-    const std::uint64_t* keys = one_word ? sig.data() : wide_keys.data();
-    const std::size_t slots = std::bit_ceil(2 * m);
-    const int shift = 64 - std::countr_zero(slots);
-    std::vector<std::uint32_t> table(slots, 0);
-    std::vector<std::uint8_t> last(m, 0);
-    std::vector<std::uint32_t> firsts;
-    firsts.reserve(m);
-    std::size_t max_pc = 0;
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::uint64_t* row = tile.row(i).data();
-        sig[i] = signatureWords(row, nwords);
-        if (sig[i] == 0)
-            continue;
-        if (!one_word)
-            wide_keys[i] = hashWords(row, nwords);
-        const std::uint64_t key = keys[i];
-        std::size_t s =
-            static_cast<std::size_t>((key * kGoldenRatio) >> shift);
-        for (;; s = (s + 1) & (slots - 1)) {
-            if (table[s] == 0) {
-                sel.popcounts[i] = ops.popcountWords(row, nwords);
-                max_pc = std::max(max_pc, sel.popcounts[i]);
-                firsts.push_back(static_cast<std::uint32_t>(i));
-                break;
-            }
-            const std::size_t j = table[s] - 1;
-            if (keys[j] == key &&
-                (one_word || std::ranges::equal(tile.row(j), tile.row(i)))) {
-                sel.popcounts[i] = sel.popcounts[j];
-                sel.prefix[i] = static_cast<std::int32_t>(j);
-                last[j] = 0;
-                break;
-            }
-        }
-        table[s] = static_cast<std::uint32_t>(i + 1);
-        last[i] = 1;
-    }
-    if (firsts.empty())
-        return sel; // all rows empty: no queries, no candidates
-
-    // Counting-sort the non-empty rows by (popcount, index): the issue
-    // order, in which every prefix precedes its rows. next[p] starts at
-    // popcount p's first slot, and distinct_start[p] at its first
-    // distinct value's.
-    std::vector<std::size_t> next(max_pc + 2, 0);
-    std::vector<std::size_t> distinct_start(max_pc + 2, 0);
-    for (std::size_t i = 0; i < m; ++i)
-        ++next[sel.popcounts[i] + 1];
-    for (const std::uint32_t i : firsts)
-        ++distinct_start[sel.popcounts[i] + 1];
-    next[1] = 0; // empty rows are not issued
-    for (std::size_t p = 1; p <= max_pc + 1; ++p) {
+    // The issue order sorts the non-empty rows by (popcount, index),
+    // so every prefix precedes its rows: next[p] starts at popcount
+    // p's first slot. The values ascend in popcount, so the last has
+    // the most ones.
+    std::vector<std::size_t> next(values.back().popcount + 2, 0);
+    for (const DistinctRows::Value& value : values)
+        next[value.popcount + 1] += value.copies;
+    for (std::size_t p = 1; p < next.size(); ++p)
         next[p] += next[p - 1];
-        distinct_start[p] += distinct_start[p - 1];
-    }
-    std::vector<std::uint32_t>& order = sel.order;
-    order.resize(next[max_pc + 1]);
-    for (std::size_t i = 0; i < m; ++i)
-        if (sel.popcounts[i] > 0)
-            order[next[sel.popcounts[i]]++] = static_cast<std::uint32_t>(i);
+    sel.order.resize(next.back());
 
-    // The distinct values: `order` filtered to each value's last copy,
-    // so they ascend in (popcount, last index), with their signatures
-    // gathered into one contiguous array. Every row is written and
-    // only last copies advance the cursor, so the filter has no
-    // branch.
-    std::vector<std::uint64_t> distinct_sig(order.size());
-    std::vector<std::uint32_t> distinct_row(order.size());
-    std::size_t d = 0;
-    for (const std::uint32_t r : order) {
-        distinct_sig[d] = sig[r];
-        distinct_row[d] = r;
-        d += last[r];
-    }
-
-    // First copies. No equal-popcount row is a subset of a first copy
-    // (it would be an earlier copy), and among the rows of fewer ones
-    // a value's last copy beats its other copies, so a first copy's
-    // candidates are the distinct values of lower popcount. They
-    // ascend in (popcount, index), so the last true subset is the
-    // argmax with ties to the largest index: search backward from the
-    // row's popcount bucket and stop at the first hit. One-word rows
-    // take the first signature hit; wider rows confirm it word by word
-    // and resume the search below a false hit.
-    for (const std::uint32_t i : firsts) {
-        for (std::size_t end = distinct_start[sel.popcounts[i]];;) {
-            const std::size_t t =
-                lastSignatureMatch(distinct_sig.data(), end, sig[i]);
-            if (t == end)
-                break;
-            const std::uint32_t j = distinct_row[t];
-            if (one_word ||
-                isSubsetOfWords(tile.row(j).data(), tile.row(i).data(),
-                                nwords)) {
-                sel.prefix[i] = static_cast<std::int32_t>(j);
-                break;
-            }
-            end = t;
-        }
+    // Each row in index order: a value's later copy takes its latest
+    // copy so far, and its first copy the last copy of its prefix
+    // value.
+    std::vector<std::int32_t> latest(values.size(),
+                                     PrefixSelection::kNoPrefix);
+    for (std::size_t i = 0; i < m; ++i) {
+        const std::int32_t t = distinct.valueOf(i);
+        if (t == PrefixSelection::kNoPrefix)
+            continue;
+        const auto pos = static_cast<std::size_t>(t);
+        const DistinctRows::Value& value = values[pos];
+        sel.popcounts[i] = value.popcount;
+        std::int32_t& previous = latest[pos];
+        if (previous != PrefixSelection::kNoPrefix)
+            sel.prefix[i] = previous;
+        else if (value.prefix != PrefixSelection::kNoPrefix)
+            sel.prefix[i] = static_cast<std::int32_t>(
+                values[static_cast<std::size_t>(value.prefix)].last);
+        previous = static_cast<std::int32_t>(i);
+        sel.order[next[value.popcount]++] = static_cast<std::uint32_t>(i);
     }
     return sel;
 }

@@ -19,20 +19,23 @@
  * in (popcount, index) order — the bitonic sorter's output (Sec. V-D) —
  * always computes a prefix before its suffixes.
  *
- * A row that repeats an earlier one reuses that copy's result whole
- * (an exact match), so selectPrefixes() searches candidates only for
- * the first copy of each distinct row value.
- *
- * selectPrefixes() is the one routine that models both stages: the
- * timing path (summarizeTile), the density analyses and the functional
- * ProductGemm all read its result. A tile is a BitMatrix (extractTile
- * refills one per tile), so each row is one k-bit TCAM word span.
+ * Under these rules a row decides its prefix by its value alone: a
+ * later copy of a value takes the copy before it (an exact match), and
+ * a value's first copy takes the last copy of its prefix value. So the
+ * one search is DistinctRows::select, which runs once per distinct row
+ * value of a tile. Two readers share it: summarizeTile
+ * (core/tile_pipeline.h) folds the timing path's sums straight from
+ * the value list, and selectPrefixes() expands it row by row for the
+ * density analyses and the functional ProductGemm. A tile is a
+ * BitMatrix (extractTile refills one per tile), so each row is one
+ * k-bit TCAM word span.
  */
 
 #ifndef PROSPERITY_CORE_PREFIX_SELECT_H
 #define PROSPERITY_CORE_PREFIX_SELECT_H
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "bitmatrix/bit_matrix.h"
@@ -54,21 +57,92 @@ struct PrefixSelection
 };
 
 /**
- * Select every row's prefix, searching once per distinct row value.
- * A row equal to an earlier row takes the most recent such copy, found
- * through a hash table of row values: an equal-popcount subset must be
- * identical, so that copy is the argmax of the pruning rules. The
- * first copy of each value searches only the distinct values of lower
- * popcount, each represented by its last copy (the largest index, so
- * it beats the value's other copies), in (popcount, last index) order:
- * backward from its popcount bucket (lastSignatureMatch) for the last
- * one whose one-word occupancy signature passes the subset prefilter.
- * The first hit that is a true subset is the argmax, so the search
- * stops there. The signature and the table key are the row itself
- * when k <= 64; wider rows compare their words to confirm a copy and
- * a subset, and resume the search below a false hit. Empty rows
+ * A tile's distinct non-empty row values, each with its prefix value:
+ * the prefix search, run once per value.
+ *
+ * select() makes three passes. The copy pass scans the rows from the
+ * last to the first through an open-addressing table of row values
+ * (linear probing, a power of two of at least 2m slots), so each
+ * value is first met at its last copy and counted at every other. The
+ * signature and the table key are the row itself when k <= 64; wider
+ * rows key by a hash and compare their words to confirm a copy. A
+ * stable counting sort by popcount then puts the values in (popcount,
+ * last copy) order. Last, each value searches backward from its
+ * popcount bucket (lastSignatureMatch) for the last value whose
+ * one-word occupancy signature passes the subset prefilter: among the
+ * subsets of fewer ones, that is the most ones with ties to the
+ * largest last copy, the pruner's argmax. Wider rows confirm a hit
+ * word by word and resume the search below a false one. Empty rows
  * neither select nor serve as a prefix (the TCAM's valid bit masks
- * them out). The result equals selectPrefixesNaive() on every tile.
+ * them out).
+ *
+ * It is a workspace: its buffers keep their capacity from tile to
+ * tile, so a pass over a layer's tiles allocates only while its tiles
+ * grow.
+ */
+class DistinctRows
+{
+  public:
+    /** One distinct non-empty row value of the tile. */
+    struct Value
+    {
+        std::uint32_t copies = 0;   ///< rows holding the value
+        std::uint32_t popcount = 0; ///< its number of ones (NO)
+        std::uint32_t last = 0;     ///< index of its last copy
+        /** Position in values() of its prefix value, or kNoPrefix. */
+        std::int32_t prefix = PrefixSelection::kNoPrefix;
+        /** Hops of its first copy's leaf-to-root prefix-chain walk, a
+         *  root counting one; the copy j after the first walks j more. */
+        std::uint32_t depth = 1;
+    };
+
+    /** Find `tile`'s distinct values and each one's prefix value. */
+    void select(const BitMatrix& tile);
+
+    /** The distinct non-empty values in (popcount, last copy) order,
+     *  in which every prefix value precedes the values that take it. */
+    std::span<const Value> values() const
+    {
+        return {values_.data(), values_.size()};
+    }
+
+    /** Rows of the tile without a one. */
+    std::size_t emptyRows() const { return empty_rows_; }
+
+    /** Position in values() of row `r`'s value, or kNoPrefix for an
+     *  empty row. */
+    std::int32_t valueOf(std::size_t r) const
+    {
+        const std::uint32_t id = row_ids_[r];
+        return id == kEmpty ? PrefixSelection::kNoPrefix
+                            : static_cast<std::int32_t>(positions_[id]);
+    }
+
+  private:
+    static constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+
+    // Values are numbered in the copy pass's order of discovery, which
+    // descends in last copy.
+    std::vector<std::uint32_t> table_;     ///< copy table: number + 1
+    std::vector<std::uint32_t> row_ids_;   ///< each row's number, or kEmpty
+    std::vector<std::uint64_t> keys_;      ///< per number: its table key
+    std::vector<Value> found_;             ///< per number
+    std::vector<std::uint32_t> positions_; ///< per number: in values_
+    /** Counting sort by popcount: bucket_[p] ends as popcount p + 1's
+     *  first position, the end of a popcount-(p + 1) value's search. */
+    std::vector<std::uint32_t> bucket_;
+    std::vector<std::uint64_t> sigs_; ///< per position: signature
+    std::vector<Value> values_;       ///< per position
+    std::size_t empty_rows_ = 0;
+};
+
+/**
+ * Select every row's prefix: DistinctRows::select, expanded row by
+ * row. A row with an earlier copy of its value takes the most recent
+ * one (an equal-popcount subset must be identical, so that copy is
+ * the argmax of the pruning rules), and a value's first copy takes
+ * the last copy of its prefix value. The result equals
+ * selectPrefixesNaive() on every tile.
  */
 PrefixSelection selectPrefixes(const BitMatrix& tile);
 

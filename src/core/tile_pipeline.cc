@@ -1,7 +1,7 @@
 #include "tile_pipeline.h"
 
 #include <cmath>
-#include <vector>
+#include <span>
 
 #include "core/prefix_select.h"
 #include "obs/trace.h"
@@ -23,7 +23,7 @@ bitonicCompares(std::size_t m)
 } // namespace
 
 TileSummary
-summarizeTile(const BitMatrix& tile)
+summarizeTile(const BitMatrix& tile, DistinctRows& distinct)
 {
     TileSummary summary;
     summary.rows = tile.rows();
@@ -31,28 +31,62 @@ summarizeTile(const BitMatrix& tile)
     if (summary.rows == 0 || summary.cols == 0)
         return summary;
 
-    const PrefixSelection sel = selectPrefixes(tile);
-    // A row's leaf-to-root walk is one hop longer than its prefix's.
-    // Rows go in issue order, so a prefix's count is known before its
-    // rows need it, and the walk total costs O(m), not O(m x chain
-    // depth). Empty rows are roots: one hop each. Whether a row has a
-    // prefix is unpredictable, so the fold is branch-free: a root
-    // stands in as its own prefix, and `has` zeroes that term.
-    std::vector<std::size_t> hops(summary.rows, 1);
-    summary.walk = summary.rows - sel.order.size();
-    for (const std::uint32_t r : sel.order) {
-        const std::int32_t prefix = sel.prefix[r];
-        const auto has =
-            static_cast<std::size_t>(prefix != PrefixSelection::kNoPrefix);
-        const std::size_t p = has ? static_cast<std::size_t>(prefix) : r;
-        const std::size_t pops = sel.popcounts[r];
-        const std::size_t pattern_pops = pops - has * sel.popcounts[p];
-        summary.ones += pops;
-        summary.pattern_ones += pattern_pops;
-        summary.exact += has & static_cast<std::size_t>(pattern_pops == 0);
-        summary.partial += has & static_cast<std::size_t>(pattern_pops != 0);
-        hops[r] = has * hops[p] + 1;
-        summary.walk += hops[r];
+    // Closed forms per distinct value of c copies and p ones. Each
+    // later copy takes the copy before it, an exact match; the first
+    // takes its prefix value u, a partial match leaving p - NO(u)
+    // ones, or is a root leaving all p. Copy j walks the first copy's
+    // depth plus j hops, and each empty row is a root of one hop.
+    distinct.select(tile);
+    const std::span<const DistinctRows::Value> values = distinct.values();
+    summary.walk = distinct.emptyRows();
+    for (const DistinctRows::Value& value : values) {
+        const std::size_t c = value.copies;
+        const std::size_t p = value.popcount;
+        summary.ones += c * p;
+        summary.exact += c - 1;
+        summary.walk += c * value.depth + c * (c - 1) / 2;
+        if (value.prefix == PrefixSelection::kNoPrefix) {
+            summary.pattern_ones += p;
+        } else {
+            summary.pattern_ones +=
+                p - values[static_cast<std::size_t>(value.prefix)].popcount;
+            ++summary.partial;
+        }
+    }
+    return summary;
+}
+
+TileSummary
+summarizeTile(const BitMatrix& tile)
+{
+    DistinctRows distinct;
+    return summarizeTile(tile, distinct);
+}
+
+TileSummary
+summarizeTileNaive(const BitMatrix& tile)
+{
+    TileSummary summary;
+    summary.rows = tile.rows();
+    summary.cols = tile.cols();
+    if (summary.rows == 0 || summary.cols == 0)
+        return summary;
+
+    const PrefixSelection sel = selectPrefixesNaive(tile);
+    for (std::size_t i = 0; i < sel.rows(); ++i) {
+        std::size_t pattern = sel.popcounts[i];
+        summary.ones += pattern;
+        if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
+            pattern -=
+                sel.popcounts[static_cast<std::size_t>(sel.prefix[i])];
+            ++(pattern == 0 ? summary.exact : summary.partial);
+        }
+        summary.pattern_ones += pattern;
+        // The row's leaf-to-root walk, followed in full.
+        for (std::int32_t node = static_cast<std::int32_t>(i);
+             node != PrefixSelection::kNoPrefix;
+             node = sel.prefix[static_cast<std::size_t>(node)])
+            ++summary.walk;
     }
     return summary;
 }
@@ -77,10 +111,11 @@ TileSummaryCache::summaries(const TileConfig& tile,
     TileSummarySet set;
     set.scale = sample.scale;
     set.tiles.reserve(sample.origins.size());
-    BitMatrix buffer; // one tile buffer, refilled for every tile
+    BitMatrix buffer;      // one tile buffer, refilled for every tile
+    DistinctRows distinct; // one search workspace, reused likewise
     for (const auto& [r0, c0] : sample.origins) {
         extractTile(spikes_, r0, c0, tile.m, tile.k, buffer);
-        set.tiles.push_back(summarizeTile(buffer));
+        set.tiles.push_back(summarizeTile(buffer, distinct));
     }
     return sets_.emplace(key, std::move(set)).first->second;
 }

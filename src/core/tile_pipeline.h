@@ -3,15 +3,18 @@
  * Per-tile PPU processing: prefix selection -> summary -> cost.
  *
  * The front end is split in two. summarizeTile() runs one tile's
- * prefix selection (core/prefix_select.h) — the tile a BitMatrix that
- * extractTile refilled — and reduces it to a few design-independent
- * sums (TileSummary). TilePipeline::cost() folds a
- * summary with one design's formulas into the per-tile schedule the
- * pipeline model (ppu.h) consumes, and counts the architectural
- * activity the energy model charges: the ProSparsity phase's cycles
- * (Sec. VI-A), the dispatcher's bitonic sorter or, in the ablation,
- * its prefix-chain walk (Sec. V-D), and the Processor's residual
- * accumulations. Supports the ablation configurations of Fig. 9:
+ * prefix search (DistinctRows, core/prefix_select.h) — the tile a
+ * BitMatrix that extractTile refilled — and folds the few
+ * design-independent sums of TileSummary straight from its list of
+ * distinct row values; selectPrefixes() expands the same list row by
+ * row for the readers that need each row's prefix. One search, two
+ * readers. TilePipeline::cost() folds a summary with one design's
+ * formulas into the per-tile schedule the pipeline model (ppu.h)
+ * consumes, and counts the architectural activity the energy model
+ * charges: the ProSparsity phase's cycles (Sec. VI-A), the
+ * dispatcher's bitonic sorter or, in the ablation, its prefix-chain
+ * walk (Sec. V-D), and the Processor's residual accumulations.
+ * Supports the ablation configurations of Fig. 9:
  * bit-sparsity-only processing (no detection, no reuse) and product
  * sparsity with either dispatch mode. Those modes see the same prefix
  * selection over the same tiles, so a TileSummaryCache computes each
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "bitmatrix/bit_matrix.h"
+#include "core/prefix_select.h"
 
 namespace prosperity {
 
@@ -112,8 +116,23 @@ struct TileSummary
     std::size_t walk = 0;
 };
 
-/** Select every row's prefix in `tile` and sum the result. */
+/**
+ * Select the prefixes of `tile`'s distinct row values with `distinct`,
+ * a workspace reused across tiles, and fold the sums from that value
+ * list: O(distinct values) after the copy pass, no per-row state.
+ */
+TileSummary summarizeTile(const BitMatrix& tile, DistinctRows& distinct);
+
+/** summarizeTile with a workspace of its own, for one-shot calls. */
 TileSummary summarizeTile(const BitMatrix& tile);
+
+/**
+ * The naive fold: the sums of summarizeTile, taken row by row in index
+ * order over selectPrefixesNaive's prefixes, with every row's chain
+ * walked in full. The test oracle and bench baseline for
+ * summarizeTile.
+ */
+TileSummary summarizeTileNaive(const BitMatrix& tile);
 
 /** Summaries of one spike matrix's analyzed tiles, in sampleTiles
  *  order, and how many of the matrix's tiles each stands for. */
@@ -127,8 +146,10 @@ struct TileSummarySet
  * One layer's tile summaries, shared by every design of a lineup.
  * Keyed by (tile.m, tile.k, max_sampled_tiles): the first design that
  * asks for a key extracts the sampled tiles into one reused BitMatrix
- * buffer and summarizes them, and later designs with the same tiling
- * reuse them. Each computation is one `frontend` span. Returned references stay valid as keys are added.
+ * buffer and summarizes them through one reused DistinctRows
+ * workspace, so the pass allocates nothing per tile, and later designs
+ * with the same tiling reuse them. Each computation is one `frontend`
+ * span. Returned references stay valid as keys are added.
  * Single-threaded: a lineup runs on one worker.
  */
 class TileSummaryCache

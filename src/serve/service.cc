@@ -542,35 +542,57 @@ SimulationService::report(const std::string& id,
             400, "unknown format \"" + format +
                      "\" (accepted: json, csv)");
 
-    util::MutexLock lock(mutex_);
-    const auto it = records_.find(id);
-    if (it == records_.end())
-        return HttpResponse::error(404, "unknown job id \"" + id + '"');
-    const JobRecord& record = it->second;
-    const RecordStatus status = statusOf(record);
-    if (status.failed)
-        return HttpResponse::error(500, record.kind + ' ' + id +
-                                            " failed: " + status.error);
-    if (!status.done()) {
-        if (record.adaptive)
+    std::shared_future<ReportBytes> bytes;
+    std::string kind;
+    {
+        util::MutexLock lock(mutex_);
+        const auto it = records_.find(id);
+        if (it == records_.end())
+            return HttpResponse::error(404,
+                                       "unknown job id \"" + id + '"');
+        const JobRecord& record = it->second;
+        const RecordStatus status = statusOf(record);
+        if (status.failed)
+            return HttpResponse::error(500, record.kind + ' ' + id +
+                                                " failed: " + status.error);
+        if (!status.done()) {
+            if (record.adaptive)
+                return HttpResponse::error(
+                    409, record.kind + ' ' + id +
+                             " is still sampling adaptively (" +
+                             std::to_string(status.seeds_drawn) +
+                             " seeds drawn so far); poll /v1/jobs/" + id);
             return HttpResponse::error(
-                409, record.kind + ' ' + id +
-                         " is still sampling adaptively (" +
-                         std::to_string(status.seeds_drawn) +
-                         " seeds drawn so far); poll /v1/jobs/" + id);
-        return HttpResponse::error(
-            409, record.kind + ' ' + id + " is still running (" +
-                     std::to_string(status.completed) + '/' +
-                     std::to_string(status.total) +
-                     " jobs finished); poll /v1/jobs/" + id);
+                409, record.kind + ' ' + id + " is still running (" +
+                         std::to_string(status.completed) + '/' +
+                         std::to_string(status.total) +
+                         " jobs finished); poll /v1/jobs/" + id);
+        }
+        bytes = record.report;
+        kind = record.kind;
     }
+    return reportBytes(kind, id, bytes, format);
+}
 
-    // The worker rendered both bodies once; a campaign's JSON equals
-    // the offline CLI's report file byte for byte.
-    const ReportBytes& bytes = record.report.get();
+HttpResponse
+SimulationService::reportBytes(const std::string& kind, const std::string& id,
+                               const std::shared_future<ReportBytes>& bytes,
+                               const std::string& format) const
+{
+    // Every job is done, but the worker may still be rendering: wait
+    // here, outside the lock. The worker rendered both bodies once; a
+    // campaign's JSON equals the offline CLI's report file byte for
+    // byte.
+    const ReportBytes* rendered = nullptr;
+    try {
+        rendered = &bytes.get();
+    } catch (const std::exception& e) {
+        return HttpResponse::error(500, kind + ' ' + id +
+                                            " failed: " + e.what());
+    }
     if (format == "csv")
-        return HttpResponse::text(200, bytes.csv, "text/csv");
-    return HttpResponse::text(200, bytes.json, "application/json");
+        return HttpResponse::text(200, rendered->csv, "text/csv");
+    return HttpResponse::text(200, rendered->json, "application/json");
 }
 
 HttpResponse

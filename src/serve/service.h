@@ -204,8 +204,23 @@ class SimulationService
         EXCLUDES(mutex_);
 
     HttpResponse jobStatus(const std::string& id) const;
+    /**
+     * A finished record's report. The record is looked up and its
+     * future copied under the lock; the wait for the bytes happens in
+     * reportBytes, outside it.
+     */
     HttpResponse report(const std::string& id,
-                        const std::string& format) const;
+                        const std::string& format) const EXCLUDES(mutex_);
+    /**
+     * Wait for a record's rendered bytes and answer with them. Once
+     * every job is done the worker may still be rendering the report,
+     * so this can block, and it must never do so under the lock, where
+     * it would hold up every other request.
+     */
+    HttpResponse reportBytes(const std::string& kind, const std::string& id,
+                             const std::shared_future<ReportBytes>& bytes,
+                             const std::string& format) const
+        EXCLUDES(mutex_);
     HttpResponse registryRosters() const;
     HttpResponse statsDocument() const;
     HttpResponse campaignProgress(const std::string& id) const;

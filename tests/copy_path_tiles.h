@@ -1,12 +1,13 @@
 /**
  * @file
- * Tiles that drive selectPrefixes' copy table and its search over the
- * distinct rows: rows repeated near and far, repeats between empty
- * rows, wide rows that share a popcount and a signature without being
- * copies, and every tile of one to four rows over three columns.
- * test_detector.cc checks the selection on them against
- * selectPrefixesNaive, and test_dispatcher.cc checks summarizeTile
- * against the oracle's fold.
+ * Tiles that drive the copy table of DistinctRows::select and its
+ * search over the distinct row values: rows repeated near and far,
+ * repeats between empty rows, wide rows that share a popcount and a
+ * signature without being copies, every tile of one to four rows over
+ * three columns, tiles whose copies decide the summary's sums, and
+ * generated tiles of edge shapes. test_detector.cc checks the
+ * selection on them against selectPrefixesNaive, and
+ * test_dispatcher.cc checks summarizeTile against summarizeTileNaive.
  */
 
 #ifndef PROSPERITY_TESTS_COPY_PATH_TILES_H
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "bitmatrix/bit_matrix.h"
+#include "gen/spike_generator.h"
 #include "sim/rng.h"
 
 namespace prosperity::copy_path_tiles {
@@ -109,6 +111,82 @@ forEachSmallTile(Fn&& fn)
             }
         }
     }
+}
+
+/** A `cols`-wide tile whose row r sets the columns rows[r]. */
+inline BitMatrix
+tileOf(std::size_t cols, const std::vector<std::vector<std::size_t>>& rows)
+{
+    BitMatrix tile(rows.size(), cols);
+    for (std::size_t r = 0; r < rows.size(); ++r)
+        for (const std::size_t c : rows[r])
+            tile.set(r, c);
+    return tile;
+}
+
+/**
+ * Call `fn(tile, label)` on tiles whose copies decide the summary's
+ * sums, each at 16 columns (one-word rows) and at 130 (three words,
+ * the subsets signature twins): every row identical; two values
+ * alternating, a value and its subset; a value with copies before and
+ * after its subsets; and `ties` tiles, where a value's two subsets of
+ * equal popcount are P (two copies) and Q (one). In "ties: P last"
+ * P's last copy comes after Q's, so the value takes P and its copies
+ * walk one hop further than in "ties: Q last", where it takes Q. P's
+ * first copy comes before Q's in both, so only the last copy breaks
+ * the tie right.
+ */
+template <typename Fn>
+void
+forEachCopyTile(Fn&& fn)
+{
+    const std::array<std::pair<std::size_t, std::array<std::size_t, 4>>, 2>
+        layouts = {{{16, {0, 1, 2, 3}}, {130, {0, 64, 1, 65}}}};
+    for (const auto& [cols, c] : layouts) {
+        const std::vector<std::size_t> p = {c[0], c[1]};
+        const std::vector<std::size_t> q = {c[2], c[3]};
+        const std::vector<std::size_t> v = {c[0], c[1], c[2], c[3]};
+        const std::vector<std::size_t> pv = {c[0], c[1], c[2]};
+        const std::string width = " k=" + std::to_string(cols);
+
+        fn(tileOf(cols, std::vector<std::vector<std::size_t>>(256, v)),
+           "identical rows" + width);
+        std::vector<std::vector<std::size_t>> alternating;
+        for (std::size_t r = 0; r < 255; ++r)
+            alternating.push_back(r % 2 == 0 ? v : p);
+        fn(tileOf(cols, alternating), "alternating" + width);
+        fn(tileOf(cols, {v, p, v, pv, {}, v, q, v}),
+           "copies around subsets" + width);
+        fn(tileOf(cols, {p, q, p, v, v}), "ties: P last" + width);
+        fn(tileOf(cols, {p, p, q, v, v}), "ties: Q last" + width);
+        fn(tileOf(cols, {v, p, q, v, p}), "ties: P last, value first" +
+                                              width);
+    }
+}
+
+/**
+ * Call `fn(tile, label)` on clustered generated tiles, rich in repeats
+ * and subsets, at k = 1, 63, 64, 65 and 130 and m = 1, 255 and 257
+ * (one word a row up to 64 columns, more beyond), and on an all-empty
+ * 257 x 130 tile.
+ */
+template <typename Fn>
+void
+forEachShapeTile(Fn&& fn)
+{
+    ActivationProfile clustered;
+    clustered.bit_density = 0.2;
+    clustered.cluster_fraction = 0.9;
+    clustered.bank_size = 4;
+    clustered.subset_drop_prob = 0.3;
+    clustered.temporal_repeat = 0.5;
+    const SpikeGenerator gen(clustered, 23);
+    std::size_t layer = 0;
+    for (const std::size_t cols : {1, 63, 64, 65, 130})
+        for (const std::size_t rows : {1, 255, 257})
+            fn(gen.generate(rows, cols, 4, layer++),
+               std::to_string(rows) + "x" + std::to_string(cols));
+    fn(BitMatrix(257, 130), "all empty 257x130");
 }
 
 } // namespace prosperity::copy_path_tiles

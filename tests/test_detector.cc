@@ -188,5 +188,15 @@ TEST(DetectionCopies, EveryTileOfUpToFourRows)
         });
 }
 
+TEST(DetectionCopies, CopyTilesAndEdgeShapes)
+{
+    const auto check = [](const BitMatrix& tile, const std::string& label) {
+        SCOPED_TRACE(label);
+        expectMatchesNaive(tile);
+    };
+    copy_path_tiles::forEachCopyTile(check);
+    copy_path_tiles::forEachShapeTile(check);
+}
+
 } // namespace
 } // namespace prosperity

@@ -3,13 +3,17 @@
  * Tests for the dispatcher (Sec. V-D) as TilePipeline models it: the
  * overhead-free bitonic sort and the high-overhead traversal ablation.
  * Both issue a legal order; they differ only in exposed cycles and
- * energy.
+ * energy. Both fold summarizeTile's sums, which must equal
+ * summarizeTileNaive's row-by-row fold on every tile, also through one
+ * DistinctRows workspace reused across tiles of changing shape.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "copy_path_tiles.h"
 #include "core/prefix_select.h"
@@ -27,57 +31,10 @@ tileStats(DispatchMode dispatch, const BitMatrix& tile)
         .cost(summarizeTile(tile));
 }
 
-/** Every row's leaf-to-root hop count, each chain followed in full. */
-std::size_t
-naiveChainWalk(const PrefixSelection& sel)
+/** `got` equals `want`, field by field. */
+void
+expectSummaryEq(const TileSummary& got, const TileSummary& want)
 {
-    std::size_t walk = 0;
-    for (std::size_t i = 0; i < sel.rows(); ++i) {
-        std::size_t hops = 1;
-        for (std::int32_t node = sel.prefix[i];
-             node != PrefixSelection::kNoPrefix;
-             node = sel.prefix[static_cast<std::size_t>(node)])
-            ++hops;
-        walk += hops;
-    }
-    return walk;
-}
-
-/**
- * The naive fold: the sums of summarizeTile, taken row by row in index
- * order over the oracle's prefixes, with every chain walked in full.
- * For tiles with at least one column.
- */
-TileSummary
-naiveSummary(const BitMatrix& tile)
-{
-    const PrefixSelection sel = selectPrefixesNaive(tile);
-    TileSummary summary;
-    summary.rows = tile.rows();
-    summary.cols = tile.cols();
-    summary.walk = naiveChainWalk(sel);
-    for (std::size_t i = 0; i < sel.rows(); ++i) {
-        std::size_t pattern = sel.popcounts[i];
-        summary.ones += pattern;
-        if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
-            pattern -=
-                sel.popcounts[static_cast<std::size_t>(sel.prefix[i])];
-            ++(pattern == 0 ? summary.exact : summary.partial);
-        }
-        summary.pattern_ones += pattern;
-    }
-    return summary;
-}
-
-/**
- * summarizeTile(tile) equals the naive fold, field by field; returns
- * the naive fold.
- */
-TileSummary
-expectSummaryMatchesNaive(const BitMatrix& tile)
-{
-    const TileSummary want = naiveSummary(tile);
-    const TileSummary got = summarizeTile(tile);
     EXPECT_EQ(got.rows, want.rows);
     EXPECT_EQ(got.cols, want.cols);
     EXPECT_EQ(got.ones, want.ones);
@@ -85,6 +42,18 @@ expectSummaryMatchesNaive(const BitMatrix& tile)
     EXPECT_EQ(got.exact, want.exact);
     EXPECT_EQ(got.partial, want.partial);
     EXPECT_EQ(got.walk, want.walk);
+}
+
+/**
+ * summarizeTile(tile) equals summarizeTileNaive, the oracle's prefixes
+ * summed row by row with every chain walked in full; returns the
+ * naive fold.
+ */
+TileSummary
+expectSummaryMatchesNaive(const BitMatrix& tile)
+{
+    const TileSummary want = summarizeTileNaive(tile);
+    expectSummaryEq(summarizeTile(tile), want);
     return want;
 }
 
@@ -187,6 +156,74 @@ TEST(Dispatch, CopyPathTilesSumLikeTheNaiveFold)
             SCOPED_TRACE(label);
             expectSummaryMatchesNaive(tile);
         });
+}
+
+TEST(Dispatch, CopiesDecideTheSumsLikeTheNaiveFold)
+{
+    // Each later copy of a value takes the copy before it, so a value
+    // of c copies adds c - 1 exact matches and c(c - 1)/2 hops beyond
+    // c first-copy walks: identical rows, alternating values, copies
+    // around their subsets, and the last-copy tie between two subsets.
+    std::map<std::string, std::size_t> walks;
+    copy_path_tiles::forEachCopyTile(
+        [&](const BitMatrix& tile, const std::string& label) {
+            SCOPED_TRACE(label);
+            walks[label] = expectSummaryMatchesNaive(tile).walk;
+        });
+    for (const char* width : {" k=16", " k=130"}) {
+        const std::string k = width;
+        // 256 copies of one value walk 256 * 257 / 2 hops.
+        EXPECT_EQ(walks.at("identical rows" + k), 32896u);
+        // P's two copies walk 1 + 2 hops and Q's one copy 1. The
+        // value's two copies walk 3 + 4 over P's last copy, or 2 + 3
+        // over Q's.
+        EXPECT_EQ(walks.at("ties: P last" + k), 11u);
+        EXPECT_EQ(walks.at("ties: Q last" + k), 9u);
+    }
+}
+
+TEST(Dispatch, EdgeShapesSumLikeTheNaiveFold)
+{
+    // One-word rows up to 64 columns and wider ones past it, one row,
+    // one past a power of two, and a tile without a one.
+    copy_path_tiles::forEachShapeTile(
+        [](const BitMatrix& tile, const std::string& label) {
+            SCOPED_TRACE(label);
+            expectSummaryMatchesNaive(tile);
+        });
+    const TileSummary empty = summarizeTile(BitMatrix(257, 130));
+    EXPECT_EQ(empty.walk, 257u);
+    EXPECT_EQ(empty.ones + empty.pattern_ones + empty.exact + empty.partial,
+              0u);
+}
+
+TEST(Dispatch, OneWorkspaceSummarisesTilesOfChangingShape)
+{
+    // A TileSummaryCache reuses one DistinctRows across a layer's
+    // tiles. Summaries through one workspace, over tiles whose rows
+    // and columns grow and shrink, must equal fresh one-shot ones: no
+    // buffer may carry a value, a count or a bucket into the next.
+    std::vector<BitMatrix> tiles;
+    const auto keep = [&](const BitMatrix& tile, const std::string&) {
+        tiles.push_back(tile);
+    };
+    copy_path_tiles::forEachShapeTile(keep);
+    copy_path_tiles::forEachCopyTile(keep);
+    tiles.push_back(copy_path_tiles::tallRepeats());
+    tiles.push_back(BitMatrix{});
+    tiles.push_back(copy_path_tiles::signatureTwins());
+    DistinctRows distinct;
+    for (const bool reversed : {false, true}) {
+        for (std::size_t i = 0; i < tiles.size(); ++i) {
+            const BitMatrix& tile =
+                tiles[reversed ? tiles.size() - 1 - i : i];
+            SCOPED_TRACE(::testing::Message()
+                         << (reversed ? "reversed " : "forward ") << i
+                         << ": " << tile.rows() << "x" << tile.cols());
+            expectSummaryEq(summarizeTile(tile, distinct),
+                            summarizeTile(tile));
+        }
+    }
 }
 
 TEST(Dispatch, AllOnesTileWalksOneFullChain)

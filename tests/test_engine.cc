@@ -7,7 +7,8 @@
  * share tile summaries, and when workloads that draw one spike
  * stream share a lineup), jobs on different spike streams never
  * share one, result order matches job order,
- * memoization works, job key bytes are pinned, and ModelHints reach
+ * memoization works, job key bytes are pinned, Prosperity's results
+ * on wide and exact tiles are pinned, and ModelHints reach
  * time-batching designs exactly as on the legacy runner path.
  */
 
@@ -287,6 +288,51 @@ TEST(Engine, ProsperityVariantLineupMatchesLoneRunsBitwise)
             for (std::size_t i = 0; i < order.size(); ++i)
                 expectIdentical(shared[i], alone[order[i]]);
         }
+    }
+}
+
+TEST(Engine, WideAndExactTilesArePinned)
+{
+    // Every golden runs 16-column tiles and samples them, so these pin
+    // the wide-row prefix search (a 64-column row is one word, a
+    // 128-column row two) and exact tiles end to end: Prosperity's
+    // cycles and energy at seed 7, written as hex floats so that a
+    // change in any bit fails.
+    struct Pin
+    {
+        const char* model;
+        const char* dataset;
+        AcceleratorParams params;
+        double cycles;
+        double energy_pj;
+    };
+    const AcceleratorParams k16{{"tile_k", "16"}, {"max_sampled_tiles", "0"}};
+    const AcceleratorParams k64{{"tile_k", "64"}, {"max_sampled_tiles", "0"}};
+    const AcceleratorParams k128{{"tile_k", "128"},
+                                 {"max_sampled_tiles", "0"}};
+    const AcceleratorParams walk128{{"tile_k", "128"},
+                                    {"dispatch", "traversal"}};
+    const std::vector<Pin> pins = {
+        {"LeNet5", "MNIST", k16, 0x1.6f3p+13, 0x1.9ef3c2774fbcbp+24},
+        {"LeNet5", "MNIST", k64, 0x1.4d28p+13, 0x1.8cd567eecdb00p+24},
+        {"LeNet5", "MNIST", k128, 0x1.4be0p+13, 0x1.8a9d158f31635p+24},
+        {"LeNet5", "MNIST", walk128, 0x1.7e4p+13, 0x1.8aab2ff597c9ap+24},
+        {"ResNet18", "CIFAR10", k16, 0x1.1c0ea8p+21, 0x1.97e5aff14ce0dp+32},
+        {"ResNet18", "CIFAR10", k64, 0x1.0dc8b8p+21, 0x1.81459d999a1ddp+32},
+        {"ResNet18", "CIFAR10", k128, 0x1.059888p+21,
+         0x1.7ebc42b98f9f9p+32},
+        {"ResNet18", "CIFAR10", walk128, 0x1.06897p+21,
+         0x1.7db13e978f9fap+32},
+    };
+    SimulationEngine engine;
+    for (const Pin& pin : pins) {
+        SimulationJob job{AcceleratorSpec{"prosperity", pin.params},
+                          makeWorkload(pin.model, pin.dataset), {}};
+        job.options.seed = 7;
+        SCOPED_TRACE(SimulationEngine::jobKey(job));
+        const RunResult result = engine.run(job);
+        EXPECT_EQ(result.cycles, pin.cycles);
+        EXPECT_EQ(result.energy.totalPj(), pin.energy_pj);
     }
 }
 
