@@ -297,7 +297,9 @@ TEST(Engine, WideAndExactTilesArePinned)
     // the wide-row prefix search (a 64-column row is one word, a
     // 128-column row two) and exact tiles end to end: Prosperity's
     // cycles and energy at seed 7, written as hex floats so that a
-    // change in any bit fails.
+    // change in any bit fails. At tile_k 24 and 100 the tile origins
+    // are not word-aligned, so tile rows straddle two words of the
+    // layer matrix (a 100-column row also spans two words itself).
     struct Pin
     {
         const char* model;
@@ -307,18 +309,26 @@ TEST(Engine, WideAndExactTilesArePinned)
         double energy_pj;
     };
     const AcceleratorParams k16{{"tile_k", "16"}, {"max_sampled_tiles", "0"}};
+    const AcceleratorParams k24{{"tile_k", "24"}, {"max_sampled_tiles", "0"}};
     const AcceleratorParams k64{{"tile_k", "64"}, {"max_sampled_tiles", "0"}};
+    const AcceleratorParams k100{{"tile_k", "100"},
+                                 {"max_sampled_tiles", "0"}};
     const AcceleratorParams k128{{"tile_k", "128"},
                                  {"max_sampled_tiles", "0"}};
     const AcceleratorParams walk128{{"tile_k", "128"},
                                     {"dispatch", "traversal"}};
     const std::vector<Pin> pins = {
         {"LeNet5", "MNIST", k16, 0x1.6f3p+13, 0x1.9ef3c2774fbcbp+24},
+        {"LeNet5", "MNIST", k24, 0x1.62b8p+13, 0x1.9724921508c82p+24},
         {"LeNet5", "MNIST", k64, 0x1.4d28p+13, 0x1.8cd567eecdb00p+24},
+        {"LeNet5", "MNIST", k100, 0x1.4da8p+13, 0x1.8a8d4887a0a13p+24},
         {"LeNet5", "MNIST", k128, 0x1.4be0p+13, 0x1.8a9d158f31635p+24},
         {"LeNet5", "MNIST", walk128, 0x1.7e4p+13, 0x1.8aab2ff597c9ap+24},
         {"ResNet18", "CIFAR10", k16, 0x1.1c0ea8p+21, 0x1.97e5aff14ce0dp+32},
+        {"ResNet18", "CIFAR10", k24, 0x1.082ef8p+21, 0x1.8ca037de9524cp+32},
         {"ResNet18", "CIFAR10", k64, 0x1.0dc8b8p+21, 0x1.81459d999a1ddp+32},
+        {"ResNet18", "CIFAR10", k100, 0x1.07441p+21,
+         0x1.7f36fe3555bf1p+32},
         {"ResNet18", "CIFAR10", k128, 0x1.059888p+21,
          0x1.7ebc42b98f9f9p+32},
         {"ResNet18", "CIFAR10", walk128, 0x1.06897p+21,
