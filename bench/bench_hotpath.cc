@@ -9,9 +9,10 @@
  *    selectPrefixes (one signature-prefiltered search per distinct
  *    row value, expanded row by row) on the same 256x16 tiles, over a
  *    sweep across densities, and summarizeTile (the same search, its
- *    sums folded per value, one workspace across the tiles) against
- *    summarizeTileNaive's checksum (checksums must agree — verified
- *    here);
+ *    sums folded per value) against summarizeTileNaive's checksum
+ *    (checksums must agree — verified here); both fast cases read
+ *    each tile in place through one workspace reused across the
+ *    tiles;
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitMatrix::randomize, plus a full SpikeGenerator layer;
  *  - gemm: the functional ProductGemm multiply;
@@ -190,12 +191,18 @@ main(int argc, char** argv)
                     c ^= checksumSelection(selectPrefixesNaive(tile));
                 return c;
             });
+        // The fast paths read every tile in place through one
+        // workspace reused across the tiles, as TileSummaryCache and
+        // ProductGemm do.
+        DistinctRows distinct;
         const auto fast = h.run(
             "frontend/select_prefixes/d=" + fmt(d), "frontend", params,
             opts, [&] {
                 std::uint64_t c = 0;
-                for (const BitMatrix& tile : tiles)
-                    c ^= checksumSelection(selectPrefixes(tile));
+                for (const BitMatrix& tile : tiles) {
+                    distinct.select(tile, 0, 0, tile.rows(), tile.cols());
+                    c ^= checksumSelection(selectPrefixes(distinct));
+                }
                 return c;
             });
         if (reference.checksum != fast.checksum) {
@@ -207,18 +214,18 @@ main(int argc, char** argv)
                   << fmt(reference.median_ns / fast.median_ns)
                   << "x (checksums identical)\n";
 
-        // The summary path the campaigns run: one workspace reused
-        // across the tiles, as TileSummaryCache does.
+        // The summary path the campaigns run.
         std::uint64_t naive = 0;
         for (const BitMatrix& tile : tiles)
             naive ^= checksumSummary(summarizeTileNaive(tile));
-        DistinctRows distinct;
         const auto summary = h.run(
             "frontend/summarize_tile/d=" + fmt(d), "frontend", params,
             opts, [&] {
                 std::uint64_t c = 0;
-                for (const BitMatrix& tile : tiles)
-                    c ^= checksumSummary(summarizeTile(tile, distinct));
+                for (const BitMatrix& tile : tiles) {
+                    distinct.select(tile, 0, 0, tile.rows(), tile.cols());
+                    c ^= checksumSummary(summarizeTile(distinct));
+                }
                 return c;
             });
         if (summary.checksum != naive) {

@@ -809,8 +809,14 @@ CampaignReport
 CampaignRunner::run(const CampaignSpec& spec,
                     const ProgressCallback& progress) const
 {
-    const CampaignSpec::CampaignExpansion expansion = spec.expand();
+    return run(spec, spec.expand(), progress);
+}
 
+CampaignReport
+CampaignRunner::run(const CampaignSpec& spec,
+                    const CampaignSpec::CampaignExpansion& expansion,
+                    const ProgressCallback& progress) const
+{
     if (spec.sampling) {
         stats::AdaptiveProgressCallback adaptive_progress;
         if (progress)

@@ -309,6 +309,11 @@ class CampaignRunner
     CampaignReport run(const CampaignSpec& spec,
                        const ProgressCallback& progress = {}) const;
 
+    /** run() over `expansion`, which must be `spec.expand()`. */
+    CampaignReport run(const CampaignSpec& spec,
+                       const CampaignSpec::CampaignExpansion& expansion,
+                       const ProgressCallback& progress) const;
+
   private:
     SimulationEngine& engine_;
 };

@@ -1,9 +1,10 @@
 #include "density.h"
 
+#include <span>
 #include <vector>
 
-#include "bitmatrix/word_kernels.h"
 #include "core/prefix_select.h"
+#include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 
 namespace prosperity {
@@ -24,60 +25,56 @@ DensityReport::merge(const DensityReport& other)
 
 namespace {
 
-/** Analyze one cropped tile, optionally selecting a second prefix. */
+/**
+ * The selected tile's report scaled by `scale`: summarizeTile's sums
+ * and, with `two_prefix`, each value's second prefix (a later copy
+ * matches exactly): the value with the most ones inside value ^ prefix
+ * value, disjoint from the first prefix and useful from two ones on.
+ */
 DensityReport
-analyzeTile(const BitMatrix& tile, bool two_prefix)
+tileReport(const DistinctRows& distinct, bool two_prefix, double scale,
+           std::vector<std::uint64_t>& residual)
 {
-    const PrefixSelection sel = selectPrefixes(tile);
-    DensityReport report;
-    const std::size_t m = tile.rows();
-    const std::size_t nwords = tile.rowWords();
-    report.rows = static_cast<double>(m);
-    report.bits_total =
-        static_cast<double>(m) * static_cast<double>(tile.cols());
-    std::vector<std::uint64_t> residual(nwords);
-
-    for (std::size_t i = 0; i < m; ++i) {
-        const std::size_t pops = sel.popcounts[i];
-        const bool has_prefix = sel.prefix[i] != PrefixSelection::kNoPrefix;
-        const auto p = static_cast<std::size_t>(sel.prefix[i]);
-        const std::size_t residual_one =
-            has_prefix ? pops - sel.popcounts[p] : pops;
-        report.bits_set += static_cast<double>(pops);
-        report.pattern_bits_one += static_cast<double>(residual_one);
-        if (has_prefix) {
-            report.rows_one_prefix += 1.0;
-            if (residual_one == 0)
-                report.exact_matches += 1.0;
-            else
-                report.partial_matches += 1.0;
-        }
-
-        // Second prefix: the largest row inside the residual row ^
-        // prefix, hence disjoint from the first prefix. A useful second
-        // prefix has at least two ones.
-        std::size_t best_pops = 1;
-        if (two_prefix && has_prefix && residual_one >= 2) {
-            const std::span<const std::uint64_t> row = tile.row(i);
-            const std::span<const std::uint64_t> prefix = tile.row(p);
-            for (std::size_t w = 0; w < nwords; ++w)
-                residual[w] = row[w] ^ prefix[w];
-            for (std::size_t j = 0; j < m; ++j) {
-                const std::size_t pops_j = sel.popcounts[j];
-                if (pops_j > best_pops && pops_j <= residual_one &&
-                    isSubsetOfWords(tile.row(j).data(), residual.data(),
-                                    nwords))
-                    best_pops = pops_j;
-            }
-        }
-        if (best_pops > 1) {
-            report.rows_two_prefix += 1.0;
-            report.pattern_bits_two +=
-                static_cast<double>(residual_one - best_pops);
-        } else {
-            report.pattern_bits_two += static_cast<double>(residual_one);
+    const TileSummary summary = summarizeTile(distinct);
+    const std::span<const DistinctRows::Value> values = distinct.values();
+    std::size_t second_rows = 0;
+    std::size_t second_ones = 0; // ones the second prefixes cover
+    for (std::size_t t = 0; two_prefix && t < values.size(); ++t) {
+        if (values[t].prefix == PrefixSelection::kNoPrefix)
+            continue;
+        const auto p = static_cast<std::size_t>(values[t].prefix);
+        const std::size_t residual_ones =
+            values[t].popcount - values[p].popcount;
+        if (residual_ones < 2)
+            continue;
+        const std::span<const std::uint64_t> row = distinct.words(t);
+        const std::span<const std::uint64_t> prefix = distinct.words(p);
+        residual.resize(row.size());
+        for (std::size_t w = 0; w < row.size(); ++w)
+            residual[w] = row[w] ^ prefix[w];
+        const std::int32_t second =
+            distinct.lastSubset(residual.data(), residual_ones);
+        if (second != PrefixSelection::kNoPrefix &&
+            values[static_cast<std::size_t>(second)].popcount > 1) {
+            ++second_rows;
+            second_ones += values[static_cast<std::size_t>(second)].popcount;
         }
     }
+
+    const auto scaled = [scale](std::size_t sum) {
+        return static_cast<double>(sum) * scale;
+    };
+    DensityReport report;
+    report.bits_total = static_cast<double>(summary.rows) *
+                        static_cast<double>(summary.cols) * scale;
+    report.bits_set = scaled(summary.ones);
+    report.pattern_bits_one = scaled(summary.pattern_ones);
+    report.pattern_bits_two = scaled(summary.pattern_ones - second_ones);
+    report.rows = scaled(summary.rows);
+    report.rows_one_prefix = scaled(summary.exact + summary.partial);
+    report.rows_two_prefix = scaled(second_rows);
+    report.exact_matches = scaled(summary.exact);
+    report.partial_matches = scaled(summary.partial);
     return report;
 }
 
@@ -89,23 +86,14 @@ analyzeMatrix(const BitMatrix& spikes, const DensityOptions& options)
     const TileConfig& tile = options.tile;
     const TileSample sample = sampleTiles(spikes.rows(), spikes.cols(),
                                           tile, options.max_sampled_tiles);
-    const double scale = sample.scale;
 
     DensityReport total;
-    BitMatrix buffer; // one tile buffer, refilled for every tile
+    DistinctRows distinct; // one search workspace, reused for every tile
+    std::vector<std::uint64_t> residual;
     for (const auto& [r0, c0] : sample.origins) {
-        extractTile(spikes, r0, c0, tile.m, tile.k, buffer);
-        DensityReport tile_report = analyzeTile(buffer, options.two_prefix);
-        tile_report.bits_total *= scale;
-        tile_report.bits_set *= scale;
-        tile_report.pattern_bits_one *= scale;
-        tile_report.pattern_bits_two *= scale;
-        tile_report.rows *= scale;
-        tile_report.rows_one_prefix *= scale;
-        tile_report.rows_two_prefix *= scale;
-        tile_report.exact_matches *= scale;
-        tile_report.partial_matches *= scale;
-        total.merge(tile_report);
+        distinct.select(spikes, r0, c0, tile.m, tile.k);
+        total.merge(tileReport(distinct, options.two_prefix, sample.scale,
+                               residual));
     }
     return total;
 }

@@ -84,42 +84,6 @@ BitMatrix::density() const
     return bits == 0.0 ? 0.0 : static_cast<double>(popcount()) / bits;
 }
 
-void
-extractTile(const BitMatrix& matrix, std::size_t row0, std::size_t col0,
-            std::size_t tile_rows, std::size_t tile_cols, BitMatrix& out)
-{
-    PROSPERITY_ASSERT(row0 <= matrix.rows() && col0 <= matrix.cols(),
-                      "tile origin out of range");
-    out.rows_ = std::min(matrix.rows() - row0, tile_rows);
-    out.cols_ = std::min(matrix.cols() - col0, tile_cols);
-    out.row_words_ = (out.cols_ + 63) / 64;
-    out.words_.resize(out.rows_ * out.row_words_);
-    if (out.row_words_ == 0)
-        return;
-
-    // Output word w holds source bits [col0 + 64w, col0 + 64w + 64):
-    // source word first + w shifted down by `shift`, merged with the
-    // low bits of the next source word when col0 is not word-aligned.
-    // The last word is masked to `cols` bits: the source bits past it
-    // belong to the tiles to the right.
-    const std::size_t first = col0 / 64;
-    const std::size_t shift = col0 % 64;
-    const std::uint64_t last_mask = lastWordMask(out.cols_);
-    std::uint64_t* dst = out.words_.data();
-    for (std::size_t r = 0; r < out.rows_; ++r) {
-        const std::span<const std::uint64_t> src = matrix.row(row0 + r);
-        for (std::size_t w = 0; w < out.row_words_; ++w) {
-            const std::size_t s = first + w;
-            std::uint64_t word = src[s] >> shift;
-            if (shift != 0 && s + 1 < src.size())
-                word |= src[s + 1] << (64 - shift);
-            dst[w] = word;
-        }
-        dst[out.row_words_ - 1] &= last_mask;
-        dst += out.row_words_;
-    }
-}
-
 TileSample
 sampleTiles(std::size_t rows, std::size_t cols, const TileConfig& tile,
             std::size_t max_tiles)

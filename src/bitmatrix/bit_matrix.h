@@ -6,8 +6,8 @@
  * per-time-step spike matrices are concatenated along the row dimension
  * (Sec. II-A of the paper), giving a single (T*L) x K binary matrix that
  * multiplies a shared K x N weight matrix. Tiling (Sec. V-A) slices this
- * into m x k sub-matrices for the PPU; a tile is itself a BitMatrix
- * whose rows are the detector's k-bit TCAM words, filled by extractTile.
+ * into m x k sub-matrices for the PPU, whose prefix search reads each
+ * tile row (a k-bit TCAM word) in place: no tile is copied out.
  */
 
 #ifndef PROSPERITY_BITMATRIX_BIT_MATRIX_H
@@ -35,8 +35,8 @@ namespace prosperity {
  * `row(r)[c / 64]`. Bits past cols() in each row's last word are zero.
  * row() hands out read-only spans, and every write goes through a
  * mutator that keeps the tail zero (set, copyRow, orRow, randomizeRow,
- * randomize, extractTile), so the word kernels may stream any row, and
- * equal bit content means equal words.
+ * randomize), so the word kernels may stream any row, and equal bit
+ * content means equal words.
  *
  * @par Determinism
  * randomizeRow() makes one Rng::nextBernoulliWords call over the row's
@@ -133,25 +133,11 @@ class BitMatrix
         return words_.data() + r * row_words_;
     }
 
-    friend void extractTile(const BitMatrix& matrix, std::size_t row0,
-                            std::size_t col0, std::size_t tile_rows,
-                            std::size_t tile_cols, BitMatrix& out);
-
     std::size_t rows_ = 0;
     std::size_t cols_ = 0;
     std::size_t row_words_ = 0;        ///< ceil(cols_ / 64)
     std::vector<std::uint64_t> words_; ///< rows_ * row_words_, row-major
 };
-
-/**
- * Extract the tile of `matrix` starting at (row0, col0) with at most
- * `tile_rows` x `tile_cols` bits into `out`, refilling its buffer. Edge
- * tiles are cropped, not padded, so tile ops never see phantom bits.
- * Each output word shifts and merges at most two source words.
- */
-void extractTile(const BitMatrix& matrix, std::size_t row0,
-                 std::size_t col0, std::size_t tile_rows,
-                 std::size_t tile_cols, BitMatrix& out);
 
 /** Geometry of one spiking GeMM: (M x K) spikes times (K x N) weights. */
 struct GemmShape
@@ -203,7 +189,7 @@ struct TileSample
 /**
  * Tile origins of a `rows` x `cols` matrix, row-major (col0 varies
  * fastest); the tiles at the bottom and right edges are cropped by
- * extractTile. When there are more than `max_tiles` tiles (and
+ * their readers. When there are more than `max_tiles` tiles (and
  * max_tiles > 0), keeps the max_tiles origins at multiples of the
  * stride all/max_tiles, and sets `scale` to all/max_tiles so summed
  * per-tile counts extrapolate to the whole matrix. Each kept origin is

@@ -11,9 +11,9 @@
  *
  * All kernels assume canonical operands: unused tail bits beyond the
  * logical width are zero. Every BitMatrix mutator keeps that invariant
- * (the word-granularity ones mask with lastWordMask), and extractTile
- * masks every tile row's last word, so spans obtained from
- * `BitMatrix::row()` are always safe inputs.
+ * (the word-granularity ones mask with lastWordMask), so spans obtained
+ * from `BitMatrix::row()` are always safe inputs, and the prefix search
+ * masks the last word of every tile row it reads in place.
  *
  * `popcountWords` is also the *scalar reference tier* of the runtime
  * SIMD dispatch (bitmatrix/simd_dispatch.h), which adds AVX2 and
@@ -88,6 +88,16 @@ anyWord(const std::uint64_t* words, std::size_t n)
     return false;
 }
 
+/** Word `i`'s bits of an `n`-word span's signature (signatureWords),
+ *  for a reader that takes the signature as it writes the words. */
+inline std::uint64_t
+signatureBits(std::uint64_t word, std::size_t i, std::size_t n)
+{
+    if (n == 1)
+        return word;
+    return word != 0 ? 1ULL << (i / ((n + 63) / 64)) : 0;
+}
+
 /**
  * 64-bit occupancy signature of a packed span: the span's bit positions
  * are divided into 64 contiguous groups and signature bit g is set iff
@@ -106,15 +116,9 @@ anyWord(const std::uint64_t* words, std::size_t n)
 inline std::uint64_t
 signatureWords(const std::uint64_t* words, std::size_t n)
 {
-    if (n == 0)
-        return 0;
-    if (n == 1)
-        return words[0];
-    const std::size_t group = (n + 63) / 64;
     std::uint64_t sig = 0;
     for (std::size_t i = 0; i < n; ++i)
-        if (words[i])
-            sig |= 1ULL << (i / group);
+        sig |= signatureBits(words[i], i, n);
     return sig;
 }
 

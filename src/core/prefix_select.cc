@@ -6,6 +6,7 @@
 
 #include "bitmatrix/simd_dispatch.h"
 #include "bitmatrix/word_kernels.h"
+#include "sim/logging.h"
 
 namespace prosperity {
 
@@ -26,49 +27,74 @@ hashWords(const std::uint64_t* words, std::size_t n)
 } // namespace
 
 void
-DistinctRows::select(const BitMatrix& tile)
+DistinctRows::select(const BitMatrix& matrix, std::size_t row0,
+                     std::size_t col0, std::size_t m, std::size_t k)
 {
-    const std::size_t m = tile.rows();
+    PROSPERITY_ASSERT(row0 <= matrix.rows() && col0 <= matrix.cols(),
+                      "tile origin out of range");
+    rows_ = std::min(matrix.rows() - row0, m);
+    cols_ = std::min(matrix.cols() - col0, k);
+    row_words_ = (cols_ + 63) / 64;
+    m = rows_; // the cropped tile from here on
     empty_rows_ = 0;
     row_ids_.resize(m);
+    bucket_.clear();
     values_.clear();
     if (m == 0)
         return;
 
     // The copy pass, from the last row to the first, so each value is
     // met first at its last copy and numbered then: numbers descend in
-    // last copy. A zero signature is an empty row. Only a value's last
-    // copy counts its ones, through the dispatched SIMD table.
+    // last copy. Each row is read in place into the next number's slot
+    // (word w merges source word w + 1 when the tile is not aligned and
+    // that word is in the row), kept if it is a new value; a zero
+    // signature is an empty row. Only a value's last copy counts its
+    // ones, through the dispatched SIMD table.
     const SimdOps& ops = simdOps();
-    const std::size_t nwords = tile.rowWords();
+    const std::size_t nwords = row_words_;
     const bool one_word = nwords == 1;
-    const std::uint64_t* const words = tile.row(0).data();
+    const std::size_t stride = matrix.rowWords();
+    const std::size_t shift = col0 % 64;
+    const std::size_t in_row = stride - col0 / 64; // source words left
+    const std::uint64_t last_mask = lastWordMask(cols_);
+    const std::uint64_t* const source = matrix.row(row0).data() + col0 / 64;
     const std::size_t slots = std::bit_ceil(2 * m);
-    const int shift = 64 - std::countr_zero(slots);
+    const int hash_shift = 64 - std::countr_zero(slots);
     table_.assign(slots, 0);
     keys_.resize(m);
     found_.resize(m);
+    found_words_.resize(m * nwords);
     // Raw pointers and a local count keep the loop's state in
     // registers; members would be reloaded after every 64-bit store
     // and every call through the SIMD table.
     std::uint32_t* const table = table_.data();
     std::uint32_t* const row_ids = row_ids_.data();
     std::uint64_t* const keys = keys_.data();
+    std::uint64_t* const found_words = found_words_.data();
     Value* const found = found_.data();
     std::uint32_t n = 0;
     std::uint32_t max_pc = 0;
     std::size_t empty_rows = 0;
     for (std::size_t i = m; i-- > 0;) {
-        const std::uint64_t* row = words + i * nwords;
-        const std::uint64_t sig = signatureWords(row, nwords);
+        const std::uint64_t* const src = source + i * stride;
+        std::uint64_t* const row = found_words + n * nwords;
+        std::uint64_t sig = 0;
+        for (std::size_t w = 0; w < nwords; ++w) {
+            std::uint64_t word = src[w] >> shift;
+            if (shift != 0 && w + 1 < in_row)
+                word |= src[w + 1] << (64 - shift);
+            word &= w + 1 < nwords ? ~std::uint64_t{0} : last_mask;
+            row[w] = word;
+            sig |= signatureBits(word, w, nwords);
+        }
         if (sig == 0) {
             row_ids[i] = kEmpty;
             ++empty_rows;
             continue;
         }
         const std::uint64_t key = one_word ? sig : hashWords(row, nwords);
-        for (std::size_t s =
-                 static_cast<std::size_t>((key * kGoldenRatio) >> shift);
+        for (std::size_t s = static_cast<std::size_t>(
+                 (key * kGoldenRatio) >> hash_shift);
              ; s = (s + 1) & (slots - 1)) {
             if (table[s] == 0) {
                 const auto pc = static_cast<std::uint32_t>(
@@ -83,9 +109,8 @@ DistinctRows::select(const BitMatrix& tile)
             }
             const std::uint32_t id = table[s] - 1;
             if (keys[id] == key &&
-                (one_word ||
-                 std::equal(row, row + nwords,
-                            words + found[id].last * nwords))) {
+                (one_word || std::equal(row, row + nwords,
+                                        found_words + id * nwords))) {
                 ++found[id].copies;
                 row_ids[i] = id;
                 break;
@@ -111,49 +136,57 @@ DistinctRows::select(const BitMatrix& tile)
     }
     values_.resize(n);
     sigs_.resize(n);
+    ids_.resize(n);
     positions_.resize(n);
     for (std::uint32_t id = n; id-- > 0;) {
         const std::uint32_t t = bucket_[found_[id].popcount]++;
         values_[t] = found_[id];
-        sigs_[t] = signatureWords(words + found_[id].last * nwords, nwords);
+        sigs_[t] = signatureWords(found_words + id * nwords, nwords);
+        ids_[t] = id;
         positions_[id] = t;
     }
 
     // The search. No value of equal popcount is a subset of another,
-    // so a value's candidates are the values of lower popcount. They
-    // ascend in (popcount, last copy), so the last true subset is the
-    // argmax with ties to the largest index: search backward from the
-    // value's popcount bucket and stop at the first hit. One-word rows
-    // take the first signature hit; wider rows confirm it word by word
-    // and resume the search below a false hit. A prefix value comes
-    // first, so its depth is known when its values need it.
+    // so a value's candidates are the values of fewer ones. A prefix
+    // value comes first, so its depth is known when its values need it.
     for (std::uint32_t t = 0; t < n; ++t) {
         Value& value = values_[t];
-        const std::uint64_t* row = words + value.last * nwords;
-        for (std::size_t end = bucket_[value.popcount - 1];;) {
-            const std::size_t hit =
-                lastSignatureMatch(sigs_.data(), end, sigs_[t]);
-            if (hit == end)
-                break;
-            const Value& prefix = values_[hit];
-            if (one_word ||
-                isSubsetOfWords(words + prefix.last * nwords, row, nwords)) {
-                value.prefix = static_cast<std::int32_t>(hit);
-                value.depth = prefix.depth + prefix.copies;
-                break;
-            }
-            end = hit;
+        const std::int32_t hit =
+            lastSubset(found_words + ids_[t] * nwords, value.popcount - 1);
+        if (hit != PrefixSelection::kNoPrefix) {
+            const Value& prefix = values_[static_cast<std::size_t>(hit)];
+            value.prefix = hit;
+            value.depth = prefix.depth + prefix.copies;
         }
     }
 }
 
-PrefixSelection
-selectPrefixes(const BitMatrix& tile)
+std::int32_t
+DistinctRows::lastSubset(const std::uint64_t* words,
+                         std::size_t max_ones) const
 {
-    DistinctRows distinct;
-    distinct.select(tile);
+    // The values ascend in (popcount, last copy), so the last subset
+    // is the argmax. A one-word signature hit is exact.
+    const std::uint64_t sig = signatureWords(words, row_words_);
+    for (std::size_t end = max_ones < bucket_.size() ? bucket_[max_ones]
+                                                     : values_.size();
+         ;) {
+        const std::size_t hit = lastSignatureMatch(sigs_.data(), end, sig);
+        if (hit == end)
+            return PrefixSelection::kNoPrefix;
+        if (row_words_ == 1 ||
+            isSubsetOfWords(found_words_.data() + ids_[hit] * row_words_,
+                            words, row_words_))
+            return static_cast<std::int32_t>(hit);
+        end = hit;
+    }
+}
+
+PrefixSelection
+selectPrefixes(const DistinctRows& distinct)
+{
     const std::span<const DistinctRows::Value> values = distinct.values();
-    const std::size_t m = tile.rows();
+    const std::size_t m = distinct.rows();
     PrefixSelection sel;
     sel.popcounts.resize(m);
     sel.prefix.assign(m, PrefixSelection::kNoPrefix);

@@ -23,12 +23,11 @@
  * later copy of a value takes the copy before it (an exact match), and
  * a value's first copy takes the last copy of its prefix value. So the
  * one search is DistinctRows::select, which runs once per distinct row
- * value of a tile. Two readers share it: summarizeTile
- * (core/tile_pipeline.h) folds the timing path's sums straight from
- * the value list, and selectPrefixes() expands it row by row for the
- * density analyses and the functional ProductGemm. A tile is a
- * BitMatrix (extractTile refills one per tile), so each row is one
- * k-bit TCAM word span.
+ * value of a tile, read in place from the layer's BitMatrix (each row
+ * one k-bit TCAM word span). Its readers run one workspace per pass:
+ * summarizeTile (core/tile_pipeline.h) folds the sums straight from
+ * the value list, which analyzeMatrix also reads, and selectPrefixes()
+ * expands the list row by row for the functional ProductGemm.
  */
 
 #ifndef PROSPERITY_CORE_PREFIX_SELECT_H
@@ -60,21 +59,17 @@ struct PrefixSelection
  * A tile's distinct non-empty row values, each with its prefix value:
  * the prefix search, run once per value.
  *
- * select() makes three passes. The copy pass scans the rows from the
- * last to the first through an open-addressing table of row values
- * (linear probing, a power of two of at least 2m slots), so each
- * value is first met at its last copy and counted at every other. The
- * signature and the table key are the row itself when k <= 64; wider
- * rows key by a hash and compare their words to confirm a copy. A
- * stable counting sort by popcount then puts the values in (popcount,
- * last copy) order. Last, each value searches backward from its
- * popcount bucket (lastSignatureMatch) for the last value whose
- * one-word occupancy signature passes the subset prefilter: among the
- * subsets of fewer ones, that is the most ones with ties to the
- * largest last copy, the pruner's argmax. Wider rows confirm a hit
- * word by word and resume the search below a false one. Empty rows
- * neither select nor serve as a prefix (the TCAM's valid bit masks
- * them out).
+ * select() makes three passes. The copy pass reads the rows in place,
+ * from the last to the first, through an open-addressing table of row
+ * values (linear probing, a power of two of at least 2m slots), so
+ * each value is first met at its last copy, which keeps its words, and
+ * counted at every other. The signature and the table key are the row
+ * itself when k <= 64; wider rows key by a hash and compare their
+ * words to confirm a copy. A stable counting sort by popcount then
+ * puts the values in (popcount, last copy) order. Last, each value
+ * runs lastSubset() over the values of fewer ones: the pruner's
+ * argmax. Empty rows neither select nor serve as a prefix (the TCAM's
+ * valid bit masks them out).
  *
  * It is a workspace: its buffers keep their capacity from tile to
  * tile, so a pass over a layer's tiles allocates only while its tiles
@@ -96,8 +91,14 @@ class DistinctRows
         std::uint32_t depth = 1;
     };
 
-    /** Find `tile`'s distinct values and each one's prefix value. */
-    void select(const BitMatrix& tile);
+    /** Find the distinct values and prefix values of the tile of
+     *  `matrix` at (row0, col0), at most m x k bits, cropped. */
+    void select(const BitMatrix& matrix, std::size_t row0,
+                std::size_t col0, std::size_t m, std::size_t k);
+
+    /** The tile's shape, after cropping. */
+    std::size_t rows() const { return rows_; }
+    std::size_t cols() const { return cols_; }
 
     /** The distinct non-empty values in (popcount, last copy) order,
      *  in which every prefix value precedes the values that take it. */
@@ -105,6 +106,18 @@ class DistinctRows
     {
         return {values_.data(), values_.size()};
     }
+
+    /** values()[t]'s ceil(cols() / 64) words, tail zero. */
+    std::span<const std::uint64_t> words(std::size_t t) const
+    {
+        return {found_words_.data() + ids_[t] * row_words_, row_words_};
+    }
+
+    /** Position in values() of the last value of at most `max_ones`
+     *  ones inside `words` (as wide as a value), or kNoPrefix: a
+     *  backward lastSignatureMatch whose hits wide rows confirm. */
+    std::int32_t lastSubset(const std::uint64_t* words,
+                            std::size_t max_ones) const;
 
     /** Rows of the tile without a one. */
     std::size_t emptyRows() const { return empty_rows_; }
@@ -126,32 +139,36 @@ class DistinctRows
     std::vector<std::uint32_t> table_;     ///< copy table: number + 1
     std::vector<std::uint32_t> row_ids_;   ///< each row's number, or kEmpty
     std::vector<std::uint64_t> keys_;      ///< per number: its table key
+    std::vector<std::uint64_t> found_words_; ///< per number: its words
     std::vector<Value> found_;             ///< per number
     std::vector<std::uint32_t> positions_; ///< per number: in values_
     /** Counting sort by popcount: bucket_[p] ends as popcount p + 1's
-     *  first position, the end of a popcount-(p + 1) value's search. */
+     *  first position, the end of a search of at most p ones. */
     std::vector<std::uint32_t> bucket_;
     std::vector<std::uint64_t> sigs_; ///< per position: signature
+    std::vector<std::uint32_t> ids_;  ///< per position: its number
     std::vector<Value> values_;       ///< per position
+    std::size_t rows_ = 0;
+    std::size_t cols_ = 0;
+    std::size_t row_words_ = 0; ///< ceil(cols_ / 64)
     std::size_t empty_rows_ = 0;
 };
 
 /**
- * Select every row's prefix: DistinctRows::select, expanded row by
- * row. A row with an earlier copy of its value takes the most recent
- * one (an equal-popcount subset must be identical, so that copy is
- * the argmax of the pruning rules), and a value's first copy takes
+ * Select every row's prefix: the values `distinct` selected, expanded
+ * row by row. A row with an earlier copy of its value takes the most
+ * recent one (an equal-popcount subset must be identical, so that copy
+ * is the argmax of the pruning rules), and a value's first copy takes
  * the last copy of its prefix value. The result equals
  * selectPrefixesNaive() on every tile.
  */
-PrefixSelection selectPrefixes(const BitMatrix& tile);
+PrefixSelection selectPrefixes(const DistinctRows& distinct);
 
 /**
  * All-pairs reference: every subset candidate of every row, pruned by
  * the three rules above, with the scalar popcount and subset loops.
  * The test oracle and bench baseline for selectPrefixes(); the tests
- * hand it the original matrix and selectPrefixes() its extractTile
- * copy, so the oracle checks the extraction too.
+ * hand it a tile built bit by bit, so it checks the in-place read too.
  */
 PrefixSelection selectPrefixesNaive(const BitMatrix& tile);
 

@@ -23,13 +23,18 @@ ProductGemm::multiply(const BitMatrix& spikes,
     result.dense_ops = static_cast<double>(M) * static_cast<double>(K) *
                        static_cast<double>(N);
 
-    BitMatrix tile;                     // refilled for every tile
+    DistinctRows distinct;              // one workspace for every tile
     std::vector<std::uint64_t> pattern; // one row's residual words
+    // A non-empty row's words: those of its value.
+    const auto wordsOf = [&](std::size_t row) {
+        return distinct.words(
+            static_cast<std::size_t>(distinct.valueOf(row)));
+    };
     for (std::size_t r0 = 0; r0 < M; r0 += tile_.m) {
         for (std::size_t c0 = 0; c0 < K; c0 += tile_.k) {
-            extractTile(spikes, r0, c0, tile_.m, tile_.k, tile);
-            const PrefixSelection sel = selectPrefixes(tile);
-            const std::size_t rows = tile.rows();
+            distinct.select(spikes, r0, c0, tile_.m, tile_.k);
+            const PrefixSelection sel = selectPrefixes(distinct);
+            const std::size_t rows = distinct.rows();
 
             // Tile-local output rows: the Processor's output buffer.
             std::vector<std::vector<std::int32_t>> local(
@@ -39,7 +44,7 @@ ProductGemm::multiply(const BitMatrix& spikes,
             // empty rows (no spikes, no prefix) issue nothing.
             for (const std::size_t row : sel.order) {
                 std::vector<std::int32_t>& acc = local[row];
-                const std::span<const std::uint64_t> bits = tile.row(row);
+                const std::span<const std::uint64_t> bits = wordsOf(row);
                 pattern.assign(bits.begin(), bits.end());
                 if (sel.prefix[row] != PrefixSelection::kNoPrefix) {
                     // Step 9: prefix result is the starting partial sum;
@@ -47,7 +52,7 @@ ProductGemm::multiply(const BitMatrix& spikes,
                     const auto p = static_cast<std::size_t>(sel.prefix[row]);
                     acc = local[p];
                     const std::span<const std::uint64_t> prefix =
-                        tile.row(p);
+                        wordsOf(p);
                     for (std::size_t w = 0; w < pattern.size(); ++w)
                         pattern[w] ^= prefix[w];
                     ++result.prefix_hits;

@@ -6,9 +6,10 @@
  * (Sec. V-E): tile by tile, rows issued in (popcount, index) order —
  * the dispatcher's sorted order — each row starting from its prefix's
  * output row and accumulating only the weight rows selected by its
- * residual pattern row ^ prefix. Because ProSparsity is lossless, the
- * result is bit-identical to the dense reference — the property tests
- * in tests/ verify this on every configuration.
+ * residual pattern row ^ prefix, each tile read in place through one
+ * DistinctRows workspace per multiply. Because ProSparsity is lossless,
+ * the result is bit-identical to the dense reference — the property
+ * tests in tests/ verify this on every configuration.
  */
 
 #ifndef PROSPERITY_CORE_PRODUCT_GEMM_H

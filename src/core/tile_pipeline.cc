@@ -23,11 +23,11 @@ bitonicCompares(std::size_t m)
 } // namespace
 
 TileSummary
-summarizeTile(const BitMatrix& tile, DistinctRows& distinct)
+summarizeTile(const DistinctRows& distinct)
 {
     TileSummary summary;
-    summary.rows = tile.rows();
-    summary.cols = tile.cols();
+    summary.rows = distinct.rows();
+    summary.cols = distinct.cols();
     if (summary.rows == 0 || summary.cols == 0)
         return summary;
 
@@ -36,7 +36,6 @@ summarizeTile(const BitMatrix& tile, DistinctRows& distinct)
     // takes its prefix value u, a partial match leaving p - NO(u)
     // ones, or is a root leaving all p. Copy j walks the first copy's
     // depth plus j hops, and each empty row is a root of one hop.
-    distinct.select(tile);
     const std::span<const DistinctRows::Value> values = distinct.values();
     summary.walk = distinct.emptyRows();
     for (const DistinctRows::Value& value : values) {
@@ -54,13 +53,6 @@ summarizeTile(const BitMatrix& tile, DistinctRows& distinct)
         }
     }
     return summary;
-}
-
-TileSummary
-summarizeTile(const BitMatrix& tile)
-{
-    DistinctRows distinct;
-    return summarizeTile(tile, distinct);
 }
 
 TileSummary
@@ -111,11 +103,10 @@ TileSummaryCache::summaries(const TileConfig& tile,
     TileSummarySet set;
     set.scale = sample.scale;
     set.tiles.reserve(sample.origins.size());
-    BitMatrix buffer;      // one tile buffer, refilled for every tile
-    DistinctRows distinct; // one search workspace, reused likewise
+    DistinctRows distinct; // one search workspace, reused for every tile
     for (const auto& [r0, c0] : sample.origins) {
-        extractTile(spikes_, r0, c0, tile.m, tile.k, buffer);
-        set.tiles.push_back(summarizeTile(buffer, distinct));
+        distinct.select(spikes_, r0, c0, tile.m, tile.k);
+        set.tiles.push_back(summarizeTile(distinct));
     }
     return sets_.emplace(key, std::move(set)).first->second;
 }

@@ -2,16 +2,16 @@
  * @file
  * Per-tile PPU processing: prefix selection -> summary -> cost.
  *
- * The front end is split in two. summarizeTile() runs one tile's
- * prefix search (DistinctRows, core/prefix_select.h) — the tile a
- * BitMatrix that extractTile refilled — and folds the few
- * design-independent sums of TileSummary straight from its list of
- * distinct row values; selectPrefixes() expands the same list row by
- * row for the readers that need each row's prefix. One search, two
- * readers. TilePipeline::cost() folds a summary with one design's
- * formulas into the per-tile schedule the pipeline model (ppu.h)
- * consumes, and counts the architectural activity the energy model
- * charges: the ProSparsity phase's cycles (Sec. VI-A), the
+ * The front end is split in two. summarizeTile() folds the few
+ * design-independent sums of TileSummary straight from the list of
+ * distinct row values that one tile's prefix search (DistinctRows,
+ * core/prefix_select.h) made, reading the tile in place from the
+ * layer's spike matrix; the density analysis reads the same fold, and
+ * selectPrefixes() expands the list row by row for the functional
+ * GeMM. One search per tile. TilePipeline::cost() folds a summary with
+ * one design's formulas into the per-tile schedule the pipeline model
+ * (ppu.h) consumes, and counts the architectural activity the energy
+ * model charges: the ProSparsity phase's cycles (Sec. VI-A), the
  * dispatcher's bitonic sorter or, in the ablation, its prefix-chain
  * walk (Sec. V-D), and the Processor's residual accumulations.
  * Supports the ablation configurations of Fig. 9:
@@ -116,15 +116,9 @@ struct TileSummary
     std::size_t walk = 0;
 };
 
-/**
- * Select the prefixes of `tile`'s distinct row values with `distinct`,
- * a workspace reused across tiles, and fold the sums from that value
- * list: O(distinct values) after the copy pass, no per-row state.
- */
-TileSummary summarizeTile(const BitMatrix& tile, DistinctRows& distinct);
-
-/** summarizeTile with a workspace of its own, for one-shot calls. */
-TileSummary summarizeTile(const BitMatrix& tile);
+/** Fold the sums of the tile `distinct` has selected from its value
+ *  list: O(distinct values), no per-row state. */
+TileSummary summarizeTile(const DistinctRows& distinct);
 
 /**
  * The naive fold: the sums of summarizeTile, taken row by row in index
@@ -144,11 +138,11 @@ struct TileSummarySet
 
 /**
  * One layer's tile summaries, shared by every design of a lineup.
- * Keyed by (tile.m, tile.k, max_sampled_tiles): the first design that
- * asks for a key extracts the sampled tiles into one reused BitMatrix
- * buffer and summarizes them through one reused DistinctRows
- * workspace, so the pass allocates nothing per tile, and later designs
- * with the same tiling reuse them. Each computation is one `frontend`
+ * Keyed by (tile.m, tile.k, max_sampled_tiles): the first design
+ * that asks for a key runs the sampled tiles, read in place from the
+ * spike matrix, through one reused DistinctRows workspace, so the
+ * pass allocates nothing per tile, and later designs with the same
+ * tiling reuse the summaries. Each computation is one `frontend`
  * span. Returned references stay valid as keys are added.
  * Single-threaded: a lineup runs on one worker.
  */

@@ -431,7 +431,7 @@ SimulationService::submitCampaign(const HttpRequest& request)
     // needs its jobs.
     if (std::optional<HttpResponse> live = liveRecordAnswer(id))
         return std::move(*live);
-    const CampaignSpec::CampaignExpansion expansion = spec.expand();
+    CampaignSpec::CampaignExpansion expansion = spec.expand();
 
     JobRecord record;
     record.id = id;
@@ -443,12 +443,16 @@ SimulationService::submitCampaign(const HttpRequest& request)
         record.cell_jobs.push_back(cell.job_index);
     const std::shared_ptr<JobProgress> progress = record.progress;
     return admitAndStart(
-        std::move(record), [this, spec = std::move(spec), progress] {
+        std::move(record),
+        [this, spec = std::move(spec), expansion = std::move(expansion),
+         progress]() mutable {
             obs::ScopedSpan span("campaign", spec.name);
             // The CLI's code path, so served reports stay
-            // byte-identical to the offline report files.
+            // byte-identical to the offline report files. The jobs
+            // leave the record's state for the run and go with it.
             const CampaignReport report = CampaignRunner(engine_).run(
-                spec, [&progress](const CampaignProgress& p) {
+                spec, CampaignSpec::CampaignExpansion(std::move(expansion)),
+                [&progress](const CampaignProgress& p) {
                     // An adaptive campaign's total is 0: it counts
                     // seeds, a fixed-seed one counts jobs.
                     (p.total > 0 ? progress->jobs_done

@@ -1,14 +1,14 @@
 /**
  * @file
- * Unit tests for BitMatrix: spike-matrix storage, tile extraction,
- * tile sampling, density.
+ * Unit tests for BitMatrix: spike-matrix storage, tile sampling,
+ * density. The prefix search's in-place tile reads are tested in
+ * test_detector.cc.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -25,17 +25,6 @@ bool
 wordBit(const BitMatrix& m, std::size_t r, std::size_t c)
 {
     return (m.row(r)[c / 64] >> (c % 64)) & 1ULL;
-}
-
-/** Row r as a "1001"-style string, column 0 first. */
-std::string
-rowString(const BitMatrix& m, std::size_t r)
-{
-    std::string out(m.cols(), '0');
-    for (std::size_t c = 0; c < m.cols(); ++c)
-        if (wordBit(m, r, c))
-            out[c] = '1';
-    return out;
 }
 
 /** A bit-per-cell model of a matrix, row-major. */
@@ -63,17 +52,6 @@ bitsOf(const std::vector<std::uint64_t>& words, std::size_t cols)
     for (std::size_t c = 0; c < cols; ++c)
         bits[c] = (words[c / 64] >> (c % 64)) & 1ULL;
     return bits;
-}
-
-/** A matrix built bit by bit from `model`, which has `cols` columns. */
-BitMatrix
-fromModel(const Model& model, std::size_t cols)
-{
-    BitMatrix m(model.size(), cols);
-    for (std::size_t r = 0; r < model.size(); ++r)
-        for (std::size_t c = 0; c < cols; ++c)
-            m.set(r, c, model[r][c]);
-    return m;
 }
 
 /**
@@ -229,143 +207,11 @@ TEST(BitMatrix, ContiguousLayoutContract)
         m.randomizeRow(5, rng, 1.0);
         model[5].assign(cols, true);
         expectLayout(m, model, "randomizeRow at density 1");
-
-        // Refill a buffer that last held a wider and taller tile of
-        // ones: no stale word may survive in it.
-        BitMatrix ones(rows + 4, cols + 70);
-        for (std::size_t r = 0; r < ones.rows(); ++r)
-            for (std::size_t c = 0; c < ones.cols(); ++c)
-                ones.set(r, c);
-        BitMatrix buffer(ones.rows(), ones.cols());
-        extractTile(ones, 0, 0, ones.rows(), ones.cols(), buffer);
-        const std::size_t r0 = 1;
-        const std::size_t c0 = cols / 3;
-        extractTile(m, r0, c0, rows, cols, buffer);
-        Model crop;
-        crop.reserve(rows - r0);
-        for (std::size_t r = r0; r < rows; ++r)
-            crop.emplace_back(model[r].begin() + static_cast<long>(c0),
-                              model[r].end());
-        ASSERT_EQ(buffer.cols(), cols - c0);
-        expectLayout(buffer, crop, "extractTile");
-        EXPECT_EQ(buffer, fromModel(crop, cols - c0));
-    }
-}
-
-TEST(BitMatrix, TileExtractsSubmatrix)
-{
-    const BitMatrix m = paperFig1Matrix();
-    BitMatrix t;
-    extractTile(m, 1, 1, 3, 2, t);
-    EXPECT_EQ(t.rows(), 3u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_EQ(t.rowWords(), 1u);
-    // Rows 1..3, cols 1..2: "00", "01", "01".
-    EXPECT_EQ(rowString(t, 0), "00");
-    EXPECT_EQ(rowString(t, 1), "01");
-    EXPECT_EQ(rowString(t, 2), "01");
-}
-
-TEST(BitMatrix, TileCropsAtEdges)
-{
-    const BitMatrix m = paperFig1Matrix();
-    BitMatrix t;
-    extractTile(m, 4, 2, 256, 16, t);
-    EXPECT_EQ(t.rows(), 2u);
-    EXPECT_EQ(t.cols(), 2u);
-    EXPECT_EQ(t.rowWords(), 1u);
-    EXPECT_EQ(rowString(t, 0), "01");
-    EXPECT_EQ(rowString(t, 1), "01");
-}
-
-TEST(BitMatrix, FullTileIsIdentity)
-{
-    const BitMatrix m = paperFig1Matrix();
-    BitMatrix t;
-    for (const std::size_t size : {6UL, 100UL}) {
-        extractTile(m, 0, 0, size, size, t);
-        EXPECT_EQ(t, m) << "size " << size;
-    }
-}
-
-TEST(BitMatrix, TilePreservesBitsAcrossWordBoundaries)
-{
-    Rng rng(3);
-    BitMatrix m(40, 300);
-    m.randomize(rng, 0.3);
-    BitMatrix t;
-    extractTile(m, 10, 60, 20, 70, t);
-    ASSERT_EQ(t.rows(), 20u);
-    ASSERT_EQ(t.cols(), 70u);
-    ASSERT_EQ(t.rowWords(), 2u);
-    for (std::size_t r = 0; r < t.rows(); ++r)
-        for (std::size_t c = 0; c < t.cols(); ++c)
-            EXPECT_EQ(wordBit(t, r, c), m.test(10 + r, 60 + c));
-}
-
-TEST(BitMatrix, ExtractTileMatchesBitwiseReadsOnRandomMatrices)
-{
-    // Widths on both sides of the word boundaries, bottom and right
-    // edges that crop the tile, and origins with col0 % 64 != 0 whose
-    // output words merge two source words. Every extracted bit must
-    // equal BitMatrix::test, and the bits past cols in each row's last
-    // word must be zero — the all-ones matrices set every source bit
-    // beyond the tile. One buffer is refilled throughout, growing and
-    // shrinking, as the hot loops reuse theirs.
-    Rng rng(41);
-    BitMatrix t;
-    for (const std::size_t cols :
-         {1UL, 15UL, 16UL, 17UL, 63UL, 64UL, 65UL, 130UL, 300UL}) {
-        BitMatrix random(37, cols);
-        random.randomize(rng, 0.5);
-        BitMatrix ones(37, cols);
-        for (std::size_t r = 0; r < ones.rows(); ++r)
-            for (std::size_t c = 0; c < cols; ++c)
-                ones.set(r, c);
-        for (const BitMatrix* m : {&random, &ones}) {
-            for (const std::size_t c0 :
-                 {0UL, 1UL, 7UL, 16UL, 33UL, 63UL, 64UL, 65UL, 127UL,
-                  200UL, 299UL}) {
-                if (c0 >= cols)
-                    continue;
-                for (const std::size_t tile_cols :
-                     {1UL, 16UL, 17UL, 64UL, 65UL, 130UL, 300UL}) {
-                    for (const auto& [r0, tile_rows] :
-                         {std::pair<std::size_t, std::size_t>{0, 256},
-                          {29, 16}}) {
-                        SCOPED_TRACE(::testing::Message()
-                                     << "cols=" << cols << " origin ("
-                                     << r0 << ", " << c0 << ") tile "
-                                     << tile_rows << "x" << tile_cols
-                                     << (m == &ones ? " ones" : ""));
-                        extractTile(*m, r0, c0, tile_rows, tile_cols, t);
-                        ASSERT_EQ(t.rows(), std::min(37 - r0, tile_rows));
-                        ASSERT_EQ(t.cols(),
-                                  std::min(cols - c0, tile_cols));
-                        ASSERT_EQ(t.rowWords(), (t.cols() + 63) / 64);
-                        std::size_t wrong = 0;
-                        for (std::size_t r = 0; r < t.rows(); ++r)
-                            for (std::size_t c = 0; c < t.cols(); ++c)
-                                wrong += wordBit(t, r, c) !=
-                                         m->test(r0 + r, c0 + c);
-                        EXPECT_EQ(wrong, 0u);
-                        const std::size_t tail = t.cols() % 64;
-                        for (std::size_t r = 0; r < t.rows(); ++r)
-                            EXPECT_TRUE(tail == 0 ||
-                                        (t.row(r).back() >> tail) == 0)
-                                << "tail bits set in row " << r;
-                    }
-                }
-            }
-        }
     }
 }
 
 TEST(BitMatrix, SampleTilesVisitsEveryTileRowMajor)
 {
-    Rng rng(9);
-    BitMatrix m(70, 45);
-    m.randomize(rng, 0.4);
     TileConfig tile;
     tile.m = 32;
     tile.k = 16;
@@ -380,18 +226,6 @@ TEST(BitMatrix, SampleTilesVisitsEveryTileRowMajor)
         EXPECT_EQ(sample.origins, expected) << "max_tiles=" << max_tiles;
         EXPECT_EQ(sample.scale, 1.0);
     }
-
-    // Edge tiles are cropped, so the tiles cover every bit once.
-    std::size_t bits = 0;
-    BitMatrix t;
-    for (const auto& [r0, c0] : sampleTiles(70, 45, tile, 0).origins) {
-        extractTile(m, r0, c0, tile.m, tile.k, t);
-        bits += t.popcount();
-    }
-    EXPECT_EQ(bits, m.popcount());
-    extractTile(m, 64, 32, tile.m, tile.k, t);
-    EXPECT_EQ(t.rows(), 6u);
-    EXPECT_EQ(t.cols(), 13u);
 }
 
 TEST(BitMatrix, SampleTilesStridesAndScales)

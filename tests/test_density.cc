@@ -5,14 +5,68 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "analysis/density.h"
+#include "bitmatrix/word_kernels.h"
+#include "core/prefix_select.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
+
+/** All nine report fields, for exact comparison. */
+std::vector<double>
+fields(const DensityReport& r)
+{
+    return {r.bits_total,       r.bits_set,        r.pattern_bits_one,
+            r.pattern_bits_two, r.rows,            r.rows_one_prefix,
+            r.rows_two_prefix,  r.exact_matches,   r.partial_matches};
+}
+
+/**
+ * One tile's report row by row over the oracle's prefixes: each row
+ * with a prefix and at least two residual ones searches every row of
+ * the tile for the one with the most ones (at least two) inside its
+ * residual row ^ prefix.
+ */
+DensityReport
+rowByRowReport(const BitMatrix& tile)
+{
+    const PrefixSelection sel = selectPrefixesNaive(tile);
+    const std::size_t nwords = tile.rowWords();
+    DensityReport report;
+    report.rows = static_cast<double>(tile.rows());
+    report.bits_total = static_cast<double>(tile.rows() * tile.cols());
+    std::vector<std::uint64_t> residual(nwords);
+    for (std::size_t i = 0; i < tile.rows(); ++i) {
+        const std::size_t ones = sel.popcounts[i];
+        std::size_t left = ones;
+        std::size_t second = 0;
+        if (sel.prefix[i] != PrefixSelection::kNoPrefix) {
+            const auto p = static_cast<std::size_t>(sel.prefix[i]);
+            left -= sel.popcounts[p];
+            report.rows_one_prefix += 1.0;
+            ++(left == 0 ? report.exact_matches : report.partial_matches);
+            for (std::size_t w = 0; w < nwords; ++w)
+                residual[w] = tile.row(i)[w] ^ tile.row(p)[w];
+            for (std::size_t j = 0; left >= 2 && j < tile.rows(); ++j)
+                if (sel.popcounts[j] >= 2 && sel.popcounts[j] <= left &&
+                    sel.popcounts[j] > second &&
+                    isSubsetOfWords(tile.row(j).data(), residual.data(),
+                                    nwords))
+                    second = sel.popcounts[j];
+        }
+        report.bits_set += static_cast<double>(ones);
+        report.pattern_bits_one += static_cast<double>(left);
+        report.pattern_bits_two += static_cast<double>(left - second);
+        report.rows_two_prefix += second > 0 ? 1.0 : 0.0;
+    }
+    return report;
+}
 
 TEST(Density, PaperToyExample)
 {
@@ -70,6 +124,53 @@ TEST(Density, TwoPrefixFindsDisjointReuse)
     EXPECT_DOUBLE_EQ(r.pattern_bits_one, 2.0 + 2.0 + 2.0);
     EXPECT_DOUBLE_EQ(r.pattern_bits_two, 2.0 + 2.0 + 0.0);
     EXPECT_DOUBLE_EQ(r.rows_two_prefix, 1.0);
+}
+
+TEST(Density, TwoPrefixMatchesTheRowByRowSearch)
+{
+    // analyzeMatrix searches a second prefix once per distinct value,
+    // through the prefix search's own backward search: at one-word,
+    // straddling two-word and three-word rows it must sum what every
+    // row's search over every row of its tile sums. Four 16-column
+    // blocks, 80 columns apart, each hold three disjoint atoms of two
+    // to five columns, and each row is the union of one to three atoms
+    // of one block: a union takes its largest atom, or a union of two,
+    // as its prefix, and the atom left over as its second prefix.
+    Rng rng(31);
+    BitMatrix spikes(150, 330);
+    std::vector<std::vector<std::size_t>> atoms;
+    for (std::size_t block = 0; block < 4; ++block) {
+        std::vector<std::size_t> columns(16);
+        for (std::size_t c = 0; c < columns.size(); ++c)
+            columns[c] = 80 * block + c;
+        std::shuffle(columns.begin(), columns.end(), rng);
+        for (std::size_t a = 0, next = 0; a < 3; ++a) {
+            atoms.emplace_back();
+            for (std::size_t n = 2 + rng.nextBelow(4); n > 0; --n)
+                atoms.back().push_back(columns[next++]);
+        }
+    }
+    for (std::size_t r = 0; r < spikes.rows(); ++r) {
+        const std::size_t block = rng.nextBelow(4);
+        for (std::size_t n = 1 + rng.nextBelow(3); n > 0; --n)
+            for (const std::size_t c : atoms[3 * block + rng.nextBelow(3)])
+                spikes.set(r, c);
+    }
+    for (const std::size_t k : {16UL, 100UL, 130UL}) {
+        DensityOptions opt;
+        opt.tile.m = 64;
+        opt.tile.k = k;
+        opt.two_prefix = true;
+        opt.max_sampled_tiles = 0;
+        DensityReport want;
+        for (const auto& [r0, c0] :
+             sampleTiles(spikes.rows(), spikes.cols(), opt.tile, 0).origins)
+            want.merge(rowByRowReport(
+                bitByBitTile(spikes, r0, c0, opt.tile.m, opt.tile.k)));
+        const DensityReport got = analyzeMatrix(spikes, opt);
+        EXPECT_EQ(fields(got), fields(want)) << "k=" << k;
+        EXPECT_GT(got.rows_two_prefix, 0.0) << "k=" << k;
+    }
 }
 
 TEST(Density, ClusteredMatricesSparserUnderProduct)
@@ -133,15 +234,6 @@ TEST(Density, SamplingApproximatesFull)
     const double d_full = analyzeMatrix(m, full).productDensity();
     const double d_sampled = analyzeMatrix(m, sampled).productDensity();
     EXPECT_NEAR(d_sampled / d_full, 1.0, 0.15);
-}
-
-/** All nine report fields, for exact comparison. */
-std::vector<double>
-fields(const DensityReport& r)
-{
-    return {r.bits_total,       r.bits_set,        r.pattern_bits_one,
-            r.pattern_bits_two, r.rows,            r.rows_one_prefix,
-            r.rows_two_prefix,  r.exact_matches,   r.partial_matches};
 }
 
 TEST(Density, WorkloadReportsArePinnedExactly)

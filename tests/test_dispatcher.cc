@@ -20,6 +20,7 @@
 #include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
@@ -28,7 +29,7 @@ TileStats
 tileStats(DispatchMode dispatch, const BitMatrix& tile)
 {
     return TilePipeline(SparsityMode::kProductSparsity, dispatch)
-        .cost(summarizeTile(tile));
+        .cost(summaryOf(tile));
 }
 
 /** `got` equals `want`, field by field. */
@@ -45,15 +46,15 @@ expectSummaryEq(const TileSummary& got, const TileSummary& want)
 }
 
 /**
- * summarizeTile(tile) equals summarizeTileNaive, the oracle's prefixes
- * summed row by row with every chain walked in full; returns the
- * naive fold.
+ * The summary of all of `tile` equals summarizeTileNaive, the oracle's
+ * prefixes summed row by row with every chain walked in full; returns
+ * the naive fold.
  */
 TileSummary
 expectSummaryMatchesNaive(const BitMatrix& tile)
 {
     const TileSummary want = summarizeTileNaive(tile);
-    expectSummaryEq(summarizeTile(tile), want);
+    expectSummaryEq(summaryOf(tile), want);
     return want;
 }
 
@@ -123,7 +124,7 @@ TEST(Dispatch, TraversalWalkEqualsPerRowChainWalks)
                 const TileStats stats =
                     TilePipeline(SparsityMode::kProductSparsity,
                                  DispatchMode::kTreeTraversal)
-                        .cost(summarizeTile(*tile));
+                        .cost(summaryOf(*tile));
                 EXPECT_DOUBLE_EQ(stats.table_accesses,
                                  2.0 * static_cast<double>(rows) +
                                      static_cast<double>(walk));
@@ -191,7 +192,7 @@ TEST(Dispatch, EdgeShapesSumLikeTheNaiveFold)
             SCOPED_TRACE(label);
             expectSummaryMatchesNaive(tile);
         });
-    const TileSummary empty = summarizeTile(BitMatrix(257, 130));
+    const TileSummary empty = summaryOf(BitMatrix(257, 130));
     EXPECT_EQ(empty.walk, 257u);
     EXPECT_EQ(empty.ones + empty.pattern_ones + empty.exact + empty.partial,
               0u);
@@ -201,8 +202,9 @@ TEST(Dispatch, OneWorkspaceSummarisesTilesOfChangingShape)
 {
     // A TileSummaryCache reuses one DistinctRows across a layer's
     // tiles. Summaries through one workspace, over tiles whose rows
-    // and columns grow and shrink, must equal fresh one-shot ones: no
-    // buffer may carry a value, a count or a bucket into the next.
+    // and columns grow and shrink, must equal those of a fresh
+    // workspace: no buffer may carry a value, a word, a count or a
+    // bucket into the next.
     std::vector<BitMatrix> tiles;
     const auto keep = [&](const BitMatrix& tile, const std::string&) {
         tiles.push_back(tile);
@@ -220,8 +222,8 @@ TEST(Dispatch, OneWorkspaceSummarisesTilesOfChangingShape)
             SCOPED_TRACE(::testing::Message()
                          << (reversed ? "reversed " : "forward ") << i
                          << ": " << tile.rows() << "x" << tile.cols());
-            expectSummaryEq(summarizeTile(tile, distinct),
-                            summarizeTile(tile));
+            distinct.select(tile, 0, 0, tile.rows(), tile.cols());
+            expectSummaryEq(summarizeTile(distinct), summaryOf(tile));
         }
     }
 }
@@ -257,7 +259,7 @@ TEST(Dispatch, EmptyTable)
          {DispatchMode::kOverheadFree, DispatchMode::kTreeTraversal}) {
         const TileStats stats =
             TilePipeline(SparsityMode::kProductSparsity, mode)
-                .cost(summarizeTile(BitMatrix{}));
+                .cost(summaryOf(BitMatrix{}));
         EXPECT_EQ(stats.prosparsity_cycles, 0u);
         EXPECT_DOUBLE_EQ(stats.sorter_compares, 0.0);
         EXPECT_DOUBLE_EQ(stats.table_accesses, 0.0);

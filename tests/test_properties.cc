@@ -75,11 +75,16 @@ TEST_P(ProsparsityProperties, TileInvariants)
 {
     const BitMatrix spikes = makeMatrix();
     TileConfig tile;
-    BitMatrix t;
+    DistinctRows distinct; // one workspace for every tile
+    // A non-empty row's words: those of its value.
+    const auto words = [&](std::size_t row) {
+        return distinct.words(
+            static_cast<std::size_t>(distinct.valueOf(row)));
+    };
     for (std::size_t r0 = 0; r0 < spikes.rows(); r0 += tile.m) {
         for (std::size_t c0 = 0; c0 < spikes.cols(); c0 += tile.k) {
-            extractTile(spikes, r0, c0, tile.m, tile.k, t);
-            const PrefixSelection sel = selectPrefixes(t);
+            distinct.select(spikes, r0, c0, tile.m, tile.k);
+            const PrefixSelection sel = selectPrefixes(distinct);
             for (std::size_t i = 0; i < sel.rows(); ++i) {
                 if (sel.prefix[i] == PrefixSelection::kNoPrefix)
                     continue;
@@ -91,10 +96,12 @@ TEST_P(ProsparsityProperties, TileInvariants)
                     << "row " << i << " prefix " << p;
 
                 // (3) disjointness + reconstruction, word by word.
-                for (std::size_t w = 0; w < t.rowWords(); ++w) {
-                    const std::uint64_t pattern = t.row(i)[w] ^ t.row(p)[w];
-                    ASSERT_EQ(pattern & t.row(p)[w], 0u);
-                    ASSERT_EQ(pattern | t.row(p)[w], t.row(i)[w]);
+                const std::span<const std::uint64_t> row = words(i);
+                const std::span<const std::uint64_t> prefix = words(p);
+                for (std::size_t w = 0; w < row.size(); ++w) {
+                    const std::uint64_t pattern = row[w] ^ prefix[w];
+                    ASSERT_EQ(pattern & prefix[w], 0u);
+                    ASSERT_EQ(pattern | prefix[w], row[w]);
                 }
             }
         }
@@ -177,12 +184,6 @@ TEST_P(CanonicalTailProperties, MatrixPathsKeepTailZero)
         BitMatrix::fromStrings({std::string(cols, '1')});
     ASSERT_TRUE(tailIsCanonical(parsed.row(0), cols)) << "fromStrings";
     EXPECT_EQ(parsed.popcount(), cols);
-
-    BitMatrix t;
-    extractTile(m, 5, 1, 16, cols > 2 ? cols - 2 : cols, t);
-    for (std::size_t r = 0; r < t.rows(); ++r)
-        ASSERT_TRUE(tailIsCanonical(t.row(r), t.cols()))
-            << "tile row " << r;
 
     // The generator exercises randomizeRow + set + copyRow in one go.
     ActivationProfile profile;

@@ -150,11 +150,10 @@ TEST_P(SimdKernels, SelectPrefixesMatchesNaiveReference)
                     matrix.set(r, c,
                                base.test(0, c) && !matrix.test(r, c));
         }
-        // The fast path reads an extractTile copy, the oracle the
-        // matrix itself, so the comparison checks the extraction too.
-        BitMatrix tile;
-        extractTile(matrix, 0, 0, matrix.rows(), cols, tile);
-        const PrefixSelection fast = selectPrefixes(tile);
+        // The fast path reads the whole matrix in place as one tile.
+        DistinctRows distinct;
+        distinct.select(matrix, 0, 0, matrix.rows(), cols);
+        const PrefixSelection fast = selectPrefixes(distinct);
         const PrefixSelection naive = selectPrefixesNaive(matrix);
         ASSERT_EQ(fast.popcounts, naive.popcounts)
             << "tier " << tier() << " cols=" << cols;

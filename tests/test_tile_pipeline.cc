@@ -8,6 +8,7 @@
 
 #include "core/tile_pipeline.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
@@ -23,7 +24,7 @@ TEST(TilePipeline, BitSparsityCountsRawSpikes)
 {
     const TilePipeline pipeline(SparsityMode::kBitSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(paperTile()));
+    const TileStats stats = pipeline.cost(summaryOf(paperTile()));
     EXPECT_DOUBLE_EQ(stats.bit_row_ops, 14.0); // Fig. 1: 14 bit ops
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 14.0);
     EXPECT_EQ(stats.prosparsity_cycles, 0u);
@@ -37,7 +38,7 @@ TEST(TilePipeline, ProductSparsityMatchesFig1OpCount)
     // Fig. 1 (d): ProSparsity reduces the toy example to 6 OPs.
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(paperTile()));
+    const TileStats stats = pipeline.cost(summaryOf(paperTile()));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 6.0);
     EXPECT_DOUBLE_EQ(stats.bit_row_ops, 14.0);
     EXPECT_EQ(stats.exact_matches, 1u);   // Row 5 == Row 4
@@ -48,13 +49,13 @@ TEST(TilePipeline, ProsparsityPhaseCycles)
 {
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(paperTile()));
+    const TileStats stats = pipeline.cost(summaryOf(paperTile()));
     EXPECT_EQ(stats.prosparsity_cycles, 6u + 4u); // m + 4
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 6.0 * 6.0 * 4.0);
 
     // A one-row tile still pays the five-stage pipeline.
     const TileStats one =
-        pipeline.cost(summarizeTile(BitMatrix::fromStrings({"0110"})));
+        pipeline.cost(summaryOf(BitMatrix::fromStrings({"0110"})));
     EXPECT_EQ(one.prosparsity_cycles, 5u);
 }
 
@@ -69,7 +70,7 @@ TEST(TilePipeline, PhaseCostsAtPaperTileSize)
     const TileStats stats =
         TilePipeline(SparsityMode::kProductSparsity,
                      DispatchMode::kOverheadFree)
-            .cost(summarizeTile(tile));
+            .cost(summaryOf(tile));
     EXPECT_EQ(stats.prosparsity_cycles, 260u);
     EXPECT_DOUBLE_EQ(stats.tcam_bit_ops, 256.0 * 256.0 * 16.0);
     EXPECT_DOUBLE_EQ(stats.popcount_ops, 256.0);
@@ -84,7 +85,7 @@ TEST(TilePipeline, EmRowsStillCostOneCycle)
         "1111", "1111", "1111", "1111"});
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(tile));
+    const TileStats stats = pipeline.cost(summaryOf(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 4.0); // row 0 pays 4 adds
     EXPECT_EQ(stats.exact_matches, 3u);
     // 4 fill + ceil((4 row-0 adds + 3 EM copies) / 0.65) = 4 + 11.
@@ -99,7 +100,7 @@ TEST(TilePipeline, ProductOpsNeverExceedBitOps)
     for (int trial = 0; trial < 20; ++trial) {
         BitMatrix tile(128, 16);
         tile.randomize(rng, 0.05 + 0.04 * trial);
-        const TileStats stats = pipeline.cost(summarizeTile(tile));
+        const TileStats stats = pipeline.cost(summaryOf(tile));
         EXPECT_LE(stats.accum_row_ops, stats.bit_row_ops);
     }
 }
@@ -108,7 +109,7 @@ TEST(TilePipeline, EmptyTile)
 {
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(BitMatrix{}));
+    const TileStats stats = pipeline.cost(summaryOf(BitMatrix{}));
     EXPECT_EQ(stats.compute_cycles, 0u);
     EXPECT_EQ(stats.prosparsity_cycles, 0u);
 }
@@ -118,7 +119,7 @@ TEST(TilePipeline, AllZeroRowsAreSqueezedOut)
     const BitMatrix tile(8, 16);
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);
-    const TileStats stats = pipeline.cost(summarizeTile(tile));
+    const TileStats stats = pipeline.cost(summaryOf(tile));
     EXPECT_DOUBLE_EQ(stats.accum_row_ops, 0.0);
     EXPECT_EQ(stats.compute_cycles, 4u); // pipeline fill only
 }
