@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <vector>
 
 #include "analysis/density.h"
@@ -40,7 +39,8 @@ rowByRowReport(const BitMatrix& tile)
     const std::size_t nwords = tile.rowWords();
     DensityReport report;
     report.rows = static_cast<double>(tile.rows());
-    report.bits_total = static_cast<double>(tile.rows() * tile.cols());
+    report.bits_total = static_cast<double>(tile.rows()) *
+                        static_cast<double>(tile.cols());
     std::vector<std::uint64_t> residual(nwords);
     for (std::size_t i = 0; i < tile.rows(); ++i) {
         const std::size_t ones = sel.popcounts[i];
@@ -133,28 +133,22 @@ TEST(Density, TwoPrefixMatchesTheRowByRowSearch)
     // straddling two-word and three-word rows it must sum what every
     // row's search over every row of its tile sums. Four 16-column
     // blocks, 80 columns apart, each hold three disjoint atoms of two
-    // to five columns, and each row is the union of one to three atoms
-    // of one block: a union takes its largest atom, or a union of two,
-    // as its prefix, and the atom left over as its second prefix.
+    // to five adjacent columns, and each row is the union of one to
+    // three atoms of one block: a union takes its largest atom, or a
+    // union of two, as its prefix, and the atom left over as its
+    // second prefix.
     Rng rng(31);
+    std::vector<std::size_t> atom_width(12);
+    for (std::size_t& width : atom_width)
+        width = 2 + rng.nextBelow(4);
     BitMatrix spikes(150, 330);
-    std::vector<std::vector<std::size_t>> atoms;
-    for (std::size_t block = 0; block < 4; ++block) {
-        std::vector<std::size_t> columns(16);
-        for (std::size_t c = 0; c < columns.size(); ++c)
-            columns[c] = 80 * block + c;
-        std::shuffle(columns.begin(), columns.end(), rng);
-        for (std::size_t a = 0, next = 0; a < 3; ++a) {
-            atoms.emplace_back();
-            for (std::size_t n = 2 + rng.nextBelow(4); n > 0; --n)
-                atoms.back().push_back(columns[next++]);
-        }
-    }
     for (std::size_t r = 0; r < spikes.rows(); ++r) {
         const std::size_t block = rng.nextBelow(4);
-        for (std::size_t n = 1 + rng.nextBelow(3); n > 0; --n)
-            for (const std::size_t c : atoms[3 * block + rng.nextBelow(3)])
-                spikes.set(r, c);
+        for (std::size_t n = 1 + rng.nextBelow(3); n > 0; --n) {
+            const std::size_t atom = rng.nextBelow(3);
+            for (std::size_t c = 0; c < atom_width[3 * block + atom]; ++c)
+                spikes.set(r, 80 * block + 5 * atom + c);
+        }
     }
     for (const std::size_t k : {16UL, 100UL, 130UL}) {
         DensityOptions opt;
