@@ -12,12 +12,18 @@
  *    sums folded per value) against summarizeTileNaive's checksum
  *    (checksums must agree — verified here); both fast cases read
  *    each tile in place through one workspace reused across the
- *    tiles;
+ *    tiles; and summarizeTile over sampled tiles of a generated
+ *    8192x1152 layer, read in place as a campaign reads them, checked
+ *    against summarizeTileNaive on the same tiles built bit by bit;
  *  - spikegen: bit-by-bit Bernoulli fill vs the word-batched
  *    BitMatrix::randomize, plus a full SpikeGenerator layer;
  *  - gemm: the functional ProductGemm multiply;
  *  - engine: LeNet5/MNIST and SpikeBERT/SST-2 end-to-end runs of the
- *    prosperity design through SimulationEngine.
+ *    prosperity design through SimulationEngine;
+ *  - util: json::formatDouble over every number of one 224-cell report
+ *    shaped like the serve-sweep benchmark's, and that report's
+ *    rendering (its JSON body plus its CSV), as a served campaign's
+ *    worker renders it.
  *
  * Usage: bench_hotpath [--quick] [--out PATH] [--reps N]
  *   --quick  CI-smoke configuration: fewer densities, reps and tiles.
@@ -25,14 +31,17 @@
  *   --reps   override timed repetitions per case.
  */
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "analysis/campaign.h"
 #include "analysis/engine.h"
 #include "bench_harness.h"
 #include "bitmatrix/simd_dispatch.h"
@@ -40,6 +49,7 @@
 #include "core/product_gemm.h"
 #include "core/tile_pipeline.h"
 #include "gen/spike_generator.h"
+#include "util/json.h"
 
 using namespace prosperity;
 
@@ -65,6 +75,44 @@ checksumSummary(const TileSummary& s)
                                 s.exact, s.partial, s.walk})
         h = (h ^ v) * 0x100000001b3ULL;
     return h;
+}
+
+/** FNV-1a over `bytes`, continuing from `h`. */
+std::uint64_t
+checksumBytes(const std::string& bytes,
+              std::uint64_t h = 0xcbf29ce484222325ULL)
+{
+    for (const char c : bytes)
+        h = (h ^ static_cast<unsigned char>(c)) * 0x100000001b3ULL;
+    return h;
+}
+
+/** Every number of `value`, in document order. */
+void
+collectNumbers(const json::Value& value, std::vector<double>& out)
+{
+    if (value.isNumber()) {
+        out.push_back(value.asNumber());
+    } else if (value.isArray()) {
+        for (const json::Value& each : value.asArray())
+            collectNumbers(each, out);
+    } else if (value.isObject()) {
+        for (const json::Value::Member& member : value.asObject())
+            collectNumbers(member.second, out);
+    }
+}
+
+/** The tile of `matrix` at (r0, c0), cropped, built bit by bit. */
+BitMatrix
+bitByBitTile(const BitMatrix& matrix, std::size_t r0, std::size_t c0,
+             std::size_t m, std::size_t k)
+{
+    BitMatrix tile(std::min(matrix.rows() - r0, m),
+                   std::min(matrix.cols() - c0, k));
+    for (std::size_t r = 0; r < tile.rows(); ++r)
+        for (std::size_t c = 0; c < tile.cols(); ++c)
+            tile.set(r, c, matrix.test(r0 + r, c0 + c));
+    return tile;
 }
 
 /** XOR-fold of each row's FNV-1a word hash plus its index. */
@@ -233,6 +281,43 @@ main(int argc, char** argv)
                          "fold at density " << d << "\n";
             return 1;
         }
+
+        // Sampled tiles of a generated layer, read in place: what the
+        // campaigns' front end pays per tile, unaligned rows and all.
+        const BitMatrix layer = gen.generate(8192, 1152, 4, 0);
+        const TileConfig tiling;
+        const TileSample sample = sampleTiles(
+            layer.rows(), layer.cols(), tiling, quick ? 24 : 96);
+        const auto foldSummary = [](std::uint64_t c, const TileSummary& s) {
+            return (c ^ checksumSummary(s)) * 0x100000001b3ULL;
+        };
+        std::uint64_t naive_sampled = 0;
+        for (const auto& [r0, c0] : sample.origins)
+            naive_sampled = foldSummary(
+                naive_sampled, summarizeTileNaive(bitByBitTile(
+                                   layer, r0, c0, tiling.m, tiling.k)));
+        bench::CaseOptions sampled_opts = opts;
+        sampled_opts.items = static_cast<double>(tiling.m) *
+                             static_cast<double>(sample.origins.size());
+        const auto sampled = h.run(
+            "frontend/summarize_sampled/d=" + fmt(d), "frontend",
+            {{"layer_rows", "8192"}, {"layer_cols", "1152"},
+             {"rows", std::to_string(tiling.m)},
+             {"cols", std::to_string(tiling.k)}, {"density", fmt(d)},
+             {"tiles", std::to_string(sample.origins.size())}},
+            sampled_opts, [&] {
+                std::uint64_t c = 0;
+                for (const auto& [r0, c0] : sample.origins) {
+                    distinct.select(layer, r0, c0, tiling.m, tiling.k);
+                    c = foldSummary(c, summarizeTile(distinct));
+                }
+                return c;
+            });
+        if (sampled.checksum != naive_sampled) {
+            std::cerr << "FATAL: summarizeTile on sampled tiles diverged "
+                         "from the naive fold at density " << d << "\n";
+            return 1;
+        }
     }
 
     // ---- spikegen: bit-by-bit vs word-batched Bernoulli fill ---------
@@ -327,6 +412,48 @@ main(int argc, char** argv)
                       return static_cast<std::uint64_t>(r.cycles);
                   });
         }
+    }
+
+    // ---- util: rendering one served report ---------------------------
+    std::cout << "util\n";
+    {
+        // The serve-sweep benchmark's report shape: the seven Fig. 8
+        // designs on LeNet5/MNIST over 32 seeds, 224 cells.
+        CampaignSpec spec = loadNamedCampaign("fig8");
+        for (CampaignAccelerator& a : spec.accelerators)
+            if (a.spec.name == "prosperity")
+                a.spec.params.set("max_sampled_tiles", std::size_t{24});
+        spec.workloads = {makeWorkload("LeNet5", "MNIST")};
+        for (std::uint64_t seed = 7; seed < 7 + 32; ++seed)
+            spec.options.push_back(RunOptions{seed, false});
+        SimulationEngine engine;
+        const CampaignReport report = CampaignRunner(engine).run(spec);
+        std::vector<double> numbers;
+        collectNumbers(report.toJson(), numbers);
+
+        bench::CaseOptions opts;
+        opts.reps = reps(50);
+        opts.warmup = quick ? 1 : 3;
+        opts.items = static_cast<double>(numbers.size());
+        h.run("util/format_double", "util",
+              {{"cells", std::to_string(report.cells.size())},
+               {"numbers", std::to_string(numbers.size())}},
+              opts, [&] {
+                  std::uint64_t c = 0xcbf29ce484222325ULL;
+                  for (const double v : numbers)
+                      c = checksumBytes(json::formatDouble(v) + ',', c);
+                  return c;
+              });
+        opts.items = static_cast<double>(report.cells.size());
+        h.run("util/report_render", "util",
+              {{"cells", std::to_string(report.cells.size())}}, opts,
+              [&] {
+                  std::ostringstream csv;
+                  report.writeCsv(csv);
+                  return checksumBytes(
+                      csv.str(),
+                      checksumBytes(report.toJson().dump(2) + "\n"));
+              });
     }
 
     if (!h.writeJsonFile(out_path)) {

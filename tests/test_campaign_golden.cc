@@ -10,12 +10,14 @@
  * and re-serialization, job expansion and deduplication, every
  * simulated RunResult (cycles, energy breakdowns, DRAM traffic), the
  * derived speedup / energy-efficiency tables, and the JSON writer's
- * number formatting.
+ * number formatting. The smoke and fig9 campaigns also pin their CSV
+ * (tests/golden/<name>.report.csv).
  *
  * If a change legitimately alters results (a modeling fix, a new
  * metric), regenerate the goldens with
- * `prosperity_cli campaign <name> --quiet --out tests/golden/<name>.report.json`
- * and say so in the commit message.
+ * `prosperity_cli campaign <name> --quiet --out tests/golden/<name>.report.json
+ * --csv-out tests/golden/<name>.report.csv` (the CSV for smoke and
+ * fig9 only) and say so in the commit message.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +54,25 @@ readFile(const std::string& path)
     return text.str();
 }
 
+/** Fails naming the first byte where `produced` leaves `golden`. */
+void
+expectSameBytes(const std::string& produced, const std::string& golden,
+                const std::string& what)
+{
+    // EXPECT_EQ on the whole document would dump both reports on a
+    // mismatch; locate the first differing byte instead.
+    if (produced == golden)
+        return;
+    std::size_t at = 0;
+    while (at < produced.size() && at < golden.size() &&
+           produced[at] == golden[at])
+        ++at;
+    ADD_FAILURE() << what << " diverges from the golden at byte " << at
+                  << ": ..." << golden.substr(at > 40 ? at - 40 : 0, 80)
+                  << "... vs produced ..."
+                  << produced.substr(at > 40 ? at - 40 : 0, 80) << "...";
+}
+
 class CampaignGolden : public ::testing::TestWithParam<const char*>
 {
 };
@@ -62,28 +83,44 @@ TEST_P(CampaignGolden, ReportIsBitwiseIdenticalToTheGolden)
     SimulationEngine engine;
     CampaignRunner runner(engine);
     const CampaignReport report = runner.run(loadNamedCampaign(name));
-    const std::string produced = report.toJson().dump(2) + "\n";
-    const std::string golden =
-        readFile(goldenDir() + "/" + name + ".report.json");
-    // EXPECT_EQ on the whole document would dump both reports on a
-    // mismatch; locate the first differing byte instead.
-    if (produced != golden) {
-        std::size_t at = 0;
-        while (at < produced.size() && at < golden.size() &&
-               produced[at] == golden[at])
-            ++at;
-        FAIL() << name << ".report.json diverges from the golden at "
-               << "byte " << at << ": ..."
-               << golden.substr(at > 40 ? at - 40 : 0, 80)
-               << "... vs produced ..."
-               << produced.substr(at > 40 ? at - 40 : 0, 80) << "...";
-    }
+    expectSameBytes(report.toJson().dump(2) + "\n",
+                    readFile(goldenDir() + "/" + name + ".report.json"),
+                    name + ".report.json");
 }
 
 INSTANTIATE_TEST_SUITE_P(AllCampaigns, CampaignGolden,
                          ::testing::Values("smoke", "table1", "table4",
                                            "fig8", "fig9",
                                            "scalability"),
+                         [](const auto& param_info) {
+                             return std::string(param_info.param);
+                         });
+
+/**
+ * The CSV writer's bytes, pinned the same way on two campaigns: the
+ * JSON goldens above fix every number, and these fix the CSV layout,
+ * quoting and number spelling that `--csv-out` and a served
+ * `?format=csv` report write.
+ */
+class CampaignGoldenCsv : public ::testing::TestWithParam<const char*>
+{
+};
+
+TEST_P(CampaignGoldenCsv, CsvIsBitwiseIdenticalToTheGolden)
+{
+    const std::string name = GetParam();
+    SimulationEngine engine;
+    CampaignRunner runner(engine);
+    const CampaignReport report = runner.run(loadNamedCampaign(name));
+    std::ostringstream csv;
+    report.writeCsv(csv);
+    expectSameBytes(csv.str(),
+                    readFile(goldenDir() + "/" + name + ".report.csv"),
+                    name + ".report.csv");
+}
+
+INSTANTIATE_TEST_SUITE_P(CsvCampaigns, CampaignGoldenCsv,
+                         ::testing::Values("smoke", "fig9"),
                          [](const auto& param_info) {
                              return std::string(param_info.param);
                          });
@@ -109,21 +146,10 @@ TEST_P(CampaignGoldenPerTier, SmokeReportIsByteIdenticalUnderForcedTier)
     SimulationEngine engine;
     CampaignRunner runner(engine);
     const CampaignReport report = runner.run(loadNamedCampaign("smoke"));
-    const std::string produced = report.toJson().dump(2) + "\n";
-    const std::string golden =
-        readFile(goldenDir() + "/smoke.report.json");
-    if (produced != golden) {
-        std::size_t at = 0;
-        while (at < produced.size() && at < golden.size() &&
-               produced[at] == golden[at])
-            ++at;
-        FAIL() << "tier " << simdTierName(GetParam())
-               << ": smoke.report.json diverges from the golden at byte "
-               << at << ": ..."
-               << golden.substr(at > 40 ? at - 40 : 0, 80)
-               << "... vs produced ..."
-               << produced.substr(at > 40 ? at - 40 : 0, 80) << "...";
-    }
+    expectSameBytes(report.toJson().dump(2) + "\n",
+                    readFile(goldenDir() + "/smoke.report.json"),
+                    std::string("tier ") + simdTierName(GetParam()) +
+                        ": smoke.report.json");
 }
 
 INSTANTIATE_TEST_SUITE_P(

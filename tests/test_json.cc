@@ -250,6 +250,28 @@ TEST(Json, FormatDoubleMatchesShortestRoundTripPrintf)
         values.push_back(std::bit_cast<double>(
             rng() & 0x800fffffffffffffULL));
     }
+    const auto withNeighbours = [&values](double v) {
+        for (const double each :
+             {v, std::nextafter(v, 0.0), std::nextafter(v, HUGE_VAL)}) {
+            values.push_back(each);
+            values.push_back(-each);
+        }
+    };
+    // Every normal power of two: its rounding interval is half as wide
+    // below as above, so a 16-digit shortest form may lie where %.16g
+    // does not (46 of them, 2^-1017 the first).
+    for (int e = -1022; e <= 1023; ++e)
+        withNeighbours(std::ldexp(1.0, e));
+    // Powers of ten, where the decimal exponent steps.
+    for (int e = -30; e <= 30; ++e)
+        withNeighbours(std::strtod(("1e" + std::to_string(e)).c_str(),
+                                   nullptr));
+    // Both sides of %g's switch between fixed and scientific layout:
+    // decimal exponents -5 and -4, and 14 to 17 around the precision.
+    std::uniform_real_distribution<double> mantissa(1.0, 10.0);
+    for (const int exponent : {-5, -4, 14, 15, 16, 17})
+        for (int i = 0; i < 20000; ++i)
+            values.push_back(mantissa(rng) * std::pow(10.0, exponent));
     ASSERT_GE(values.size(), 1000000u);
 
     std::size_t mismatches = 0;
@@ -263,6 +285,42 @@ TEST(Json, FormatDoubleMatchesShortestRoundTripPrintf)
                           << want;
     }
     EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(Json, FormatDoublePinsEachLayout)
+{
+    // A power of two whose shortest form (7.120236347223045e-307) is
+    // not %.16g's: 17 digits.
+    EXPECT_EQ(formatDouble(std::ldexp(1.0, -1017)),
+              "7.1202363472230444e-307");
+    EXPECT_EQ(formatDouble(-std::ldexp(1.0, -1017)),
+              "-7.1202363472230444e-307");
+    EXPECT_EQ(formatDouble(std::nextafter(std::ldexp(1.0, -1017), 0.0)),
+              "7.120236347223044e-307");
+    // Subnormals print at least 15 digits, not their shortest form.
+    EXPECT_EQ(formatDouble(std::numeric_limits<double>::denorm_min()),
+              "4.94065645841247e-324");
+    EXPECT_EQ(formatDouble(std::ldexp(1.0, -1030)), "8.69169475979376e-311");
+    EXPECT_EQ(formatDouble(std::numeric_limits<double>::min()),
+              "2.2250738585072014e-308");
+    EXPECT_EQ(formatDouble(std::numeric_limits<double>::max()),
+              "1.7976931348623157e+308");
+    EXPECT_EQ(formatDouble(1.0 / 3.0), "0.3333333333333333");
+    EXPECT_EQ(formatDouble(0.1), "0.1");
+    // Fixed down to a decimal exponent of -4, scientific below.
+    EXPECT_EQ(formatDouble(1.25e-4), "0.000125");
+    EXPECT_EQ(formatDouble(1.5e-5), "1.5e-05");
+    EXPECT_EQ(formatDouble(std::nextafter(1e-4, 0.0)),
+              "9.999999999999999e-05");
+    // Fixed while the decimal exponent is below the precision.
+    EXPECT_EQ(formatDouble(123456789012345.6), "123456789012345.6");
+    EXPECT_EQ(formatDouble(1e15 + 0.5), "1000000000000000.5");
+    EXPECT_EQ(formatDouble(9007199254740994.0), "9007199254740994");
+    EXPECT_EQ(formatDouble(1e16), "1e+16");
+    EXPECT_EQ(formatDouble(1e17 + 16.0), "1.0000000000000002e+17");
+    EXPECT_EQ(formatDouble(std::ldexp(1.0, 100)), "1.2676506002282294e+30");
+    // Exactly halfway between two 17-digit decimals: the even one.
+    EXPECT_EQ(formatDouble(1125899906842624.25), "1125899906842624.2");
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull)
