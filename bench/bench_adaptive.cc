@@ -181,8 +181,7 @@ main(int argc, char** argv)
         std::cerr << "cannot write " << out_path << '\n';
         return 1;
     }
-    root.write(os, 2);
-    os << '\n';
+    os << root.dump(2) << '\n';
     std::cout << "trajectory written to " << out_path << '\n';
     return 0;
 }

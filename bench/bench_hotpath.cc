@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -448,10 +447,8 @@ main(int argc, char** argv)
         h.run("util/report_render", "util",
               {{"cells", std::to_string(report.cells.size())}}, opts,
               [&] {
-                  std::ostringstream csv;
-                  report.writeCsv(csv);
                   return checksumBytes(
-                      csv.str(),
+                      report.toCsv(),
                       checksumBytes(report.toJson().dump(2) + "\n"));
               });
     }

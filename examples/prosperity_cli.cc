@@ -398,7 +398,7 @@ cmdRun(const Workload& workload, const std::string& accel_name, bool csv)
     SimulationEngine engine;
     const auto results = engine.runGrid(specs, {workload}).front();
     if (csv) {
-        exportRunResults(std::cout, results);
+        std::cout << exportRunResults(results);
         return 0;
     }
 
@@ -761,8 +761,7 @@ cmdCampaign(int argc, char** argv)
             std::cerr << "cannot write " << trace_out << '\n';
             return 1;
         }
-        obs::chromeTraceJson(spans).write(os, 2);
-        os << '\n';
+        os << obs::chromeTraceJson(spans).dump(2) << '\n';
         std::cout << "trace written to " << trace_out << " ("
                   << spans.size() << " spans, id "
                   << obs::formatTraceId(trace_id)

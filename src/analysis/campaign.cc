@@ -715,10 +715,10 @@ CampaignReport::toJson() const
     return root;
 }
 
-void
-CampaignReport::writeCsv(std::ostream& os) const
+std::string
+CampaignReport::toCsv() const
 {
-    CsvWriter csv(os);
+    CsvWriter csv;
     std::vector<std::string> header = {
         "accelerator", "workload", "model",     "dataset",
         "seed",        "cycles",   "seconds",   "gops",
@@ -737,29 +737,27 @@ CampaignReport::writeCsv(std::ostream& os) const
     for (const CampaignCell& c : cells) {
         const RunResult& r = c.result;
         const Workload& w = spec.workloads[c.workload_index];
-        std::vector<std::string> row = {
-            spec.accelerators[c.accelerator_index].label,
-            r.workload,
-            w.modelName(),
-            w.datasetName(),
-            std::to_string(c.job.options.seed),
-            CsvWriter::cell(r.cycles),
-            CsvWriter::cell(r.seconds()),
-            CsvWriter::cell(r.gops()),
-            CsvWriter::cell(r.gopj()),
-            CsvWriter::cell(r.energy.totalPj()),
-            CsvWriter::cell(r.averagePowerW()),
-            CsvWriter::cell(r.dram_bytes)};
+        csv.cell(spec.accelerators[c.accelerator_index].label)
+            .cell(r.workload)
+            .cell(w.modelName())
+            .cell(w.datasetName())
+            .cell(std::to_string(c.job.options.seed))
+            .cell(r.cycles)
+            .cell(r.seconds())
+            .cell(r.gops())
+            .cell(r.gopj())
+            .cell(r.energy.totalPj())
+            .cell(r.averagePowerW())
+            .cell(r.dram_bytes);
         if (spec.sampling && c.sampling) {
-            row.push_back(std::to_string(c.sampling->n_seeds));
-            row.push_back(c.sampling->converged ? "1" : "0");
-            for (const stats::MetricStats& m : c.sampling->metrics) {
-                row.push_back(CsvWriter::cell(m.mean));
-                row.push_back(CsvWriter::cell(m.half_width));
-            }
+            csv.cell(std::to_string(c.sampling->n_seeds))
+                .cell(c.sampling->converged ? "1" : "0");
+            for (const stats::MetricStats& m : c.sampling->metrics)
+                csv.cell(m.mean).cell(m.half_width);
         }
-        csv.writeRow(row);
+        csv.endRow();
     }
+    return csv.take();
 }
 
 bool
@@ -768,8 +766,7 @@ CampaignReport::writeJsonFile(const std::string& path) const
     std::ofstream os(path);
     if (!os)
         return false;
-    toJson().write(os, 2);
-    os << '\n';
+    os << toJson().dump(2) << '\n';
     return static_cast<bool>(os.flush());
 }
 
@@ -779,7 +776,7 @@ CampaignReport::writeCsvFile(const std::string& path) const
     std::ofstream os(path);
     if (!os)
         return false;
-    writeCsv(os);
+    os << toCsv();
     return static_cast<bool>(os.flush());
 }
 

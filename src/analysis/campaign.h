@@ -35,7 +35,6 @@
 #include <cstddef>
 #include <functional>
 #include <optional>
-#include <ostream>
 #include <string>
 #include <vector>
 
@@ -244,7 +243,7 @@ struct CampaignReport
     json::Value toJson() const;
 
     /** Flat per-cell CSV (plotting-friendly, one row per cell). */
-    void writeCsv(std::ostream& os) const;
+    std::string toCsv() const;
 
     bool writeJsonFile(const std::string& path) const;
     bool writeCsvFile(const std::string& path) const;

@@ -4,57 +4,74 @@
 
 namespace prosperity {
 
-namespace {
-
-std::string
-quoteIfNeeded(const std::string& cell)
+void
+CsvWriter::separate()
 {
-    if (cell.find_first_of(",\"\n") == std::string::npos)
-        return cell;
-    std::string quoted = "\"";
-    for (char c : cell) {
-        if (c == '"')
-            quoted += '"';
-        quoted += c;
-    }
-    quoted += '"';
-    return quoted;
+    if (row_open_)
+        out_ += ',';
+    row_open_ = true;
 }
 
-} // namespace
+CsvWriter&
+CsvWriter::cell(std::string_view text)
+{
+    separate();
+    if (text.find_first_of(",\"\n") == std::string_view::npos) {
+        out_ += text;
+        return *this;
+    }
+    out_ += '"';
+    for (const char c : text) {
+        if (c == '"')
+            out_ += '"';
+        out_ += c;
+    }
+    out_ += '"';
+    return *this;
+}
+
+CsvWriter&
+CsvWriter::cell(double v)
+{
+    separate();
+    json::appendDouble(out_, v);
+    return *this;
+}
+
+void
+CsvWriter::endRow()
+{
+    out_ += '\n';
+    row_open_ = false;
+}
 
 void
 CsvWriter::writeRow(const std::vector<std::string>& cells)
 {
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i)
-            os_ << ',';
-        os_ << quoteIfNeeded(cells[i]);
-    }
-    os_ << '\n';
+    for (const std::string& text : cells)
+        cell(text);
+    endRow();
 }
 
 std::string
-CsvWriter::cell(double v)
+exportRunResults(const std::vector<RunResult>& results)
 {
-    return json::formatDouble(v);
-}
-
-void
-exportRunResults(std::ostream& os, const std::vector<RunResult>& results)
-{
-    CsvWriter csv(os);
-    csv.writeRow({"workload", "accelerator", "cycles", "seconds",
-                  "gops", "gopj", "energy_pj", "avg_power_w",
-                  "dram_bytes"});
+    CsvWriter csv;
+    csv.writeRow({"workload", "accelerator", "cycles", "seconds", "gops",
+                  "gopj", "energy_pj", "avg_power_w", "dram_bytes"});
     for (const RunResult& r : results) {
-        csv.writeRow({r.workload, r.accelerator, CsvWriter::cell(r.cycles),
-                      CsvWriter::cell(r.seconds()),
-                      CsvWriter::cell(r.gops()), CsvWriter::cell(r.gopj()),
-                      CsvWriter::cell(r.energy.totalPj()),
-                      CsvWriter::cell(r.averagePowerW()),
-                      CsvWriter::cell(r.dram_bytes)});
+        csv.cell(r.workload)
+            .cell(r.accelerator)
+            .cell(r.cycles)
+            .cell(r.seconds())
+            .cell(r.gops())
+            .cell(r.gopj())
+            .cell(r.energy.totalPj())
+            .cell(r.averagePowerW())
+            .cell(r.dram_bytes)
+            .endRow();
     }
+    return csv.take();
 }
 
 } // namespace prosperity

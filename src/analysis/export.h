@@ -11,39 +11,60 @@
 #ifndef PROSPERITY_ANALYSIS_EXPORT_H
 #define PROSPERITY_ANALYSIS_EXPORT_H
 
-#include <ostream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "analysis/runner.h"
 
 namespace prosperity {
 
-/** Minimal CSV writer with RFC-4180-style quoting. */
+/**
+ * Minimal CSV writer with RFC-4180-style quoting: rows append, cell by
+ * cell, to one string.
+ */
 class CsvWriter
 {
   public:
-    explicit CsvWriter(std::ostream& os) : os_(os) {}
+    /** Append a text cell to the current row; a cell holding a comma,
+     *  quote or newline is quoted and its inner quotes doubled. */
+    CsvWriter& cell(std::string_view text);
 
-    /** Write one row; cells containing commas/quotes/newlines are
-     *  quoted and inner quotes doubled. */
+    /** Append a numeric cell: locale-independent and round-trip exact
+     *  (json::formatDouble), so CSV output is byte-stable across
+     *  environments. */
+    CsvWriter& cell(double v);
+
+    /** End the current row. */
+    void endRow();
+
+    /** Append one whole row of text cells. */
     void writeRow(const std::vector<std::string>& cells);
 
-    /** Convenience numeric cell: locale-independent and round-trip
-     *  exact (json::formatDouble), so CSV output is byte-stable across
-     *  environments. */
-    static std::string cell(double v);
+    /** Hand over the rows written so far; the writer is left empty. */
+    std::string take()
+    {
+        std::string rows = std::move(out_);
+        out_.clear();
+        row_open_ = false;
+        return rows;
+    }
 
   private:
-    std::ostream& os_;
+    /** The separator before every cell but a row's first. */
+    void separate();
+
+    std::string out_;
+    bool row_open_ = false;
 };
 
 /**
- * Dump end-to-end results: one row per (workload, accelerator) with
- * cycles, seconds, GOP/s, GOP/J, total energy and average power.
+ * End-to-end results as CSV: one row per (workload, accelerator) with
+ * cycles, seconds, GOP/s, GOP/J, total energy, average power and DRAM
+ * bytes.
  */
-void exportRunResults(std::ostream& os,
-                      const std::vector<RunResult>& results);
+std::string exportRunResults(const std::vector<RunResult>& results);
 
 } // namespace prosperity
 

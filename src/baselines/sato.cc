@@ -28,20 +28,25 @@ SatoAccelerator::paddedOps(const BitMatrix& spikes, std::size_t batch_rows,
     // SATO's bucket sort groups rows of similar spike count before
     // dispatch, so each PE batch is load-balanced up to the residual
     // spread inside a bucket: sort popcounts, then pad each batch of
-    // consecutive (sorted) rows to its maximum.
+    // consecutive (sorted) rows to its maximum. Popcounts lie in
+    // [0, cols], so a count per popcount is the sort.
     const std::size_t m = spikes.rows();
-    std::vector<std::size_t> pops(m);
+    std::vector<std::size_t> rows_with(spikes.cols() + 1, 0);
     const SimdOps& ops = simdOps();
     for (std::size_t r = 0; r < m; ++r)
-        pops[r] = ops.popcountWords(spikes.row(r).data(), spikes.rowWords());
-    std::sort(pops.begin(), pops.end(), std::greater<>());
+        ++rows_with[ops.popcountWords(spikes.row(r).data(),
+                                      spikes.rowWords())];
 
+    // Walk the sorted order from the densest row: a batch's maximum is
+    // the popcount of its first row.
     double padded = 0.0;
+    std::size_t pop = spikes.cols();
+    std::size_t denser = 0; // rows of popcount above `pop`
     for (std::size_t r0 = 0; r0 < m; r0 += batch_rows) {
+        while (denser + rows_with[pop] <= r0)
+            denser += rows_with[pop--];
         const std::size_t end = std::min(m, r0 + batch_rows);
-        // Sorted descending: the batch maximum is its first element.
-        padded += static_cast<double>(pops[r0]) *
-                  static_cast<double>(end - r0);
+        padded += static_cast<double>(pop) * static_cast<double>(end - r0);
     }
     return padded * static_cast<double>(n);
 }

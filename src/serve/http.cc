@@ -400,7 +400,8 @@ HttpResponse::json(int status, const json::Value& value)
     HttpResponse response;
     response.status = status;
     response.content_type = "application/json";
-    response.body = value.dump(2) + "\n";
+    response.body = value.dump(2);
+    response.body += '\n';
     return response;
 }
 

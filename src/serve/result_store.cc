@@ -228,8 +228,7 @@ ResultStore::publish(const std::string& key, const RunResult& result)
         std::ofstream os(tmp);
         if (!os)
             return; // store became unwritable; caching is best-effort
-        entry.write(os, 2);
-        os << '\n';
+        os << entry.dump(2) << '\n';
         os.flush();
         if (!os) {
             std::error_code ec;

@@ -413,11 +413,9 @@ SimulationService::submitRun(const HttpRequest& request)
     record.jobs = 1;
     return admitAndStart(std::move(record), [this, job] {
         const RunResult result = engine_.run(job);
-        std::ostringstream csv;
-        exportRunResults(csv, {result});
         return ReportBytes{
             HttpResponse::json(200, runResultToJson(result)).body,
-            csv.str()};
+            exportRunResults({result})};
     });
 }
 
@@ -459,11 +457,9 @@ SimulationService::submitCampaign(const HttpRequest& request)
                                  : progress->seeds_drawn)
                         .store(p.completed);
                 });
-            std::ostringstream csv;
-            report.writeCsv(csv);
             return ReportBytes{
                 HttpResponse::json(200, report.toJson()).body,
-                csv.str()};
+                report.toCsv()};
         });
 }
 

@@ -589,8 +589,7 @@ ModelDesc::save(const std::string& path) const
     std::ofstream os(path);
     if (!os)
         return false;
-    toJson().write(os, 2);
-    os << '\n';
+    os << toJson().dump(2) << '\n';
     return static_cast<bool>(os.flush());
 }
 

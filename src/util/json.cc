@@ -1,9 +1,13 @@
 #include "json.h"
 
+#include <algorithm>
+#include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
-#include <sstream>
+#include <limits>
+#include <string_view>
 
 namespace prosperity::json {
 
@@ -20,25 +24,15 @@ parseDoubleClassic(const char* first, const char* last, double& out)
     return std::from_chars(first, last, out).ec == std::errc();
 }
 
-} // namespace
-
-std::string
-formatDouble(double v)
+/**
+ * The contract's reference form: std::to_chars in general format at
+ * precision p is printf's %.*g in the C locale, and the smallest p of
+ * 15, 16, 17 whose parse-back is bitwise v wins (17 significant digits
+ * always round-trip).
+ */
+void
+appendPrecisionLoop(std::string& out, double v)
 {
-    if (std::isnan(v))
-        return "nan";
-    if (std::isinf(v))
-        return v > 0.0 ? "inf" : "-inf";
-    // Integral fast path: every |v| < 2^53 integer is exact in double,
-    // so plain decimal digits round-trip and read better than 1e+06.
-    if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
-        if (v == 0.0)
-            return std::signbit(v) ? "-0" : "0";
-        return std::to_string(static_cast<long long>(v));
-    }
-    // std::to_chars in general format at precision p is printf's %.*g
-    // in the C locale. The shortest p of 15, 16, 17 whose parse-back is
-    // bitwise v wins; 17 significant digits always round-trip.
     char buf[32];
     for (int precision = 15;; ++precision) {
         char* const end = std::to_chars(buf, buf + sizeof buf, v,
@@ -47,9 +41,92 @@ formatDouble(double v)
                               .ptr;
         double back = 0.0;
         if (precision == 17 || (parseDoubleClassic(buf, end, back) &&
-                                std::memcmp(&back, &v, sizeof v) == 0))
-            return std::string(buf, end);
+                                std::memcmp(&back, &v, sizeof v) == 0)) {
+            out.append(buf, end);
+            return;
+        }
     }
+}
+
+} // namespace
+
+void
+appendDouble(std::string& out, double v)
+{
+    if (std::isnan(v)) {
+        out += "nan";
+        return;
+    }
+    if (std::isinf(v)) {
+        out += v > 0.0 ? "inf" : "-inf";
+        return;
+    }
+    char buf[32];
+    // Integral fast path: every |v| < 2^53 integer is exact in double,
+    // so plain decimal digits round-trip and read better than 1e+06.
+    if (v == std::floor(v) && std::fabs(v) < 9007199254740992.0) {
+        if (v == 0.0)
+            out += std::signbit(v) ? "-0" : "0";
+        else
+            out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                          static_cast<long long>(v))
+                                .ptr);
+        return;
+    }
+    // The shortest digits that round-trip (Ryu), as d.ddde+XX.
+    const char* const first = buf;
+    const char* const end =
+        std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific)
+            .ptr;
+    const char* const e = std::find(first, end, 'e');
+    const char* const lead = first + (v < 0.0);
+    // Significant digits; a lone digit has no decimal point.
+    const int digits = static_cast<int>(e - lead) - (e - lead > 1);
+    // The two kinds of value whose %.Pg digits may not be the shortest
+    // ones (json.h): subnormals, and powers of two with 16 digits.
+    if (std::fabs(v) < std::numeric_limits<double>::min() ||
+        (digits == 16 &&
+         (std::bit_cast<std::uint64_t>(v) & 0xfffffffffffffULL) == 0)) {
+        appendPrecisionLoop(out, v);
+        return;
+    }
+    // Otherwise only %.Pg's layout is left, at P = max(15, digits):
+    // scientific (as to_chars wrote it) when the decimal exponent is
+    // below -4 or at least P, else fixed.
+    int exponent = 0;
+    std::from_chars(e + (e[1] == '+' ? 2 : 1), end, exponent);
+    if (exponent < -4 || exponent >= std::max(15, digits)) {
+        out.append(first, end);
+        return;
+    }
+    if (v < 0.0)
+        out += '-';
+    char mantissa[17];
+    mantissa[0] = *lead;
+    if (digits > 1)
+        std::copy(lead + 2, e, mantissa + 1);
+    if (exponent < 0) {
+        out += "0.";
+        out.append(static_cast<std::size_t>(-exponent - 1), '0');
+        out.append(mantissa, static_cast<std::size_t>(digits));
+        return;
+    }
+    // Every digit before the point is significant here: an integer
+    // with fewer digits than places is below 10^15, so below 2^53.
+    const int whole = exponent + 1;
+    out.append(mantissa, static_cast<std::size_t>(std::min(whole, digits)));
+    if (digits > whole) {
+        out += '.';
+        out.append(mantissa + whole, static_cast<std::size_t>(digits - whole));
+    }
+}
+
+std::string
+formatDouble(double v)
+{
+    std::string out;
+    appendDouble(out, v);
+    return out;
 }
 
 ParseError::ParseError(const std::string& message, std::size_t line,
@@ -481,102 +558,122 @@ Value::parse(const std::string& text)
 
 // --- Writer -----------------------------------------------------------
 
+namespace {
+
+void
+appendEscaped(std::string& out, std::string_view s)
+{
+    // Copy the runs between characters that need an escape whole.
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const char c = s[i];
+        const char* escaped = nullptr;
+        switch (c) {
+          case '"': escaped = "\\\""; break;
+          case '\\': escaped = "\\\\"; break;
+          case '\b': escaped = "\\b"; break;
+          case '\f': escaped = "\\f"; break;
+          case '\n': escaped = "\\n"; break;
+          case '\r': escaped = "\\r"; break;
+          case '\t': escaped = "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) >= 0x20)
+                continue;
+        }
+        out.append(s.data() + run, i - run);
+        run = i + 1;
+        if (escaped) {
+            out += escaped;
+        } else {
+            out += "\\u00";
+            out += "0123456789abcdef"[c >> 4];
+            out += "0123456789abcdef"[c & 0xf];
+        }
+    }
+    out.append(s.data() + run, s.size() - run);
+}
+
+} // namespace
+
 std::string
 escape(const std::string& s)
 {
     std::string out;
     out.reserve(s.size());
-    for (char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\b': out += "\\b"; break;
-          case '\f': out += "\\f"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                out += "\\u00";
-                out += "0123456789abcdef"[c >> 4];
-                out += "0123456789abcdef"[c & 0xf];
-            } else {
-                out += c;
-            }
-        }
-    }
+    appendEscaped(out, s);
     return out;
 }
 
 namespace {
 
 void
-writeValue(std::ostream& os, const Value& value, int indent, int depth)
+appendValue(std::string& out, const Value& value, int indent, int depth)
 {
     const bool pretty = indent >= 0;
     const auto newline = [&](int level) {
         if (pretty) {
-            os << '\n';
-            for (int i = 0; i < indent * level; ++i)
-                os << ' ';
+            out += '\n';
+            out.append(static_cast<std::size_t>(indent * level), ' ');
         }
     };
 
     switch (value.type()) {
       case Value::Type::kNull:
-        os << "null";
+        out += "null";
         break;
       case Value::Type::kBool:
-        os << (value.asBool() ? "true" : "false");
+        out += value.asBool() ? "true" : "false";
         break;
       case Value::Type::kNumber: {
           const double v = value.asNumber();
           // JSON has no NaN/Infinity literal; null is the least-bad
           // representable stand-in (documented in json.h).
           if (std::isnan(v) || std::isinf(v))
-              os << "null";
+              out += "null";
           else
-              os << formatDouble(v);
+              appendDouble(out, v);
           break;
       }
       case Value::Type::kString:
-        os << '"' << escape(value.asString()) << '"';
+        out += '"';
+        appendEscaped(out, value.asString());
+        out += '"';
         break;
       case Value::Type::kArray: {
           const Value::Array& elements = value.asArray();
           if (elements.empty()) {
-              os << "[]";
+              out += "[]";
               break;
           }
-          os << '[';
+          out += '[';
           for (std::size_t i = 0; i < elements.size(); ++i) {
               if (i)
-                  os << ',';
+                  out += ',';
               newline(depth + 1);
-              writeValue(os, elements[i], indent, depth + 1);
+              appendValue(out, elements[i], indent, depth + 1);
           }
           newline(depth);
-          os << ']';
+          out += ']';
           break;
       }
       case Value::Type::kObject: {
           const Value::Object& members = value.asObject();
           if (members.empty()) {
-              os << "{}";
+              out += "{}";
               break;
           }
-          os << '{';
+          out += '{';
           for (std::size_t i = 0; i < members.size(); ++i) {
               if (i)
-                  os << ',';
+                  out += ',';
               newline(depth + 1);
-              os << '"' << escape(members[i].first) << "\":";
-              if (pretty)
-                  os << ' ';
-              writeValue(os, members[i].second, indent, depth + 1);
+              out += '"';
+              appendEscaped(out, members[i].first);
+              out += pretty ? "\": " : "\":";
+              appendValue(out, members[i].second, indent, depth + 1);
           }
           newline(depth);
-          os << '}';
+          out += '}';
           break;
       }
     }
@@ -584,18 +681,12 @@ writeValue(std::ostream& os, const Value& value, int indent, int depth)
 
 } // namespace
 
-void
-Value::write(std::ostream& os, int indent) const
-{
-    writeValue(os, *this, indent, 0);
-}
-
 std::string
 Value::dump(int indent) const
 {
-    std::ostringstream os;
-    write(os, indent);
-    return os.str();
+    std::string out;
+    appendValue(out, *this, indent, 0);
+    return out;
 }
 
 } // namespace prosperity::json

@@ -11,11 +11,15 @@
  *   not a map), so serializing a document reproduces the field order
  *   it was built with and reports diff cleanly across runs.
  * - **Numbers are locale-independent and round-trip exact**:
- *   formatDouble() emits the shortest classic-locale decimal string
- *   (up to 17 significant digits) that parses back to the identical
- *   bit pattern, and the parser converts through the classic locale
- *   regardless of the process's global locale. parse(dump(x)) == x
- *   bitwise for every finite double.
+ *   formatDouble() writes an integer below 2^53 in plain digits and
+ *   any other finite double as printf's %.Pg (classic locale) for the
+ *   smallest P of 15, 16 and 17 that parses back to the identical bit
+ *   pattern; the parser converts through the classic locale regardless
+ *   of the process's global locale. parse(dump(x)) == x bitwise for
+ *   every finite double.
+ * - **One output buffer**: dump() appends the whole document, numbers
+ *   included (appendDouble()), to one std::string; no stream is
+ *   involved.
  * - **Errors carry positions**: ParseError reports 1-based line and
  *   column, and the typed accessors (asNumber(), at(key), ...) throw
  *   std::runtime_error naming the expected and actual type, so a
@@ -35,7 +39,6 @@
 #define PROSPERITY_UTIL_JSON_H
 
 #include <cstddef>
-#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -45,12 +48,30 @@
 namespace prosperity::json {
 
 /**
- * Locale-independent, round-trip-exact double formatting: the
- * shortest %.Ng-style string (N <= 17, classic locale) whose
- * parse-back is bitwise equal to `v`. Integral values within the
- * exactly-representable range print without an exponent ("42", "-0").
+ * Locale-independent, round-trip-exact double formatting. The exact
+ * contract: an integer below 2^53 in magnitude prints as plain digits
+ * ("42", "-0"); any other finite double prints as printf's %.Pg in
+ * the classic locale for the smallest P in 15..17 whose parse-back is
+ * bitwise `v`; NaN and infinities print "nan", "inf", "-inf". That is
+ * not always the shortest round-trip form: 0.3 prints "0.3", but a
+ * subnormal prints at least 15 digits (4.94065645841247e-324, not
+ * 5e-324), and 2^-1017 needs 17 (its 16-digit shortest form is not
+ * the nearest 16-digit decimal).
+ *
+ * How it is computed: one std::to_chars call gives the shortest
+ * round-trip digits (libstdc++ runs Ryu), laid out as %.Pg with P =
+ * max(15, digit count). Those digits are %.Pg's: a normal double's
+ * rounding interval holds no second 15-digit decimal, and at 16 or 17
+ * digits the nearest decimal lies inside it. Two kinds of value break
+ * that and print by trying P = 15, 16, 17 with a parse-back each:
+ * subnormals, whose interval spans many 15-digit decimals, and powers
+ * of two with 16 shortest digits, whose interval is half as wide
+ * below as above.
  */
 std::string formatDouble(double v);
+
+/** Append formatDouble(v) to `out`. */
+void appendDouble(std::string& out, double v);
 
 /**
  * Deepest array/object nesting Value::parse accepts. The deepest
@@ -146,7 +167,6 @@ class Value
      * level (members on their own lines); indent < 0 is compact.
      * Output ends without a trailing newline.
      */
-    void write(std::ostream& os, int indent = 2) const;
     std::string dump(int indent = 2) const;
 
     bool operator==(const Value& other) const { return data_ == other.data_; }

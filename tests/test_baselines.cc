@@ -6,6 +6,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <functional>
+#include <vector>
+
 #include "baselines/a100.h"
 #include "baselines/eyeriss.h"
 #include "baselines/loas.h"
@@ -113,6 +117,34 @@ TEST(Sato, BalancedRowsHaveNoPadding)
             spikes.set(r, c * 4 + static_cast<std::size_t>(r) % 4);
     const double padded = SatoAccelerator::paddedOps(spikes, 4, 1);
     EXPECT_DOUBLE_EQ(padded, 16.0); // max == per-row count == 4
+}
+
+TEST(Sato, PaddedOpsMatchTheSortedBatches)
+{
+    // The bucket sort's order, spelled out: sort the row popcounts
+    // descending and pad each batch to its first row, summing in batch
+    // order, so the doubles agree bit for bit.
+    for (const double density : {0.02, 0.2, 0.7}) {
+        for (const std::size_t rows : {1u, 31u, 32u, 33u, 1000u}) {
+            const BitMatrix spikes = randomSpikes(rows, 70, density, 11);
+            std::vector<std::size_t> pops(rows, 0);
+            for (std::size_t r = 0; r < rows; ++r)
+                for (std::size_t c = 0; c < spikes.cols(); ++c)
+                    pops[r] += spikes.test(r, c);
+            std::sort(pops.begin(), pops.end(), std::greater<>());
+            for (const std::size_t batch : {1u, 7u, 32u}) {
+                double want = 0.0;
+                for (std::size_t r0 = 0; r0 < rows; r0 += batch)
+                    want += static_cast<double>(pops[r0]) *
+                            static_cast<double>(
+                                std::min(rows, r0 + batch) - r0);
+                EXPECT_EQ(SatoAccelerator::paddedOps(spikes, batch, 3),
+                          want * 3.0)
+                    << "density " << density << ", " << rows
+                    << " rows, batches of " << batch;
+            }
+        }
+    }
 }
 
 TEST(Mint, CheaperEnergyThanPtbPerOp)

@@ -13,7 +13,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 #include <stdexcept>
 
 #include "analysis/campaign.h"
@@ -507,9 +506,7 @@ TEST(CampaignReport, JsonAndCsvSerialization)
     EXPECT_EQ(reparsed.at("cells").asArray().front().at("cycles"),
               first.at("cycles"));
 
-    std::ostringstream csv;
-    report.writeCsv(csv);
-    const std::string text = csv.str();
+    const std::string text = report.toCsv();
     // Header + one row per cell.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 4);
     EXPECT_NE(text.find("accelerator,workload,model,dataset,seed"),
@@ -652,9 +649,7 @@ TEST(CampaignReport, AdaptiveJsonAndCsvCarrySamplingColumns)
     EXPECT_GE(sampling.at("metrics").asArray().size(), 2u);
     EXPECT_GE(sampling.at("checkpoints").asArray().size(), 1u);
 
-    std::ostringstream csv;
-    report.writeCsv(csv);
-    const std::string text = csv.str();
+    const std::string text = report.toCsv();
     EXPECT_NE(text.find("n_seeds"), std::string::npos);
     EXPECT_NE(text.find("cycles_mean"), std::string::npos);
     EXPECT_NE(text.find("cycles_ci_half_width"), std::string::npos);

@@ -112,9 +112,7 @@ TEST_P(CampaignGoldenCsv, CsvIsBitwiseIdenticalToTheGolden)
     SimulationEngine engine;
     CampaignRunner runner(engine);
     const CampaignReport report = runner.run(loadNamedCampaign(name));
-    std::ostringstream csv;
-    report.writeCsv(csv);
-    expectSameBytes(csv.str(),
+    expectSameBytes(report.toCsv(),
                     readFile(goldenDir() + "/" + name + ".report.csv"),
                     name + ".report.csv");
 }

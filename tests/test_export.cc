@@ -5,7 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
 
 #include "analysis/export.h"
 #include "analysis/runner.h"
@@ -16,18 +15,22 @@ namespace {
 
 TEST(CsvWriter, QuotesSpecialCells)
 {
-    std::ostringstream os;
-    CsvWriter csv(os);
+    CsvWriter csv;
     csv.writeRow({"plain", "with,comma", "with\"quote", "multi\nline"});
-    EXPECT_EQ(os.str(),
-              "plain,\"with,comma\",\"with\"\"quote\",\"multi\nline\"\n");
+    csv.cell("a,b").cell("plain").endRow();
+    EXPECT_EQ(csv.take(),
+              "plain,\"with,comma\",\"with\"\"quote\",\"multi\nline\"\n"
+              "\"a,b\",plain\n");
 }
 
 TEST(CsvWriter, NumericCellsRoundTrip)
 {
-    EXPECT_EQ(CsvWriter::cell(2.5), "2.5");
-    const std::string c = CsvWriter::cell(1234567.25);
-    EXPECT_NE(c.find("1234567.25"), std::string::npos);
+    CsvWriter csv;
+    csv.cell(2.5).cell(1234567.25).cell(0.1).cell(-0.0).endRow();
+    csv.cell(1e-7).endRow();
+    EXPECT_EQ(csv.take(), "2.5,1234567.25,0.1,-0\n1e-07\n");
+    // take() leaves the writer empty, with no row open.
+    EXPECT_EQ(csv.take(), "");
 }
 
 TEST(Export, RunResultsHaveHeaderAndRows)
@@ -36,9 +39,7 @@ TEST(Export, RunResultsHaveHeaderAndRows)
     const Workload w = makeWorkload("LeNet5", "MNIST");
     const RunResult r = runWorkload(prosperity, w);
 
-    std::ostringstream os;
-    exportRunResults(os, {r});
-    const std::string text = os.str();
+    const std::string text = exportRunResults({r});
 
     // Header + one data row.
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 2);
@@ -49,9 +50,7 @@ TEST(Export, RunResultsHaveHeaderAndRows)
 
 TEST(Export, EmptyInputsProduceHeaderOnly)
 {
-    std::ostringstream os;
-    exportRunResults(os, {});
-    const std::string text = os.str();
+    const std::string text = exportRunResults({});
     EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1);
 }
 

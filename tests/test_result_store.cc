@@ -234,7 +234,7 @@ TEST_F(ResultStoreTest, SchemaVersionMismatchTriggersRecompute)
     entry.set("schema_version", 999);
     {
         std::ofstream os(path, std::ios::trunc);
-        entry.write(os, 2);
+        os << entry.dump(2);
     }
 
     RunResult out;
@@ -282,7 +282,7 @@ TEST_F(ResultStoreTest, StoredKeyMismatchIsAMiss)
     entry.set("key", "key-b");
     {
         std::ofstream os(path, std::ios::trunc);
-        entry.write(os, 2);
+        os << entry.dump(2);
     }
 
     RunResult out;

@@ -171,9 +171,7 @@ TEST_F(ServiceTest, RunSubmitPollFetchMatchesOfflineEngine)
         http.get("/v1/reports/" + id + "?format=csv");
     ASSERT_EQ(csv.status, 200) << csv.body;
     EXPECT_EQ(csv.content_type, "text/csv");
-    std::ostringstream expected_csv;
-    exportRunResults(expected_csv, {expected});
-    EXPECT_EQ(csv.body, expected_csv.str());
+    EXPECT_EQ(csv.body, exportRunResults({expected}));
 
     // Deterministic ids: the same job submitted again is the same
     // record, answered instantly (200, not 202).
@@ -205,9 +203,7 @@ TEST_F(ServiceTest, CampaignReportIsByteIdenticalToOfflineRunner)
         http.get("/v1/reports/" + id + "?format=csv");
     ASSERT_EQ(csv.status, 200);
     EXPECT_EQ(csv.content_type, "text/csv");
-    std::ostringstream expected_csv;
-    offline.writeCsv(expected_csv);
-    EXPECT_EQ(csv.body, expected_csv.str());
+    EXPECT_EQ(csv.body, offline.toCsv());
 
     // The same spec posted again is answered from the finished record:
     // 200 with the record's status, no second submit, no simulation.
@@ -292,9 +288,7 @@ TEST_F(ServiceTest, AdaptiveCampaignMatchesOfflineRunnerBytewise)
     const HttpResponse csv =
         http.get("/v1/reports/" + id + "?format=csv");
     ASSERT_EQ(csv.status, 200) << csv.body;
-    std::ostringstream expected_csv;
-    offline.writeCsv(expected_csv);
-    EXPECT_EQ(csv.body, expected_csv.str());
+    EXPECT_EQ(csv.body, offline.toCsv());
 
     // Idempotent resubmission: same spec, same record.
     const HttpResponse again = http.post("/v1/campaigns", spec_text);
