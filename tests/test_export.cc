@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 
 #include "analysis/export.h"
 #include "analysis/runner.h"
