@@ -17,6 +17,7 @@
 #include <locale>
 #include <random>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/json.h"
@@ -285,42 +286,40 @@ TEST(Json, FormatDoubleMatchesShortestRoundTripPrintf)
                           << want;
     }
     EXPECT_EQ(mismatches, 0u);
-}
 
-TEST(Json, FormatDoublePinsEachLayout)
-{
-    // A power of two whose shortest form (7.120236347223045e-307) is
-    // not %.16g's: 17 digits.
-    EXPECT_EQ(formatDouble(std::ldexp(1.0, -1017)),
-              "7.1202363472230444e-307");
-    EXPECT_EQ(formatDouble(-std::ldexp(1.0, -1017)),
-              "-7.1202363472230444e-307");
-    EXPECT_EQ(formatDouble(std::nextafter(std::ldexp(1.0, -1017), 0.0)),
-              "7.120236347223044e-307");
-    // Subnormals print at least 15 digits, not their shortest form.
-    EXPECT_EQ(formatDouble(std::numeric_limits<double>::denorm_min()),
-              "4.94065645841247e-324");
-    EXPECT_EQ(formatDouble(std::ldexp(1.0, -1030)), "8.69169475979376e-311");
-    EXPECT_EQ(formatDouble(std::numeric_limits<double>::min()),
-              "2.2250738585072014e-308");
-    EXPECT_EQ(formatDouble(std::numeric_limits<double>::max()),
-              "1.7976931348623157e+308");
-    EXPECT_EQ(formatDouble(1.0 / 3.0), "0.3333333333333333");
-    EXPECT_EQ(formatDouble(0.1), "0.1");
-    // Fixed down to a decimal exponent of -4, scientific below.
-    EXPECT_EQ(formatDouble(1.25e-4), "0.000125");
-    EXPECT_EQ(formatDouble(1.5e-5), "1.5e-05");
-    EXPECT_EQ(formatDouble(std::nextafter(1e-4, 0.0)),
-              "9.999999999999999e-05");
-    // Fixed while the decimal exponent is below the precision.
-    EXPECT_EQ(formatDouble(123456789012345.6), "123456789012345.6");
-    EXPECT_EQ(formatDouble(1e15 + 0.5), "1000000000000000.5");
-    EXPECT_EQ(formatDouble(9007199254740994.0), "9007199254740994");
-    EXPECT_EQ(formatDouble(1e16), "1e+16");
-    EXPECT_EQ(formatDouble(1e17 + 16.0), "1.0000000000000002e+17");
-    EXPECT_EQ(formatDouble(std::ldexp(1.0, 100)), "1.2676506002282294e+30");
-    // Exactly halfway between two 17-digit decimals: the even one.
-    EXPECT_EQ(formatDouble(1125899906842624.25), "1125899906842624.2");
+    // Literal spellings of each layout, which pin the reference too.
+    const std::pair<double, const char*> pins[] = {
+        // A power of two whose shortest form (7.120236347223045e-307)
+        // is not %.16g's: 17 digits.
+        {std::ldexp(1.0, -1017), "7.1202363472230444e-307"},
+        {-std::ldexp(1.0, -1017), "-7.1202363472230444e-307"},
+        {std::nextafter(std::ldexp(1.0, -1017), 0.0),
+         "7.120236347223044e-307"},
+        // Subnormals print at least 15 digits, not their shortest form.
+        {std::numeric_limits<double>::denorm_min(), "4.94065645841247e-324"},
+        {std::ldexp(1.0, -1030), "8.69169475979376e-311"},
+        {std::numeric_limits<double>::min(), "2.2250738585072014e-308"},
+        {std::numeric_limits<double>::max(), "1.7976931348623157e+308"},
+        {1.0 / 3.0, "0.3333333333333333"},
+        {0.1, "0.1"},
+        // Fixed down to a decimal exponent of -4, scientific below.
+        {1.25e-4, "0.000125"},
+        {1.5e-5, "1.5e-05"},
+        {std::nextafter(1e-4, 0.0), "9.999999999999999e-05"},
+        // Fixed while the decimal exponent is below the precision.
+        {123456789012345.6, "123456789012345.6"},
+        {1e15 + 0.5, "1000000000000000.5"},
+        {9007199254740994.0, "9007199254740994"},
+        {1e16, "1e+16"},
+        {1e17 + 16.0, "1.0000000000000002e+17"},
+        {std::ldexp(1.0, 100), "1.2676506002282294e+30"},
+        // Exactly halfway between two 17-digit decimals: the even one.
+        {1125899906842624.25, "1125899906842624.2"},
+    };
+    for (const auto& [v, spelling] : pins) {
+        EXPECT_EQ(formatDouble(v), spelling);
+        EXPECT_EQ(printfReference(v), spelling);
+    }
 }
 
 TEST(Json, NonFiniteNumbersSerializeAsNull)
