@@ -143,6 +143,10 @@ trim(const std::string& s)
     return s.substr(begin, end - begin);
 }
 
+/** Body bytes a read may size its destination for before any have
+ *  arrived; past it the destination grows to twice what has arrived. */
+constexpr std::size_t kBodyStep = std::size_t{1} << 20;
+
 /** Buffered reader over one connection: bytes read past the current
  *  request stay available for the next one (keep-alive pipelining).
  *  With `timeout_ms >= 0` (the server side), a read waits in 100 ms
@@ -157,29 +161,34 @@ struct ConnReader
     int timeout_ms = -1;
     const std::atomic<bool>* stop_flag = nullptr;
 
-    /** Grow the buffer by one read; false on EOF, timeout or stop. */
-    bool fill()
+    /** Read up to `size` bytes into `data`; 0 on EOF, timeout or
+     *  stop. */
+    std::size_t readInto(char* data, std::size_t size)
     {
         if (timeout_ms >= 0) {
             int waited = 0;
             for (;;) {
                 if (stop_flag && *stop_flag)
-                    return false;
+                    return 0;
                 const int slice =
                     std::min(100, timeout_ms - waited);
                 if (net::waitReadable(fd, slice))
                     break;
                 waited += std::max(slice, 1);
                 if (waited >= timeout_ms)
-                    return false; // idle/stalled: close it
+                    return 0; // idle/stalled: close it
             }
         }
+        return net::readSome(fd, data, size);
+    }
+
+    /** Grow the buffer by one read; false on EOF, timeout or stop. */
+    bool fill()
+    {
         char chunk[4096];
-        const std::size_t n = net::readSome(fd, chunk, sizeof(chunk));
-        if (n == 0)
-            return false;
+        const std::size_t n = readInto(chunk, sizeof(chunk));
         buffer.append(chunk, n);
-        return true;
+        return n > 0;
     }
 
     /** Read until the buffer holds a full header block. Returns the
@@ -206,15 +215,42 @@ struct ConnReader
         }
     }
 
-    /** Ensure at least `size` bytes are buffered. */
-    void readExact(std::size_t size)
+    /** Read the next `size` bytes into `body`. The bytes the header
+     *  read buffered past the head move over first; the rest is
+     *  received straight into `body`. `body` grows only with bytes
+     *  that have arrived (to twice them, or kBodyStep), so a length
+     *  the peer never sends sizes no allocation. Throws
+     *  std::runtime_error on EOF, timeout or stop. */
+    void readBody(std::size_t size, std::string* body)
     {
-        while (buffer.size() < size)
-            if (!fill())
-                throw std::runtime_error(
-                    "connection closed mid-body");
+        std::size_t have = std::min(size, buffer.size());
+        body->assign(buffer, 0, have);
+        buffer.erase(0, have);
+        while (have < size) {
+            body->resize(std::min(size, std::max(2 * have, kBodyStep)));
+            const std::size_t n =
+                readInto(body->data() + have, body->size() - have);
+            if (n == 0)
+                throw std::runtime_error("connection closed mid-body");
+            have += n;
+        }
     }
 };
+
+/** RFC 9110 §8.6: a Content-Length value is 1*DIGIT, read whole, so a
+ *  sign, a suffix ("2x") or an empty value is malformed (false). A
+ *  value too large for size_t reads as its maximum, over any cap. */
+bool
+parseContentLength(const std::string& value, std::size_t* length)
+{
+    const char* end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, *length);
+    if (ec == std::errc::invalid_argument || ptr != end)
+        return false;
+    if (ec == std::errc::result_out_of_range)
+        *length = std::numeric_limits<std::size_t>::max();
+    return true;
+}
 
 /** Everything the per-request parser can report to the write path. */
 struct ParseOutcome
@@ -308,17 +344,11 @@ parseRequest(ConnReader& reader, const HttpServerOptions& options,
     outcome.keep_alive =
         connection ? toLower(*connection) != "close" : http11;
 
-    // Body (Content-Length only). RFC 9110 §8.6: the value is 1*DIGIT,
-    // so a sign, a suffix ("2x") or an empty value is a 400; a value
+    // Body (Content-Length only): a malformed value is a 400, and one
     // too large for size_t is oversized like any other (413).
     std::size_t content_length = 0;
     if (const std::string* value = request->header("content-length")) {
-        const char* end = value->data() + value->size();
-        const auto [ptr, ec] =
-            std::from_chars(value->data(), end, content_length);
-        if (ec == std::errc::result_out_of_range && ptr == end) {
-            content_length = std::numeric_limits<std::size_t>::max();
-        } else if (ec != std::errc() || ptr != end) {
+        if (!parseContentLength(*value, &content_length)) {
             outcome.error_status = 400;
             outcome.error_message = "malformed Content-Length";
             return outcome;
@@ -337,7 +367,7 @@ parseRequest(ConnReader& reader, const HttpServerOptions& options,
     if (const std::string* expect = request->header("expect")) {
         if (toLower(*expect) == "100-continue")
             if (!net::writeAll(reader.fd,
-                               "HTTP/1.1 100 Continue\r\n\r\n", 25)) {
+                               "HTTP/1.1 100 Continue\r\n\r\n")) {
                 outcome.eof = true;
                 return outcome;
             }
@@ -345,31 +375,30 @@ parseRequest(ConnReader& reader, const HttpServerOptions& options,
 
     if (content_length > 0) {
         try {
-            reader.readExact(content_length);
+            reader.readBody(content_length, &request->body);
         } catch (const std::exception&) {
             outcome.eof = true;
             return outcome;
         }
-        request->body = reader.buffer.substr(0, content_length);
-        reader.buffer.erase(0, content_length);
         outcome.bytes += content_length;
     }
     return outcome;
 }
 
+/** Status line and headers of `response`; its body follows on the
+ *  wire in the same gathered send. */
 std::string
-renderResponse(const HttpResponse& response, bool keep_alive)
+responseHead(const HttpResponse& response, bool keep_alive)
 {
-    std::string wire = "HTTP/1.1 " + std::to_string(response.status) +
+    std::string head = "HTTP/1.1 " + std::to_string(response.status) +
                        ' ' + statusReason(response.status) + "\r\n";
-    wire += "Content-Type: " + response.content_type + "\r\n";
-    wire += "Content-Length: " + std::to_string(response.body.size()) +
+    head += "Content-Type: " + response.content_type + "\r\n";
+    head += "Content-Length: " + std::to_string(response.body.size()) +
             "\r\n";
-    wire += keep_alive ? "Connection: keep-alive\r\n"
+    head += keep_alive ? "Connection: keep-alive\r\n"
                        : "Connection: close\r\n";
-    wire += "\r\n";
-    wire += response.body;
-    return wire;
+    head += "\r\n";
+    return head;
 }
 
 } // namespace
@@ -553,48 +582,54 @@ void
 HttpServer::serveConnection(int fd)
 {
     net::Socket sock(fd);
-    ConnReader reader{fd, {}, options_.read_timeout_ms, &stopping_};
-    // Keep-alive request loop; any parse error answers and closes.
-    while (!stopping_) {
-        HttpRequest request;
-        ParseOutcome outcome;
-        try {
-            outcome = parseRequest(reader, options_, &request);
-        } catch (const std::exception&) {
-            return; // transport error: nothing sane left to send
-        }
-        if (outcome.bytes > 0)
-            byteCounters().request_bytes.add(outcome.bytes);
-        if (outcome.eof)
-            return;
-        if (outcome.error_status != 0) {
-            const HttpResponse response = HttpResponse::error(
-                outcome.error_status, outcome.error_message);
-            const std::string wire = renderResponse(response, false);
-            (void)net::writeAll(fd, wire.data(), wire.size());
-            byteCounters().response_bytes.add(wire.size());
-            ++requests_served_;
-            countResponse(response.status);
-            return;
-        }
-
-        HttpResponse response;
-        try {
-            response = handler_(request);
-        } catch (const std::exception& e) {
-            response = HttpResponse::error(500, e.what());
-        } catch (...) {
-            response = HttpResponse::error(500, "unknown server error");
-        }
-        const std::string wire =
-            renderResponse(response, outcome.keep_alive);
-        const bool delivered =
-            net::writeAll(fd, wire.data(), wire.size());
-        byteCounters().response_bytes.add(wire.size());
+    // Head and body leave in one gathered send; false when undelivered.
+    const auto respond = [&](const HttpResponse& response,
+                             bool keep_alive) {
+        const std::string head = responseHead(response, keep_alive);
+        const bool delivered = net::writeAll(fd, head, response.body);
+        byteCounters().response_bytes.add(head.size() +
+                                          response.body.size());
         ++requests_served_;
         countResponse(response.status);
-        if (!delivered || !outcome.keep_alive)
-            return;
+        return delivered;
+    };
+    try {
+        // A peer that stops reading is bounded like one that stops
+        // sending: a send with no progress for the read timeout fails.
+        net::setSendTimeout(fd, options_.read_timeout_ms);
+        ConnReader reader{fd, {}, options_.read_timeout_ms, &stopping_};
+        // Keep-alive request loop; any parse error answers and closes.
+        while (!stopping_) {
+            HttpRequest request;
+            const ParseOutcome outcome =
+                parseRequest(reader, options_, &request);
+            if (outcome.bytes > 0)
+                byteCounters().request_bytes.add(outcome.bytes);
+            if (outcome.eof)
+                return;
+            if (outcome.error_status != 0) {
+                (void)respond(HttpResponse::error(outcome.error_status,
+                                                  outcome.error_message),
+                              false);
+                return;
+            }
+
+            HttpResponse response;
+            try {
+                response = handler_(request);
+            } catch (const std::exception& e) {
+                response = HttpResponse::error(500, e.what());
+            } catch (...) {
+                response =
+                    HttpResponse::error(500, "unknown server error");
+            }
+            if (!respond(response, outcome.keep_alive) ||
+                !outcome.keep_alive)
+                return;
+        }
+    } catch (const std::exception&) {
+        // A transport error (recv, send) ends this connection only:
+        // nothing sane is left to send on it, and the worker moves on.
     }
 }
 
@@ -609,37 +644,46 @@ HttpClient::request(const std::string& method, const std::string& target,
                     const std::string& content_type,
                     const HeaderList& headers)
 {
-    std::string wire = method + ' ' + target + " HTTP/1.1\r\n";
-    wire += "Host: 127.0.0.1:" + std::to_string(port_) + "\r\n";
+    std::string head = method + ' ' + target + " HTTP/1.1\r\n";
+    head += "Host: 127.0.0.1:" + std::to_string(port_) + "\r\n";
     if (!body.empty() || method == "POST" || method == "PUT") {
-        wire += "Content-Type: " + content_type + "\r\n";
-        wire += "Content-Length: " + std::to_string(body.size()) +
+        head += "Content-Type: " + content_type + "\r\n";
+        head += "Content-Length: " + std::to_string(body.size()) +
                 "\r\n";
     }
     for (const auto& [name, value] : headers)
-        wire += name + ": " + value + "\r\n";
-    wire += "Connection: keep-alive\r\n\r\n";
-    wire += body;
+        head += name + ": " + value + "\r\n";
+    head += "Connection: keep-alive\r\n\r\n";
 
     HttpResponse response;
-    if (tryRequest(wire, &response))
-        return response;
-    // The server may have closed an idle keep-alive connection between
-    // requests; one reconnect attempt is the expected recovery.
-    net::closeFd(fd_);
-    fd_ = -1;
-    if (!tryRequest(wire, &response))
-        throw std::runtime_error("no HTTP response from 127.0.0.1:" +
-                                 std::to_string(port_));
-    return response;
+    try {
+        if (tryRequest(head, body, &response))
+            return response;
+        // The server may have closed an idle keep-alive connection
+        // between requests; one reconnect attempt is the expected
+        // recovery.
+        net::closeFd(fd_);
+        fd_ = -1;
+        if (tryRequest(head, body, &response))
+            return response;
+    } catch (const std::exception&) {
+        // The stream stopped at an unknown offset: the next request
+        // starts on a new connection.
+        net::closeFd(fd_);
+        fd_ = -1;
+        throw;
+    }
+    throw std::runtime_error("no HTTP response from 127.0.0.1:" +
+                             std::to_string(port_));
 }
 
 bool
-HttpClient::tryRequest(const std::string& wire, HttpResponse* response)
+HttpClient::tryRequest(const std::string& request_head,
+                       const std::string& body, HttpResponse* response)
 {
     if (fd_ < 0)
         fd_ = net::connectLoopback(port_);
-    if (!net::writeAll(fd_, wire.data(), wire.size()))
+    if (!net::writeAll(fd_, request_head, body))
         return false;
 
     ConnReader reader{fd_, {}};
@@ -678,14 +722,15 @@ HttpClient::tryRequest(const std::string& wire, HttpResponse* response)
                 continue;
             const std::string name = toLower(trim(field.substr(0, colon)));
             const std::string value = trim(field.substr(colon + 1));
-            if (name == "content-length")
-                content_length = std::stoull(value);
-            else if (name == "content-type")
+            if (name == "content-length" &&
+                !parseContentLength(value, &content_length))
+                throw std::runtime_error(
+                    "malformed Content-Length in response: \"" + value +
+                    '"');
+            if (name == "content-type")
                 response->content_type = value;
         }
-        reader.readExact(content_length);
-        response->body = reader.buffer.substr(0, content_length);
-        reader.buffer.erase(0, content_length);
+        reader.readBody(content_length, &response->body);
         return true;
     }
 }

@@ -208,7 +208,8 @@ class HttpClient
     }
 
   private:
-    bool tryRequest(const std::string& wire, HttpResponse* response);
+    bool tryRequest(const std::string& request_head,
+                    const std::string& body, HttpResponse* response);
 
     std::uint16_t port_;
     int fd_ = -1;

@@ -1,5 +1,6 @@
 #include "socket.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
@@ -9,6 +10,8 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 namespace prosperity::net {
@@ -117,22 +120,43 @@ waitReadable(int fd, int timeout_ms)
 }
 
 bool
-writeAll(int fd, const void* data, std::size_t size)
+writeAll(int fd, std::string_view head, std::string_view body)
 {
-    const char* bytes = static_cast<const char*>(data);
-    while (size > 0) {
-        const ssize_t n = ::send(fd, bytes, size, MSG_NOSIGNAL);
+    while (!head.empty() || !body.empty()) {
+        iovec parts[2] = {{const_cast<char*>(head.data()), head.size()},
+                          {const_cast<char*>(body.data()), body.size()}};
+        msghdr message{};
+        message.msg_iov = parts;
+        message.msg_iovlen = 2;
+        const ssize_t n = ::sendmsg(fd, &message, MSG_NOSIGNAL);
         if (n < 0) {
             if (errno == EINTR)
                 continue;
-            if (errno == EPIPE || errno == ECONNRESET)
+            if (errno == EPIPE || errno == ECONNRESET ||
+                errno == EAGAIN || errno == EWOULDBLOCK)
                 return false;
-            socketError("send()");
+            socketError("sendmsg()");
         }
-        bytes += n;
-        size -= static_cast<std::size_t>(n);
+        // A partial send leaves the rest for the next call.
+        const std::size_t sent = static_cast<std::size_t>(n);
+        const std::size_t from_head = std::min(sent, head.size());
+        head.remove_prefix(from_head);
+        body.remove_prefix(sent - from_head);
     }
     return true;
+}
+
+void
+setSendTimeout(int fd, int timeout_ms)
+{
+    if (timeout_ms <= 0)
+        return;
+    timeval timeout{};
+    timeout.tv_sec = timeout_ms / 1000;
+    timeout.tv_usec = (timeout_ms % 1000) * 1000;
+    if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
+                     sizeof(timeout)) != 0)
+        socketError("setsockopt(SO_SNDTIMEO)");
 }
 
 std::size_t

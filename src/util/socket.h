@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace prosperity::net {
 
@@ -51,11 +52,23 @@ int connectLoopback(std::uint16_t port);
 bool waitReadable(int fd, int timeout_ms);
 
 /**
- * Write all `size` bytes (SIGPIPE suppressed). Returns false when the
- * peer has gone away (EPIPE / ECONNRESET) — routine during shutdown —
- * and throws std::runtime_error on other errors.
+ * Write all of `head`, then all of `body`, through gathered sends
+ * (sendmsg, SIGPIPE suppressed): a message and its body leave in one
+ * call without first being joined into one buffer. Either part may be
+ * empty. Returns false when the bytes were not delivered: the peer has
+ * gone away (EPIPE / ECONNRESET), routine during shutdown, or a send
+ * made no progress within the socket's send timeout (EAGAIN, see
+ * setSendTimeout). Throws std::runtime_error on other errors.
  */
-bool writeAll(int fd, const void* data, std::size_t size);
+bool writeAll(int fd, std::string_view head, std::string_view body = {});
+
+/**
+ * Make a send on `fd` that makes no progress for `timeout_ms` fail
+ * with EAGAIN (SO_SNDTIMEO), so a peer that stops reading cannot block
+ * the sender for longer. `timeout_ms <= 0` leaves sends blocking.
+ * Throws std::runtime_error on failure.
+ */
+void setSendTimeout(int fd, int timeout_ms);
 
 /**
  * Read up to `size` bytes into `data`. Returns the number of bytes
