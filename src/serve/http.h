@@ -99,9 +99,12 @@ struct HttpServerOptions
     /**
      * Maximum milliseconds a connection may sit without delivering
      * bytes — idle between keep-alive requests or stalled mid-request
-     * — before the server closes it. Keeps workers reclaimable (idle
-     * clients cannot starve the fixed pool) and bounds how long
-     * stop() waits on in-flight connections.
+     * — before the server closes it. It is also each accepted socket's
+     * send timeout: a response send that makes no progress for that
+     * long (a client that stopped reading) fails and closes the
+     * connection. Keeps workers reclaimable (idle clients cannot
+     * starve the fixed pool) and bounds how long stop() waits on
+     * in-flight connections.
      */
     int read_timeout_ms = 5000;
 
