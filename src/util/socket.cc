@@ -153,7 +153,7 @@ setSendTimeout(int fd, int timeout_ms)
         return;
     timeval timeout{};
     timeout.tv_sec = timeout_ms / 1000;
-    timeout.tv_usec = (timeout_ms % 1000) * 1000;
+    timeout.tv_usec = static_cast<suseconds_t>(timeout_ms % 1000) * 1000;
     if (::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout,
                      sizeof(timeout)) != 0)
         socketError("setsockopt(SO_SNDTIMEO)");
