@@ -137,10 +137,9 @@ usage()
 }
 
 /**
- * Parse a decimal flag value: digits only, across the whole string
- * (the full-input check parseSeeds makes), so "-1" and "2x" are
- * errors rather than 2^64-1 and 2. False on anything else, overflow
- * included.
+ * Parse a decimal flag value: digits only, across the whole string,
+ * so "-1", "+4", " 4" and "2x" are errors rather than 2^64-1, 4, 4
+ * and 2. False on anything else, overflow included.
  */
 bool
 parseDigits(const std::string& value, std::size_t* out)
@@ -192,30 +191,26 @@ parseThreads(const std::string& value, std::size_t* threads)
 
 /**
  * Parse a `--seeds N` per-cell seed count (the CLI override that
- * widens a spec without editing JSON). Mirrors parseThreads' style:
- * non-numbers, zero and negatives are rejected with what to pass
- * instead. N must be >= 2 — one seed per cell is exactly the
- * fixed-seed default, so the flag would be a no-op spelled confusingly.
+ * widens a spec without editing JSON). Mirrors parseThreads: digits
+ * only, and zero is rejected with what to pass instead. N must be
+ * >= 2 — one seed per cell is exactly the fixed-seed default, so the
+ * flag would be a no-op spelled confusingly — and at most
+ * stats::kMaxSeeds, the cap a spec's sampling plan has too.
  */
 bool
 parseSeeds(const std::string& value, std::size_t* seeds)
 {
-    long long parsed = 0;
-    try {
-        std::size_t consumed = 0;
-        parsed = std::stoll(value, &consumed);
-        if (consumed != value.size())
-            throw std::invalid_argument(value);
-    } catch (const std::exception&) {
+    std::size_t parsed = 0;
+    if (!parseDigits(value, &parsed)) {
         std::cerr << "--seeds needs a positive integer, got \"" << value
                   << "\"\n";
         return false;
     }
-    if (parsed <= 0) {
-        std::cerr << "--seeds " << parsed
-                  << " is not a usable seed count; pass the number of "
-                     "seeds every cell should draw (2 or more; omit "
-                     "the flag to keep the spec's own sampling)\n";
+    if (parsed == 0) {
+        std::cerr << "--seeds 0 is not a usable seed count; pass the "
+                     "number of seeds every cell should draw (2 or "
+                     "more; omit the flag to keep the spec's own "
+                     "sampling)\n";
         return false;
     }
     if (parsed == 1) {
@@ -223,7 +218,12 @@ parseSeeds(const std::string& value, std::size_t* seeds)
                      "flag, or pass 2 or more to widen every cell\n";
         return false;
     }
-    *seeds = static_cast<std::size_t>(parsed);
+    if (parsed > stats::kMaxSeeds) {
+        std::cerr << "--seeds " << parsed << " is over the cap of "
+                  << stats::kMaxSeeds << " seeds per cell\n";
+        return false;
+    }
+    *seeds = parsed;
     return true;
 }
 

@@ -20,22 +20,6 @@
 
 namespace prosperity {
 
-bool
-operator==(const CampaignAccelerator& a, const CampaignAccelerator& b)
-{
-    return a.label == b.label && a.spec == b.spec;
-}
-
-bool
-operator==(const CampaignSpec& a, const CampaignSpec& b)
-{
-    return a.name == b.name && a.description == b.description &&
-           a.expansion == b.expansion && a.baseline == b.baseline &&
-           a.accelerators == b.accelerators &&
-           a.workloads == b.workloads && a.options == b.options &&
-           a.sampling == b.sampling;
-}
-
 std::vector<RunOptions>
 CampaignSpec::effectiveOptions() const
 {
@@ -511,19 +495,6 @@ loadNamedCampaign(const std::string& name)
 }
 
 // --- Report -----------------------------------------------------------
-
-const CampaignCell*
-CampaignReport::cell(std::size_t accelerator_index,
-                     std::size_t workload_index,
-                     std::size_t option_index) const
-{
-    for (const CampaignCell& c : cells)
-        if (c.accelerator_index == accelerator_index &&
-            c.workload_index == workload_index &&
-            c.option_index == option_index)
-            return &c;
-    return nullptr;
-}
 
 namespace {
 

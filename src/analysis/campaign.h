@@ -56,13 +56,6 @@ struct CampaignAccelerator
     AcceleratorSpec spec;
 };
 
-bool operator==(const CampaignAccelerator& a, const CampaignAccelerator& b);
-inline bool operator!=(const CampaignAccelerator& a,
-                       const CampaignAccelerator& b)
-{
-    return !(a == b);
-}
-
 /**
  * A declarative experiment: named sweep axes plus an expansion rule.
  *
@@ -155,12 +148,6 @@ struct CampaignSpec
     json::Value toJson() const;
 };
 
-bool operator==(const CampaignSpec& a, const CampaignSpec& b);
-inline bool operator!=(const CampaignSpec& a, const CampaignSpec& b)
-{
-    return !(a == b);
-}
-
 /**
  * Parse one SimulationJob from its JSON form — the body of the
  * service's `POST /v1/runs`:
@@ -227,11 +214,6 @@ struct CampaignReport
 
     CampaignSpec spec;
     std::vector<CampaignCell> cells; ///< expansion order
-
-    /** Cell by axis indices; nullptr when absent. */
-    const CampaignCell* cell(std::size_t accelerator_index,
-                             std::size_t workload_index,
-                             std::size_t option_index = 0) const;
 
     /** seconds(baseline) / seconds(cell), normalized latency wins. */
     DerivedTable speedupTable() const;

@@ -73,13 +73,6 @@ engineMetrics()
 
 } // namespace
 
-bool
-operator==(const AcceleratorSpec& a, const AcceleratorSpec& b)
-{
-    return a.name == b.name &&
-           a.params.entries() == b.params.entries();
-}
-
 SimulationEngine::SimulationEngine(EngineOptions options)
     : options_(options)
 {

@@ -53,13 +53,6 @@ struct AcceleratorSpec
     }
 };
 
-/** Same design point: name and parameters match verbatim. */
-bool operator==(const AcceleratorSpec& a, const AcceleratorSpec& b);
-inline bool operator!=(const AcceleratorSpec& a, const AcceleratorSpec& b)
-{
-    return !(a == b);
-}
-
 /** One unit of simulation work: a design point on a workload. */
 struct SimulationJob
 {

@@ -27,15 +27,6 @@ LayerRequest::denseGemm(const GemmShape& shape)
     return request;
 }
 
-LayerRequest
-LayerRequest::sfu(double ops)
-{
-    LayerRequest request;
-    request.kind = Kind::kAuxiliary;
-    request.sfu_ops = ops;
-    return request;
-}
-
 LayerResult
 Accelerator::runLayer(const LayerRequest& request)
 {

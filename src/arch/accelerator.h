@@ -73,9 +73,6 @@ struct LayerRequest
 
     /** A dense (direct-coded) GeMM. */
     static LayerRequest denseGemm(const GemmShape& shape);
-
-    /** SFU-only work (softmax/layer-norm layers with no GeMM). */
-    static LayerRequest sfu(double ops);
 };
 
 /**

@@ -9,13 +9,6 @@
 
 namespace prosperity {
 
-AcceleratorParams::AcceleratorParams(
-    std::initializer_list<std::pair<std::string, std::string>> entries)
-{
-    for (const auto& [key, value] : entries)
-        entries_[key] = value;
-}
-
 AcceleratorParams&
 AcceleratorParams::set(const std::string& key, const std::string& value)
 {
@@ -35,12 +28,6 @@ AcceleratorParams::set(const std::string& key, std::size_t value)
 {
     entries_[key] = std::to_string(value);
     return *this;
-}
-
-bool
-AcceleratorParams::has(const std::string& key) const
-{
-    return entries_.count(key) != 0;
 }
 
 std::string

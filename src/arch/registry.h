@@ -36,17 +36,12 @@ namespace prosperity {
 class AcceleratorParams
 {
   public:
-    AcceleratorParams() = default;
-    AcceleratorParams(
-        std::initializer_list<std::pair<std::string, std::string>> entries);
-
     AcceleratorParams& set(const std::string& key, const std::string& value);
     /** Stores json::formatDouble(value), the spelling a campaign spec's
      *  numeric parameter gets, so both fingerprint alike. */
     AcceleratorParams& set(const std::string& key, double value);
     AcceleratorParams& set(const std::string& key, std::size_t value);
 
-    bool has(const std::string& key) const;
     std::string getString(const std::string& key,
                           const std::string& fallback) const;
     double getDouble(const std::string& key, double fallback) const;

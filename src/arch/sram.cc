@@ -19,8 +19,6 @@ constexpr double kAreaFixedMm2 = 0.004;
 // (CACTI-7-like values for small 28 nm macros with wide read ports).
 constexpr double kEnergyPerByteAt8KbPj = 0.123;
 
-constexpr double kLeakageMwPerKb = 0.012;
-
 } // namespace
 
 SramBuffer::SramBuffer(std::string name, std::size_t capacity_bytes,
@@ -46,19 +44,6 @@ SramBuffer::accessEnergyPerBytePj() const
 {
     const double kb = static_cast<double>(capacity_bytes_) / 1024.0;
     return kEnergyPerByteAt8KbPj * std::sqrt(kb / 8.0);
-}
-
-double
-SramBuffer::accessEnergyPj() const
-{
-    return accessEnergyPerBytePj() * static_cast<double>(word_bytes_);
-}
-
-double
-SramBuffer::leakageMw() const
-{
-    const double kb = static_cast<double>(capacity_bytes_) / 1024.0;
-    return kLeakageMwPerKb * kb;
 }
 
 } // namespace prosperity

@@ -38,14 +38,8 @@ class SramBuffer
      */
     double areaMm2() const;
 
-    /** Dynamic energy of one word access (pJ), grows ~sqrt(capacity). */
-    double accessEnergyPj() const;
-
     /** Per-byte access energy (pJ/B). */
     double accessEnergyPerBytePj() const;
-
-    /** Leakage power in mW (linear in capacity). */
-    double leakageMw() const;
 
   private:
     std::string name_;

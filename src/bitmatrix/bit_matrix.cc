@@ -14,26 +14,6 @@ BitMatrix::BitMatrix(std::size_t rows, std::size_t cols)
 {
 }
 
-BitMatrix
-BitMatrix::fromStrings(const std::vector<std::string>& rows)
-{
-    if (rows.empty())
-        return BitMatrix();
-    BitMatrix m(rows.size(), rows.front().size());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-        PROSPERITY_ASSERT(rows[r].size() == m.cols_,
-                          "ragged bit matrix literal");
-        for (std::size_t c = 0; c < m.cols_; ++c) {
-            const char bit = rows[r][c];
-            PROSPERITY_ASSERT(bit == '0' || bit == '1',
-                              "bit pattern must contain only 0/1");
-            if (bit == '1')
-                m.set(r, c);
-        }
-    }
-    return m;
-}
-
 void
 BitMatrix::copyRow(std::size_t dst, std::size_t src)
 {

@@ -15,7 +15,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -53,14 +52,6 @@ class BitMatrix
 
     /** Construct an all-zero matrix of `rows` x `cols` bits. */
     BitMatrix(std::size_t rows, std::size_t cols);
-
-    /**
-     * Construct from row strings, e.g. {"1010", "1001"}; all rows must
-     * have equal length and hold only '0' and '1'. Character c is
-     * column c, so "1001" sets columns 0 and 3, as the paper's figures
-     * read.
-     */
-    static BitMatrix fromStrings(const std::vector<std::string>& rows);
 
     std::size_t rows() const { return rows_; }
     std::size_t cols() const { return cols_; }

@@ -225,26 +225,9 @@ TraceRecorder::setEnabled(bool enabled)
     {
         util::MutexLock lock(mutex_);
         if (enabled)
-            ring_.reserve(capacity_);
+            ring_.reserve(kCapacity);
     }
     enabled_.store(enabled, std::memory_order_relaxed);
-}
-
-void
-TraceRecorder::setCapacity(std::size_t spans)
-{
-    util::MutexLock lock(mutex_);
-    capacity_ = spans == 0 ? 1 : spans;
-    ring_.clear();
-    ring_.reserve(capacity_);
-    cursor_ = 0;
-}
-
-std::size_t
-TraceRecorder::capacity() const
-{
-    util::MutexLock lock(mutex_);
-    return capacity_;
 }
 
 std::uint64_t
@@ -271,12 +254,12 @@ TraceRecorder::record(std::vector<TraceSpan>& spans)
     }
     util::MutexLock lock(mutex_);
     for (TraceSpan& span : spans) {
-        if (ring_.size() < capacity_) {
+        if (ring_.size() < kCapacity) {
             ring_.push_back(std::move(span));
         } else {
             ring_[cursor_] = std::move(span);
         }
-        cursor_ = (cursor_ + 1) % capacity_;
+        cursor_ = (cursor_ + 1) % kCapacity;
         recorded_.fetch_add(1, std::memory_order_relaxed);
     }
     spans.clear();

@@ -187,12 +187,8 @@ class TraceRecorder
     void setEnabled(bool enabled) EXCLUDES(mutex_);
     bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
 
-    /**
-     * Resize the ring (default 65536 spans). Clears current contents;
-     * intended for process start-up and tests, not steady state.
-     */
-    void setCapacity(std::size_t spans) EXCLUDES(mutex_);
-    std::size_t capacity() const EXCLUDES(mutex_);
+    /** Spans the ring holds; newer batches overwrite the oldest. */
+    static constexpr std::size_t kCapacity = 65536;
 
     /**
      * Mint a fresh nonzero trace id. Ids mix the recorder's first-use
@@ -246,7 +242,6 @@ class TraceRecorder
     /** Fixed-size once enabled; `cursor_` is the next overwrite slot. */
     std::vector<TraceSpan> ring_ GUARDED_BY(mutex_);
     std::size_t cursor_ GUARDED_BY(mutex_) = 0;
-    std::size_t capacity_ GUARDED_BY(mutex_) = 65536;
 };
 
 /**

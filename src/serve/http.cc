@@ -147,6 +147,9 @@ trim(const std::string& s)
  *  arrived; past it the destination grows to twice what has arrived. */
 constexpr std::size_t kBodyStep = std::size_t{1} << 20;
 
+/** Pending connections the listening socket queues for accept(). */
+constexpr int kListenBacklog = 64;
+
 /** Buffered reader over one connection: bytes read past the current
  *  request stay available for the next one (keep-alive pipelining).
  *  With `timeout_ms >= 0` (the server side), a read waits in 100 ms
@@ -192,8 +195,11 @@ struct ConnReader
     }
 
     /** Read until the buffer holds a full header block. Returns the
-     *  offset just past "\r\n\r\n", std::string::npos on clean EOF
-     *  before any byte, or throws std::length_error past `limit`. */
+     *  offset just past "\r\n\r\n" (the block's length),
+     *  std::string::npos on clean EOF before any byte, or throws
+     *  std::length_error when the block is longer than `limit`. A
+     *  block with no end in sight is given up once the buffer passes
+     *  `limit`, so it holds at most one read more. */
     std::size_t readHeaderBlock(std::size_t limit)
     {
         std::size_t scanned = 0;
@@ -201,8 +207,11 @@ struct ConnReader
             const std::size_t end =
                 buffer.find("\r\n\r\n",
                             scanned > 3 ? scanned - 3 : 0);
-            if (end != std::string::npos)
+            if (end != std::string::npos) {
+                if (end + 4 > limit)
+                    throw std::length_error("header block too large");
                 return end + 4;
+            }
             scanned = buffer.size();
             if (buffer.size() > limit)
                 throw std::length_error("header block too large");
@@ -263,17 +272,16 @@ struct ParseOutcome
 };
 
 ParseOutcome
-parseRequest(ConnReader& reader, const HttpServerOptions& options,
-             HttpRequest* request)
+parseRequest(ConnReader& reader, HttpRequest* request)
 {
     ParseOutcome outcome;
     std::size_t header_end = 0;
     try {
-        header_end = reader.readHeaderBlock(options.max_header_bytes);
+        header_end = reader.readHeaderBlock(kMaxHeaderBytes);
     } catch (const std::length_error&) {
         outcome.error_status = 431;
         outcome.error_message = "request header block exceeds " +
-                                std::to_string(options.max_header_bytes) +
+                                std::to_string(kMaxHeaderBytes) +
                                 " bytes";
         return outcome;
     } catch (const std::exception&) {
@@ -354,11 +362,11 @@ parseRequest(ConnReader& reader, const HttpServerOptions& options,
             return outcome;
         }
     }
-    if (content_length > options.max_body_bytes) {
+    if (content_length > kMaxBodyBytes) {
         outcome.error_status = 413;
         outcome.error_message =
             "request body exceeds " +
-            std::to_string(options.max_body_bytes) + " bytes";
+            std::to_string(kMaxBodyBytes) + " bytes";
         return outcome;
     }
 
@@ -497,7 +505,7 @@ HttpServer::start()
     if (running_)
         return;
     listener_fd_ =
-        net::openListener(options_.port, options_.backlog, &port_);
+        net::openListener(options_.port, kListenBacklog, &port_);
     stopping_ = false;
     running_ = true;
     acceptor_ = std::thread([this] { acceptLoop(); });
@@ -602,7 +610,7 @@ HttpServer::serveConnection(int fd)
         while (!stopping_) {
             HttpRequest request;
             const ParseOutcome outcome =
-                parseRequest(reader, options_, &request);
+                parseRequest(reader, &request);
             if (outcome.bytes > 0)
                 byteCounters().request_bytes.add(outcome.bytes);
             if (outcome.eof)

@@ -82,6 +82,13 @@ const char* statusReason(int status);
 
 using HttpHandler = std::function<HttpResponse(const HttpRequest&)>;
 
+/** Requests with a larger Content-Length get 413. */
+inline constexpr std::size_t kMaxBodyBytes = std::size_t{8} << 20;
+
+/** Requests whose header block, from the request line through the
+ *  blank line that ends it, is longer get 431. */
+inline constexpr std::size_t kMaxHeaderBytes = std::size_t{64} << 10;
+
 struct HttpServerOptions
 {
     /** Listening port on 127.0.0.1; 0 picks a free port (see port()). */
@@ -89,12 +96,6 @@ struct HttpServerOptions
 
     /** Connection worker threads (>= 1 enforced). */
     std::size_t threads = 4;
-
-    /** Requests with a larger Content-Length get 413. */
-    std::size_t max_body_bytes = 8u << 20;
-
-    /** Connections whose header block exceeds this get 431. */
-    std::size_t max_header_bytes = 64u << 10;
 
     /**
      * Maximum milliseconds a connection may sit without delivering
@@ -107,8 +108,6 @@ struct HttpServerOptions
      * in-flight connections.
      */
     int read_timeout_ms = 5000;
-
-    int backlog = 64;
 };
 
 /**

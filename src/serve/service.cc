@@ -792,7 +792,7 @@ SimulationService::traceDocument(const std::string& id_text) const
             404, "no spans recorded for trace " +
                      obs::formatTraceId(trace_id) +
                      " (the flight recorder keeps the most recent " +
-                     std::to_string(recorder.capacity()) +
+                     std::to_string(obs::TraceRecorder::kCapacity) +
                      " spans; older traces are overwritten)");
     return HttpResponse::json(200, obs::chromeTraceJson(spans));
 }

@@ -48,22 +48,6 @@ ModelSpec::numSpikingGemms() const
     return count;
 }
 
-bool
-operator==(const LayerSpec& a, const LayerSpec& b)
-{
-    return a.name == b.name && a.type == b.type &&
-           a.time_steps == b.time_steps && a.gemm == b.gemm &&
-           a.sfu_ops == b.sfu_ops && a.spiking == b.spiking &&
-           a.profile_override == b.profile_override;
-}
-
-bool
-operator==(const ModelSpec& a, const ModelSpec& b)
-{
-    return a.name == b.name && a.time_steps == b.time_steps &&
-           a.layers == b.layers;
-}
-
 LayerSpec
 makeConvLayer(const std::string& name, std::size_t time_steps,
               std::size_t in_h, std::size_t in_w, const ConvParams& conv)

@@ -95,13 +95,6 @@ struct LayerSpec
     double denseOps() const { return gemm.denseOps(); }
 };
 
-/** Field-for-field equality (declarative-model round-trip tests). */
-bool operator==(const LayerSpec& a, const LayerSpec& b);
-inline bool operator!=(const LayerSpec& a, const LayerSpec& b)
-{
-    return !(a == b);
-}
-
 /** A whole model: ordered layers plus bookkeeping. */
 struct ModelSpec
 {
@@ -118,13 +111,6 @@ struct ModelSpec
     /** Number of spiking-GeMM layers. */
     std::size_t numSpikingGemms() const;
 };
-
-/** Same name, time steps and layer list (field for field). */
-bool operator==(const ModelSpec& a, const ModelSpec& b);
-inline bool operator!=(const ModelSpec& a, const ModelSpec& b)
-{
-    return !(a == b);
-}
 
 /** Helpers used by the model zoo. */
 LayerSpec makeConvLayer(const std::string& name, std::size_t time_steps,

@@ -311,14 +311,6 @@ parseSymbolicSize(const json::Value& value, const std::string& context)
     return SymbolicSize(requireSizeValue(value, context));
 }
 
-json::Value
-symbolicSizeJson(const SymbolicSize& size)
-{
-    if (!size.symbol.empty())
-        return json::Value(size.symbol);
-    return json::Value(size.value);
-}
-
 InputConfig
 parseInputConfig(const json::Value& value, const std::string& context)
 {
@@ -337,26 +329,6 @@ parseInputConfig(const json::Value& value, const std::string& context)
     in.num_classes = optionalSize(value, "num_classes", in.num_classes,
                                   context);
     return in;
-}
-
-json::Value
-inputConfigJson(const InputConfig& in)
-{
-    const InputConfig defaults;
-    json::Value value = json::Value::object();
-    if (in.time_steps != defaults.time_steps)
-        value.set("time_steps", in.time_steps);
-    if (in.channels != defaults.channels)
-        value.set("channels", in.channels);
-    if (in.height != defaults.height)
-        value.set("height", in.height);
-    if (in.width != defaults.width)
-        value.set("width", in.width);
-    if (in.seq_len != defaults.seq_len)
-        value.set("seq_len", in.seq_len);
-    if (in.num_classes != defaults.num_classes)
-        value.set("num_classes", in.num_classes);
-    return value;
 }
 
 LayerDesc
@@ -401,8 +373,8 @@ parseLayer(const json::Value& value, ActivationProfile base_profile,
         pool.name = requireString(value, "name", context);
         pool.factor = optionalSize(value, "factor", pool.factor, context);
         pool.global = optionalBool(value, "global", pool.global, context);
-        // A factor on a global pool would be silently ignored (and
-        // dropped by serialization); fail loudly instead.
+        // A factor on a global pool would be silently ignored; fail
+        // loudly instead.
         if (pool.global && value.find("factor"))
             schemaError(context, "\"factor\" has no effect when "
                                  "\"global\" is true — remove one");
@@ -465,60 +437,6 @@ parseLayer(const json::Value& value, ActivationProfile base_profile,
     return layer;
 }
 
-json::Value
-layerJson(const LayerDesc& layer)
-{
-    json::Value value = json::Value::object();
-    if (const auto* conv = std::get_if<ConvDesc>(&layer.op)) {
-        value.set("kind", "conv");
-        value.set("name", conv->name);
-        value.set("out_channels", conv->out_channels);
-        value.set("kernel", conv->kernel);
-        value.set("stride", conv->stride);
-        value.set("padding", conv->padding);
-        if (!conv->spiking)
-            value.set("spiking", false);
-        if (conv->checkpoint)
-            value.set("checkpoint", true);
-        if (conv->from_checkpoint)
-            value.set("from_checkpoint", true);
-        if (!conv->advance)
-            value.set("advance", false);
-    } else if (const auto* pool =
-                   std::get_if<PoolDesc>(&layer.op)) {
-        value.set("kind", "pool");
-        value.set("name", pool->name);
-        if (pool->global)
-            value.set("global", true);
-        else if (pool->factor != 2)
-            value.set("factor", pool->factor);
-    } else if (const auto* lin =
-                   std::get_if<LinearDesc>(&layer.op)) {
-        value.set("kind", "linear");
-        value.set("name", lin->name);
-        if (lin->in_features)
-            value.set("in_features", *lin->in_features);
-        value.set("out_features", symbolicSizeJson(lin->out_features));
-        if (lin->tokens != 1)
-            value.set("tokens", lin->tokens);
-    } else {
-        const auto& enc = std::get<EncoderDesc>(layer.op);
-        value.set("kind", "encoder");
-        if (enc.prefix != "block")
-            value.set("prefix", enc.prefix);
-        value.set("blocks", enc.blocks);
-        value.set("dim", enc.dim);
-        value.set("mlp_hidden", enc.mlp_hidden);
-        if (enc.softmax_attention)
-            value.set("softmax_attention", true);
-        if (enc.seq_len)
-            value.set("seq_len", symbolicSizeJson(*enc.seq_len));
-    }
-    if (layer.profile)
-        value.set("profile", profileToJson(*layer.profile));
-    return value;
-}
-
 } // namespace
 
 ModelDesc
@@ -563,34 +481,6 @@ ModelDesc::load(const std::string& path)
     } catch (const std::exception& e) {
         throw std::invalid_argument(path + ": " + e.what());
     }
-}
-
-json::Value
-ModelDesc::toJson() const
-{
-    json::Value root = json::Value::object();
-    root.set("name", name);
-    if (!description.empty())
-        root.set("description", description);
-    if (input)
-        root.set("input", inputConfigJson(*input));
-    if (profile)
-        root.set("profile", profileToJson(*profile));
-    json::Value layers_json = json::Value::array();
-    for (const LayerDesc& layer : layers)
-        layers_json.push(layerJson(layer));
-    root.set("layers", std::move(layers_json));
-    return root;
-}
-
-bool
-ModelDesc::save(const std::string& path) const
-{
-    std::ofstream os(path);
-    if (!os)
-        return false;
-    os << toJson().dump(2) << '\n';
-    return static_cast<bool>(os.flush());
 }
 
 } // namespace prosperity

@@ -23,8 +23,7 @@
  * dataset geometry.
  *
  * Schema reference and a worked custom-model example:
- * docs/WORKLOADS.md. Parse errors carry the offending key path;
- * parse(serialize(desc)) == desc.
+ * docs/WORKLOADS.md. Parse errors carry the offending key path.
  */
 
 #ifndef PROSPERITY_SNN_MODEL_DESC_H
@@ -180,17 +179,12 @@ struct ModelDesc
     /**
      * Build a desc from its JSON form (schema: docs/WORKLOADS.md).
      * Throws std::invalid_argument with the offending key path on
-     * malformed input; parse(serialize(desc)) == desc.
+     * malformed input.
      */
     static ModelDesc fromJson(const json::Value& value);
 
     /** Read + parse a model file; errors mention the path. */
     static ModelDesc load(const std::string& path);
-
-    json::Value toJson() const;
-
-    /** toJson() pretty-printed to `path`; false on I/O failure. */
-    bool save(const std::string& path) const;
 };
 
 /**

@@ -1,7 +1,5 @@
 #include "neuron.h"
 
-#include <algorithm>
-
 #include "sim/logging.h"
 
 namespace prosperity {
@@ -12,12 +10,6 @@ LifArray::LifArray(std::size_t num_neurons, LifParams params)
     PROSPERITY_ASSERT(params_.threshold > 0.0, "threshold must be positive");
     PROSPERITY_ASSERT(params_.leak >= 0.0 && params_.leak <= 1.0,
                       "leak factor must lie in [0, 1]");
-}
-
-void
-LifArray::reset()
-{
-    std::fill(potentials_.begin(), potentials_.end(), 0.0);
 }
 
 BitMatrix

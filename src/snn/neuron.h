@@ -42,13 +42,10 @@ class LifArray
     std::size_t size() const { return potentials_.size(); }
     const LifParams& params() const { return params_; }
 
-    /** Reset all membrane potentials to zero. */
-    void reset();
-
     /**
      * Run all T time steps of `currents` (T x N) and return the (T x N)
      * spike matrix: row t holds the spikes fired at step t. The
-     * membrane potentials carry over to the next call until reset().
+     * membrane potentials carry over to the next call.
      */
     BitMatrix run(const OutputMatrix& currents);
 

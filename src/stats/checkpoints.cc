@@ -20,16 +20,6 @@ nextLogPoint(std::size_t n, double factor)
 
 } // namespace
 
-std::vector<std::size_t>
-CheckpointSchedule::points(std::size_t max_n) const
-{
-    std::vector<std::size_t> out;
-    for (std::size_t n = start; n <= max_n;
-         n = kind == Kind::kLinear ? n + step : nextLogPoint(n, factor))
-        out.push_back(n);
-    return out;
-}
-
 bool
 CheckpointSchedule::contains(std::size_t n) const
 {
@@ -101,16 +91,6 @@ CheckpointSchedule::toJson() const
     else
         out.set("factor", factor);
     return out;
-}
-
-bool
-operator==(const CheckpointSchedule& a, const CheckpointSchedule& b)
-{
-    if (a.kind != b.kind || a.start != b.start)
-        return false;
-    return a.kind == CheckpointSchedule::Kind::kLinear
-               ? a.step == b.step
-               : a.factor == b.factor;
 }
 
 } // namespace prosperity::stats

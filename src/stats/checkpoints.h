@@ -20,7 +20,6 @@
 
 #include <cstddef>
 #include <string>
-#include <vector>
 
 #include "util/json.h"
 
@@ -35,12 +34,6 @@ struct CheckpointSchedule
     std::size_t step = 1;  ///< linear increment (>= 1)
     double factor = 2.0;   ///< log multiplier (> 1)
 
-    /**
-     * The checkpointed sample counts up to and including `max_n`,
-     * strictly increasing. Empty when start > max_n.
-     */
-    std::vector<std::size_t> points(std::size_t max_n) const;
-
     /** Is `n` a checkpointed count (n >= start on the schedule)? */
     bool contains(std::size_t n) const;
 
@@ -54,13 +47,6 @@ struct CheckpointSchedule
 
     json::Value toJson() const;
 };
-
-bool operator==(const CheckpointSchedule& a, const CheckpointSchedule& b);
-inline bool
-operator!=(const CheckpointSchedule& a, const CheckpointSchedule& b)
-{
-    return !(a == b);
-}
 
 } // namespace prosperity::stats
 

@@ -92,6 +92,11 @@ SamplingPlan::fromJson(const json::Value& value,
         json::schemaError(context + ".min_seeds",
                           "must be at least 2 — a single seed has no "
                           "observed range, so no interval");
+    if (plan.min_seeds > kMaxSeeds)
+        json::schemaError(
+            context + ".min_seeds",
+            "must be at most " + std::to_string(kMaxSeeds) + ", got " +
+                std::to_string(plan.min_seeds));
     plan.max_seeds =
         json::optionalSize(value, "max_seeds", plan.max_seeds, context);
     if (plan.max_seeds < plan.min_seeds)
@@ -99,6 +104,11 @@ SamplingPlan::fromJson(const json::Value& value,
             context + ".max_seeds",
             "must be at least min_seeds (" +
                 std::to_string(plan.min_seeds) + "), got " +
+                std::to_string(plan.max_seeds));
+    if (plan.max_seeds > kMaxSeeds)
+        json::schemaError(
+            context + ".max_seeds",
+            "must be at most " + std::to_string(kMaxSeeds) + ", got " +
                 std::to_string(plan.max_seeds));
 
     if (const json::Value* metrics = value.find("metrics")) {
@@ -165,15 +175,6 @@ SamplingPlan::toJson() const
     out.set("metrics", std::move(metric_names));
     out.set("checkpoints", checkpoints.toJson());
     return out;
-}
-
-bool
-operator==(const SamplingPlan& a, const SamplingPlan& b)
-{
-    return a.eps == b.eps && a.alpha == b.alpha &&
-           a.relative == b.relative && a.min_seeds == b.min_seeds &&
-           a.max_seeds == b.max_seeds && a.metrics == b.metrics &&
-           a.checkpoints == b.checkpoints;
 }
 
 } // namespace prosperity::stats

@@ -10,7 +10,7 @@
  * the seed budget bracket [min_seeds, max_seeds], and the checkpoint
  * schedule for convergence curves. Parsed from / serialized to the
  * campaign-spec JSON with the repository's key-path error style;
- * `samplingPlanFromJson(samplingPlanToJson(p)) == p` exactly.
+ * `SamplingPlan::fromJson(p.toJson(), ...)` gives back p exactly.
  */
 
 #ifndef PROSPERITY_STATS_SAMPLING_PLAN_H
@@ -25,6 +25,12 @@
 #include "util/json.h"
 
 namespace prosperity::stats {
+
+/** The most seeds a plan may ask of one cell. An adaptive campaign's
+ *  first round builds min_seeds jobs per cell, so a spec must not set
+ *  the budget without bound; every checked-in plan stays at 64 or
+ *  below. */
+inline constexpr std::size_t kMaxSeeds = 1024;
 
 struct SamplingPlan
 {
@@ -53,21 +59,14 @@ struct SamplingPlan
     /**
      * Parse the `"sampling"` object of a campaign spec; `context`
      * prefixes key-path errors. Validates ranges (eps > 0, alpha in
-     * (0,1), 2 <= min_seeds <= max_seeds) and metric names against the
-     * supported roster.
+     * (0,1), 2 <= min_seeds <= max_seeds <= kMaxSeeds) and metric
+     * names against the supported roster.
      */
     static SamplingPlan fromJson(const json::Value& value,
                                  const std::string& context);
 
     json::Value toJson() const;
 };
-
-bool operator==(const SamplingPlan& a, const SamplingPlan& b);
-inline bool
-operator!=(const SamplingPlan& a, const SamplingPlan& b)
-{
-    return !(a == b);
-}
 
 /** The metric names metricValue() understands, in canonical order. */
 const std::vector<std::string>& supportedMetrics();

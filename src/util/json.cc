@@ -203,24 +203,8 @@ Value::asArray() const
     return std::get<Array>(data_);
 }
 
-Value::Array&
-Value::asArray()
-{
-    if (!isArray())
-        typeMismatch("array", type());
-    return std::get<Array>(data_);
-}
-
 const Value::Object&
 Value::asObject() const
-{
-    if (!isObject())
-        typeMismatch("object", type());
-    return std::get<Object>(data_);
-}
-
-Value::Object&
-Value::asObject()
 {
     if (!isObject())
         typeMismatch("object", type());

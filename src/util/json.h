@@ -138,9 +138,7 @@ class Value
     double asNumber() const;
     const std::string& asString() const;
     const Array& asArray() const;
-    Array& asArray();
     const Object& asObject() const;
-    Object& asObject();
 
     /** Object lookup: nullptr when absent (or when not an object). */
     const Value* find(const std::string& key) const;

@@ -53,7 +53,11 @@ TEST(AcceleratorDefaults, DenseGemmCyclesArePerPeMacs)
 TEST(AcceleratorDefaults, SfuThroughput)
 {
     StubAccelerator stub;
-    const LayerResult r = stub.runLayer(LayerRequest::sfu(3200.0));
+    // A layer with no GeMM is an auxiliary request, as the runner
+    // builds it.
+    LayerRequest request;
+    request.sfu_ops = 3200.0;
+    const LayerResult r = stub.runLayer(request);
     EXPECT_DOUBLE_EQ(r.cycles, 100.0); // 32 ops/cycle
     EXPECT_DOUBLE_EQ(r.energy.componentPj(EnergyComponent::kOther),
                      3200.0 * kEnergyParams.sfu_op_pj);

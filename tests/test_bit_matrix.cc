@@ -16,6 +16,7 @@
 #include "bitmatrix/dense_matrix.h"
 #include "bitmatrix/word_kernels.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
@@ -84,7 +85,7 @@ BitMatrix
 paperFig1Matrix()
 {
     // The 6x4 spike matrix of Fig. 1 (b) / Fig. 2 (a).
-    return BitMatrix::fromStrings({
+    return fromStrings({
         "1010", // Row 0
         "1001", // Row 1
         "1011", // Row 2

@@ -16,6 +16,7 @@
 #include <stdexcept>
 
 #include "analysis/campaign.h"
+#include "spec_equality.h"
 #include "stats/adaptive_runner.h"
 
 namespace prosperity {
@@ -353,6 +354,17 @@ TEST(CampaignSpec, MalformedSpecsProduceActionableErrors)
                     "accelerators": [{"name": "eyeriss"}],
                     "workloads": [{"suite": "fig8"}]})",
                 "baseline \"tpu\"");
+    // An adaptive campaign's first round builds min_seeds jobs per
+    // cell, so both ends of the seed budget are capped.
+    expectError(R"({"name": "x", "accelerators": [{"name": "eyeriss"}],
+                    "workloads": [{"suite": "fig8"}],
+                    "sampling": {"eps": 0.05,
+                                 "min_seeds": 1000000000000}})",
+                "sampling.min_seeds: must be at most 1024");
+    expectError(R"({"name": "x", "accelerators": [{"name": "eyeriss"}],
+                    "workloads": [{"suite": "fig8"}],
+                    "sampling": {"eps": 0.05, "max_seeds": 1025}})",
+                "sampling.max_seeds: must be at most 1024");
 
     // The axis checks run at load time, though loading builds no job.
     const char* zip_mismatch = R"({"name": "x", "expansion": "zip",
@@ -461,7 +473,7 @@ TEST(CampaignRunner, StreamsProgressInJobOrder)
     EXPECT_EQ(report.cells.size(), 3u);
 }
 
-TEST(CampaignReport, DerivedTablesAndLookups)
+TEST(CampaignReport, DerivedTablesAndCellOrder)
 {
     SimulationEngine engine;
     CampaignRunner runner(engine);
@@ -475,11 +487,12 @@ TEST(CampaignReport, DerivedTablesAndLookups)
     EXPECT_GT(speedup.values[0][2], 1.0); // prosperity beats dense
     EXPECT_EQ(speedup.geomean[0], 1.0);
 
-    const CampaignCell* cell = report.cell(2, 0, 0);
-    ASSERT_NE(cell, nullptr);
-    EXPECT_EQ(cell->result.accelerator, "Prosperity");
-    EXPECT_EQ(report.cell(2, 1, 0), nullptr);
-    EXPECT_EQ(report.cell(3, 0, 0), nullptr);
+    // Cells follow expansion order: the one workload on each design.
+    ASSERT_EQ(report.cells.size(), 3u);
+    const CampaignCell& cell = report.cells[2];
+    EXPECT_EQ(cell.accelerator_index, 2u);
+    EXPECT_EQ(cell.workload_index, 0u);
+    EXPECT_EQ(cell.result.accelerator, "Prosperity");
 }
 
 TEST(CampaignReport, JsonAndCsvSerialization)
@@ -523,7 +536,7 @@ adaptiveSpec(std::size_t min_seeds, std::size_t max_seeds)
     spec.accelerators.push_back(
         {"prosperity",
          AcceleratorSpec{"prosperity",
-                         AcceleratorParams{{"max_sampled_tiles", "8"}}}});
+                         AcceleratorParams().set("max_sampled_tiles", "8")}});
     spec.workloads.push_back(makeWorkload("LeNet5", "MNIST"));
     stats::SamplingPlan plan;
     plan.eps = 1e-9; // never converges: the cap decides the count

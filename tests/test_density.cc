@@ -70,7 +70,7 @@ rowByRowReport(const BitMatrix& tile)
 
 TEST(Density, PaperToyExample)
 {
-    const BitMatrix spikes = BitMatrix::fromStrings({
+    const BitMatrix spikes = fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
     DensityOptions opt;
     opt.max_sampled_tiles = 0;
@@ -112,7 +112,7 @@ TEST(Density, TwoPrefixFindsDisjointReuse)
 {
     // Row 2 = Row 0 (1100...) U Row 1 (0011...): with two prefixes its
     // residual is empty; with one prefix half remains.
-    const BitMatrix spikes = BitMatrix::fromStrings({
+    const BitMatrix spikes = fromStrings({
         "11000000",
         "00110000",
         "11110000",

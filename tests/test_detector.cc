@@ -49,7 +49,7 @@ expectMatchesNaive(const BitMatrix& tile)
 TEST(Detection, PopcountsMatchRows)
 {
     // Fig. 5 (a): the 6-row tile the paper walks through.
-    const PrefixSelection sel = prefixesOf(BitMatrix::fromStrings(
+    const PrefixSelection sel = prefixesOf(fromStrings(
         {"1010", "1001", "1011", "0010", "1101", "1101"}));
     ASSERT_EQ(sel.rows(), 6u);
     const std::size_t expected[] = {2, 2, 3, 1, 3, 3};
@@ -62,7 +62,7 @@ TEST(Detection, EmptyRowsNeverMatch)
     // Empty rows are trivially subsets but carry no reusable result,
     // and they have nothing to compute.
     const PrefixSelection sel = prefixesOf(
-        BitMatrix::fromStrings({"0000", "1010", "0000", "0000"}));
+        fromStrings({"0000", "1010", "0000", "0000"}));
     for (std::size_t i = 0; i < sel.rows(); ++i)
         EXPECT_EQ(sel.prefix[i], kNone) << "row " << i;
 }
@@ -258,7 +258,7 @@ TEST(DetectionViews, InPlaceReadsMatchTilesBuiltBitByBit)
 
     // The paper's Fig. 1 matrix: a 3 x 2 sub-tile, a 256 x 16 tile
     // cropped to 2 x 2, and views of the whole matrix.
-    const BitMatrix fig1 = BitMatrix::fromStrings(
+    const BitMatrix fig1 = fromStrings(
         {"1010", "1001", "1011", "0010", "1101", "1101"});
     expectViewMatchesNaive(distinct, fig1, 1, 1, 3, 2);
     expectViewMatchesNaive(distinct, fig1, 4, 2, 256, 16);

@@ -75,7 +75,7 @@ TEST(Dispatch, TraversalExposesCycles)
 {
     // The ablation's point: traversal costs O(m * d) un-hideable cycles
     // while the sorted dispatch exposes none.
-    const BitMatrix tile = BitMatrix::fromStrings({
+    const BitMatrix tile = fromStrings({
         "1100", "1100", "1100", "1100"});
     const TileStats sorted = tileStats(DispatchMode::kOverheadFree, tile);
     const TileStats walked = tileStats(DispatchMode::kTreeTraversal, tile);
@@ -244,7 +244,7 @@ TEST(Dispatch, AllOnesTileWalksOneFullChain)
 
 TEST(Dispatch, TraversalModeAddsExposedCycles)
 {
-    const BitMatrix tile = BitMatrix::fromStrings({
+    const BitMatrix tile = fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
     const TileStats f = tileStats(DispatchMode::kOverheadFree, tile);
     const TileStats s = tileStats(DispatchMode::kTreeTraversal, tile);

@@ -254,13 +254,13 @@ TEST(Engine, ProsperityVariantLineupMatchesLoneRunsBitwise)
     // summary is costed. Every variant must still equal its lone run
     // on a fresh accelerator, whichever variant fills a summary first.
     const std::vector<AcceleratorParams> variants = {
-        AcceleratorParams{{"sparsity", "bit"}},
-        AcceleratorParams{{"dispatch", "traversal"}},
+        AcceleratorParams().set("sparsity", "bit"),
+        AcceleratorParams().set("dispatch", "traversal"),
         AcceleratorParams{},
-        AcceleratorParams{{"issue_width", "2"}},
-        AcceleratorParams{{"num_ppus", "2"}},
-        AcceleratorParams{{"tile_m", "128"}},
-        AcceleratorParams{{"max_sampled_tiles", "0"}},
+        AcceleratorParams().set("issue_width", "2"),
+        AcceleratorParams().set("num_ppus", "2"),
+        AcceleratorParams().set("tile_m", "128"),
+        AcceleratorParams().set("max_sampled_tiles", "0"),
     };
     const auto create = [](const AcceleratorParams& params) {
         return AcceleratorRegistry::instance().create("prosperity", params);
@@ -308,15 +308,17 @@ TEST(Engine, WideAndExactTilesArePinned)
         double cycles;
         double energy_pj;
     };
-    const AcceleratorParams k16{{"tile_k", "16"}, {"max_sampled_tiles", "0"}};
-    const AcceleratorParams k24{{"tile_k", "24"}, {"max_sampled_tiles", "0"}};
-    const AcceleratorParams k64{{"tile_k", "64"}, {"max_sampled_tiles", "0"}};
-    const AcceleratorParams k100{{"tile_k", "100"},
-                                 {"max_sampled_tiles", "0"}};
-    const AcceleratorParams k128{{"tile_k", "128"},
-                                 {"max_sampled_tiles", "0"}};
-    const AcceleratorParams walk128{{"tile_k", "128"},
-                                    {"dispatch", "traversal"}};
+    const auto exact = [](const char* tile_k) {
+        return AcceleratorParams().set("tile_k", tile_k).set(
+            "max_sampled_tiles", "0");
+    };
+    const AcceleratorParams k16 = exact("16");
+    const AcceleratorParams k24 = exact("24");
+    const AcceleratorParams k64 = exact("64");
+    const AcceleratorParams k100 = exact("100");
+    const AcceleratorParams k128 = exact("128");
+    const AcceleratorParams walk128 =
+        AcceleratorParams().set("tile_k", "128").set("dispatch", "traversal");
     const std::vector<Pin> pins = {
         {"LeNet5", "MNIST", k16, 0x1.6f3p+13, 0x1.9ef3c2774fbcbp+24},
         {"LeNet5", "MNIST", k24, 0x1.62b8p+13, 0x1.9724921508c82p+24},

@@ -31,21 +31,21 @@ TEST(Forest, PaperExampleStructure)
 {
     // Fig. 3 (b): edges 3 -> 0, 1 -> 2, 1 -> 4 and 4 -> 5; Row 1 has no
     // subset and Row 3 has a single spike, so those two are the roots.
-    expectPrefixes(BitMatrix::fromStrings(
-                       {"1010", "1001", "1011", "0010", "1101", "1101"}),
-                   {3, kNone, 1, kNone, 1, 4});
+    expectPrefixes(
+        fromStrings({"1010", "1001", "1011", "0010", "1101", "1101"}),
+        {3, kNone, 1, kNone, 1, 4});
 }
 
 TEST(Forest, DepthOfChain)
 {
     // EM chain 0 -> 1 -> 2 -> 3: one tree of depth 4.
-    expectPrefixes(BitMatrix::fromStrings({"1100", "1100", "1100", "1100"}),
+    expectPrefixes(fromStrings({"1100", "1100", "1100", "1100"}),
                    {kNone, 0, 1, 2});
 }
 
 TEST(Forest, DisjointRowsAreAllRoots)
 {
-    expectPrefixes(BitMatrix::fromStrings({"1000", "0100", "0010"}),
+    expectPrefixes(fromStrings({"1000", "0100", "0010"}),
                    {kNone, kNone, kNone});
 }
 

@@ -3,9 +3,9 @@
  * Tests for the dependency-free HTTP/1.1 layer: loopback round trips,
  * keep-alive connection reuse, concurrent clients, large bodies in
  * both directions, the malformed-request surface (bad request lines,
- * oversized bodies, Expect: 100-continue), a client that stops
- * reading, and the client's reading of raw responses — all against
- * live sockets on ephemeral ports, no mocks.
+ * oversized bodies and header blocks, Expect: 100-continue), a client
+ * that stops reading, and the client's reading of raw responses — all
+ * against live sockets on ephemeral ports, no mocks.
  */
 
 #include <gtest/gtest.h>
@@ -305,14 +305,35 @@ TEST(HttpServer, MalformedRequestLineIs400)
 
 TEST(HttpServer, OversizedBodyIs413)
 {
-    HttpServerOptions options = testOptions();
-    options.max_body_bytes = 64;
-    HttpServer server(options, echoHandler);
+    // The length alone decides: no body byte is sent.
+    HttpServer server(testOptions(), echoHandler);
     server.start();
     const std::string reply = rawExchange(
-        server.port(),
-        "POST /x HTTP/1.1\r\nContent-Length: 100000\r\n\r\n");
+        server.port(), "POST /x HTTP/1.1\r\nContent-Length: " +
+                           std::to_string(kMaxBodyBytes + 1) +
+                           "\r\n\r\n");
     EXPECT_EQ(reply.compare(0, 12, "HTTP/1.1 413"), 0) << reply;
+}
+
+TEST(HttpServer, HeaderBlockOverTheCapIs431)
+{
+    // The cap counts the whole block, from the request line through
+    // the blank line that ends it: one byte more is a 431.
+    HttpServer server(testOptions(), echoHandler);
+    server.start();
+    const auto headerBlock = [](std::size_t size) {
+        std::string block = "GET /x HTTP/1.1\r\nConnection: close\r\n"
+                            "X-Pad: ";
+        block.append(size - block.size() - 4, 'a');
+        return block + "\r\n\r\n";
+    };
+    ASSERT_EQ(headerBlock(kMaxHeaderBytes).size(), kMaxHeaderBytes);
+    const std::string at_cap =
+        rawExchange(server.port(), headerBlock(kMaxHeaderBytes));
+    EXPECT_EQ(at_cap.compare(0, 12, "HTTP/1.1 200"), 0) << at_cap;
+    const std::string over =
+        rawExchange(server.port(), headerBlock(kMaxHeaderBytes + 1));
+    EXPECT_EQ(over.compare(0, 12, "HTTP/1.1 431"), 0) << over;
 }
 
 TEST(HttpServer, NonDigitContentLengthIs400)

@@ -1,11 +1,9 @@
 /**
  * @file
- * Tests for the declarative model format: the checked-in JSON zoo
- * files are canonical (parse -> serialize is the identity on bytes),
- * parse(serialize(desc)) == desc, per-layer profile overrides survive
- * lowering, malformed definitions fail with key-path errors, and
- * registering a file under a taken name follows one rule. The zoo's
- * lowering itself is pinned by tests/test_model_zoo.cc.
+ * Tests for the declarative model format: per-layer profile overrides
+ * survive lowering, malformed definitions fail with key-path errors,
+ * and registering a file under a taken name follows one rule. The
+ * zoo's lowering itself is pinned by tests/test_model_zoo.cc.
  */
 
 #include <gtest/gtest.h>
@@ -19,15 +17,6 @@
 
 namespace prosperity {
 namespace {
-
-/** The checked-in built-in zoo and the model name each file defines. */
-const char* const kZoo[][2] = {
-    {"vgg16.json", "VGG16"},           {"vgg9.json", "VGG9"},
-    {"resnet18.json", "ResNet18"},     {"lenet5.json", "LeNet5"},
-    {"alexnet.json", "AlexNet"},       {"resnet19.json", "ResNet19"},
-    {"spikformer.json", "Spikformer"}, {"sdt.json", "SDT"},
-    {"spikebert.json", "SpikeBERT"},   {"spikingbert.json", "SpikingBERT"},
-};
 
 std::string
 zooPath(const std::string& file)
@@ -43,37 +32,6 @@ readFile(const std::string& path)
     std::ostringstream text;
     text << is.rdbuf();
     return text.str();
-}
-
-TEST(ModelDesc, ZooFilesAreCanonical)
-{
-    // parse -> serialize reproduces each checked-in file byte for
-    // byte, so regenerating the zoo can never produce spurious diffs.
-    for (const auto& entry : kZoo) {
-        const std::string text = readFile(zooPath(entry[0]));
-        const ModelDesc desc =
-            ModelDesc::fromJson(json::Value::parse(text));
-        EXPECT_EQ(desc.toJson().dump(2) + "\n", text) << entry[0];
-    }
-}
-
-TEST(ModelDesc, RoundTripIsExact)
-{
-    for (const auto& entry : kZoo) {
-        const ModelDesc desc = ModelDesc::load(zooPath(entry[0]));
-        const ModelDesc back =
-            ModelDesc::fromJson(json::Value::parse(desc.toJson().dump()));
-        EXPECT_TRUE(back == desc) << entry[0];
-    }
-    // And for the example with per-layer overrides + model profile.
-    const ModelDesc custom =
-        ModelDesc::load(zooPath("example_custom.json"));
-    const ModelDesc back =
-        ModelDesc::fromJson(json::Value::parse(custom.toJson().dump()));
-    EXPECT_TRUE(back == custom);
-    EXPECT_EQ(custom.toJson().dump(2) + "\n",
-              readFile(zooPath("example_custom.json")))
-        << "example_custom.json must stay canonical";
 }
 
 TEST(ModelDesc, PerLayerProfileOverridesSurviveLowering)
@@ -310,14 +268,15 @@ TEST(ModelDesc, RegisterModelFileIsIdempotentAndConflictChecked)
     EXPECT_EQ(ModelRegistry::instance().sourceOf("vgg16"), "");
 
     // ...while a copy with one changed field is refused.
-    ModelDesc changed = ModelDesc::load(zooPath("vgg16.json"));
-    for (LayerDesc& layer : changed.layers)
-        if (auto* conv = std::get_if<ConvDesc>(&layer.op);
-            conv && conv->name == "conv5_3")
-            conv->out_channels = 256;
-    ASSERT_FALSE(changed == ModelDesc::load(zooPath("vgg16.json")));
+    std::string changed = readFile(zooPath("vgg16.json"));
+    const std::size_t width =
+        changed.find("512", changed.find("\"conv5_3\""));
+    ASSERT_NE(width, std::string::npos);
+    changed.replace(width, 3, "256");
+    ASSERT_FALSE(ModelDesc::fromJson(json::Value::parse(changed)) ==
+                 ModelDesc::load(zooPath("vgg16.json")));
     const std::string path = ::testing::TempDir() + "vgg16_changed.json";
-    ASSERT_TRUE(changed.save(path));
+    ASSERT_TRUE(static_cast<bool>(std::ofstream(path) << changed));
     try {
         registerModelFile(path);
         FAIL() << "a different definition of VGG16 was not refused";

@@ -97,13 +97,5 @@ TEST(LifArray, RunProcessesAllTimeSteps)
     EXPECT_TRUE(spikes.test(1, 2));
 }
 
-TEST(LifArray, ResetClearsState)
-{
-    LifArray lif(1);
-    lif.run(currentsOf({{30}}));
-    lif.reset();
-    EXPECT_DOUBLE_EQ(lif.potential(0), 0.0);
-}
-
 } // namespace
 } // namespace prosperity

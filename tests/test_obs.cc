@@ -265,7 +265,6 @@ class ObsTraceTest : public ::testing::Test
     void SetUp() override
     {
         TraceRecorder& recorder = TraceRecorder::global();
-        recorder.setCapacity(65536);
         recorder.setEnabled(true);
         recorder.clear();
     }
@@ -274,7 +273,6 @@ class ObsTraceTest : public ::testing::Test
     {
         TraceRecorder& recorder = TraceRecorder::global();
         recorder.setEnabled(false);
-        recorder.setCapacity(65536);
         recorder.clear();
     }
 };
@@ -349,25 +347,28 @@ TEST_F(ObsTraceTest, EmitSpanRecordsExplicitIntervals)
 TEST_F(ObsTraceTest, RingWrapsAroundKeepingTheNewestSpans)
 {
     TraceRecorder& recorder = TraceRecorder::global();
-    recorder.setCapacity(8);
     const std::uint64_t id = recorder.mintTraceId();
     const std::uint64_t before = recorder.recorded();
+    constexpr std::size_t kOverwritten = 12;
+    constexpr std::size_t kTotal = TraceRecorder::kCapacity + kOverwritten;
     {
         ScopedTraceContext scope(TraceContext{id, 0});
-        for (int i = 0; i < 20; ++i)
+        for (std::size_t i = 0; i < kTotal; ++i)
             ScopedSpan span("test",
                             std::string("s").append(std::to_string(i)));
     }
-    // All 20 were accepted; only the final 8 survive in the ring.
-    EXPECT_EQ(recorder.recorded() - before, 20u);
+    // Every span was accepted; only the newest kCapacity survive in
+    // the ring, so the first 12 are gone and each of the rest is there.
+    EXPECT_EQ(recorder.recorded() - before, kTotal);
     const std::vector<TraceSpan> spans = recorder.collect(id);
-    ASSERT_EQ(spans.size(), 8u);
+    ASSERT_EQ(spans.size(), TraceRecorder::kCapacity);
     std::set<std::string> names;
     for (const TraceSpan& span : spans)
         names.insert(span.name);
-    for (int i = 12; i < 20; ++i)
+    EXPECT_EQ(names.size(), TraceRecorder::kCapacity);
+    for (std::size_t i = 0; i < kOverwritten; ++i)
         EXPECT_EQ(names.count(std::string("s").append(std::to_string(i))),
-                  1u)
+                  0u)
             << i;
 }
 

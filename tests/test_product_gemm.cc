@@ -10,6 +10,7 @@
 #include "core/product_gemm.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
@@ -17,7 +18,7 @@ namespace {
 TEST(ProductGemm, PaperToyExampleExact)
 {
     // Fig. 1: 6x4 spikes times 4x3 weights.
-    const BitMatrix spikes = BitMatrix::fromStrings({
+    const BitMatrix spikes = fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
     WeightMatrix weights(4, 3);
     const std::int32_t values[4][3] = {

@@ -20,6 +20,7 @@
 #include "core/product_gemm.h"
 #include "gen/spike_generator.h"
 #include "sim/rng.h"
+#include "tile_helpers.h"
 
 namespace prosperity {
 namespace {
@@ -180,8 +181,7 @@ TEST_P(CanonicalTailProperties, MatrixPathsKeepTailZero)
     m.set(0, 0, false);
     ASSERT_TRUE(tailIsCanonical(m.row(0), cols)) << "set";
 
-    const BitMatrix parsed =
-        BitMatrix::fromStrings({std::string(cols, '1')});
+    const BitMatrix parsed = fromStrings({std::string(cols, '1')});
     ASSERT_TRUE(tailIsCanonical(parsed.row(0), cols)) << "fromStrings";
     EXPECT_EQ(parsed.popcount(), cols);
 

@@ -25,7 +25,7 @@ BitMatrix
 fig5Matrix()
 {
     // Fig. 5 (a): the 6-row tile the paper walks through.
-    return BitMatrix::fromStrings({
+    return fromStrings({
         "1010", // 0
         "1001", // 1
         "1011", // 2
@@ -102,7 +102,7 @@ TEST(Pruning, ExactMatchUsesSmallerIndexAsPrefix)
 TEST(Pruning, EmChainLinksThroughLargestIndex)
 {
     const PrefixSelection sel =
-        prefixesOf(BitMatrix::fromStrings({"1100", "1100", "1100"}));
+        prefixesOf(fromStrings({"1100", "1100", "1100"}));
     EXPECT_EQ(sel.prefix[0], kNone);
     EXPECT_EQ(sel.prefix[1], 0);
     // Row 2 ties between Row 0 and Row 1; largest index wins.
@@ -111,7 +111,7 @@ TEST(Pruning, EmChainLinksThroughLargestIndex)
 
 TEST(Pruning, ArgmaxPrefersLargestSubset)
 {
-    const BitMatrix tile = BitMatrix::fromStrings({
+    const BitMatrix tile = fromStrings({
         "1000", // 0: subset of 2, 1 one
         "1100", // 1: subset of 2, 2 ones  <- best
         "1110", // 2
@@ -123,7 +123,7 @@ TEST(Pruning, ArgmaxPrefersLargestSubset)
 
 TEST(Pruning, SingleSpikeRowsUseExactMatchOnly)
 {
-    const BitMatrix tile = BitMatrix::fromStrings({
+    const BitMatrix tile = fromStrings({
         "1000",
         "1000", // identical 1-spike row: EM reuse applies
         "0100", // different 1-spike row: no candidate

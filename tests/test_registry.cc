@@ -96,17 +96,17 @@ TEST(Registry, ProsperityAblationParams)
     AcceleratorRegistry& registry = AcceleratorRegistry::instance();
     EXPECT_EQ(registry
                   .create("prosperity",
-                          AcceleratorParams{{"sparsity", "bit"}})
+                          AcceleratorParams().set("sparsity", "bit"))
                   ->name(),
               "Prosperity(bit-only)");
     EXPECT_EQ(registry
                   .create("prosperity",
-                          AcceleratorParams{{"dispatch", "traversal"}})
+                          AcceleratorParams().set("dispatch", "traversal"))
                   ->name(),
               "Prosperity(traversal)");
     EXPECT_THROW(registry.create(
                      "prosperity",
-                     AcceleratorParams{{"sparsity", "banana"}}),
+                     AcceleratorParams().set("sparsity", "banana")),
                  std::invalid_argument);
     // Zero widths and counts are rejected, not silently run as 1. A
     // tile narrower than 8 columns has no spike-buffer word, and one
@@ -119,7 +119,7 @@ TEST(Registry, ProsperityAblationParams)
         {"tile_m", "65537"},  {"tile_m", "4611686018427387904"}};
     for (const auto& [key, value] : rejected) {
         try {
-            registry.create("prosperity", AcceleratorParams{{key, value}});
+            registry.create("prosperity", AcceleratorParams().set(key, value));
             FAIL() << key << "=" << value << " accepted";
         } catch (const std::invalid_argument& e) {
             EXPECT_NE(std::string(e.what()).find(key), std::string::npos)
@@ -129,7 +129,7 @@ TEST(Registry, ProsperityAblationParams)
     for (const char* key : {"tile_m", "tile_k"})
         for (const char* value : {"8", "65536"})
             EXPECT_NO_THROW(registry.create(
-                "prosperity", AcceleratorParams{{key, value}}))
+                "prosperity", AcceleratorParams().set(key, value)))
                 << key << "=" << value;
 }
 
@@ -154,7 +154,7 @@ TEST(Registry, LoasWeightDensityParameterReachesTheDesign)
 {
     AcceleratorRegistry& registry = AcceleratorRegistry::instance();
     const auto accel = registry.create(
-        "loas", AcceleratorParams{{"weight_density", "0.04"}});
+        "loas", AcceleratorParams().set("weight_density", "0.04"));
     const auto* loas = dynamic_cast<LoasAccelerator*>(accel.get());
     ASSERT_NE(loas, nullptr);
     EXPECT_DOUBLE_EQ(loas->weightDensity(), 0.04);
@@ -162,10 +162,11 @@ TEST(Registry, LoasWeightDensityParameterReachesTheDesign)
     // The design asserts (0, 1]; the factory must turn a bad value
     // into an exception before the constructor can abort the process.
     EXPECT_NO_THROW(registry.create(
-        "loas", AcceleratorParams{{"weight_density", "1"}}));
+        "loas", AcceleratorParams().set("weight_density", "1")));
     for (const char* bad : {"5", "0", "-0.5", "nan", "inf"}) {
         try {
-            registry.create("loas", AcceleratorParams{{"weight_density", bad}});
+            registry.create("loas",
+                            AcceleratorParams().set("weight_density", bad));
             FAIL() << "weight_density=" << bad << " accepted";
         } catch (const std::invalid_argument& e) {
             const std::string message = e.what();
@@ -196,7 +197,8 @@ TEST(AcceleratorParams, TypedGettersAndFingerprint)
     // A campaign spec's {"x": 0.1} is stored as json::formatDouble's
     // "0.1"; set() must store the same text, not 0.10000000000000001.
     EXPECT_EQ(AcceleratorParams{}.set("x", 0.1).fingerprint(), "x=0.1");
-    const AcceleratorParams bad{{"x", "not-a-number"}};
+    const AcceleratorParams bad =
+        AcceleratorParams().set("x", "not-a-number");
     EXPECT_THROW(bad.getDouble("x", 0.0), std::invalid_argument);
 }
 

@@ -386,6 +386,27 @@ TEST_F(ServiceTest, OutOfRangeProfileIs400AndServiceKeepsServing)
     }
 }
 
+TEST_F(ServiceTest, SeedCountOverTheCapIs400AndServiceKeepsServing)
+{
+    // Admitted, an adaptive campaign's first round builds min_seeds
+    // jobs per cell, so one POST could size an unbounded allocation:
+    // it must be a key-path 400, and the service must keep answering.
+    // One past the cap is the largest count sent to a live service.
+    startService();
+    HttpClient http = client();
+    const std::string seeds = std::to_string(stats::kMaxSeeds + 1);
+    const HttpResponse response = http.post(
+        "/v1/campaigns",
+        R"({"name": "seed-cap", "accelerators": [{"name": "eyeriss"}],
+            "workloads": [{"model": "LeNet5", "dataset": "MNIST"}],
+            "sampling": {"eps": 0.02, "min_seeds": )" +
+            seeds + R"(, "max_seeds": )" + seeds + "}}");
+    EXPECT_EQ(response.status, 400) << response.body;
+    EXPECT_NE(response.body.find("sampling.min_seeds"), std::string::npos)
+        << response.body;
+    EXPECT_EQ(http.get("/v1/stats").status, 200);
+}
+
 TEST_F(ServiceTest, OutOfRangeAcceleratorParamFailsTheRunAndServiceKeepsServing)
 {
     // LoAS's weight_density 5 once reached its range assert on the

@@ -45,15 +45,6 @@ TEST(SramBuffer, AreaGrowsWithCapacity)
     EXPECT_GT(large.areaMm2(), small.areaMm2());
     EXPECT_GT(large.accessEnergyPerBytePj(),
               small.accessEnergyPerBytePj());
-    EXPECT_GT(large.leakageMw(), small.leakageMw());
-}
-
-TEST(SramBuffer, AccessEnergyScalesWithWordWidth)
-{
-    const SramBuffer narrow("n", 32 * 1024, 8);
-    const SramBuffer wide("w", 32 * 1024, 64);
-    EXPECT_NEAR(wide.accessEnergyPj() / narrow.accessEnergyPj(), 8.0,
-                1e-9);
 }
 
 TEST(AreaModel, ReproducesFig10Breakdown)

@@ -16,7 +16,7 @@ namespace {
 BitMatrix
 paperTile()
 {
-    return BitMatrix::fromStrings({
+    return fromStrings({
         "1010", "1001", "1011", "0010", "1101", "1101"});
 }
 
@@ -55,7 +55,7 @@ TEST(TilePipeline, ProsparsityPhaseCycles)
 
     // A one-row tile still pays the five-stage pipeline.
     const TileStats one =
-        pipeline.cost(summaryOf(BitMatrix::fromStrings({"0110"})));
+        pipeline.cost(summaryOf(fromStrings({"0110"})));
     EXPECT_EQ(one.prosparsity_cycles, 5u);
 }
 
@@ -81,7 +81,7 @@ TEST(TilePipeline, PhaseCostsAtPaperTileSize)
 TEST(TilePipeline, EmRowsStillCostOneCycle)
 {
     // Sec. VII-F: EM rows have 100% sparsity but take one cycle each.
-    const BitMatrix tile = BitMatrix::fromStrings({
+    const BitMatrix tile = fromStrings({
         "1111", "1111", "1111", "1111"});
     const TilePipeline pipeline(SparsityMode::kProductSparsity,
                                 DispatchMode::kOverheadFree);

@@ -10,6 +10,7 @@
 #include <stdexcept>
 
 #include "snn/workload.h"
+#include "spec_equality.h"
 
 namespace prosperity {
 namespace {

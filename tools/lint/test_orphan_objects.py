@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Pin orphan_objects.py's rule against synthetic `nm -A -P` output.
+"""Pin orphan_objects.py's rules against synthetic `nm -A -P` output.
 
-Run as a ctest (lint_orphan_objects_fixtures): a library member is
-used when another archive member, an example or a bench references one
-of its strong definitions; references from tests/ objects and shared
-weak definitions do not count; members with nothing defined are
-skipped. A rule that stops firing, or starts firing on a used module,
-fails tier-1.
+Run as a ctest (lint_orphan_objects_fixtures). Objects: a library
+member is used when another archive member, an example or a bench
+references one of its strong definitions; references from tests/
+objects and shared weak definitions do not count; members with
+nothing defined are skipped. Symbols: a strong library definition
+passes when some program's section-GC link keeps it, perfbench's
+included; a test target is no program; weak definitions are not
+judged; the allowlist exempts a symbol only with a reason and only
+while no program keeps it and the library still defines it. A rule
+that stops firing, or starts firing on used code, fails tier-1.
 """
 
 from __future__ import annotations
@@ -63,6 +67,34 @@ EXPECTED_ORPHANS = [
     f"{LIB}[orphan_weak.cc.o]",
 ]
 
+# Symbol mode: the archive's members, then what each link kept.
+SYMBOL_LIBRARY = [
+    f"{LIB}[engine.cc.o]: _ZN10prosperity6engineEv T 0 10",
+    # only test_one keeps it.
+    f"{LIB}[engine.cc.o]: _ZN10prosperity8testOnlyEv T 0 10",
+    # a weak inline definition no link keeps: not judged.
+    f"{LIB}[engine.cc.o]: _ZN10prosperity6inlineEv W 0 10",
+    # only perfbench keeps it.
+    f"{LIB}[replay.cc.o]: _ZN10prosperity6replayEv T 0 10",
+    # only a test keeps it, and the allowlist exempts it.
+    f"{LIB}[tiers.cc.o]: _ZN10prosperity4tierEv T 0 10",
+]
+KEPT = {
+    "build/demo": ["_ZN10prosperity6engineEv T 400 10", "main T 0 10"],
+    "build/test_one": ["_ZN10prosperity6engineEv T 400 10",
+                       "_ZN10prosperity8testOnlyEv T 410 10",
+                       "_ZN10prosperity4tierEv T 420 10",
+                       "main T 0 10"],
+    "build-perfbench/perfbench": ["_ZN10prosperity6replayEv T 400 10",
+                                  "main T 0 10"],
+}
+TIER = "_ZN10prosperity4tierEv"
+ALLOWLIST = f"""\
+# comment lines and blank lines are skipped
+
+{TIER} forced-tier tests only; the dispatch is going away
+"""
+
 failures = []
 
 
@@ -75,7 +107,7 @@ def check(label: str, ok: bool, detail: str = "") -> None:
         failures.append(label)
 
 
-def run_cli(text: str) -> tuple:
+def run_cli(text: str, *flags: str) -> tuple:
     with tempfile.NamedTemporaryFile(
         mode="w", suffix=".nm", delete=False
     ) as tmp:
@@ -84,13 +116,106 @@ def run_cli(text: str) -> tuple:
     try:
         proc = subprocess.run(
             [sys.executable, os.path.join(HERE, "orphan_objects.py"),
-             "--nm-output", path],
+             "--nm-output", path, *flags],
             capture_output=True,
             text=True,
         )
     finally:
         os.unlink(path)
     return proc.returncode, proc.stdout
+
+
+def make_build_tree(root: str) -> tuple:
+    """A build directory and a perfbench build directory as CMake lays
+    them out: objects under CMakeFiles/<target>.dir/, each executable
+    beside it. The library archive and the bench harness archive have
+    no executable of their target's name."""
+    def touch(path: str) -> None:
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        open(path, "w").close()
+
+    build = os.path.join(root, "build")
+    perfbench = os.path.join(root, "build-perfbench")
+    for obj in ("prosperity_core.dir/src/engine.cc.o",
+                "prosperity_bench.dir/bench/bench_harness.cc.o",
+                "demo.dir/examples/demo.cc.o",
+                "test_one.dir/tests/test_one.cc.o"):
+        touch(os.path.join(build, "CMakeFiles", obj))
+    for exe in ("libprosperity_core.a", "libprosperity_bench.a",
+                "demo", "test_one"):
+        touch(os.path.join(build, exe))
+    touch(os.path.join(perfbench, "CMakeFiles", "perfbench.dir",
+                       "perfbench.cc.o"))
+    touch(os.path.join(perfbench, "perfbench"))
+    return build, perfbench
+
+
+def symbol_text(programs: list, root: str) -> str:
+    """What `nm -A -P` prints for the archive and these executables."""
+    lines = list(SYMBOL_LIBRARY)
+    for program in programs:
+        name = os.path.relpath(program, root).replace(os.sep, "/")
+        lines += [f"{name}: {line}" for line in KEPT[name]]
+    return "\n".join(lines) + "\n"
+
+
+def judged(text: str, allowlist: str) -> list:
+    return [symbol for symbol, _ in orphan_objects.judge_symbols(
+        orphan_objects.parse_nm(text),
+        orphan_objects.read_allowlist(allowlist))]
+
+
+def check_symbol_mode() -> None:
+    with tempfile.TemporaryDirectory() as root:
+        build, perfbench = make_build_tree(root)
+        programs = (orphan_objects.linked_programs(build, LIB)
+                    + orphan_objects.linked_programs(perfbench, LIB))
+        expected = [os.path.join(build, "demo"),
+                    os.path.join(perfbench, "perfbench")]
+        check("the programs are every non-test executable, perfbench's "
+              "included", programs == expected, f"got {programs}")
+        text = symbol_text(programs, root)
+        without_perfbench = symbol_text(programs[:1], root)
+
+    found = judged(text, ALLOWLIST)
+    check("a function only a test keeps fails, and only it",
+          found == ["_ZN10prosperity8testOnlyEv"], f"got {found}")
+    check("a symbol only perfbench keeps passes",
+          "_ZN10prosperity6replayEv" not in found
+          and "_ZN10prosperity6replayEv" in judged(without_perfbench,
+                                                   ALLOWLIST), found)
+    check("an allowlisted symbol with a reason passes",
+          TIER not in found and TIER in judged(text, ""), found)
+    check("weak definitions are not judged",
+          "_ZN10prosperity6inlineEv" not in found, found)
+    for label, allowlist in (
+        ("an allowlist entry with no reason fails", f"{TIER}\n"),
+        ("an allowlist entry whose symbol a program keeps fails",
+         ALLOWLIST + "_ZN10prosperity6engineEv demo calls it\n"),
+        ("an allowlist entry whose symbol is gone fails",
+         ALLOWLIST + "_ZN10prosperity4goneEv it was deleted\n"),
+    ):
+        extra = [s for s in judged(text, allowlist)
+                 if s != "_ZN10prosperity8testOnlyEv"]
+        check(label, len(extra) == 1, f"got {extra}")
+
+    with tempfile.NamedTemporaryFile(
+        mode="w", suffix=".allow", delete=False
+    ) as tmp:
+        tmp.write(ALLOWLIST)
+        allow_path = tmp.name
+    try:
+        code, out = run_cli(text, "--symbols", "--allowlist", allow_path)
+        check("symbol CLI exits 1 and names the unkept symbol",
+              code == 1 and "testOnly" in out, f"got {code}: {out}")
+        kept_only = "\n".join(line for line in text.splitlines()
+                              if "testOnly" not in line) + "\n"
+        code, out = run_cli(kept_only, "--symbols", "--allowlist",
+                            allow_path)
+        check("symbol CLI exits 0 when every symbol is kept or exempt",
+              code == 0, f"got {code}: {out}")
+    finally:
+        os.unlink(allow_path)
 
 
 def main() -> int:
@@ -116,10 +241,12 @@ def main() -> int:
     check("CLI exits 2 when no archive member is listed", code == 2,
           f"got {code}")
 
+    check_symbol_mode()
+
     if failures:
         print(f"\n{len(failures)} check(s) failed", file=sys.stderr)
         return 1
-    print("\nall orphan-object fixture checks passed")
+    print("\nall orphan fixture checks passed")
     return 0
 
 
