@@ -188,16 +188,26 @@ def check_symbol_mode() -> None:
           TIER not in found and TIER in judged(text, ""), found)
     check("weak definitions are not judged",
           "_ZN10prosperity6inlineEv" not in found, found)
-    for label, allowlist in (
-        ("an allowlist entry with no reason fails", f"{TIER}\n"),
+    for label, allowlist, entry, why in (
+        ("an allowlist entry with no reason fails", f"{TIER}\n", TIER,
+         "no reason"),
         ("an allowlist entry whose symbol a program keeps fails",
-         ALLOWLIST + "_ZN10prosperity6engineEv demo calls it\n"),
+         ALLOWLIST + "_ZN10prosperity6engineEv demo calls it\n",
+         "_ZN10prosperity6engineEv", "a program keeps it"),
         ("an allowlist entry whose symbol is gone fails",
-         ALLOWLIST + "_ZN10prosperity4goneEv it was deleted\n"),
+         ALLOWLIST + "_ZN10prosperity4goneEv it was deleted\n",
+         "_ZN10prosperity4goneEv", "no longer defines it"),
     ):
-        extra = [s for s in judged(text, allowlist)
-                 if s != "_ZN10prosperity8testOnlyEv"]
-        check(label, len(extra) == 1, f"got {extra}")
+        extra = [
+            (symbol, message)
+            for symbol, message in orphan_objects.judge_symbols(
+                orphan_objects.parse_nm(text),
+                orphan_objects.read_allowlist(allowlist))
+            if symbol != "_ZN10prosperity8testOnlyEv"
+        ]
+        check(label,
+              len(extra) == 1 and extra[0][0] == entry
+              and why in extra[0][1], f"got {extra}")
 
     with tempfile.NamedTemporaryFile(
         mode="w", suffix=".allow", delete=False
